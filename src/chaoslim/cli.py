@@ -134,10 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pinning", help="sample pinning partition functions")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--alpha", type=float, default=None,
-                       help="tail index in (1/2, 1); omit for a finite-mean law")
-    group.add_argument("--finite-mean", dest="finite_mean", action="store_true")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="tail index in (1/2, 1); omit for a finite-mean law")
     p.add_argument("--probs", default="0.5,0.5",
                    help="finite-mean jump probabilities K(1),K(2),...")
     p.add_argument("--N", type=int, required=True)
@@ -150,9 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pinning)
 
     p = sub.add_parser("polymer", help="sample directed-polymer partition functions")
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--sigma2", type=float, default=1.0,
-                   help="increment variance (alpha = 2 uses the simple walk)")
+    p.add_argument("--alpha", type=float, default=2.0,
+                   help="walk tail index; 2 uses the simple walk")
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--window", type=int, default=2000)
     p.add_argument("--N", type=int, required=True)

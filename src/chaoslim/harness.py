@@ -5,8 +5,7 @@ Every report row is tagged with its provenance -- ``formula-exact``,
 ``dp-exact`` or ``mc-ci`` -- and every pass/fail verdict carries the
 tolerance it was checked against.  Reruns with the same config and master
 seed produce bit-identical output: per-grid-point / per-chunk generators are
-spawned from one SeedSequence, and rows are reduced in grid order no matter
-how the worker pool schedules them.
+spawned from one SeedSequence, and grid points run in grid order.
 
 Convergence-rate thresholds are calibration choices, not theorem-backed
 constants; they are labeled as such in the emitted reports.
@@ -16,8 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -29,14 +26,6 @@ from .errors import InputError
 
 KS_TWO_SAMPLE_C05 = 1.3581  # Smirnov 5% coefficient
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
-
-
-def _n_workers() -> int:
-    raw = os.environ.get("CHAOSLIM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +554,7 @@ _POINT_RUNNERS = {
 
 def run_convergence_study(config: ExperimentConfig) -> ComparisonReport:
     """Run the model's sampler/oracles at each grid point and attach trend
-    verdicts; grid points run on a worker pool capped by CHAOSLIM_THREADS."""
+    verdicts; grid points run in grid order."""
     if config.model == "lindeberg":
         report = lindeberg_audit(config)
         report.emit(config.out_csv, config.out_json)
@@ -578,11 +567,8 @@ def run_convergence_study(config: ExperimentConfig) -> ComparisonReport:
     report = ComparisonReport(config.model)
     child_seeds = [int(s.generate_state(1)[0]) for s in
                    np.random.SeedSequence(config.seed).spawn(len(config.grid))]
-    with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
-        all_rows = list(pool.map(lambda args: runner(config, *args),
-                                 zip(config.grid, child_seeds)))
-    for rows in all_rows:
-        report.rows.extend(rows)
+    for grid_value, stream_seed in zip(config.grid, child_seeds):
+        report.rows.extend(runner(config, grid_value, stream_seed))
 
     gaps = [(r.grid_value, r.gap) for r in report.rows
             if r.quantity == "second_moment" and r.gap is not None]

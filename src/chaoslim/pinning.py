@@ -112,17 +112,31 @@ class RenewalLaw:
         return np.clip(out, 0.0, None)
 
 
+def _renewal_solve(kernel: np.ndarray, n_steps: int, weights=None) -> np.ndarray:
+    """x(0) = 1, x(n) = w(n) sum_{m=1}^{min(n, n_max)} kernel[m] x(n-m).
+
+    ``kernel`` is [0, K(1), ..., K(n_max)] with any constant site weight
+    folded in; each row of ``weights`` holds one sample's w(1..n_steps), and
+    None means w = 1.  Returns x(0..n_steps), one row per sample.
+    """
+    rev = np.ascontiguousarray(kernel[:0:-1])  # K(n_max), ..., K(1)
+    n_max = rev.size
+    # x(n) starts as w(n); time-major, so every step reads and writes
+    # contiguous memory
+    x = np.ones((n_steps + 1,) + np.shape(weights)[:-1])
+    if weights is not None:
+        x[1:] = weights.T
+    for n in range(1, n_steps + 1):
+        m = min(n, n_max)
+        x[n] *= rev[n_max - m :] @ x[n - m : n]
+    return x.T
+
+
 def renewal_mass(law: RenewalLaw, n_points: int) -> np.ndarray:
     """u(n) = P(n in tau) for n = 0..n_points, by convolution recursion."""
     if n_points > _N_CAP:
         raise ResourceError(f"N = {n_points} exceeds the cap {_N_CAP}")
-    k = law.probs
-    u = np.zeros(n_points + 1)
-    u[0] = 1.0
-    for n in range(1, n_points + 1):
-        m = min(n, law.n_max)
-        u[n] = k[1 : m + 1] @ u[n - 1 : n - m - 1 : -1] if n > m else k[1 : m + 1] @ u[n - 1 :: -1]
-    return u
+    return _renewal_solve(law.probs, n_points)
 
 
 def _check_tail_range(law: RenewalLaw, n_steps: int) -> None:
@@ -207,14 +221,7 @@ def partition_function_batch(
         raise InputError(f"unknown mode {mode!r}")
     omega = np.asarray(omega, dtype=float)
     n_steps = omega.shape[1]
-    w = _site_weights(omega, beta, h, disorder)
-    k = law.probs
-    smax = law.n_max
-    z = np.zeros((omega.shape[0], n_steps + 1))
-    z[:, 0] = 1.0
-    for n in range(1, n_steps + 1):
-        m = min(n, smax)
-        z[:, n] = w[:, n - 1] * (z[:, n - m : n][:, ::-1] @ k[1 : m + 1])
+    z = _renewal_solve(law.probs, n_steps, _site_weights(omega, beta, h, disorder))
     if mode == "conditioned":
         u = renewal_mass(law, n_steps)
         if u[n_steps] <= 0.0:
@@ -353,27 +360,16 @@ def second_moment_exact(
     if not math.isfinite(lam2):
         raise DomainError("Lambda(2 beta) must be finite")
     gamma = lam2 - 2.0 * disorder.log_mgf(beta)
-    k = law.probs
-    smax = law.n_max
-    eh = math.exp(h)
     e2h = math.exp(2.0 * h)
 
-    d = np.zeros(n_steps + 1)
-    d[0] = 1.0
-    for n in range(1, n_steps + 1):
-        m = min(n, smax)
-        d[n] = eh * (k[1 : m + 1] @ d[n - 1 : n - m - 1 : -1] if n > m else k[1 : m + 1] @ d[n - 1 :: -1])
+    d = _renewal_solve(math.exp(h) * law.probs, n_steps)
     big_g = d * d
 
     f = np.zeros(n_steps + 1)
     for n in range(1, n_steps + 1):
         f[n] = big_g[n] / e2h - (f[1:n] @ big_g[n - 1 : 0 : -1] if n > 1 else 0.0)
 
-    w_common = e2h * math.exp(gamma)
-    a = np.zeros(n_steps + 1)
-    a[0] = 1.0
-    for n in range(1, n_steps + 1):
-        a[n] = w_common * (f[1 : n + 1] @ a[n - 1 :: -1])
+    a = _renewal_solve(e2h * math.exp(gamma) * f, n_steps)
 
     if mode == "conditioned":
         u = renewal_mass(law, n_steps)
@@ -381,13 +377,9 @@ def second_moment_exact(
             raise ConditioningError(f"u({n_steps}) = 0: cannot condition")
         return float(a[n_steps] / u[n_steps] ** 2)
 
-    tail = law.tail(n_steps)
-    t1 = np.array([d[: l + 1] @ tail[l::-1] for l in range(n_steps + 1)])
+    t1 = np.convolve(d, law.tail(n_steps))[: n_steps + 1]
     g_free = t1 * t1
-    t_pair = np.empty(n_steps + 1)
-    for l in range(n_steps + 1):
-        conv = f[1 : l + 1] @ g_free[l - 1 :: -1] if l >= 1 else 0.0
-        t_pair[l] = g_free[l] - e2h * conv
+    t_pair = g_free - e2h * np.convolve(f, g_free)[: n_steps + 1]
     return float(a @ t_pair[::-1])
 
 
@@ -449,51 +441,39 @@ def continuum_second_moment(
     ca = c_alpha(alpha)
     x = (beta_hat * ca) ** 2
     y = h_hat * ca
+    conditioned = mode == "conditioned"
+    gap_poly = np.array(
+        [
+            _pair_constant(m, alpha) * math.exp(gammaln((m + 2) * alpha - 1.0))
+            for m in range(m_max + 1)
+        ]
+    )
+    if not conditioned:
+        trail_poly = np.array(
+            [
+                _free_pair_constant(m, alpha) * math.exp(gammaln(m * alpha + 1.0))
+                for m in range(m_max + 1)
+            ]
+        )
+    # r pair gaps closed by a common point: j + 1 when conditioned (the last
+    # one closed at t), j in free mode, which ends with the trailing stretch
+    lead = 2.0 * (1.0 - alpha) if conditioned else 0.0
+    shift = 0.0 if conditioned else 1.0
+    power = np.array([1.0])  # gap_poly^r truncated at degree m_max
     total = 0.0
     for j in range(k_max + 1):
-        if mode == "conditioned":
-            gap_poly = np.array(
-                [
-                    _pair_constant(m, alpha) * math.exp(gammaln((m + 2) * alpha - 1.0))
-                    for m in range(m_max + 1)
-                ]
+        r = j + 1 if conditioned else j
+        if r:
+            power = np.convolve(power, gap_poly)[: m_max + 1]
+        poly = power if conditioned else np.convolve(power, trail_poly)[: m_max + 1]
+        for m_total in range(m_max + 1):
+            sum_a = (m_total + 2 * r) * alpha - r + shift
+            log_term = (
+                math.log(max(poly[m_total], 5e-324))
+                - gammaln(sum_a)
+                + (lead + sum_a - 1.0) * math.log(t)
             )
-            poly = np.array([1.0])
-            for _ in range(j + 1):
-                poly = np.convolve(poly, gap_poly)[: m_max + 1]
-            for m_total in range(m_max + 1):
-                sum_a = (m_total + 2 * (j + 1)) * alpha - (j + 1)
-                log_term = (
-                    math.log(max(poly[m_total], 5e-324))
-                    - gammaln(sum_a)
-                    + (2.0 * (1.0 - alpha) + sum_a - 1.0) * math.log(t)
-                )
-                total += x**j * y**m_total * math.exp(log_term)
-        else:
-            gap_poly = np.array(
-                [
-                    _pair_constant(m, alpha) * math.exp(gammaln((m + 2) * alpha - 1.0))
-                    for m in range(m_max + 1)
-                ]
-            )
-            trail_poly = np.array(
-                [
-                    _free_pair_constant(m, alpha) * math.exp(gammaln(m * alpha + 1.0))
-                    for m in range(m_max + 1)
-                ]
-            )
-            poly = np.array([1.0])
-            for _ in range(j):
-                poly = np.convolve(poly, gap_poly)[: m_max + 1]
-            poly = np.convolve(poly, trail_poly)[: m_max + 1]
-            for m_total in range(m_max + 1):
-                sum_a = (m_total + 2 * j) * alpha - j + 1.0
-                log_term = (
-                    math.log(max(poly[m_total], 5e-324))
-                    - gammaln(sum_a)
-                    + (sum_a - 1.0) * math.log(t)
-                )
-                total += x**j * y**m_total * math.exp(log_term)
+            total += x**j * y**m_total * math.exp(log_term)
     return float(total)
 
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import gammaln
 
 from .dists import GAUSSIAN_DISORDER, DisorderLaw
@@ -146,12 +145,20 @@ def _dense(law: WalkLaw) -> Pmf:
     return Pmf(lo, probs)
 
 
+def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full convolution of two nonnegative arrays by real FFT, with the
+    roundoff below zero clipped."""
+    size = a.size + b.size - 1
+    n = 1 << (size - 1).bit_length()
+    out = np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)[:size]
+    return np.clip(out, 0.0, None)
+
+
 def _convolve(a: Pmf, b: Pmf) -> Pmf:
     if a.probs.size + b.probs.size > _SUPPORT_CAP:
         raise ResourceError("pmf support exceeds the size cap")
     if min(a.probs.size, b.probs.size) > 500:
-        out = fftconvolve(a.probs, b.probs)
-        out = np.clip(out, 0.0, None)
+        out = _fft_convolve(a.probs, b.probs)
     else:
         out = np.convolve(a.probs, b.probs)
     return Pmf(a.lo + b.lo, out)
@@ -525,7 +532,7 @@ def polymer_second_moment_exact(
     use_fft = v.size * diff.size > 4_000_000  # fft roundoff ~1e-15 relative
     for _ in range(n_steps):
         if use_fft:
-            full = np.clip(fftconvolve(v, diff), 0.0, None)
+            full = _fft_convolve(v, diff)
         else:
             full = np.convolve(v, diff)
         start = -diff_lo

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -140,8 +139,7 @@ def test_study_deterministic_output(tmp_path):
     assert run(tmp_path / "a.csv") == run(tmp_path / "b.csv")
 
 
-def test_thread_pool_respects_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("CHAOSLIM_THREADS", "2")
+def test_study_rows_in_grid_order(tmp_path):
     cfg = ExperimentConfig(
         model="pinning",
         params={"law": "finite_mean", "probs": [0.5, 0.5]},

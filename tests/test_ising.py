@@ -1,5 +1,6 @@
 """Tests for the desk-scale critical Ising / RFIM machinery."""
 
+import itertools
 import math
 
 import numpy as np
@@ -89,6 +90,28 @@ def test_rfim_single_site_closed_form():
     xi = 0.37
     val = rfim_partition_xi(ONE, [xi])
     assert val == pytest.approx(math.cosh(xi) + math.sinh(xi) * math.tanh(4 * BETA_C), rel=1e-14)
+
+
+def test_rfim_matches_direct_enumeration_on_l_shape():
+    # the L shape has no symmetry that reverses the site order, so a
+    # bit-order slip between the spin table and the field would show here
+    sites = [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (0, 3)]
+    system = LatticeSpinSystem(tuple(sites))
+    xi = np.random.default_rng(3).normal(0.0, 0.8, len(sites))
+    index = {s: k for k, s in enumerate(system.interior)}
+    num = den = 0.0
+    for spins in itertools.product([1.0, -1.0], repeat=len(sites)):
+        energy = 0.0
+        for (i, j), k in index.items():
+            for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+                if nb not in index:
+                    energy += spins[k]  # + boundary neighbour
+                elif index[nb] > k:
+                    energy += spins[k] * spins[index[nb]]
+        boltzmann = math.exp(BETA_C * energy)
+        num += boltzmann * math.exp(float(np.dot(xi, spins)))
+        den += boltzmann
+    assert rfim_partition_xi(system, xi) == pytest.approx(num / den, rel=1e-12)
 
 
 def test_rfim_symmetric_site_swap_invariance():

@@ -139,13 +139,22 @@ def test_partition_zero_coupling_is_one():
     assert partition_function(LAW_HALF, omega, 0.0, 0.0, "free") == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("mode", ["conditioned", "free"])
-def test_partition_matches_subset_enumeration(mode):
+@pytest.mark.parametrize(
+    "law, mode",
+    [
+        pytest.param(LAW_HALF, "conditioned", id="conditioned"),
+        pytest.param(LAW_HALF, "free", id="free"),
+        # n_max > N: every step convolves against the whole history
+        pytest.param(RenewalLaw.heavy_tail(0.75, 20), "conditioned", id="heavy-conditioned"),
+        pytest.param(RenewalLaw.heavy_tail(0.75, 20), "free", id="heavy-free"),
+    ],
+)
+def test_partition_matches_subset_enumeration(law, mode):
     rng = np.random.default_rng(5)
     for _ in range(4):
         omega = rng.standard_normal(10)
-        z = partition_function(LAW_HALF, omega, 0.7, 0.1, mode)
-        oracle = _brute_partition(LAW_HALF, omega, 0.7, 0.1, mode)
+        z = partition_function(law, omega, 0.7, 0.1, mode)
+        oracle = _brute_partition(law, omega, 0.7, 0.1, mode)
         assert z == pytest.approx(oracle, rel=1e-12)
 
 
