@@ -16,7 +16,7 @@ import numpy as np
 
 from . import harness, ising, pinning, polymer
 from .dists import Atoms
-from .errors import ChaoslimError
+from .errors import ChaoslimError, NumericError
 
 
 def _write_csv(path, header, rows):
@@ -25,6 +25,19 @@ def _write_csv(path, header, rows):
         for row in rows:
             fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x)
                               for x in row) + "\n")
+
+
+def _log_samples(z: np.ndarray) -> list[float]:
+    """log Z of every sample; a sample that is not finite and positive (an
+    underflow to 0, say) is a NumericError, not a math domain error."""
+    bad = np.flatnonzero(~(np.isfinite(z) & (z > 0.0)))
+    if bad.size:
+        raise NumericError(
+            f"{bad.size} of {z.size} partition-function samples are not finite and "
+            f"positive (sample {bad[0]} is {float(z[bad[0]])!r}), so log Z is undefined; "
+            "lower beta_hat or N"
+        )
+    return [math.log(v) for v in z]
 
 
 def _cmd_pinning(args) -> int:
@@ -37,7 +50,8 @@ def _cmd_pinning(args) -> int:
     z = harness.sample_pinning(
         law, args.beta_hat, args.h_hat, args.N, args.samples, args.seed, args.mode
     )
-    rows = [(args.seed, args.N, z[i], math.log(z[i])) for i in range(z.size)]
+    log_z = _log_samples(z)
+    rows = [(args.seed, args.N, z[i], log_z[i]) for i in range(z.size)]
     _write_csv(args.out, ["seed", "N", "Z", "logZ"], rows)
     print(f"pinning: wrote {z.size} samples to {args.out} "
           f"(mean Z = {z.mean():.6f}, sd = {z.std(ddof=1):.6f})")
@@ -53,8 +67,9 @@ def _cmd_polymer(args) -> int:
         law, args.beta_hat, args.N, args.samples, args.seed, args.mode, args.x,
         mass_tol=args.mass_tol,
     )
+    log_z = _log_samples(z)
     rows = [
-        (args.seed, args.N, args.mode, args.x, z[i], math.log(z[i]))
+        (args.seed, args.N, args.mode, args.x, z[i], log_z[i])
         for i in range(z.size)
     ]
     _write_csv(args.out, ["seed", "N", "mode", "x", "Z", "logZ"], rows)
@@ -69,7 +84,8 @@ def _cmd_ising(args) -> int:
         args.lambda_hat_const, args.h_hat_const, domain, args.delta
     )
     z = harness.sample_ising(profiles, args.samples, args.seed)
-    rows = [(args.seed, args.delta, z[i], math.log(z[i])) for i in range(z.size)]
+    log_z = _log_samples(z)
+    rows = [(args.seed, args.delta, z[i], log_z[i]) for i in range(z.size)]
     _write_csv(args.out, ["seed", "delta", "Z", "logZ"], rows)
     print(f"ising: wrote {z.size} samples to {args.out} "
           f"(mean rescaled Z = {z.mean():.6f})")

@@ -261,6 +261,22 @@ def sample_pinning(
     return out
 
 
+_SAMPLE_GROUP = 128  # polymer samples per batched transfer
+_FIELD_BLOCK_CELLS = 1 << 20  # disorder values per time block of a group
+
+
+def _field_blocks(rngs, n_steps: int, width: int, disorder: DisorderLaw):
+    """Fields of one sample group, one Generator each, as time blocks of
+    shape (steps, samples, width) drawn into one reused buffer."""
+    steps = max(1, _FIELD_BLOCK_CELLS // (len(rngs) * width))
+    buf = np.empty((min(steps, n_steps), len(rngs), width))
+    for n0 in range(0, n_steps, steps):
+        c = min(steps, n_steps - n0)
+        for i, rng in enumerate(rngs):
+            buf[:c, i] = disorder.sample(rng, (c, width))
+        yield buf[:c]
+
+
 def sample_polymer(
     law: polymer.WalkLaw,
     beta_hat: float,
@@ -273,7 +289,15 @@ def sample_polymer(
     window_mult: float = 6.5,
     mass_tol: float = 1e-8,
 ) -> np.ndarray:
-    """Free / point-to-point / conditioned polymer partition samples."""
+    """Free / point-to-point / conditioned polymer partition samples.
+
+    Sample i draws its field from the i-th Generator spawned from
+    ``SeedSequence(seed)``. Groups of up to _SAMPLE_GROUP samples go through
+    one batched transfer loop, ``polymer.polymer_partition_batch``, each
+    group drawing its fields in time blocks into one reused buffer, so no
+    sample's whole (n_steps, width) field is held at once. The blocks split
+    the same stream of draws, so the samples do not depend on the grouping.
+    """
     beta_n = polymer.scale_beta(law.alpha, beta_hat, n_steps)
     spread = math.sqrt(law.sigma2) if law.alpha == 2.0 else (law.c_tail or 1.0) ** (1.0 / law.alpha)
     half = int(math.ceil(window_mult * n_steps ** (1.0 / law.alpha) * spread))
@@ -287,13 +311,12 @@ def sample_polymer(
         y -= (y - r * n_steps) % p
     streams = np.random.SeedSequence(seed).spawn(n_samples)
     out = np.empty(n_samples)
-    for i, ss in enumerate(streams):
-        rng = np.random.default_rng(ss)
-        fld = polymer.SpaceTimeField(
-            disorder.sample(rng, (n_steps, k_hi - k_lo + 1)), k_lo
+    for s0 in range(0, n_samples, _SAMPLE_GROUP):
+        rngs = [np.random.default_rng(ss) for ss in streams[s0 : s0 + _SAMPLE_GROUP]]
+        fields = _field_blocks(rngs, n_steps, k_hi - k_lo + 1, disorder)
+        out[s0 : s0 + len(rngs)] = polymer.polymer_partition_batch(
+            law, k_lo, fields, beta_n, mode, y, disorder, mass_tol
         )
-        out[i] = polymer.polymer_partition(law, fld, beta_n, mode, y, disorder,
-                                           mass_tol=mass_tol)
     return out
 
 

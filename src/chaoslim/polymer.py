@@ -31,6 +31,7 @@ from .errors import (
 
 _SUPPORT_CAP = 50_000_000
 _LATTICE_TOL = 1e-9
+_TRAPEZOID_CELLS = 1 << 20  # (point, node) cells per trapezoid block: 8 MB a temporary
 
 
 @dataclass(frozen=True)
@@ -233,15 +234,27 @@ class StableDensity:
         return out.reshape(np.shape(x))
 
     def _invert(self, xs: np.ndarray, a: float, b: float, t_max: float) -> np.ndarray:
-        """(1/pi) int_0^T e^{-a t^alpha} cos(b t^alpha - t x) dt, adaptive trapezoid."""
+        """(1/pi) int_0^T e^{-a t^alpha} cos(b t^alpha - t x) dt, adaptive trapezoid.
+
+        Node counts double until the whole of ``xs`` moves by less than
+        ``quad_tol``; each count runs over row blocks of at most
+        _TRAPEZOID_CELLS (point, node) cells, which bounds the temporaries.
+        """
         n = 512
         prev = None
         while n <= 1 << 15:
             t = np.linspace(0.0, t_max, n + 1)
             ta = t**self.alpha
-            vals = np.trapezoid(
-                np.exp(-a * ta) * np.cos(b * ta - xs[:, None] * t), t, axis=-1
-            )
+            envelope = np.exp(-a * ta)
+            drift = b * ta
+            rows = max(1, _TRAPEZOID_CELLS // (n + 1))
+            vals = np.empty(xs.size)
+            for r0 in range(0, xs.size, rows):
+                f = xs[r0 : r0 + rows, None] * t
+                np.subtract(drift, f, out=f)
+                np.cos(f, out=f)
+                f *= envelope
+                vals[r0 : r0 + rows] = np.trapezoid(f, t, axis=-1)
             if prev is not None and np.max(np.abs(vals - prev)) < self.quad_tol:
                 return vals / math.pi
             prev = vals
@@ -345,6 +358,111 @@ def reachable_window(law: WalkLaw, n_steps: int) -> tuple[int, int]:
     return int(law.offsets[0]) * n_steps, int(law.offsets[-1]) * n_steps
 
 
+def _walk_step(z: np.ndarray, out: np.ndarray, inc: Pmf, atoms: np.ndarray,
+               tmp: np.ndarray) -> None:
+    """out[r, k] = sum_x z[r, x] p(k - x) on the window of z; mass pushed
+    past either edge is dropped.
+
+    Few-atom laws shift-add over their nonzero atoms, all rows at once; a law
+    with more nonzero atoms than rows convolves row by row instead.
+    """
+    rows, width = z.shape
+    if atoms.size > rows:
+        start = -inc.lo  # the convolution starts at k_lo + inc.lo
+        for r in range(rows):
+            out[r] = np.convolve(z[r], inc.probs)[start : start + width]
+        return
+    first = True
+    for a in atoms:
+        o = inc.lo + int(a)  # out[:, k] += p(o) z[:, k - o]
+        if abs(o) >= width:
+            continue
+        dst = out[:, max(o, 0) : width + min(o, 0)]
+        src = z[:, max(-o, 0) : width - max(o, 0)]
+        if first:  # write the first atom, and zero the columns it misses
+            np.multiply(src, inc.probs[a], out=dst)
+            out[:, : max(o, 0)] = 0.0
+            out[:, width + min(o, 0) :] = 0.0
+            first = False
+        else:
+            part = tmp[:, : src.shape[1]]
+            np.multiply(src, inc.probs[a], out=part)
+            dst += part
+    if first:  # every atom jumps past the window
+        out.fill(0.0)
+
+
+def polymer_partition_batch(
+    law: WalkLaw,
+    k_lo: int,
+    blocks,
+    beta: float,
+    mode: str = "free",
+    y: int | None = None,
+    disorder: DisorderLaw = GAUSSIAN_DISORDER,
+    mass_tol: float = 1e-8,
+) -> np.ndarray:
+    """Partition functions of many disorder fields on one spatial window.
+
+    ``blocks`` yields consecutive time blocks of the fields as arrays of
+    shape (steps, rows, width), at least one (steps may be 0): entry
+    [j, r, x] is omega(n, k_lo + x) of field r at the block's j-th step.
+    Each block is overwritten with the weights e^{beta omega - Lambda(beta)},
+    so a caller may hand the same buffer back for the next block.
+
+    All rows advance together, one step at a time, through the transfer
+    recursion z_n(y) = sum_x z_{n-1}(x) p(y-x) w_n(y). The walk probability mass pushed outside
+    the window is measured once, on a unit-weight row carried through the
+    same loop; the call aborts if it exceeds ``mass_tol``. Returns one
+    partition function per row, in the given mode.
+    """
+    if mode not in ("free", "point2point", "conditioned"):
+        raise InputError(f"unknown mode {mode!r}")
+    if mode != "free" and y is None:
+        raise InputError(f"mode {mode!r} needs a target site y")
+    lam = disorder.log_mgf(beta)
+    inc = _dense(law)
+    atoms = np.flatnonzero(inc.probs)
+    z = None
+    n_steps = 0
+    for block in blocks:
+        if z is None:
+            rows, width = block.shape[1:]
+            if k_lo > 0 or k_lo + width <= 0:
+                raise InputError("field window must contain the origin")
+            z = np.zeros((rows + 1, width))  # row `rows` is the bare walk
+            z[:, -k_lo] = 1.0
+            nxt, tmp = np.empty_like(z), np.empty_like(z)
+        block *= beta
+        block -= lam
+        np.exp(block, out=block)
+        for w in block:
+            _walk_step(z, nxt, inc, atoms, tmp)
+            z, nxt = nxt, z
+            z[:rows] *= w
+        n_steps += block.shape[0]
+    if z is None:
+        raise InputError("need at least one time block of the fields")
+    lost = 1.0 - float(z[rows].sum())
+    if lost > mass_tol:
+        raise NumericError(
+            f"truncated walk mass {lost:.3e} exceeds mass_tol={mass_tol:.1e}; "
+            "widen the disorder field window"
+        )
+    z = z[:rows]
+    if mode == "free":
+        return z.sum(axis=1)
+    idx = int(y) - k_lo
+    if not 0 <= idx < width:
+        raise InputError(f"target y={y} outside the field window")
+    if mode == "point2point":
+        return z[:, idx].copy()
+    qy = walk_pmf(law, n_steps)[int(y)]
+    if qy <= 0.0:
+        raise ConditioningError(f"q_{n_steps}({y}) = 0: cannot condition")
+    return z[:, idx] / qy
+
+
 def polymer_partition(
     law: WalkLaw,
     omega: SpaceTimeField,
@@ -357,46 +475,13 @@ def polymer_partition(
     """Space-time transfer recursion z_n(y) = sum_x z_{n-1}(x) p(y-x) w_n(y).
 
     free sums z_N; point2point returns z_N(y); conditioned divides by q_N(y).
-    Probability mass driven outside the field's spatial window is dropped and
-    tracked; the run aborts if it exceeds ``mass_tol``.
+    Walk probability mass driven outside the field's spatial window is
+    dropped and measured; the run aborts if it exceeds ``mass_tol``. This is
+    the one-row call of ``polymer_partition_batch``.
     """
-    if mode not in ("free", "point2point", "conditioned"):
-        raise InputError(f"unknown mode {mode!r}")
-    if mode != "free" and y is None:
-        raise InputError(f"mode {mode!r} needs a target site y")
-    n_steps = omega.n_steps
-    lam = disorder.log_mgf(beta)
-    inc = _dense(law)
-    width = omega.values.shape[1]
-    if omega.k_lo > 0 or omega.k_lo + width <= 0:
-        raise InputError("field window must contain the origin")
-    z = np.zeros(width)
-    z[-omega.k_lo] = 1.0
-    lost = 0.0
-    for n in range(1, n_steps + 1):
-        full = np.convolve(z, inc.probs)
-        # the convolution output starts at k_lo + inc.lo; crop back to k_lo
-        start = -inc.lo
-        kept = full[start : start + width]
-        lost += float(full.sum() - kept.sum())
-        z = kept * np.exp(beta * omega.values[n - 1] - lam)
-    if lost > mass_tol:
-        raise NumericError(
-            f"truncated walk mass {lost:.3e} exceeds mass_tol={mass_tol:.1e}; "
-            "widen the disorder field window"
-        )
-    if mode == "free":
-        return float(z.sum())
-    q = walk_pmf(law, n_steps)
-    idx = int(y) - omega.k_lo
-    if not 0 <= idx < width:
-        raise InputError(f"target y={y} outside the field window")
-    if mode == "point2point":
-        return float(z[idx])
-    qy = q[int(y)]
-    if qy <= 0.0:
-        raise ConditioningError(f"q_{n_steps}({y}) = 0: cannot condition")
-    return float(z[idx] / qy)
+    block = omega.values[:, None, :].copy()
+    return float(polymer_partition_batch(law, omega.k_lo, [block], beta, mode, y,
+                                         disorder, mass_tol)[0])
 
 
 def _on_lattice(value: float, scale: float) -> int:

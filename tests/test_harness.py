@@ -320,6 +320,17 @@ def test_cli_error_exit_code(tmp_path):
     assert code == 2  # hypothesis violation surfaces as a clean error
 
 
+@pytest.mark.parametrize("argv", [
+    ["pinning", "--N", "4000", "--beta-hat", "80", "--seed", "0"],
+    ["polymer", "--N", "1000", "--beta-hat", "12", "--samples", "2", "--seed", "0"],
+], ids=["pinning", "polymer"])
+def test_cli_underflowed_samples_exit_code(tmp_path, capsys, argv):
+    # strong disorder underflows Z to 0; log Z must fail cleanly
+    code = cli.main(argv + ["--out", str(tmp_path / "z.csv")])
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+
+
 def test_lindeberg_bound_mean_mc_audit():
     # mean-shifted families zeta + mu vs xi + mu: the MC distance sits below
     # the computable mean-shifted bound

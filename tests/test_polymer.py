@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from chaoslim import polymer
+from chaoslim import harness, polymer
 from chaoslim.chaos import Kernel, eval_multilinear
 from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER_DISORDER
 from chaoslim.errors import ConditioningError, DomainError, InputError, NumericError
@@ -19,6 +20,7 @@ from chaoslim.polymer import (
     polymer_kernel_continuum,
     polymer_kernel_discrete,
     polymer_partition,
+    polymer_partition_batch,
     polymer_second_moment_continuum,
     polymer_second_moment_exact,
     scale_beta,
@@ -118,6 +120,14 @@ def test_stable_density_l2_norm_quadrature():
     assert quad == pytest.approx(g.l2_norm_sq(), rel=1e-4)
 
 
+def test_stable_density_row_blocks_leave_values_unchanged(monkeypatch):
+    g = StableDensity(1.5, gamma_skew=0.3, c_tail=1.2)
+    xs = np.linspace(-8.0, 8.0, 41)
+    whole = g.pdf(xs)  # one block per node count
+    monkeypatch.setattr(polymer, "_TRAPEZOID_CELLS", 1)  # one point per block
+    assert np.array_equal(g.pdf(xs), whole)
+
+
 def test_stable_density_domain_errors():
     with pytest.raises(DomainError):
         StableDensity(2.0)
@@ -154,6 +164,19 @@ def test_gnedenko_gap_heavy_tail_trend():
     law = WalkLaw.heavy_tail(1.5, 0.0, window=4000)
     gaps = [gnedenko_gap(law, n) for n in (4, 16, 64)]
     assert gaps[0] > gaps[1] > gaps[2] >= 0.0
+
+
+def test_gnedenko_gap_memory_is_bounded():
+    # the unblocked trapezoid held (1024, 32769) arrays, about 250 MB apiece
+    law = WalkLaw.heavy_tail(1.5, 0.0, 200)
+    tracemalloc.start()
+    try:
+        gap = gnedenko_gap(law, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    assert gap == pytest.approx(0.02407034070290745, rel=1e-12)  # unblocked value
 
 
 def test_scale_beta_values():
@@ -234,6 +257,21 @@ def test_partition_mass_loss_abort():
         polymer_partition(SIMPLE, field, 0.1, "free", mass_tol=1e-8)
 
 
+def test_partition_mass_tol_measures_walk_mass():
+    # the window edges carry omega = -40, so the disorder-weighted mass that
+    # leaves the window stays near 1e-18 while most of the walk leaves it
+    values = np.zeros((10, 3))
+    values[:, [0, 2]] = -40.0
+    field = SpaceTimeField(values, -1)
+    with pytest.raises(NumericError, match="truncated walk mass 9.688e-01"):
+        polymer_partition(SIMPLE, field, 1.0, "free", mass_tol=1e-8)
+
+
+def test_partition_batch_needs_a_time_block():
+    with pytest.raises(InputError):
+        polymer_partition_batch(SIMPLE, 0, [], 0.1)
+
+
 def test_normalization_exact_over_rademacher_disorder():
     n, width = 2, 5
     total = 0.0
@@ -276,6 +314,104 @@ def test_chaos_rewrite_identity_small_system():
     via_chaos = eval_multilinear(kernel, zeta)
     direct = polymer_partition(SIMPLE, field, beta, "conditioned", endpoint_k)
     assert via_chaos == pytest.approx(direct, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# batched transfer against the per-sample loop it replaced
+# ---------------------------------------------------------------------------
+
+HEAVY50 = WalkLaw.heavy_tail(1.5, 0.0, 50)
+
+
+def _reference_z(law, field, beta, disorder=GAUSSIAN_DISORDER):
+    """z_N on the field's window by the per-sample loop: one np.convolve
+    with the dense increment pmf per step, then the step's weights."""
+    lo = int(law.offsets[0])
+    dense = np.zeros(int(law.offsets[-1]) - lo + 1)
+    dense[law.offsets - lo] = law.probs
+    lam = disorder.log_mgf(beta)
+    width = field.values.shape[1]
+    z = np.zeros(width)
+    z[-field.k_lo] = 1.0
+    for row in field.values:
+        z = np.convolve(z, dense)[-lo : -lo + width] * np.exp(beta * row - lam)
+    return z
+
+
+def _reference_samples(law, beta_hat, n_steps, n_samples, seed, mode, x, disorder):
+    """harness.sample_polymer as a loop over samples, each with its whole
+    (n_steps, width) field drawn at once."""
+    beta = scale_beta(law.alpha, beta_hat, n_steps)
+    spread = math.sqrt(law.sigma2) if law.alpha == 2.0 else law.c_tail ** (1.0 / law.alpha)
+    half = int(math.ceil(6.5 * n_steps ** (1.0 / law.alpha) * spread))
+    lo, hi = polymer.reachable_window(law, n_steps)
+    k_lo, k_hi = max(lo, -half), min(hi, half)
+    y = int(round(x * n_steps ** (1.0 / law.alpha)))
+    y -= (y - law.residue * n_steps) % law.period
+    out = []
+    for ss in np.random.SeedSequence(seed).spawn(n_samples):
+        rng = np.random.default_rng(ss)
+        field = SpaceTimeField(disorder.sample(rng, (n_steps, k_hi - k_lo + 1)), k_lo)
+        z = _reference_z(law, field, beta, disorder)
+        if mode == "free":
+            out.append(float(z.sum()))
+        elif mode == "point2point":
+            out.append(float(z[y - k_lo]))
+        else:
+            out.append(float(z[y - k_lo] / walk_pmf(law, n_steps)[y]))
+    return np.array(out)
+
+
+MODES = [("free", 0.0), ("point2point", 0.3), ("conditioned", -0.2)]
+
+
+@pytest.mark.parametrize("disorder", [GAUSSIAN_DISORDER, RADEMACHER_DISORDER],
+                         ids=["gaussian", "rademacher"])
+@pytest.mark.parametrize("mode,x", MODES, ids=[m for m, _ in MODES])
+def test_sample_polymer_bit_identical_to_per_sample_loop(monkeypatch, mode, x, disorder):
+    # groups of 2 samples and 3-step blocks, so both splits are crossed; the
+    # window (half-width 65 at N = 100) is narrower than the reachable range
+    monkeypatch.setattr(harness, "_SAMPLE_GROUP", 2)
+    monkeypatch.setattr(harness, "_FIELD_BLOCK_CELLS", 1000)
+    z = harness.sample_polymer(SIMPLE, 0.7, 100, 5, 3, mode, x, disorder)
+    assert np.array_equal(z, _reference_samples(SIMPLE, 0.7, 100, 5, 3, mode, x, disorder))
+
+
+@pytest.mark.parametrize("mode,x", MODES, ids=[m for m, _ in MODES])
+@pytest.mark.parametrize("law,n_steps,n_samples", [
+    (LAZY, 40, 3), (LAZY, 40, 6), (HEAVY50, 6, 4), (HEAVY50, 6, 120),
+], ids=["lazy-per-row", "lazy-shift-add", "heavy-per-row", "heavy-shift-add"])
+def test_sample_polymer_close_to_per_sample_loop(law, n_steps, n_samples, mode, x):
+    # fewer rows (samples + the walk-mass row) than nonzero atoms: per-row
+    # np.convolve; otherwise shift-add, which sums the atoms in another order
+    z = harness.sample_polymer(law, 0.7, n_steps, n_samples, 9, mode, x, mass_tol=1.0)
+    ref = _reference_samples(law, 0.7, n_steps, n_samples, 9, mode, x, GAUSSIAN_DISORDER)
+    assert z == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("law", [SIMPLE, LAZY], ids=["simple", "window2"])
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+def test_partition_batch_windows_narrower_than_the_jumps(law, width):
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((7, 6, width))
+    k_lo = -(width // 2)
+    fields = [SpaceTimeField(values[:, r], k_lo) for r in range(6)]
+    ref = [float(_reference_z(law, f, 0.4).sum()) for f in fields]
+    batch = polymer_partition_batch(law, k_lo, [values.copy()], 0.4, mass_tol=1.0)
+    rows = [polymer_partition(law, f, 0.4, mass_tol=1.0) for f in fields]
+    assert batch == pytest.approx(ref, rel=1e-12)
+    assert rows == pytest.approx(ref, rel=1e-12)
+
+
+def test_sample_polymer_memory_is_bounded():
+    # 300 whole fields of 400 x 261 values would take about 250 MB
+    tracemalloc.start()
+    try:
+        harness.sample_polymer(SIMPLE, 0.5, 400, 300, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
 
 
 # ---------------------------------------------------------------------------
