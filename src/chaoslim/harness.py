@@ -261,8 +261,7 @@ def sample_pinning(
     return out
 
 
-_SAMPLE_GROUP = 128  # polymer samples per batched transfer
-_FIELD_BLOCK_CELLS = 1 << 20  # disorder values per time block of a group
+_FIELD_BLOCK_CELLS = 1 << 20  # disorder values per time block of a sample group
 
 
 def _field_blocks(rngs, n_steps: int, width: int, disorder: DisorderLaw):
@@ -292,11 +291,14 @@ def sample_polymer(
     """Free / point-to-point / conditioned polymer partition samples.
 
     Sample i draws its field from the i-th Generator spawned from
-    ``SeedSequence(seed)``. Groups of up to _SAMPLE_GROUP samples go through
-    one batched transfer loop, ``polymer.polymer_partition_batch``, each
-    group drawing its fields in time blocks into one reused buffer, so no
-    sample's whole (n_steps, width) field is held at once. The blocks split
-    the same stream of draws, so the samples do not depend on the grouping.
+    ``SeedSequence(seed)``. Groups of samples go through one batched
+    transfer loop, each group drawing its fields in time blocks of at most
+    _FIELD_BLOCK_CELLS values into one reused buffer, so no sample's whole
+    (n_steps, width) field is held at once. A full block splits its cells
+    about evenly between samples and steps: many samples a step keep the
+    per-step overhead of the loop small, many steps a draw keep the
+    per-call overhead of the Generators small. The blocks split the same
+    stream of draws, so the samples do not depend on the grouping.
     """
     beta_n = polymer.scale_beta(law.alpha, beta_hat, n_steps)
     spread = math.sqrt(law.sigma2) if law.alpha == 2.0 else (law.c_tail or 1.0) ** (1.0 / law.alpha)
@@ -309,13 +311,15 @@ def sample_polymer(
         y = int(round(x * scale))
         p, r = law.period, law.residue
         y -= (y - r * n_steps) % p
+    width = k_hi - k_lo + 1
+    group = max(1, math.isqrt(_FIELD_BLOCK_CELLS // width))
     streams = np.random.SeedSequence(seed).spawn(n_samples)
     out = np.empty(n_samples)
-    for s0 in range(0, n_samples, _SAMPLE_GROUP):
-        rngs = [np.random.default_rng(ss) for ss in streams[s0 : s0 + _SAMPLE_GROUP]]
-        fields = _field_blocks(rngs, n_steps, k_hi - k_lo + 1, disorder)
-        out[s0 : s0 + len(rngs)] = polymer.polymer_partition_batch(
-            law, k_lo, fields, beta_n, mode, y, disorder, mass_tol
+    for s0 in range(0, n_samples, group):
+        rngs = [np.random.default_rng(ss) for ss in streams[s0 : s0 + group]]
+        fields = _field_blocks(rngs, n_steps, width, disorder)
+        out[s0 : s0 + len(rngs)] = polymer._partition_batch(
+            law, k_lo, len(rngs), width, fields, beta_n, mode, y, disorder, mass_tol
         )
     return out
 

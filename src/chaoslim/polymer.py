@@ -358,43 +358,11 @@ def reachable_window(law: WalkLaw, n_steps: int) -> tuple[int, int]:
     return int(law.offsets[0]) * n_steps, int(law.offsets[-1]) * n_steps
 
 
-def _walk_step(z: np.ndarray, out: np.ndarray, inc: Pmf, atoms: np.ndarray,
-               tmp: np.ndarray) -> None:
-    """out[r, k] = sum_x z[r, x] p(k - x) on the window of z; mass pushed
-    past either edge is dropped.
-
-    Few-atom laws shift-add over their nonzero atoms, all rows at once; a law
-    with more nonzero atoms than rows convolves row by row instead.
-    """
-    rows, width = z.shape
-    if atoms.size > rows:
-        start = -inc.lo  # the convolution starts at k_lo + inc.lo
-        for r in range(rows):
-            out[r] = np.convolve(z[r], inc.probs)[start : start + width]
-        return
-    first = True
-    for a in atoms:
-        o = inc.lo + int(a)  # out[:, k] += p(o) z[:, k - o]
-        if abs(o) >= width:
-            continue
-        dst = out[:, max(o, 0) : width + min(o, 0)]
-        src = z[:, max(-o, 0) : width - max(o, 0)]
-        if first:  # write the first atom, and zero the columns it misses
-            np.multiply(src, inc.probs[a], out=dst)
-            out[:, : max(o, 0)] = 0.0
-            out[:, width + min(o, 0) :] = 0.0
-            first = False
-        else:
-            part = tmp[:, : src.shape[1]]
-            np.multiply(src, inc.probs[a], out=part)
-            dst += part
-    if first:  # every atom jumps past the window
-        out.fill(0.0)
-
-
-def polymer_partition_batch(
+def _partition_batch(
     law: WalkLaw,
     k_lo: int,
+    rows: int,
+    width: int,
     blocks,
     beta: float,
     mode: str = "free",
@@ -402,48 +370,51 @@ def polymer_partition_batch(
     disorder: DisorderLaw = GAUSSIAN_DISORDER,
     mass_tol: float = 1e-8,
 ) -> np.ndarray:
-    """Partition functions of many disorder fields on one spatial window.
+    """Partition functions of ``rows`` disorder fields on the spatial window
+    [k_lo, k_lo + width).
 
     ``blocks`` yields consecutive time blocks of the fields as arrays of
-    shape (steps, rows, width), at least one (steps may be 0): entry
-    [j, r, x] is omega(n, k_lo + x) of field r at the block's j-th step.
-    Each block is overwritten with the weights e^{beta omega - Lambda(beta)},
-    so a caller may hand the same buffer back for the next block.
+    shape (steps, rows, width): entry [j, r, x] is omega(n, k_lo + x) of
+    field r at the block's j-th step. Each block is overwritten with the
+    weights e^{beta omega - Lambda(beta)}, so a caller may hand the same
+    buffer back for the next block.
 
     All rows advance together, one step at a time, through the transfer
-    recursion z_n(y) = sum_x z_{n-1}(x) p(y-x) w_n(y). The walk probability mass pushed outside
-    the window is measured once, on a unit-weight row carried through the
-    same loop; the call aborts if it exceeds ``mass_tol``. Returns one
-    partition function per row, in the given mode.
+    recursion z_n(y) = sum_x z_{n-1}(x) p(y-x) w_n(y). The rows lie end to
+    end in one flat array, each followed by a gap of zeros as wide as the
+    longest jump, so one np.convolve a step moves every row and no row
+    reaches into the next; mass a step pushes past either edge of the window lands in a gap
+    and is dropped. That walk probability mass is measured once, on a
+    unit-weight row carried through the same loop, against the mass
+    (sum p)^n the walk carries without a window; the call aborts if the
+    loss exceeds ``mass_tol``. Returns one partition function per row, in
+    the given mode.
     """
     if mode not in ("free", "point2point", "conditioned"):
         raise InputError(f"unknown mode {mode!r}")
     if mode != "free" and y is None:
         raise InputError(f"mode {mode!r} needs a target site y")
+    if k_lo > 0 or k_lo + width <= 0:
+        raise InputError("field window must contain the origin")
     lam = disorder.log_mgf(beta)
     inc = _dense(law)
-    atoms = np.flatnonzero(inc.probs)
-    z = None
+    stride = width + max(-inc.lo, inc.lo + inc.probs.size - 1)  # a row and its gap
+    flat = np.zeros((rows + 1) * stride)  # row `rows` is the bare walk
+    flat[-k_lo::stride] = 1.0
     n_steps = 0
     for block in blocks:
-        if z is None:
-            rows, width = block.shape[1:]
-            if k_lo > 0 or k_lo + width <= 0:
-                raise InputError("field window must contain the origin")
-            z = np.zeros((rows + 1, width))  # row `rows` is the bare walk
-            z[:, -k_lo] = 1.0
-            nxt, tmp = np.empty_like(z), np.empty_like(z)
         block *= beta
         block -= lam
         np.exp(block, out=block)
         for w in block:
-            _walk_step(z, nxt, inc, atoms, tmp)
-            z, nxt = nxt, z
-            z[:rows] *= w
+            # entry k of row r lands at flat index r * stride + k - inc.lo
+            flat = np.convolve(flat, inc.probs)[-inc.lo : -inc.lo + flat.size]
+            z = flat.reshape(rows + 1, stride)
+            z[:, width:] = 0.0
+            z[:rows, :width] *= w
         n_steps += block.shape[0]
-    if z is None:
-        raise InputError("need at least one time block of the fields")
-    lost = 1.0 - float(z[rows].sum())
+    z = flat.reshape(rows + 1, stride)[:, :width]
+    lost = float(inc.probs.sum()) ** n_steps - float(z[rows].sum())
     if lost > mass_tol:
         raise NumericError(
             f"truncated walk mass {lost:.3e} exceeds mass_tol={mass_tol:.1e}; "
@@ -477,11 +448,12 @@ def polymer_partition(
     free sums z_N; point2point returns z_N(y); conditioned divides by q_N(y).
     Walk probability mass driven outside the field's spatial window is
     dropped and measured; the run aborts if it exceeds ``mass_tol``. This is
-    the one-row call of ``polymer_partition_batch``.
+    the one-row call of the batched transfer loop that ``sample_polymer``
+    runs over groups of samples.
     """
     block = omega.values[:, None, :].copy()
-    return float(polymer_partition_batch(law, omega.k_lo, [block], beta, mode, y,
-                                         disorder, mass_tol)[0])
+    return float(_partition_batch(law, omega.k_lo, 1, block.shape[2], [block], beta,
+                                  mode, y, disorder, mass_tol)[0])
 
 
 def _on_lattice(value: float, scale: float) -> int:
