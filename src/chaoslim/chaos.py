@@ -45,7 +45,6 @@ class Kernel:
     """Immutable sparse kernel of a multi-linear polynomial."""
 
     entries: Mapping[IndexSet, float]
-    degree_bound: int | None = None
 
     def __post_init__(self):
         clean = {}
@@ -113,17 +112,14 @@ def truncate(kernel: Kernel, ell: int) -> tuple[Kernel, Kernel]:
         raise InputError("truncation degree must be >= 0")
     low = {i: c for i, c in kernel.entries.items() if len(i) <= ell}
     high = {i: c for i, c in kernel.entries.items() if len(i) > ell}
-    return Kernel(low, kernel.degree_bound), Kernel(high, kernel.degree_bound)
+    return Kernel(low), Kernel(high)
 
 
 def epsilon_inflate(kernel: Kernel, eps: float) -> Kernel:
     """Scale each entry by (1+eps)^{|I|/2}."""
     if eps < 0:
         raise InputError("eps must be >= 0")
-    return Kernel(
-        {i: c * (1.0 + eps) ** (len(i) / 2.0) for i, c in kernel.entries.items()},
-        kernel.degree_bound,
-    )
+    return Kernel({i: c * (1.0 + eps) ** (len(i) / 2.0) for i, c in kernel.entries.items()})
 
 
 def shift_kernel(kernel: Kernel, mu: Mapping[int, float]) -> Kernel:
@@ -147,7 +143,7 @@ def shift_kernel(kernel: Kernel, mu: Mapping[int, float]) -> Kernel:
                     weight *= support[movable[b]]
             j = tuple(sorted(fixed + tuple(kept)))
             out[j] = out.get(j, 0.0) + weight
-    return Kernel({j: c for j, c in out.items() if c != 0.0}, kernel.degree_bound)
+    return Kernel({j: c for j, c in out.items() if c != 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +260,7 @@ def dumps_kernel(kernel: Kernel) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def loads_kernel(text: str, degree_bound: int | None = None) -> Kernel:
+def loads_kernel(text: str) -> Kernel:
     entries: dict[IndexSet, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -279,7 +275,7 @@ def loads_kernel(text: str, degree_bound: int | None = None) -> Kernel:
         if key in entries:
             raise InputError(f"line {lineno}: duplicate index set {key}")
         entries[key] = float(value)
-    return Kernel(entries, degree_bound)
+    return Kernel(entries)
 
 
 def save_kernel(kernel: Kernel, path) -> None:

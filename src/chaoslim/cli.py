@@ -16,7 +16,7 @@ import numpy as np
 
 from . import harness, ising, pinning, polymer
 from .dists import Atoms
-from .errors import ChaoslimError, NumericError
+from .errors import ChaoslimError, InputError, NumericError
 
 
 def _write_csv(path, header, rows):
@@ -25,6 +25,11 @@ def _write_csv(path, header, rows):
         for row in rows:
             fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x)
                               for x in row) + "\n")
+
+
+def _check_samples(args, least: int) -> None:
+    if args.samples < least:
+        raise InputError(f"--samples must be >= {least}, got {args.samples}")
 
 
 def _log_samples(z: np.ndarray) -> list[float]:
@@ -41,6 +46,7 @@ def _log_samples(z: np.ndarray) -> list[float]:
 
 
 def _cmd_pinning(args) -> int:
+    _check_samples(args, 2)
     if args.alpha is not None:
         law = pinning.RenewalLaw.heavy_tail(args.alpha, max(2 * args.N, 4))
     else:
@@ -59,6 +65,7 @@ def _cmd_pinning(args) -> int:
 
 
 def _cmd_polymer(args) -> int:
+    _check_samples(args, 2)
     if args.alpha == 2.0:
         law = polymer.WalkLaw.simple_symmetric()
     else:
@@ -79,6 +86,7 @@ def _cmd_polymer(args) -> int:
 
 
 def _cmd_ising(args) -> int:
+    _check_samples(args, 1)
     domain = ising.Rect(0.0, 0.0, args.width, args.height)
     profiles = ising.FieldProfiles(
         args.lambda_hat_const, args.h_hat_const, domain, args.delta

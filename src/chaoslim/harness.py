@@ -200,8 +200,6 @@ class ComparisonReport:
                  "rows": [asdict(r) for r in self.rows]},
                 fh, indent=2, default=float,
             )
-        # trailing newline for POSIX-friendly files
-        with open(path, "a", encoding="utf-8") as fh:
             fh.write("\n")
 
     def emit(self, out_csv=None, out_json=None) -> None:
@@ -234,6 +232,9 @@ def _disorder(params: dict) -> DisorderLaw:
     raise InputError(f"unknown disorder {kind!r}")
 
 
+_PINNING_CHUNK = 2000  # samples a Generator draws for sample_pinning
+
+
 def sample_pinning(
     law: pinning.RenewalLaw,
     beta_hat: float,
@@ -243,15 +244,15 @@ def sample_pinning(
     seed: int,
     mode: str = "conditioned",
     disorder: DisorderLaw = GAUSSIAN_DISORDER,
-    chunk: int = 2000,
 ) -> np.ndarray:
-    """Partition-function samples at the scaled couplings (beta_N, h_N)."""
+    """Partition-function samples at the scaled couplings (beta_N, h_N); each
+    chunk of _PINNING_CHUNK samples draws from its own spawned Generator."""
     beta_n, h_n = pinning.scale_couplings(law, beta_hat, h_hat, n_steps)
-    streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / chunk))
+    streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / _PINNING_CHUNK))
     out = np.empty(n_samples)
     pos = 0
     for ss in streams:
-        m = min(chunk, n_samples - pos)
+        m = min(_PINNING_CHUNK, n_samples - pos)
         rng = np.random.default_rng(ss)
         omega = disorder.sample(rng, (m, n_steps))
         out[pos : pos + m] = pinning.partition_function_batch(
@@ -285,10 +286,11 @@ def sample_polymer(
     mode: str = "free",
     x: float = 0.0,
     disorder: DisorderLaw = GAUSSIAN_DISORDER,
-    window_mult: float = 6.5,
     mass_tol: float = 1e-8,
 ) -> np.ndarray:
-    """Free / point-to-point / conditioned polymer partition samples.
+    """Free / point-to-point / conditioned polymer partition samples, on a
+    field over the reachable sites within 6.5 N^{1/alpha} walk spreads of
+    the origin.
 
     Sample i draws its field from the i-th Generator spawned from
     ``SeedSequence(seed)``. Groups of samples go through one batched
@@ -301,8 +303,7 @@ def sample_polymer(
     stream of draws, so the samples do not depend on the grouping.
     """
     beta_n = polymer.scale_beta(law.alpha, beta_hat, n_steps)
-    spread = math.sqrt(law.sigma2) if law.alpha == 2.0 else (law.c_tail or 1.0) ** (1.0 / law.alpha)
-    half = int(math.ceil(window_mult * n_steps ** (1.0 / law.alpha) * spread))
+    half = polymer._half_width(law, n_steps, 1)
     lo, hi = polymer.reachable_window(law, n_steps)
     k_lo, k_hi = max(lo, -half), min(hi, half)
     y = None

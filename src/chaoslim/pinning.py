@@ -157,6 +157,8 @@ def a_n_scale(law: RenewalLaw, n_steps: int) -> float:
 
 def scale_couplings(law: RenewalLaw, beta_hat: float, h_hat: float, n_steps: int):
     """(beta_N, h_N) for the law's regime."""
+    if n_steps < 1:
+        raise InputError("n_steps must be >= 1")
     if law.regime == "finite_mean":
         return beta_hat / math.sqrt(n_steps), h_hat / n_steps
     _check_tail_range(law, n_steps)
@@ -165,23 +167,6 @@ def scale_couplings(law: RenewalLaw, beta_hat: float, h_hat: float, n_steps: int
         beta_hat * lam / n_steps ** (law.alpha - 0.5),
         h_hat * lam / n_steps**law.alpha,
     )
-
-
-@dataclass(frozen=True)
-class PinningParams:
-    """System size with continuum couplings and their lattice-scaled values."""
-
-    law: RenewalLaw
-    n_steps: int
-    beta_hat: float
-    h_hat: float
-
-    def __post_init__(self):
-        if self.n_steps < 1:
-            raise InputError("n_steps must be >= 1")
-        beta_n, h_n = scale_couplings(self.law, self.beta_hat, self.h_hat, self.n_steps)
-        object.__setattr__(self, "beta_n", beta_n)
-        object.__setattr__(self, "h_n", h_n)
 
 
 def _site_weights(
@@ -348,9 +333,10 @@ def second_moment_exact(
                 (weight at n excluded),
         A(n)  = fully weighted mass of pairs with a common point at n,
 
-    one has G := d^2 = F * e^{2h} G, A = e^{2h+gamma} F * A, and the free
-    moment sums A against the weighted no-more-common-points tail.  All
-    recursions are O(N^2).
+    one has G := d^2 = 1 + e^{2h} F * G, so F = (1 - 1/G) / e^{2h} with the
+    series inverse 1/G solved by the same renewal recursion as d and A;
+    A = e^{2h+gamma} F * A, and the free moment sums A against the weighted
+    no-more-common-points tail.  All recursions are O(N^2).
     """
     if mode not in ("free", "conditioned"):
         raise InputError(f"unknown mode {mode!r}")
@@ -365,9 +351,9 @@ def second_moment_exact(
     d = _renewal_solve(math.exp(h) * law.probs, n_steps)
     big_g = d * d
 
-    f = np.zeros(n_steps + 1)
-    for n in range(1, n_steps + 1):
-        f[n] = big_g[n] / e2h - (f[1:n] @ big_g[n - 1 : 0 : -1] if n > 1 else 0.0)
+    # e^{2h} F = 1 - 1/G, and 1/G is the renewal solve with kernel -G
+    f = -_renewal_solve(-big_g, n_steps) / e2h
+    f[0] = 0.0
 
     a = _renewal_solve(e2h * math.exp(gamma) * f, n_steps)
 

@@ -315,6 +315,8 @@ def scale_beta(alpha: float, beta_hat: float, n_steps: int) -> float:
     """beta_N = beta_hat / N^{(alpha-1)/(2 alpha)}."""
     if not 1.0 < alpha <= 2.0:
         raise DomainError("alpha must lie in (1, 2]")
+    if n_steps < 1:
+        raise InputError("n_steps must be >= 1")
     return beta_hat / n_steps ** ((alpha - 1.0) / (2.0 * alpha))
 
 
@@ -341,21 +343,21 @@ class SpaceTimeField:
     def n_steps(self) -> int:
         return self.values.shape[0]
 
-    @classmethod
-    def sample(
-        cls,
-        n_steps: int,
-        k_lo: int,
-        width: int,
-        seed: int,
-        disorder: DisorderLaw = GAUSSIAN_DISORDER,
-    ) -> "SpaceTimeField":
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        return cls(disorder.sample(rng, (n_steps, width)), k_lo)
-
 
 def reachable_window(law: WalkLaw, n_steps: int) -> tuple[int, int]:
     return int(law.offsets[0]) * n_steps, int(law.offsets[-1]) * n_steps
+
+
+def _half_width(law: WalkLaw, n_steps: int, copies: int) -> int:
+    """Default spatial half-width 6.5 N^{1/alpha} s of a DP window, where s is
+    the spread of the sum of ``copies`` independent walks: sqrt(copies sigma^2)
+    for alpha = 2, (copies C)^{1/alpha} for alpha < 2.  The difference walk
+    S - S' has the spread of two copies."""
+    if law.alpha == 2.0:
+        spread = math.sqrt(copies * law.sigma2)
+    else:
+        spread = (copies * (law.c_tail or 1.0)) ** (1.0 / law.alpha)
+    return int(math.ceil(6.5 * n_steps ** (1.0 / law.alpha) * spread))
 
 
 def _partition_batch(
@@ -562,11 +564,11 @@ def polymer_second_moment_exact(
     beta: float,
     disorder: DisorderLaw = GAUSSIAN_DISORDER,
     window: int | None = None,
-    window_mult: float = 6.5,
     mass_tol: float = 1e-8,
 ) -> float:
     """E[Z_free^2] = E[exp(gamma * #{n <= N : V_n = 0})] over the difference
-    walk V = S - S', by dynamic programming on a spatial window.
+    walk V = S - S', by dynamic programming on the spatial window
+    [-window, window], by default 6.5 N^{1/alpha} times the spread of V.
 
     Mass leaving the window is absorbed with weight 1 (it no longer collides);
     the run aborts if the absorbed mass exceeds ``mass_tol``.
@@ -577,8 +579,7 @@ def polymer_second_moment_exact(
     diff = np.convolve(dense.probs, dense.probs[::-1])
     diff_lo = -(dense.probs.size - 1)
     if window is None:
-        spread = math.sqrt(2.0 * law.sigma2) if law.alpha == 2.0 else (2.0 * (law.c_tail or 1.0)) ** (1.0 / law.alpha)
-        window = int(math.ceil(window_mult * n_steps ** (1.0 / law.alpha) * spread))
+        window = _half_width(law, n_steps, 2)
     window = max(window, dense.probs.size + 1)
     if 2 * window + 1 > _SUPPORT_CAP:
         raise ResourceError("difference-walk window exceeds the size cap")
@@ -600,7 +601,7 @@ def polymer_second_moment_exact(
     if absorbed > mass_tol:
         raise NumericError(
             f"absorbed difference-walk mass {absorbed:.3e} exceeds "
-            f"mass_tol={mass_tol:.1e}; enlarge window or window_mult"
+            f"mass_tol={mass_tol:.1e}; enlarge window"
         )
     return float(v.sum() + absorbed)
 

@@ -74,12 +74,6 @@ class TiltResult:
             raise NumericError(f"tilted mean {self.tilted.mean():.3e} is not 0")
 
 
-def _log_mgf_conditional(values, probs, lam):
-    a = lam * values + np.log(np.maximum(probs, 1e-300))
-    m = a.max()
-    return m + math.log(float(np.exp(a - m).sum()))
-
-
 def _mean_tilted(values, probs, lam):
     w = np.exp(lam * values - np.max(lam * values))
     w *= probs
@@ -152,7 +146,7 @@ def tilt_zero_mean(dist: Atoms, interval: str = "two-sided") -> TiltResult:
                 hi = mid
         lam = 0.5 * (lo + hi)
 
-    log_f_norm = _log_mgf_conditional(yv, yp, lam)
+    log_f_norm = Atoms(yv, yp).log_mgf(lam)
     density = np.ones(v.size)
     density[in_interval] = np.exp(lam * v[in_interval] - log_f_norm)
     tilted = Atoms(v if not flipped else -v, p * density)

@@ -116,9 +116,7 @@ def sample_noise(tess: Tessellation, seed: int) -> GridWhiteNoise:
     Philox is counter-based: draw i is a fixed function of (seed, i), so the
     field does not depend on evaluation order.
     """
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    values = gen.standard_normal(tess.n_cells) * math.sqrt(tess.cell_volume)
-    return GridWhiteNoise(tess, values, int(seed))
+    return GridWhiteNoise(tess, sample_noise_batch(tess, seed, 1)[0], int(seed))
 
 
 def sample_noise_batch(tess: Tessellation, seed: int, n: int) -> np.ndarray:
@@ -180,6 +178,19 @@ def _distinct_mask(n: int, k: int) -> np.ndarray:
     return mask
 
 
+def _off_diagonal_sums(g: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """Per row w of ``fields``: the sum of g(c_1..c_j) w_{c_1} ... w_{c_j} over
+    ordered j-tuples of pairwise distinct cells, j = g.ndim >= 2."""
+    gm = g * _distinct_mask(g.shape[0], g.ndim)
+    out = np.empty(fields.shape[0])
+    for s, w in enumerate(fields):
+        outer = w
+        for _ in range(g.ndim - 1):
+            outer = np.multiply.outer(outer, w)
+        out[s] = np.sum(gm * outer)
+    return out
+
+
 def multiple_integral(f, noise: GridWhiteNoise, k: int) -> float:
     """Off-diagonal multiple integral: sum over ordered k-tuples of distinct
     cells of f * prod of cell values.  k = 0 returns the constant f."""
@@ -191,11 +202,7 @@ def multiple_integral(f, noise: GridWhiteNoise, k: int) -> float:
         return noise.integral(f)
     arr = _dense_kernel(f, noise.tess, k)
     _check_symmetric(arr, k)
-    w = noise.values
-    outer = w
-    for _ in range(k - 1):
-        outer = np.multiply.outer(outer, w)
-    return float(np.sum(arr * outer * _distinct_mask(noise.tess.n_cells, k)))
+    return float(_off_diagonal_sums(arr, noise.values[None, :])[0])
 
 
 def elementary_symmetric(vals: np.ndarray, k_max: int) -> np.ndarray:
@@ -351,7 +358,6 @@ def chaos_series_eval_batch(
     # off-diagonal stochastic sums; by symmetry the k-choose-j coordinate
     # subsets of one size contribute identically.
     out = np.zeros(fields.shape[0])
-    n = tess.n_cells
     muv = mu * v if mu is not None else None
     top = min(spec.k_max, len(spec.kernels) - 1)
     for k in range(top + 1):
@@ -371,14 +377,7 @@ def chaos_series_eval_batch(
             elif j == 1:
                 stoch = fields @ g
             else:
-                gm = g * _distinct_mask(n, j)
-                stoch = np.empty(fields.shape[0])
-                for s in range(fields.shape[0]):
-                    w = fields[s]
-                    outer = w
-                    for _ in range(j - 1):
-                        outer = np.multiply.outer(outer, w)
-                    stoch[s] = np.sum(gm * outer)
+                stoch = _off_diagonal_sums(g, fields)
             out += (math.comb(k, j) * spec.sigma0**j / math.factorial(k)) * stoch
     return out
 
@@ -389,9 +388,7 @@ def cameron_martin_weight(noise: GridWhiteNoise, nu) -> float:
     E[W(nu)^2] uses the exact grid variance sum(nu_c^2) * v, so the weight
     has mean exactly 1 under resampling.
     """
-    vals = _eval_on_centers(nu, noise.tess)
-    v = noise.tess.cell_volume
-    return float(np.exp(vals @ noise.values - 0.5 * float(vals @ vals) * v))
+    return float(cameron_martin_weight_batch(noise.tess, noise.values[None, :], nu)[0])
 
 
 def cameron_martin_weight_batch(tess: Tessellation, fields: np.ndarray, nu) -> np.ndarray:

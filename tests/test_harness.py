@@ -331,6 +331,33 @@ def test_cli_underflowed_samples_exit_code(tmp_path, capsys, argv):
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pinning", "--N", "10", "--samples", "1"],
+    ["pinning", "--N", "10", "--samples", "0"],
+    ["pinning", "--N", "0", "--samples", "5"],
+    ["polymer", "--N", "10", "--samples", "0"],
+    ["polymer", "--N", "10", "--samples", "1"],
+    ["polymer", "--N", "10", "--samples", "-1"],
+    ["polymer", "--N", "0"],
+    ["ising", "--delta", "0.25", "--samples", "0"],
+], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
+def test_cli_bad_counts_exit_code(tmp_path, capsys, argv):
+    out = tmp_path / "z.csv"
+    code = cli.main(argv + ["--out", str(out)])
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_json_ends_with_one_newline(tmp_path):
+    out = tmp_path / "report.json"
+    report = ComparisonReport("demo", [ReportRow(1.0, "q", 0.5)])
+    report.to_json(out)
+    text = out.read_text()
+    assert text.endswith("}\n") and not text.endswith("\n\n")
+    assert json.loads(text)["rows"][0]["value"] == 0.5
+
+
 def test_lindeberg_bound_mean_mc_audit():
     # mean-shifted families zeta + mu vs xi + mu: the MC distance sits below
     # the computable mean-shifted bound

@@ -89,12 +89,6 @@ def test_scale_couplings_alpha_example():
     assert h_n == pytest.approx(8.0 / 8.0)
 
 
-def test_pinning_params_derived_couplings():
-    params = pinning.PinningParams(LAW_HALF, 100, 3.0, 5.0)
-    assert params.beta_n == pytest.approx(0.3)
-    assert params.h_n == pytest.approx(0.05)
-
-
 def test_scale_couplings_finite_mean():
     beta_n, h_n = scale_couplings(LAW_HALF, 3.0, 5.0, 100)
     assert beta_n == pytest.approx(0.3)
@@ -336,6 +330,38 @@ def test_second_moment_matches_pair_enumeration(mode, beta, h):
     dp = second_moment_exact(LAW_HALF, 8, beta, h, mode)
     brute = _brute_second_moment(LAW_HALF, 8, beta, h, mode)
     assert dp == pytest.approx(brute, rel=1e-12)
+
+
+def _second_moment_f_loop(law, n, beta, h, mode, disorder=GAUSSIAN_DISORDER):
+    """second_moment_exact with F(k) = G(k)/e^{2h} - sum_{0<m<k} F(m) G(k-m)
+    by the deconvolution loop that the series inverse 1/G replaced."""
+    gamma = disorder.log_mgf(2 * beta) - 2 * disorder.log_mgf(beta)
+    e2h = math.exp(2 * h)
+    d = pinning._renewal_solve(math.exp(h) * law.probs, n)
+    big_g = d * d
+    f = np.zeros(n + 1)
+    for k in range(1, n + 1):
+        f[k] = big_g[k] / e2h - (f[1:k] @ big_g[k - 1 : 0 : -1] if k > 1 else 0.0)
+    a = pinning._renewal_solve(e2h * math.exp(gamma) * f, n)
+    if mode == "conditioned":
+        return a[n] / renewal_mass(law, n)[n] ** 2
+    t1 = np.convolve(d, law.tail(n))[: n + 1]
+    g_free = t1 * t1
+    t_pair = g_free - e2h * np.convolve(f, g_free)[: n + 1]
+    return a @ t_pair[::-1]
+
+
+@pytest.mark.parametrize("mode", ["conditioned", "free"])
+@pytest.mark.parametrize("h_hat", [0.0, 0.4])
+@pytest.mark.parametrize("law,n", [
+    (LAW_HALF, 1000),
+    (LAW_HALF, 8000),
+    (RenewalLaw.heavy_tail(0.75, 20000), 2000),
+], ids=["two-atom-1000", "two-atom-8000", "alpha-2000"])
+def test_second_moment_matches_f_loop(law, n, h_hat, mode):
+    beta_n, h_n = scale_couplings(law, 1.0, h_hat, n)
+    ref = _second_moment_f_loop(law, n, beta_n, h_n, mode)
+    assert second_moment_exact(law, n, beta_n, h_n, mode) == pytest.approx(ref, rel=2e-11)
 
 
 def test_second_moment_no_disorder_squares_mean():
