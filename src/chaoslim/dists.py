@@ -52,9 +52,6 @@ class Atoms:
     def var(self) -> float:
         return self.second_moment() - self.mean() ** 2
 
-    def expect(self, f) -> float:
-        return float(f(self.values) @ self.probs)
-
     def m2_above(self, m: float) -> float:
         """E[X^2 1_{|X| > m}], exact."""
         mask = np.abs(self.values) > m

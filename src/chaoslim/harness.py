@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr
@@ -103,9 +104,12 @@ def ks_two_sample(x, y, wx=None, wy=None, alpha: float = 0.05) -> TwoSampleKS:
     return TwoSampleKS(stat, crit, alpha, n_x, n_y)
 
 
-def trend_nonincreasing(values, noises=None, allowed_inversions: int = 1) -> bool:
+TREND_ALLOWED_INVERSIONS = 1  # rises within noise that a trend may still show
+
+
+def trend_nonincreasing(values, noises=None) -> bool:
     """Monotone-shrinking check: any rise beyond combined noise fails; rises
-    within noise are tolerated up to ``allowed_inversions``."""
+    within noise are tolerated up to TREND_ALLOWED_INVERSIONS."""
     v = np.asarray(values, dtype=float)
     s = np.zeros_like(v) if noises is None else np.asarray(noises, dtype=float)
     soft = 0
@@ -115,14 +119,14 @@ def trend_nonincreasing(values, noises=None, allowed_inversions: int = 1) -> boo
             return False
         if rise > 0:
             soft += 1
-    return soft <= allowed_inversions
+    return soft <= TREND_ALLOWED_INVERSIONS
 
 
 # ---------------------------------------------------------------------------
 # configs and reports
 # ---------------------------------------------------------------------------
 
-_MODELS = ("pinning", "polymer", "ising", "wiener", "lindeberg", "tilt")
+_SAMPLE_ONLY = ("ising", "wiener", "lindeberg")  # models whose every row needs samples
 
 
 @dataclass(frozen=True)
@@ -136,15 +140,23 @@ class ExperimentConfig:
     out_json: str | None = None
 
     def __post_init__(self):
-        if self.model not in _MODELS:
-            raise InputError(f"unknown model {self.model!r}; choose from {_MODELS}")
+        if self.model not in _STUDIES:
+            raise InputError(f"unknown model {self.model!r}; choose from {tuple(_STUDIES)}")
         grid = tuple(self.grid)
         if len(grid) >= 2:
             diffs = np.diff(np.asarray(grid, dtype=float))
             if not (np.all(diffs > 0) or np.all(diffs < 0)):
                 raise InputError("grid must be strictly monotone")
-        if self.params.get("diagnostic") == "ks" and self.samples < 100:
-            raise InputError("KS runs need at least 100 samples")
+        # 0 samples gives exact rows only; 1 sample gives a nan standard error
+        least = 2 if self.model in _SAMPLE_ONLY else 0
+        if self.samples < least or self.samples == 1:
+            allowed = ">= 2" if least else "0 or >= 2"
+            raise InputError(f"{self.model} studies need samples {allowed}, got {self.samples}")
+        # finite-mean pinning samples feed the ks_lognormal and ks_trend rows
+        if (self.model == "pinning" and self.params.get("law", "finite_mean") == "finite_mean"
+                and 0 < self.samples < 100):
+            raise InputError(f"finite-mean pinning studies need at least 100 samples "
+                             f"for their KS rows, got {self.samples}")
         object.__setattr__(self, "grid", grid)
 
     @classmethod
@@ -572,26 +584,9 @@ def lindeberg_audit(config: ExperimentConfig) -> ComparisonReport:
     return report
 
 
-_POINT_RUNNERS = {
-    "pinning": _pinning_point,
-    "polymer": _polymer_point,
-    "ising": _ising_point,
-    "wiener": _wiener_point,
-}
-
-
-def run_convergence_study(config: ExperimentConfig) -> ComparisonReport:
-    """Run the model's sampler/oracles at each grid point and attach trend
-    verdicts; grid points run in grid order."""
-    if config.model == "lindeberg":
-        report = lindeberg_audit(config)
-        report.emit(config.out_csv, config.out_json)
-        return report
-    if config.model == "tilt":
-        report = _tilt_report(config)
-        report.emit(config.out_csv, config.out_json)
-        return report
-    runner = _POINT_RUNNERS[config.model]
+def _grid_report(runner, config: ExperimentConfig) -> ComparisonReport:
+    """Run ``runner`` at each grid point, in grid order, and attach trend
+    verdicts."""
     report = ComparisonReport(config.model)
     child_seeds = [int(s.generate_state(1)[0]) for s in
                    np.random.SeedSequence(config.seed).spawn(len(config.grid))]
@@ -612,7 +607,6 @@ def run_convergence_study(config: ExperimentConfig) -> ComparisonReport:
         report.rows.append(ReportRow(ks_rows[-1][0], "ks_trend", ks_rows[-1][1],
                                      None, None, None, "mc-ci", ok,
                                      "nonincreasing within 1/sqrt(samples)"))
-    report.emit(config.out_csv, config.out_json)
     return report
 
 
@@ -636,4 +630,22 @@ def _tilt_report(config: ExperimentConfig) -> ComparisonReport:
         label = name if p_exp is None else f"{name}[p={p_exp}]"
         report.rows.append(ReportRow(0.0, label, lhs, None, rhs, rhs - lhs,
                                      "formula-exact", ok, "theorem bound"))
+    return report
+
+
+# the study each model runs; ExperimentConfig accepts exactly these models
+_STUDIES = {
+    "pinning": partial(_grid_report, _pinning_point),
+    "polymer": partial(_grid_report, _polymer_point),
+    "ising": partial(_grid_report, _ising_point),
+    "wiener": partial(_grid_report, _wiener_point),
+    "lindeberg": lindeberg_audit,
+    "tilt": _tilt_report,
+}
+
+
+def run_convergence_study(config: ExperimentConfig) -> ComparisonReport:
+    """Build the model's report and write it to the config's CSV/JSON paths."""
+    report = _STUDIES[config.model](config)
+    report.emit(config.out_csv, config.out_json)
     return report

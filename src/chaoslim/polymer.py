@@ -277,10 +277,13 @@ class StableDensity:
         return math.gamma(1.0 / self.alpha) / (math.pi * self.alpha * (2.0 * a) ** (1.0 / self.alpha))
 
 
-def gnedenko_gap(law: WalkLaw, n: int, x_cut: float = 40.0) -> float:
+GNEDENKO_X_CUT = 40.0  # |x| beyond which gnedenko_gap bounds g by its tail envelope
+
+
+def gnedenko_gap(law: WalkLaw, n: int) -> float:
     """sup_k | n^{1/alpha} q_n(k) - p g(k / n^{1/alpha}) | over the step-n lattice.
 
-    For alpha < 2 the density is inverted only on |k| <= x_cut * n^{1/alpha};
+    For alpha < 2 the density is inverted only on |k| <= GNEDENKO_X_CUT * n^{1/alpha};
     outside, |gap| <= n^{1/alpha} q_n(k) + p g_bound(k) with the stable-tail
     envelope g_bound(x) = alpha C (1+|gamma|)/2 |x|^{-1-alpha} (up to a safety
     factor), which is taken into the sup directly.
@@ -300,7 +303,7 @@ def gnedenko_gap(law: WalkLaw, n: int, x_cut: float = 40.0) -> float:
     xs = ks / scale
     if law.alpha == 2.0:
         return float(np.max(np.abs(scale * qs - p * g.pdf(xs))))
-    center = np.abs(xs) <= x_cut
+    center = np.abs(xs) <= GNEDENKO_X_CUT
     gap = float(np.max(np.abs(scale * qs[center] - p * g.pdf(xs[center]))))
     if np.any(~center):
         envelope = (

@@ -77,9 +77,6 @@ class Tessellation:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def refine(self, factor: int = 2) -> "Tessellation":
-        return Tessellation(self.low, self.high, tuple(n * factor for n in self.shape))
-
 
 @dataclass(frozen=True)
 class GridWhiteNoise:
@@ -236,9 +233,9 @@ def elementary_symmetric(vals: np.ndarray, k_max: int) -> np.ndarray:
 class ChaosSeriesSpec:
     """Specification of a (possibly biased) chaos series.
 
-    Either ``factor_coefs`` is given -- the degree-k kernel is
-    ``factor_coefs[k] * prod_i base(x_i)`` for every k <= k_max -- or
-    ``kernels`` lists general symmetric callables/arrays f_0..f_K.
+    Either ``factor_coefs`` is given -- the degree-k kernel is the constant
+    ``factor_coefs[k]`` for every k <= k_max -- or ``kernels`` lists general
+    symmetric callables/arrays f_0..f_K.
 
     ``sigma0`` multiplies the noise; ``mu0`` (callable, constant or None)
     is the bias density integrated as mu0(y) dy.
@@ -248,7 +245,6 @@ class ChaosSeriesSpec:
     mu0: object = None
     k_max: int = 8
     factor_coefs: Sequence[float] | Callable[[int], float] | None = None
-    factor_base: object = None
     kernels: Sequence | None = None
 
     def __post_init__(self):
@@ -274,8 +270,7 @@ class ChaosSeriesSpec:
         """||f_k||^2 on the grid (piecewise-constant extension)."""
         v = tess.cell_volume
         if self.factor_coefs is not None:
-            base = _eval_on_centers(self.factor_base, tess)
-            return self.coef(k) ** 2 * float(np.sum(base**2) * v) ** k
+            return self.coef(k) ** 2 * float(tess.n_cells * v) ** k
         if k >= len(self.kernels):
             return 0.0
         if k == 0:
@@ -334,9 +329,9 @@ def chaos_series_eval_batch(
     if spec.biased:
         mu = _eval_on_centers(spec.mu0, tess)
     if spec.factor_coefs is not None:
-        base = _eval_on_centers(spec.factor_base, tess)
-        e = elementary_symmetric(fields * base, spec.k_max)
-        m = float(base @ mu * v) if mu is not None else 0.0
+        e = elementary_symmetric(fields, spec.k_max)
+        # ones @ mu, not mu.sum(): the two round differently, and outputs keep their bits
+        m = float(np.ones(tess.n_cells) @ mu * v) if mu is not None else 0.0
         out = np.zeros(fields.shape[0])
         for k in range(spec.k_max + 1):
             coef = spec.coef(k)

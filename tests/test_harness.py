@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +100,11 @@ def test_config_validation():
         ExperimentConfig("pinning", {}, (100, 50, 75), 10, 0)
     with pytest.raises(InputError):
         ExperimentConfig("pinning", {"diagnostic": "ks"}, (100,), 50, 0)
+    # finite-mean samples feed the KS rows, so they need 100 draws ...
+    with pytest.raises(InputError):
+        ExperimentConfig("pinning", {"law": "finite_mean", "probs": [0.5, 0.5]}, (100,), 50, 0)
+    # ... while an alpha-law study writes no KS rows
+    ExperimentConfig("pinning", {"law": "alpha", "alpha": 0.75}, (100,), 50, 0)
 
 
 def test_config_json_round_trip(tmp_path):
@@ -347,6 +353,47 @@ def test_cli_bad_counts_exit_code(tmp_path, capsys, argv):
     assert code == 2
     assert "error: " in capsys.readouterr().err
     assert not out.exists()
+
+
+_STUDY_BASES = {
+    "pinning": ({"law": "alpha", "alpha": 0.75, "n_max": 100}, [50]),
+    "polymer": ({"alpha": 2.0, "beta_hat": 0.5}, [50]),
+    "ising": ({"lam_hat": 1.0}, [0.25]),
+    "wiener": ({"diagnostic": "isometry"}, [16]),
+    "lindeberg": ({}, [16]),
+    "tilt": ({"values": [-1.0, 1.0], "probs": [0.499, 0.501]}, []),
+}
+
+
+@pytest.mark.parametrize("model, samples", [
+    ("ising", 1), ("ising", 0), ("wiener", 0), ("wiener", 1), ("lindeberg", 0),
+    ("lindeberg", -3), ("pinning", 1), ("pinning", -1), ("polymer", 1),
+    ("polymer", -2), ("tilt", 1), ("tilt", -1),
+], ids=lambda v: str(v))
+def test_cli_run_bad_sample_count_exit_code(tmp_path, capsys, model, samples):
+    # one sample gives a nan standard error, and the sample-only models have
+    # nothing to report without samples
+    params, grid = _STUDY_BASES[model]
+    out = tmp_path / "rows.csv"
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps({"model": model, "params": params, "grid": grid,
+                                  "samples": samples, "seed": 0, "out_csv": str(out)}))
+    code = cli.main(["run", "--config", str(config)])
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "study", sorted((Path(__file__).resolve().parents[1] / "studies").glob("*.json")),
+    ids=lambda p: p.stem)
+def test_shipped_study_passes(tmp_path, study):
+    config = json.loads(study.read_text())
+    config.update(out_csv=str(tmp_path / "rows.csv"), out_json=str(tmp_path / "verdicts.json"))
+    copy = tmp_path / study.name
+    copy.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(copy)]) == 0
+    assert json.loads((tmp_path / "verdicts.json").read_text())["passed"] is True
 
 
 def test_report_json_ends_with_one_newline(tmp_path):
