@@ -161,7 +161,6 @@ class TruncatedMoments:
 
     m2_above: float
     m3_below: float
-    threshold: float = math.inf
 
     def __post_init__(self):
         if self.m2_above < 0 or self.m3_below < 0:
@@ -190,7 +189,7 @@ def truncated_moments(variables: Iterable, threshold: float) -> TruncatedMoments
                 raise InputError(f"variable is not centered: mean={law.mean():.3e}")
         m2 = max(m2, law.m2_above(threshold))
         m3 = max(m3, law.m3_below(threshold))
-    return TruncatedMoments(m2, m3, threshold)
+    return TruncatedMoments(m2, m3)
 
 
 def lindeberg_bound(

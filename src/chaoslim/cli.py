@@ -14,17 +14,9 @@ import sys
 
 import numpy as np
 
-from . import harness, ising, pinning, polymer
+from . import harness, ising, tilting
 from .dists import Atoms
 from .errors import ChaoslimError, InputError, NumericError
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
 
 
 def _check_samples(args, least: int) -> None:
@@ -32,9 +24,19 @@ def _check_samples(args, least: int) -> None:
         raise InputError(f"--samples must be >= {least}, got {args.samples}")
 
 
-def _log_samples(z: np.ndarray) -> list[float]:
-    """log Z of every sample; a sample that is not finite and positive (an
-    underflow to 0, say) is a NumericError, not a math domain error."""
+def _floats(text: str, flag: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise InputError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
+def _write_samples(args, fixed: dict, z: np.ndarray) -> int:
+    """One CSV row per sample: the run's ``fixed`` columns, then Z and log Z.
+
+    A sample that is not finite and positive (an underflow to 0, say) is a
+    NumericError, not a math domain error, and no file is written.
+    """
     bad = np.flatnonzero(~(np.isfinite(z) & (z > 0.0)))
     if bad.size:
         raise NumericError(
@@ -42,47 +44,37 @@ def _log_samples(z: np.ndarray) -> list[float]:
             f"positive (sample {bad[0]} is {float(z[bad[0]])!r}), so log Z is undefined; "
             "lower beta_hat or N"
         )
-    return [math.log(v) for v in z]
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(",".join([*fixed, "Z", "logZ"]) + "\n")
+        for v in z:
+            row = (*fixed.values(), v, math.log(v))
+            fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x)
+                              for x in row) + "\n")
+    print(f"{args.command}: wrote {z.size} samples to {args.out} (mean Z = {z.mean():.6f})")
+    return 0
 
 
 def _cmd_pinning(args) -> int:
     _check_samples(args, 2)
-    if args.alpha is not None:
-        law = pinning.RenewalLaw.heavy_tail(args.alpha, max(2 * args.N, 4))
+    if args.alpha is None:
+        params = {"probs": _floats(args.probs, "--probs")}
     else:
-        law = pinning.RenewalLaw.from_probabilities(
-            [float(p) for p in args.probs.split(",")]
-        )
-    z = harness.sample_pinning(
-        law, args.beta_hat, args.h_hat, args.N, args.samples, args.seed, args.mode
-    )
-    log_z = _log_samples(z)
-    rows = [(args.seed, args.N, z[i], log_z[i]) for i in range(z.size)]
-    _write_csv(args.out, ["seed", "N", "Z", "logZ"], rows)
-    print(f"pinning: wrote {z.size} samples to {args.out} "
-          f"(mean Z = {z.mean():.6f}, sd = {z.std(ddof=1):.6f})")
-    return 0
+        params = {"law": "alpha", "alpha": args.alpha, "n_max": max(2 * args.N, 4)}
+    z = harness.sample_pinning(harness.pinning_law(params), args.beta_hat, args.h_hat,
+                               args.N, args.samples, args.seed, args.mode)
+    return _write_samples(args, {"seed": args.seed, "N": args.N}, z)
 
 
 def _cmd_polymer(args) -> int:
     _check_samples(args, 2)
-    if args.alpha == 2.0:
-        law = polymer.WalkLaw.simple_symmetric()
-    else:
-        law = polymer.WalkLaw.heavy_tail(args.alpha, args.gamma, args.window)
+    law = harness.polymer_law({"alpha": args.alpha, "gamma": args.gamma,
+                               "window": args.window})
     z = harness.sample_polymer(
         law, args.beta_hat, args.N, args.samples, args.seed, args.mode, args.x,
         mass_tol=args.mass_tol,
     )
-    log_z = _log_samples(z)
-    rows = [
-        (args.seed, args.N, args.mode, args.x, z[i], log_z[i])
-        for i in range(z.size)
-    ]
-    _write_csv(args.out, ["seed", "N", "mode", "x", "Z", "logZ"], rows)
-    print(f"polymer: wrote {z.size} samples to {args.out} "
-          f"(mean Z = {z.mean():.6f}, sd = {z.std(ddof=1):.6f})")
-    return 0
+    return _write_samples(
+        args, {"seed": args.seed, "N": args.N, "mode": args.mode, "x": args.x}, z)
 
 
 def _cmd_ising(args) -> int:
@@ -92,28 +84,29 @@ def _cmd_ising(args) -> int:
         args.lambda_hat_const, args.h_hat_const, domain, args.delta
     )
     z = harness.sample_ising(profiles, args.samples, args.seed)
-    log_z = _log_samples(z)
-    rows = [(args.seed, args.delta, z[i], log_z[i]) for i in range(z.size)]
-    _write_csv(args.out, ["seed", "delta", "Z", "logZ"], rows)
-    print(f"ising: wrote {z.size} samples to {args.out} "
-          f"(mean rescaled Z = {z.mean():.6f})")
-    return 0
+    return _write_samples(args, {"seed": args.seed, "delta": args.delta}, z)
 
 
 def _cmd_tilt(args) -> int:
-    from . import tilting
-
+    try:
+        with open(args.atoms, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except OSError as err:
+        raise InputError(f"cannot read atoms file: {err}") from None
     values, probs = [], []
-    with open(args.atoms, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.lower().startswith("value"):
-                continue
-            v, p = line.split(",")
-            values.append(float(v))
-            probs.append(float(p))
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#") or line.lower().startswith("value"):
+            continue
+        try:
+            v, p = (float(x) for x in line.split(","))
+        except ValueError:
+            raise InputError(
+                f"{args.atoms} line {number}: expected value,prob, got {line!r}") from None
+        values.append(v)
+        probs.append(p)
     atoms = Atoms(np.array(values), np.array(probs))
-    p_list = tuple(float(p) for p in args.p.split(","))
+    p_list = tuple(_floats(args.p, "--p"))
     result = tilting.tilt_zero_mean(atoms, args.interval)
     bounds = tilting.verify_tilt_bounds(result, atoms, p_list)
     payload = {

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DomainError, InputError
 
 _ATOL = 1e-12
 
@@ -158,6 +158,15 @@ class DisorderLaw:
 
 GAUSSIAN_DISORDER = DisorderLaw("gaussian")
 RADEMACHER_DISORDER = DisorderLaw("rademacher")
+
+
+def overlap_weight(beta: float, disorder: DisorderLaw = GAUSSIAN_DISORDER) -> float:
+    """gamma(beta) = Lambda(2 beta) - 2 Lambda(beta), the weight a shared site
+    carries in E[Z^2] for pinning and the polymer alike."""
+    lam2 = disorder.log_mgf(2.0 * beta)
+    if not math.isfinite(lam2):
+        raise DomainError("Lambda(2 beta) must be finite")
+    return lam2 - 2.0 * disorder.log_mgf(beta)
 
 
 @dataclass(frozen=True)

@@ -64,10 +64,6 @@ class Rect:
         x, y = float(p[0]), float(p[1])
         return self.x0 < x < self.x1 and self.y0 < y < self.y1
 
-    def boundary_distance(self, p) -> float:
-        x, y = float(p[0]), float(p[1])
-        return min(x - self.x0, self.x1 - x, y - self.y0, self.y1 - y)
-
     def sample_interior(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random((size, 2))
         return np.stack(
@@ -333,20 +329,13 @@ def gks_decoupling_check(system: LatticeSpinSystem, subdomains):
 
 def f_omega(points, domain: Rect) -> float:
     """prod_i d(x_i, boundary(Omega) cup I \\ {x_i})^{-1/8}."""
-    pts = [np.asarray(p, dtype=float) for p in points]
+    pts = [tuple(float(c) for c in p) for p in points]
     for p in pts:
         if not domain.contains(p):
-            raise InputError(f"point {tuple(p)} outside the open domain")
-    value = 1.0
-    for i, p in enumerate(pts):
-        d = domain.boundary_distance(p)
-        for j, q in enumerate(pts):
-            if j != i:
-                d = min(d, float(np.hypot(*(p - q))))
-        if d <= 0.0:
-            raise DomainError("f_Omega diverges on coincident points")
-        value *= d ** (-0.125)
-    return value
+            raise InputError(f"point {p} outside the open domain")
+    if len(set(pts)) < len(pts):
+        raise DomainError("f_Omega diverges on coincident points")
+    return math.sqrt(float(_f_omega_sq_batch(np.array(pts).reshape(1, -1, 2), domain)[0]))
 
 
 def _f_omega_sq_batch(samples: np.ndarray, domain: Rect) -> np.ndarray:

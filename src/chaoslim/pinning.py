@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln, zeta
 
 from .chaos import Kernel
-from .dists import GAUSSIAN_DISORDER, DisorderLaw
+from .dists import GAUSSIAN_DISORDER, DisorderLaw, overlap_weight
 from .errors import (
     ConditioningError,
     DomainError,
@@ -342,10 +342,7 @@ def second_moment_exact(
         raise InputError(f"unknown mode {mode!r}")
     if n_steps > _N_CAP:
         raise ResourceError(f"N = {n_steps} exceeds the cap {_N_CAP}")
-    lam2 = disorder.log_mgf(2.0 * beta)
-    if not math.isfinite(lam2):
-        raise DomainError("Lambda(2 beta) must be finite")
-    gamma = lam2 - 2.0 * disorder.log_mgf(beta)
+    gamma = overlap_weight(beta, disorder)
     e2h = math.exp(2.0 * h)
 
     d = _renewal_solve(math.exp(h) * law.probs, n_steps)

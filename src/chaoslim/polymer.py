@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .dists import GAUSSIAN_DISORDER, DisorderLaw
+from .dists import GAUSSIAN_DISORDER, DisorderLaw, overlap_weight
 from .errors import (
     ConditioningError,
     DomainError,
@@ -155,14 +155,14 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(out, 0.0, None)
 
 
-def _convolve(a: Pmf, b: Pmf) -> Pmf:
-    if a.probs.size + b.probs.size > _SUPPORT_CAP:
-        raise ResourceError("pmf support exceeds the size cap")
-    if min(a.probs.size, b.probs.size) > 500:
-        out = _fft_convolve(a.probs, b.probs)
-    else:
-        out = np.convolve(a.probs, b.probs)
-    return Pmf(a.lo + b.lo, out)
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full convolution of two nonnegative arrays: by FFT when both have more
+    than 500 entries (roundoff ~1e-15 relative), directly otherwise."""
+    if a.size + b.size > _SUPPORT_CAP:
+        raise ResourceError("convolution support exceeds the size cap")
+    if min(a.size, b.size) > 500:
+        return _fft_convolve(a, b)
+    return np.convolve(a, b)
 
 
 def walk_pmf(law: WalkLaw, n: int) -> Pmf:
@@ -178,9 +178,10 @@ def walk_pmf(law: WalkLaw, n: int) -> Pmf:
         out = _dense(law)
     else:
         half = walk_pmf(law, n // 2)
-        out = _convolve(half, half)
+        out = Pmf(2 * half.lo, _convolve(half.probs, half.probs))
         if n % 2:
-            out = _convolve(out, _dense(law))
+            inc = _dense(law)
+            out = Pmf(out.lo + inc.lo, _convolve(out.probs, inc.probs))
     if len(cache) < 64:
         cache[n] = out
     return out
@@ -553,14 +554,6 @@ def polymer_kernel_continuum(
 # ---------------------------------------------------------------------------
 
 
-def overlap_weight(beta: float, disorder: DisorderLaw = GAUSSIAN_DISORDER) -> float:
-    """gamma(beta) = Lambda(2 beta) - 2 Lambda(beta); E[Z^2] = E[e^{gamma L}]."""
-    lam2 = disorder.log_mgf(2.0 * beta)
-    if not math.isfinite(lam2):
-        raise DomainError("Lambda(2 beta) must be finite")
-    return lam2 - 2.0 * disorder.log_mgf(beta)
-
-
 def polymer_second_moment_exact(
     law: WalkLaw,
     n_steps: int,
@@ -590,12 +583,8 @@ def polymer_second_moment_exact(
     v[window] = 1.0
     boost = math.exp(gamma)
     absorbed = 0.0
-    use_fft = v.size * diff.size > 4_000_000  # fft roundoff ~1e-15 relative
     for _ in range(n_steps):
-        if use_fft:
-            full = _fft_convolve(v, diff)
-        else:
-            full = np.convolve(v, diff)
+        full = _convolve(v, diff)
         start = -diff_lo
         kept = full[start : start + v.size]
         absorbed += float(full.sum() - kept.sum())

@@ -157,12 +157,12 @@ def _dense_kernel(f, tess: Tessellation, k: int) -> np.ndarray:
     return vals.reshape((tess.n_cells,) * k)
 
 
-def _check_symmetric(arr: np.ndarray, k: int, tol: float = 1e-9) -> None:
+def _check_symmetric(arr: np.ndarray, k: int) -> None:
     if k < 2:
         return
     scale = float(np.max(np.abs(arr))) or 1.0
     for perm in list(permutations(range(k)))[1 : min(6, math.factorial(k))]:
-        if np.max(np.abs(arr - arr.transpose(perm))) > tol * scale:
+        if np.max(np.abs(arr - arr.transpose(perm))) > 1e-9 * scale:
             raise InputError("kernel is not symmetric under argument permutation")
 
 
@@ -234,7 +234,7 @@ class ChaosSeriesSpec:
     """Specification of a (possibly biased) chaos series.
 
     Either ``factor_coefs`` is given -- the degree-k kernel is the constant
-    ``factor_coefs[k]`` for every k <= k_max -- or ``kernels`` lists general
+    ``factor_coefs(k)`` for every k <= k_max -- or ``kernels`` lists general
     symmetric callables/arrays f_0..f_K.
 
     ``sigma0`` multiplies the noise; ``mu0`` (callable, constant or None)
@@ -244,7 +244,7 @@ class ChaosSeriesSpec:
     sigma0: float
     mu0: object = None
     k_max: int = 8
-    factor_coefs: Sequence[float] | Callable[[int], float] | None = None
+    factor_coefs: Callable[[int], float] | None = None
     kernels: Sequence | None = None
 
     def __post_init__(self):
@@ -256,9 +256,7 @@ class ChaosSeriesSpec:
             raise InputError("k_max must be >= 0")
 
     def coef(self, k: int) -> float:
-        if callable(self.factor_coefs):
-            return float(self.factor_coefs(k))
-        return float(self.factor_coefs[k]) if k < len(self.factor_coefs) else 0.0
+        return float(self.factor_coefs(k))
 
     @property
     def biased(self) -> bool:

@@ -1,6 +1,5 @@
 """Tests for the sparse multi-linear polynomial algebra."""
 
-import itertools
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from chaoslim.chaos import (
     lindeberg_bound,
     lindeberg_bound_mean,
     loads_kernel,
-    max_influence,
     shift_kernel,
     truncate,
     truncated_moments,

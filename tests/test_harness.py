@@ -88,6 +88,25 @@ def test_trend_nonincreasing():
     assert not trend_nonincreasing([3.0, 3.1, 3.0, 3.1], noises=[0.2] * 4)
 
 
+@pytest.mark.parametrize("ks, passed", [
+    ([0.0264, 0.0329, 0.0323, 0.0445], True),
+    ([0.20, 0.10, 0.05, 0.03], True),
+    ([0.02, 0.03, 0.15, 0.16], False),
+], ids=["flat_at_noise_floor", "falling", "rise_beyond_noise"])
+def test_ks_trend_verdict(ks, passed):
+    # 500 samples: the noise floor is 1/sqrt(500) = 0.045, so values that lie
+    # within 0.089 of each other show no trend to judge
+    values = iter(ks)
+
+    def runner(config, grid_value, stream_seed):
+        return [ReportRow(grid_value, "ks_lognormal", next(values))]
+
+    config = ExperimentConfig("pinning", {}, (1000, 2000, 4000, 8000), 500, 0)
+    trend = harness._grid_report(runner, config).rows[-1]
+    assert trend.quantity == "ks_trend"
+    assert trend.passed is passed
+
+
 # ---------------------------------------------------------------------------
 # configs, reports, determinism
 # ---------------------------------------------------------------------------
@@ -317,6 +336,40 @@ def test_cli_run_config_exit_codes(tmp_path):
     verdict = json.loads((tmp_path / "verdicts.json").read_text())
     assert verdict["passed"] is True
     assert (tmp_path / "rows.csv").exists()
+
+
+_ATOMS = "value,prob\n-1,0.499\n1,0.501\n"
+_TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.499, 0.501]}}
+
+
+@pytest.mark.parametrize("argv, atoms, config, message", [
+    (["tilt"], "value,prob\n-1,0.499\n0.5\n1,0.501\n", None, "line 3"),
+    (["tilt", "--p", "2,x"], _ATOMS, None, "--p"),
+    (["tilt"], None, None, "atoms.csv"),
+    (["pinning", "--N", "10", "--probs", "0.5,x"], None, None, "--probs"),
+    (["run"], None, None, "study.json"),
+    (["run"], None, '{"model": "tilt", ', "study.json"),
+    (["run"], None, {"params": {}}, '"model"'),
+    (["run"], None, dict(_TILT_STUDY, samples="many"), "samples"),
+], ids=["atoms_one_field", "p_not_a_number", "atoms_missing", "probs_not_a_number",
+        "config_missing", "config_not_json", "config_no_model", "config_samples_not_int"])
+def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, atoms, config, message):
+    out = tmp_path / "out"
+    if argv[0] == "run":
+        if isinstance(config, dict):
+            config = json.dumps(dict(config, out_csv=str(out), out_json=str(out)))
+        argv = argv + ["--config", str(tmp_path / "study.json")]
+    else:
+        argv = argv + ["--out", str(out)]
+    if argv[0] == "tilt":
+        argv += ["--atoms", str(tmp_path / "atoms.csv")]
+    for name, text in (("atoms.csv", atoms), ("study.json", config)):
+        if text is not None:
+            (tmp_path / name).write_text(text)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 def test_cli_error_exit_code(tmp_path):

@@ -1,0 +1,46 @@
+"""No module of the package or the tests imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every imported name that ``source`` never reads.
+
+    A name counts as read when it appears as an identifier anywhere in the
+    module, or is listed in ``__all__``; ``__future__`` imports and import
+    statements with a ``noqa`` comment are skipped.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("noqa" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts}
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = "import os\nimport sys  # noqa\nfrom math import pi, tau\n__all__ = ['tau']\n"
+    assert unused_imports(source) == [(1, "os"), (3, "pi")]
+
+
+def test_no_unused_imports():
+    files = sorted([*(ROOT / "src" / "chaoslim").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in files
+             for line, name in unused_imports(path.read_text(encoding="utf-8"))]
+    assert not found, "unused imports:\n" + "\n".join(found)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from chaoslim import harness
 from chaoslim.chaos import eval_multilinear
 from chaoslim.errors import DomainError, InputError, ResourceError
 from chaoslim.ising import (
@@ -158,6 +159,18 @@ def test_chaos_rewrite_identity_2x2():
 # ---------------------------------------------------------------------------
 
 
+def test_sample_ising_matches_per_sample_rfim_partition():
+    profiles = FieldProfiles(lambda x, y: 1.0 + x * y, lambda x, y: 0.3 * x - y,
+                             Rect.unit_square(), 0.25)
+    z = harness.sample_ising(profiles, 20, 11)
+    system = LatticeSpinSystem.from_domain(profiles.domain, profiles.delta)
+    prefactor = normalization_prefactor(profiles)
+    omegas = np.random.default_rng(np.random.SeedSequence(11)).standard_normal(
+        (20, system.n_sites))
+    reference = [prefactor * rfim_partition(system, om, profiles) for om in omegas]
+    assert z.tolist() == reference
+
+
 def test_scale_fields_powers():
     profiles = FieldProfiles(2.0, 3.0, Rect.unit_square(), 1.0)
     system = LatticeSpinSystem.rectangle(2, 2)
@@ -255,6 +268,29 @@ def test_f_omega_permutation_invariance():
     assert f_omega(pts, Rect.unit_square()) == pytest.approx(
         f_omega(pts[::-1], Rect.unit_square())
     )
+
+
+def _f_omega_reference(points, domain):
+    """f_Omega by the scalar loop over points and pairs."""
+    pts = [np.asarray(p, dtype=float) for p in points]
+    value = 1.0
+    for i, p in enumerate(pts):
+        d = min(p[0] - domain.x0, domain.x1 - p[0], p[1] - domain.y0, domain.y1 - p[1])
+        for j, q in enumerate(pts):
+            if j != i:
+                d = min(d, float(np.hypot(*(p - q))))
+        value *= d ** (-0.125)
+    return value
+
+
+@pytest.mark.parametrize("domain", [Rect.unit_square(), Rect(-0.5, 0.25, 2.0, 1.0)],
+                         ids=["unit_square", "rectangle"])
+def test_f_omega_matches_scalar_loop(domain):
+    rng = np.random.default_rng(8)
+    for n in range(1, 6):
+        for _ in range(40):
+            pts = domain.sample_interior(rng, n)
+            assert abs(f_omega(pts, domain) / _f_omega_reference(pts, domain) - 1.0) <= 1e-14
 
 
 def test_f_omega_coincident_points():

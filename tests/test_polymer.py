@@ -553,6 +553,33 @@ def test_second_moment_heavy_tail_skewed():
     assert abs(m2 / target - 1.0) < 0.05
 
 
+def _direct_second_moment(law, n, beta):
+    """The difference-walk DP with one direct np.convolve a step."""
+    probs = np.zeros(int(law.offsets[-1] - law.offsets[0]) + 1)
+    probs[law.offsets - law.offsets[0]] = law.probs
+    diff = np.convolve(probs, probs[::-1])
+    window = max(polymer._half_width(law, n, 2), probs.size + 1)
+    v = np.zeros(2 * window + 1)
+    v[window] = 1.0
+    absorbed = 0.0
+    for _ in range(n):
+        full = np.convolve(v, diff)
+        kept = full[probs.size - 1 : probs.size - 1 + v.size]
+        absorbed += float(full.sum() - kept.sum())
+        v = kept
+        v[window] *= math.exp(overlap_weight(beta))
+    return float(v.sum() + absorbed)
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_second_moment_heavy_tail_matches_direct_convolution(n):
+    # these difference walks take the FFT path
+    law = WalkLaw.heavy_tail(1.5, 0.0, 200)
+    beta = scale_beta(1.5, 1.0, n)
+    dp = polymer_second_moment_exact(law, n, beta, mass_tol=1e-2)
+    assert abs(dp / _direct_second_moment(law, n, beta) - 1.0) <= 1e-13
+
+
 def test_second_moment_series_divergence_reported():
     g = StableDensity(2.0, sigma2=1.0)
     with pytest.raises(NumericError):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from chaoslim import wiener
 from chaoslim.errors import InputError, PreconditionError, ResourceError
 from chaoslim.wiener import (
     ChaosSeriesSpec,
