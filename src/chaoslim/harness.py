@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -137,7 +138,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in _STUDIES:
             raise InputError(f"unknown model {self.model!r}; choose from {tuple(_STUDIES)}")
-        grid = tuple(self.grid)
+        grid = self.grid
+        if not (isinstance(grid, (list, tuple))
+                and all(isinstance(g, numbers.Real) and math.isfinite(g) for g in grid)):
+            raise InputError(f"grid must be a list of finite numbers, got {grid!r}")
+        if not isinstance(self.params, dict):
+            raise InputError(f"params must be a JSON object, got {self.params!r}")
+        grid = tuple(grid)
         if len(grid) >= 2:
             diffs = np.diff(np.asarray(grid, dtype=float))
             if not (np.all(diffs > 0) or np.all(diffs < 0)):
@@ -170,7 +177,7 @@ class ExperimentConfig:
         return cls(
             model=raw["model"],
             params=raw.get("params", {}),
-            grid=tuple(raw.get("grid", ())),
+            grid=raw.get("grid", ()),
             samples=samples,
             seed=seed,
             out_csv=raw.get("out_csv"),
@@ -225,6 +232,16 @@ class ComparisonReport:
             self.to_json(out_json)
 
 
+def _number(params: dict, key: str, default, kind=float):
+    """``params[key]``, or ``default`` when absent, as ``kind``; a value that
+    is not a number is an InputError."""
+    value = params.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"param {key!r} must be a number, got {value!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # model samplers
 # ---------------------------------------------------------------------------
@@ -237,18 +254,18 @@ def pinning_law(params: dict) -> pinning.RenewalLaw:
         return pinning.RenewalLaw.from_probabilities(params.get("probs", [0.5, 0.5]))
     if kind == "alpha":
         return pinning.RenewalLaw.heavy_tail(
-            float(params["alpha"]), int(params.get("n_max", 20000))
+            _number(params, "alpha", None), _number(params, "n_max", 20000, int)
         )
     raise InputError(f"unknown pinning law {kind!r}")
 
 
 def polymer_law(params: dict) -> polymer.WalkLaw:
     """The walk law a polymer study or ``chaoslim polymer`` runs on."""
-    alpha = float(params.get("alpha", 2.0))
+    alpha = _number(params, "alpha", 2.0)
     if alpha == 2.0:
         return polymer.WalkLaw.simple_symmetric()
-    return polymer.WalkLaw.heavy_tail(alpha, float(params.get("gamma", 0.0)),
-                                      int(params.get("window", 2000)))
+    return polymer.WalkLaw.heavy_tail(alpha, _number(params, "gamma", 0.0),
+                                      _number(params, "window", 2000, int))
 
 
 def _disorder(params: dict) -> DisorderLaw:
@@ -378,8 +395,8 @@ def _pinning_point(config, n_steps, stream_seed) -> list[ReportRow]:
     params = config.params
     law = pinning_law(params)
     disorder = _disorder(params)
-    beta_hat = float(params.get("beta_hat", 1.0))
-    h_hat = float(params.get("h_hat", 0.0))
+    beta_hat = _number(params, "beta_hat", 1.0)
+    h_hat = _number(params, "h_hat", 0.0)
     mode = params.get("mode", "conditioned")
     rows = []
 
@@ -416,10 +433,10 @@ def _polymer_point(config, n_steps, stream_seed) -> list[ReportRow]:
     params = config.params
     law = polymer_law(params)
     disorder = _disorder(params)
-    beta_hat = float(params.get("beta_hat", 0.5))
+    beta_hat = _number(params, "beta_hat", 0.5)
     rows = []
     beta_n = polymer.scale_beta(law.alpha, beta_hat, n_steps)
-    mass_tol = float(params.get("mass_tol", 1e-8))
+    mass_tol = _number(params, "mass_tol", 1e-8)
     m2 = polymer.polymer_second_moment_exact(law, n_steps, beta_n, disorder,
                                              mass_tol=mass_tol)
     oracle = polymer.polymer_second_moment_continuum(
@@ -429,7 +446,7 @@ def _polymer_point(config, n_steps, stream_seed) -> list[ReportRow]:
                           abs(m2 / oracle - 1.0), "dp-exact"))
     if config.samples > 0:
         z = sample_polymer(law, beta_hat, n_steps, config.samples, stream_seed,
-                           params.get("mode", "free"), float(params.get("x", 0.0)),
+                           params.get("mode", "free"), _number(params, "x", 0.0),
                            disorder, mass_tol=mass_tol)
         se = float(z.std(ddof=1) / math.sqrt(z.size))
         rows.append(ReportRow(n_steps, "mean_Z", float(z.mean()), se, 1.0,
@@ -442,7 +459,7 @@ def _ising_point(config, delta, stream_seed) -> list[ReportRow]:
     params = config.params
     domain = ising.Rect(*params.get("domain", (0.0, 0.0, 1.0, 1.0)))
     profiles = ising.FieldProfiles(
-        params.get("lam_hat", 1.0), params.get("h_hat", 0.0), domain, float(delta)
+        _number(params, "lam_hat", 1.0), _number(params, "h_hat", 0.0), domain, float(delta)
     )
     z = sample_ising(profiles, config.samples, stream_seed, _disorder(params))
     se = float(z.std(ddof=1) / math.sqrt(z.size))
@@ -469,11 +486,12 @@ def _wiener_point(config, n_cells, stream_seed) -> list[ReportRow]:
                           abs(var - oracle), "mc-ci",
                           abs(var - oracle) <= 3 * se, "3 s.e.")]
     if diagnostic == "cameron_martin":
+        rho = _number(params, "rho", 0.8)
         spec_b = wiener.ChaosSeriesSpec(
-            sigma0=float(params.get("lam_hat", 1.0)),
-            mu0=float(params.get("h_hat", 0.5)),
-            k_max=int(params.get("k_max", 8)),
-            factor_coefs=lambda k: float(params.get("rho", 0.8)) ** k,
+            sigma0=_number(params, "lam_hat", 1.0),
+            mu0=_number(params, "h_hat", 0.5),
+            k_max=_number(params, "k_max", 8, int),
+            factor_coefs=lambda k: rho**k,
         )
         spec_0 = wiener.ChaosSeriesSpec(
             sigma0=spec_b.sigma0, mu0=None, k_max=spec_b.k_max,
@@ -560,7 +578,7 @@ def lindeberg_audit(config: ExperimentConfig) -> ComparisonReport:
     bound, exact values where available, and the verdict CI-upper <= bound."""
     params = config.params
     report = ComparisonReport("lindeberg")
-    threshold = float(params.get("M", math.inf))
+    threshold = _number(params, "M", math.inf)
     seeds = np.random.SeedSequence(config.seed).spawn(len(config.grid))
     zeta_kind = params.get("zeta", "rademacher")
     for ss, n in zip(seeds, config.grid):

@@ -351,8 +351,15 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
     (["run"], None, '{"model": "tilt", ', "study.json"),
     (["run"], None, {"params": {}}, '"model"'),
     (["run"], None, dict(_TILT_STUDY, samples="many"), "samples"),
+    (["run"], None, {"model": "polymer", "grid": ["a", "b"]}, "grid"),
+    (["run"], None, {"model": "polymer", "grid": 50}, "grid"),
+    (["run"], None, {"model": "polymer", "grid": [50], "params": {"beta_hat": "x"}}, "beta_hat"),
+    (["run"], None, {"model": "ising", "grid": [0.25], "samples": 2, "params": {"lam_hat": "x"}},
+     "lam_hat"),
 ], ids=["atoms_one_field", "p_not_a_number", "atoms_missing", "probs_not_a_number",
-        "config_missing", "config_not_json", "config_no_model", "config_samples_not_int"])
+        "config_missing", "config_not_json", "config_no_model", "config_samples_not_int",
+        "config_grid_not_numbers", "config_grid_not_a_list", "config_param_not_a_number",
+        "config_profile_not_a_number"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, atoms, config, message):
     out = tmp_path / "out"
     if argv[0] == "run":

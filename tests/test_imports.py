@@ -1,6 +1,10 @@
-"""No module of the package or the tests imports a name it never uses."""
+"""Import hygiene: no module of the package or the tests imports a name it
+never uses, and importing chaoslim loads no heavy scipy subpackage."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,3 +48,14 @@ def test_no_unused_imports():
              for path in files
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # each of these costs set-up time on every run; chaoslim imports them lazily, if at all
+    heavy = ("scipy.signal", "scipy.interpolate", "scipy.integrate", "scipy.stats")
+    probe = ("import sys, chaoslim, chaoslim.cli; "
+             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, timeout=60, check=True)
+    assert result.stdout.split() == []

@@ -90,7 +90,7 @@ def test_stable_density_gaussian_case():
 def test_stable_density_symmetry_and_normalization():
     from scipy.integrate import simpson
 
-    g = StableDensity(1.5, gamma_skew=0.0, c_tail=1.0, quad_tol=1e-8)
+    g = StableDensity(1.5, gamma_skew=0.0, c_tail=1.0)
     xs = np.linspace(0.25, 8.0, 32)
     assert np.max(np.abs(g.pdf(xs) - g.pdf(-xs))) < 1e-8
     # Simpson over |x| <= X plus the first-order tail C X^{-alpha}; the
@@ -107,13 +107,56 @@ def test_stable_density_against_scipy():
     scale = g._scale_a ** (1.0 / 1.5)
     xs = np.array([-2.0, -0.5, 0.0, 0.7, 3.0])
     ref = levy_stable.pdf(xs, 1.5, 0.3, scale=scale)
-    assert np.max(np.abs(g.pdf(xs) - ref)) < 1e-8
+    assert np.max(np.abs(g.pdf(xs) - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+def test_stable_density_symmetric_against_scipy(alpha):
+    from scipy.stats import levy_stable
+
+    g = StableDensity(alpha, gamma_skew=0.0, c_tail=1.0)
+    xs = np.array([-2.0, -0.5, 0.0, 0.7, 3.0])
+    ref = levy_stable.pdf(xs, alpha, 0.0, scale=g._scale_a ** (1.0 / alpha))
+    assert np.max(np.abs(g.pdf(xs) - ref)) < 1e-12
+
+
+def trapezoid_pdf(g, x, quad_tol=1e-9):
+    """The adaptive trapezoid that StableDensity.pdf ran before its
+    Gauss-Legendre rule: (1/pi) int_0^T e^{-a t^alpha} cos(b t^alpha - t x) dt
+    with e^{-a T^alpha} = 1e-10, node counts doubling from 512 until no point
+    moves by ``quad_tol``. Accurate to about 3e-11 where it converges."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    a = g._scale_a
+    b = a * g.gamma_skew * math.tan(math.pi * g.alpha / 2.0)
+    t_max = (math.log(1e10) / a) ** (1.0 / g.alpha)
+    prev = None
+    for n in (512 << k for k in range(7)):
+        t = np.linspace(0.0, t_max, n + 1)
+        ta = t**g.alpha
+        rows = max(1, (1 << 20) // (n + 1))  # bounds the (point, node) temporaries
+        vals = np.concatenate([
+            np.trapezoid(np.exp(-a * ta) * np.cos(b * ta - xs[r0 : r0 + rows, None] * t), t)
+            for r0 in range(0, xs.size, rows)
+        ])
+        if prev is not None and np.max(np.abs(vals - prev)) < quad_tol:
+            return vals.reshape(np.shape(x)) / math.pi
+        prev = vals
+    raise NumericError("trapezoid did not converge")
+
+
+@pytest.mark.parametrize("alpha, gamma_skew, c_tail, x_max", [
+    (1.5, 0.3, 1.2, 8.0), (1.4, 0.2, 0.9, 40.0), (1.9, -0.4, 2.0, 20.0), (1.25, -0.5, 3.0, 30.0),
+])
+def test_stable_density_matches_trapezoid(alpha, gamma_skew, c_tail, x_max):
+    g = StableDensity(alpha, gamma_skew=gamma_skew, c_tail=c_tail)
+    xs = np.linspace(-x_max, x_max, 161)
+    assert np.max(np.abs(g.pdf(xs) - trapezoid_pdf(g, xs))) < 1e-10
 
 
 def test_stable_density_l2_norm_quadrature():
     from scipy.integrate import simpson
 
-    g = StableDensity(1.4, gamma_skew=0.2, c_tail=0.9, quad_tol=1e-7)
+    g = StableDensity(1.4, gamma_skew=0.2, c_tail=0.9)
     grid = np.linspace(-60.0, 60.0, 4001)
     quad = float(simpson(g.pdf(grid) ** 2, x=grid))
     assert quad == pytest.approx(g.l2_norm_sq(), rel=1e-4)
@@ -122,9 +165,23 @@ def test_stable_density_l2_norm_quadrature():
 def test_stable_density_row_blocks_leave_values_unchanged(monkeypatch):
     g = StableDensity(1.5, gamma_skew=0.3, c_tail=1.2)
     xs = np.linspace(-8.0, 8.0, 41)
-    whole = g.pdf(xs)  # one block per node count
-    monkeypatch.setattr(polymer, "_TRAPEZOID_CELLS", 1)  # one point per block
-    assert np.array_equal(g.pdf(xs), whole)
+    whole = g.pdf(xs)  # one block
+    for cells in (1, 5000):  # one point a block; 5 points a block
+        monkeypatch.setattr(polymer, "_INVERSION_CELLS", cells)
+        assert np.array_equal(g.pdf(xs), whole)
+
+
+def test_stable_density_huge_x_is_a_numeric_error():
+    # the node count grows with |x|; past the cap pdf refuses before allocating
+    g = StableDensity(1.5, gamma_skew=0.0, c_tail=1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericError, match="quadrature nodes"):
+            g.pdf([1e9])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_stable_density_domain_errors():
@@ -165,8 +222,8 @@ def test_gnedenko_gap_heavy_tail_trend():
     assert gaps[0] > gaps[1] > gaps[2] >= 0.0
 
 
-def test_gnedenko_gap_memory_is_bounded():
-    # the unblocked trapezoid held (1024, 32769) arrays, about 250 MB apiece
+def test_gnedenko_gap_memory_is_bounded(monkeypatch):
+    # one (507 points, 1680 nodes) temporary is 6.8 MB; the adaptive trapezoid peaked at 25.7 MB
     law = WalkLaw.heavy_tail(1.5, 0.0, 200)
     tracemalloc.start()
     try:
@@ -174,8 +231,16 @@ def test_gnedenko_gap_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64e6
-    assert gap == pytest.approx(0.02407034070290745, rel=1e-12)  # unblocked value
+    assert peak < 10e6
+    monkeypatch.setattr(StableDensity, "pdf", trapezoid_pdf)
+    assert abs(gap - gnedenko_gap(law, 16)) < 1e-10
+
+
+@pytest.mark.parametrize("alpha, gamma_skew", [(1.1, 0.0), (1.1, 0.5), (1.2, 0.0)])
+def test_gnedenko_gap_small_alpha_is_finite(alpha, gamma_skew):
+    # the adaptive trapezoid never converged here
+    gap = gnedenko_gap(WalkLaw.heavy_tail(alpha, gamma_skew, 200), 4)
+    assert math.isfinite(gap) and gap >= 0.0
 
 
 def test_scale_beta_values():
