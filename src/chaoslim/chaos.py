@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .dists import Atoms, StdGaussian, VariableFamily  # noqa: F401  (re-export)
+from .dists import Atoms, StdGaussian
 from .errors import InputError, PreconditionError
 
 IndexSet = tuple[int, ...]
@@ -172,21 +172,18 @@ def truncated_moments(variables: Iterable, threshold: float) -> TruncatedMoments
 
     Each element may be an :class:`Atoms` law, a :class:`StdGaussian`, or a
     1-d array of samples (reduced to a weighted atom list after empirical
-    standardization).  Exact laws must be centered; non-centered input is an
+    standardization).  Laws must be centered; non-centered input is an
     error rather than silently recentered.
     """
     m2 = 0.0
     m3 = 0.0
     for v in variables:
-        if isinstance(v, StdGaussian):
+        if isinstance(v, (Atoms, StdGaussian)):
             law = v
         else:
-            if not isinstance(v, Atoms):
-                law = Atoms.from_samples(np.asarray(v, dtype=float)).standardized()
-            else:
-                law = v
-            if abs(law.mean()) > 1e-9:
-                raise InputError(f"variable is not centered: mean={law.mean():.3e}")
+            law = Atoms.from_samples(np.asarray(v, dtype=float)).standardized()
+        if abs(law.mean()) > 1e-9:
+            raise InputError(f"variable is not centered: mean={law.mean():.3e}")
         m2 = max(m2, law.m2_above(threshold))
         m3 = max(m3, law.m3_below(threshold))
     return TruncatedMoments(m2, m3)

@@ -1,13 +1,14 @@
 """Small probability-law helpers shared by the chaos, tilting and model modules.
 
 Everything here is either an exact finite atom list or a closed-form law, so
-that expectations used in bounds and oracles are exact finite sums.
+that expectations used in bounds and oracles are exact finite sums.  Both
+law types serve as Lindeberg inputs and as model disorder alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,48 +120,12 @@ class StdGaussian:
         return rng.standard_normal(size)
 
 
-@dataclass(frozen=True)
-class DisorderLaw:
-    """A zero-mean unit-variance disorder law with its cumulant Lambda(t).
-
-    ``kind`` is one of ``gaussian``, ``rademacher``, ``atoms``; the cumulant
-    is closed-form for the first two and an exact finite sum for atom laws.
-    """
-
-    kind: str = "gaussian"
-    atoms: Atoms | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "rademacher", "atoms"):
-            raise InputError(f"unknown disorder kind {self.kind!r}")
-        if self.kind == "atoms":
-            if self.atoms is None:
-                raise InputError("atom disorder needs an Atoms law")
-            if abs(self.atoms.mean()) > 1e-9 or abs(self.atoms.var() - 1.0) > 1e-9:
-                raise InputError("disorder atoms must have zero mean and unit variance")
-
-    def log_mgf(self, t: float) -> float:
-        if self.kind == "gaussian":
-            return 0.5 * t * t
-        if self.kind == "rademacher":
-            # log cosh t, overflow-safe
-            a = abs(t)
-            return a + math.log1p(math.exp(-2 * a)) - math.log(2.0)
-        return self.atoms.log_mgf(t)
-
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        if self.kind == "gaussian":
-            return rng.standard_normal(size)
-        if self.kind == "rademacher":
-            return rng.choice(np.array([-1.0, 1.0]), size=size)
-        return self.atoms.sample(rng, size)
+# the disorder laws of every model; each Lambda(t) is its log_mgf
+GAUSSIAN_DISORDER = StdGaussian()
+RADEMACHER_DISORDER = RADEMACHER
 
 
-GAUSSIAN_DISORDER = DisorderLaw("gaussian")
-RADEMACHER_DISORDER = DisorderLaw("rademacher")
-
-
-def overlap_weight(beta: float, disorder: DisorderLaw = GAUSSIAN_DISORDER) -> float:
+def overlap_weight(beta: float, disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER) -> float:
     """gamma(beta) = Lambda(2 beta) - 2 Lambda(beta), the weight a shared site
     carries in E[Z^2] for pinning and the polymer alike."""
     lam2 = disorder.log_mgf(2.0 * beta)
@@ -171,16 +136,16 @@ def overlap_weight(beta: float, disorder: DisorderLaw = GAUSSIAN_DISORDER) -> fl
 
 @dataclass(frozen=True)
 class VariableFamily:
-    """Independent variables zeta_i = mu_i + sigma * (centered base draw).
+    """Independent variables zeta_i = mu_i + sigma * (base draw).
 
-    The shared variance and the per-site means are what the mean-shift
-    bound machinery consumes; ``base`` provides sampling and, when it is an
-    atom law, exact per-site atom lists for tilting.
+    ``base`` is a zero-mean unit-variance law.  The shared variance and the
+    per-site means are what the mean-shift bound machinery consumes; an
+    atom base gives exact per-site atom lists for tilting.
     """
 
     means: np.ndarray
     sigma2: float
-    base: DisorderLaw = field(default=GAUSSIAN_DISORDER)
+    base: Atoms | StdGaussian = GAUSSIAN_DISORDER
 
     def __post_init__(self):
         mu = np.asarray(self.means, dtype=float)
@@ -188,6 +153,8 @@ class VariableFamily:
             raise InputError("means must be a 1-d array")
         if self.sigma2 <= 0:
             raise InputError("shared variance must be positive")
+        if abs(self.base.mean()) > 1e-9 or abs(self.base.var() - 1.0) > 1e-9:
+            raise InputError("base law must have zero mean and unit variance")
         object.__setattr__(self, "means", mu)
 
     @property
@@ -199,15 +166,6 @@ class VariableFamily:
         return float(self.means @ self.means)
 
     def site_atoms(self, i: int) -> Atoms:
-        if self.base.kind == "rademacher":
-            centered = RADEMACHER
-        elif self.base.kind == "atoms":
-            centered = self.base.atoms
-        else:
+        if not isinstance(self.base, Atoms):
             raise InputError("site_atoms requires a discrete base law")
-        return centered.scaled(math.sqrt(self.sigma2)).shifted(float(self.means[i]))
-
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        shape = (self.n_sites,) if size is None else (size, self.n_sites)
-        z = self.base.sample(rng, shape)
-        return self.means + math.sqrt(self.sigma2) * z
+        return self.base.scaled(math.sqrt(self.sigma2)).shifted(float(self.means[i]))

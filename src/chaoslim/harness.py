@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import chaos, ising, pinning, polymer, tilting, wiener
-from .dists import GAUSSIAN_DISORDER, Atoms, DisorderLaw, StdGaussian
+from .dists import GAUSSIAN_DISORDER, RADEMACHER, Atoms, StdGaussian
 from .errors import InputError
 
 KS_TWO_SAMPLE_C05 = 1.3581  # Smirnov 5% coefficient
@@ -71,8 +71,8 @@ class TwoSampleKS:
         return self.statistic <= self.critical_value
 
 
-def ks_two_sample(x, y, wx=None, wy=None) -> TwoSampleKS:
-    """Two-sample KS at the 5% level with optional nonnegative weights.
+def ks_two_sample(x, y, wx=None) -> TwoSampleKS:
+    """Two-sample KS at the 5% level, with optional nonnegative weights on x.
 
     Weighted empirical CDFs are compared at all pooled points; the critical
     value uses effective sample sizes (sum w)^2 / sum w^2 in the Smirnov
@@ -81,8 +81,7 @@ def ks_two_sample(x, y, wx=None, wy=None) -> TwoSampleKS:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     wx = np.ones(x.size) if wx is None else np.asarray(wx, dtype=float)
-    wy = np.ones(y.size) if wy is None else np.asarray(wy, dtype=float)
-    if np.any(wx < 0) or np.any(wy < 0):
+    if np.any(wx < 0):
         raise InputError("weights must be nonnegative")
     grid = np.sort(np.concatenate([x, y]))
 
@@ -93,9 +92,9 @@ def ks_two_sample(x, y, wx=None, wy=None) -> TwoSampleKS:
         idx = np.searchsorted(v, grid, side="right")
         return np.concatenate([[0.0], cum])[idx]
 
-    stat = float(np.max(np.abs(wecdf(x, wx) - wecdf(y, wy))))
+    stat = float(np.max(np.abs(wecdf(x, wx) - wecdf(y, np.ones(y.size)))))
     n_x = float(wx.sum() ** 2 / (wx**2).sum())
-    n_y = float(wy.sum() ** 2 / (wy**2).sum())
+    n_y = float(y.size)
     crit = KS_TWO_SAMPLE_C05 * math.sqrt(1.0 / n_x + 1.0 / n_y)
     return TwoSampleKS(stat, crit, n_x, n_y)
 
@@ -242,6 +241,21 @@ def _number(params: dict, key: str, default, kind=float):
         raise InputError(f"param {key!r} must be a number, got {value!r}") from None
 
 
+def _numbers(params: dict, key: str, default=None) -> list[float]:
+    """``params[key]``, or ``default`` when absent, as a list of floats; a
+    value that is not a list of numbers, or a missing list with no default,
+    is an InputError."""
+    value = params.get(key, default)
+    if value is None:
+        raise InputError(f"param {key!r} is required")
+    if isinstance(value, (list, tuple)):
+        try:
+            return [float(v) for v in value]
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InputError(f"param {key!r} must be a list of numbers, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # model samplers
 # ---------------------------------------------------------------------------
@@ -251,7 +265,7 @@ def pinning_law(params: dict) -> pinning.RenewalLaw:
     """The renewal law a pinning study or ``chaoslim pinning`` runs on."""
     kind = params.get("law", "finite_mean")
     if kind == "finite_mean":
-        return pinning.RenewalLaw.from_probabilities(params.get("probs", [0.5, 0.5]))
+        return pinning.RenewalLaw.from_probabilities(_numbers(params, "probs", [0.5, 0.5]))
     if kind == "alpha":
         return pinning.RenewalLaw.heavy_tail(
             _number(params, "alpha", None), _number(params, "n_max", 20000, int)
@@ -268,10 +282,12 @@ def polymer_law(params: dict) -> polymer.WalkLaw:
                                       _number(params, "window", 2000, int))
 
 
-def _disorder(params: dict) -> DisorderLaw:
+def _disorder(params: dict) -> Atoms | StdGaussian:
     kind = params.get("disorder", "gaussian")
-    if kind in ("gaussian", "rademacher"):
-        return DisorderLaw(kind)
+    if kind == "gaussian":
+        return GAUSSIAN_DISORDER
+    if kind == "rademacher":
+        return RADEMACHER
     raise InputError(f"unknown disorder {kind!r}")
 
 
@@ -286,7 +302,7 @@ def sample_pinning(
     n_samples: int,
     seed: int,
     mode: str = "conditioned",
-    disorder: DisorderLaw = GAUSSIAN_DISORDER,
+    disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
 ) -> np.ndarray:
     """Partition-function samples at the scaled couplings (beta_N, h_N); each
     chunk of _PINNING_CHUNK samples draws from its own spawned Generator."""
@@ -308,7 +324,7 @@ def sample_pinning(
 _FIELD_BLOCK_CELLS = 1 << 20  # disorder values per time block of a sample group
 
 
-def _field_blocks(rngs, n_steps: int, width: int, disorder: DisorderLaw):
+def _field_blocks(rngs, n_steps: int, width: int, disorder: Atoms | StdGaussian):
     """Fields of one sample group, one Generator each, as time blocks of
     shape (steps, samples, width) drawn into one reused buffer."""
     steps = max(1, _FIELD_BLOCK_CELLS // (len(rngs) * width))
@@ -328,7 +344,7 @@ def sample_polymer(
     seed: int,
     mode: str = "free",
     x: float = 0.0,
-    disorder: DisorderLaw = GAUSSIAN_DISORDER,
+    disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
     mass_tol: float = 1e-8,
 ) -> np.ndarray:
     """Free / point-to-point / conditioned polymer partition samples, on a
@@ -372,7 +388,7 @@ def sample_ising(
     profiles: ising.FieldProfiles,
     n_samples: int,
     seed: int,
-    disorder: DisorderLaw = GAUSSIAN_DISORDER,
+    disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
 ) -> np.ndarray:
     """Rescaled RFIM partition samples e^{-||lam||^2 d^{-1/4}/2} Z on the
     lattice Omega cap (delta Z)^2."""
@@ -457,7 +473,10 @@ def _polymer_point(config, n_steps, stream_seed) -> list[ReportRow]:
 
 def _ising_point(config, delta, stream_seed) -> list[ReportRow]:
     params = config.params
-    domain = ising.Rect(*params.get("domain", (0.0, 0.0, 1.0, 1.0)))
+    domain = _numbers(params, "domain", [0.0, 0.0, 1.0, 1.0])
+    if len(domain) != 4:
+        raise InputError(f"param 'domain' must be [x0, y0, x1, y1], got {domain!r}")
+    domain = ising.Rect(*domain)
     profiles = ising.FieldProfiles(
         _number(params, "lam_hat", 1.0), _number(params, "h_hat", 0.0), domain, float(delta)
     )
@@ -581,19 +600,20 @@ def lindeberg_audit(config: ExperimentConfig) -> ComparisonReport:
     threshold = _number(params, "M", math.inf)
     seeds = np.random.SeedSequence(config.seed).spawn(len(config.grid))
     zeta_kind = params.get("zeta", "rademacher")
+    if zeta_kind == "rademacher":
+        zeta_law = RADEMACHER
+    else:
+        zeta_law = Atoms(_numbers(params, "zeta_values"),
+                         _numbers(params, "zeta_probs")).standardized()
+    moments = chaos.truncated_moments([zeta_law, GAUSSIAN_DISORDER], threshold)
     for ss, n in zip(seeds, config.grid):
         n = int(n)
         kernel = _flat_kernel(n)
-        if zeta_kind == "rademacher":
-            zeta_law = Atoms([-1.0, 1.0], [0.5, 0.5])
-        else:
-            zeta_law = Atoms(params["zeta_values"], params["zeta_probs"]).standardized()
-        moments = chaos.truncated_moments([zeta_law, StdGaussian()], threshold)
         bound = chaos.lindeberg_bound(kernel, 1, moments, c_f=1.0)
 
         rng = np.random.default_rng(ss)
         z_samples = zeta_law.sample(rng, (config.samples, n)).sum(axis=1) / math.sqrt(n)
-        g_samples = rng.standard_normal(config.samples)
+        g_samples = GAUSSIAN_DISORDER.sample(rng, config.samples)
         fz = smooth_test_function(z_samples)
         fg = smooth_test_function(g_samples)
         d_hat = float(fz.mean() - fg.mean())
@@ -643,9 +663,9 @@ def _grid_report(runner, config: ExperimentConfig) -> ComparisonReport:
 
 def _tilt_report(config: ExperimentConfig) -> ComparisonReport:
     params = config.params
-    atoms = Atoms(params["values"], params["probs"])
+    atoms = Atoms(_numbers(params, "values"), _numbers(params, "probs"))
     interval = params.get("interval", "two-sided")
-    p_list = tuple(params.get("p_list", (2.0, 0.5, -1.0)))
+    p_list = _numbers(params, "p_list", [2.0, 0.5, -1.0])
     result = tilting.tilt_zero_mean(atoms, interval)
     bounds = tilting.verify_tilt_bounds(result, atoms, p_list)
     report = ComparisonReport("tilt")

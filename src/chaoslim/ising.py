@@ -77,7 +77,6 @@ class LatticeSpinSystem:
     """Finite sublattice of Z^2 with + boundary on its nearest-neighbor hull."""
 
     interior: tuple[tuple[int, int], ...]
-    beta: float = BETA_C
 
     def __post_init__(self):
         sites = tuple(sorted((int(a), int(b)) for a, b in self.interior))
@@ -93,13 +92,11 @@ class LatticeSpinSystem:
         object.__setattr__(self, "_cache", {})
 
     @classmethod
-    def rectangle(cls, width: int, height: int, beta: float = BETA_C) -> "LatticeSpinSystem":
-        return cls(
-            tuple((i, j) for i in range(width) for j in range(height)), beta=beta
-        )
+    def rectangle(cls, width: int, height: int) -> "LatticeSpinSystem":
+        return cls(tuple((i, j) for i in range(width) for j in range(height)))
 
     @classmethod
-    def from_domain(cls, domain: Rect, delta: float, beta: float = BETA_C) -> "LatticeSpinSystem":
+    def from_domain(cls, domain: Rect, delta: float) -> "LatticeSpinSystem":
         """Interior sites of Omega cap (delta Z)^2, stored as integer coords."""
         if delta <= 0:
             raise InputError("delta must be positive")
@@ -111,7 +108,7 @@ class LatticeSpinSystem:
             for j in range(j0, j1 + 1)
             if domain.contains((i * delta, j * delta))
         )
-        return cls(sites, beta=beta)
+        return cls(sites)
 
     @property
     def n_sites(self) -> int:
@@ -164,7 +161,7 @@ class LatticeSpinSystem:
             energy = s @ bcount
             for a, b in bonds:
                 energy += s[:, a] * s[:, b]
-            weights[start : start + c.size] = np.exp(self.beta * energy)
+            weights[start : start + c.size] = np.exp(BETA_C * energy)
         self._cache["table"] = weights
         return weights
 
@@ -303,7 +300,7 @@ def gks_decoupling_check(system: LatticeSpinSystem, subdomains):
     marked = []
     inner = set(system.interior)
     for sites, x in subdomains:
-        sub = LatticeSpinSystem(tuple(sites), beta=system.beta)
+        sub = LatticeSpinSystem(tuple(sites))
         if not set(sub.interior) <= inner:
             raise InputError("subdomain is not contained in the system")
         if (int(x[0]), int(x[1])) not in set(sub.interior):
@@ -395,12 +392,10 @@ def f_omega_l2_ratio(
     return L2RatioEstimate(ratio, se, num, num_se, den, den_se)
 
 
-def correlation_bound_constant(
-    domain: Rect, delta: float, site_sets, beta: float = BETA_C
-) -> float:
+def correlation_bound_constant(domain: Rect, delta: float, site_sets) -> float:
     """Fitted constant C with delta^{-n/8} E+[sigma^I] <= C^n f_Omega(I) on the
     tested family; reported, never asserted against any reference value."""
-    system = LatticeSpinSystem.from_domain(domain, delta, beta=beta)
+    system = LatticeSpinSystem.from_domain(domain, delta)
     best = 0.0
     for sites in site_sets:
         sites = [(int(a), int(b)) for a, b in sites]

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln, zeta
 
 from .chaos import Kernel
-from .dists import GAUSSIAN_DISORDER, DisorderLaw, overlap_weight
+from .dists import GAUSSIAN_DISORDER, Atoms, StdGaussian, overlap_weight
 from .errors import (
     ConditioningError,
     DomainError,
@@ -170,7 +170,7 @@ def scale_couplings(law: RenewalLaw, beta_hat: float, h_hat: float, n_steps: int
 
 
 def _site_weights(
-    omega: np.ndarray, beta: float, h: float, disorder: DisorderLaw
+    omega: np.ndarray, beta: float, h: float, disorder: Atoms | StdGaussian
 ) -> np.ndarray:
     return np.exp(beta * omega - disorder.log_mgf(beta) + h)
 
@@ -181,7 +181,7 @@ def partition_function(
     beta: float,
     h: float,
     mode: str = "conditioned",
-    disorder: DisorderLaw = GAUSSIAN_DISORDER,
+    disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
 ) -> float:
     """Pinning partition function by the transfer recursion.
 
@@ -199,7 +199,7 @@ def partition_function_batch(
     beta: float,
     h: float,
     mode: str = "conditioned",
-    disorder: DisorderLaw = GAUSSIAN_DISORDER,
+    disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
 ) -> np.ndarray:
     """Vectorized transfer recursion over rows of ``omega`` (one per sample)."""
     if mode not in ("free", "conditioned"):
@@ -320,7 +320,7 @@ def second_moment_exact(
     beta: float,
     h: float,
     mode: str = "conditioned",
-    disorder: DisorderLaw = GAUSSIAN_DISORDER,
+    disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
 ) -> float:
     """E[Z^2] over the disorder, exactly, by pair-renewal dynamic programming.
 

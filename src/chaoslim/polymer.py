@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.special import gammaln
 
-from .dists import GAUSSIAN_DISORDER, DisorderLaw, overlap_weight
+from . import simplex
+from .dists import GAUSSIAN_DISORDER, Atoms, StdGaussian, overlap_weight
 from .errors import (
     ConditioningError,
     DomainError,
@@ -395,7 +395,7 @@ def _partition_batch(
     beta: float,
     mode: str = "free",
     y: int | None = None,
-    disorder: DisorderLaw = GAUSSIAN_DISORDER,
+    disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
     mass_tol: float = 1e-8,
 ) -> np.ndarray:
     """Partition functions of ``rows`` disorder fields on the spatial window
@@ -468,7 +468,7 @@ def polymer_partition(
     beta: float,
     mode: str = "free",
     y: int | None = None,
-    disorder: DisorderLaw = GAUSSIAN_DISORDER,
+    disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
     mass_tol: float = 1e-8,
 ) -> float:
     """Space-time transfer recursion z_n(y) = sum_x z_{n-1}(x) p(y-x) w_n(y).
@@ -580,7 +580,7 @@ def polymer_second_moment_exact(
     law: WalkLaw,
     n_steps: int,
     beta: float,
-    disorder: DisorderLaw = GAUSSIAN_DISORDER,
+    disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
     window: int | None = None,
     mass_tol: float = 1e-8,
 ) -> float:
@@ -627,16 +627,14 @@ def polymer_second_moment_continuum(
     k_max: int = 40,
     period: int = 1,
 ) -> float:
-    """1 + sum_k (p beta_hat^2 c_g)^k t^{k(1-1/a)} Gamma(1-1/a)^k / Gamma(k(1-1/a)+1)
-    with c_g = int g^2; the free-endpoint Liouville form of the moment series."""
+    """1 + sum_k (p beta_hat^2 c_g)^k D_k(1/a) on (0, t), with c_g = int g^2
+    and D_k the free ordered-simplex gap integral, whose closed form is
+    t^{k(1-1/a)} Gamma(1-1/a)^k / Gamma(k(1-1/a)+1)."""
     if beta_hat == 0.0:
         return 1.0
     chi = 1.0 / density.alpha
-    x = period * beta_hat * beta_hat * density.l2_norm_sq() * t ** (1.0 - chi)
-    terms = [
-        x**k * math.exp(k * gammaln(1.0 - chi) - gammaln(k * (1.0 - chi) + 1.0))
-        for k in range(k_max + 1)
-    ]
+    x = period * beta_hat * beta_hat * density.l2_norm_sq()
+    terms = [x**k * simplex.dirichlet_closed_form(k, chi, False, t) for k in range(k_max + 1)]
     if len(terms) >= 3 and terms[-1] > terms[-2] and terms[-1] > 1e-12 * sum(terms):
         raise NumericError(
             "second-moment series is not decaying by k_max; reported as non-summable"

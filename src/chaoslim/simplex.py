@@ -8,9 +8,11 @@ The central object is
 
 with the bracketed last-gap factor present in the "conditioned" variant and
 absent in the "free" one.  Both have Gamma-function closed forms (Liouville /
-Dirichlet-density identities), which power every continuum second-moment
-series in the model modules.  A nested Gauss-Jacobi quadrature of the same
-integral, built without the closed form, serves as the numerical oracle.
+Dirichlet-density identities); the free one gives the terms of the polymer's
+continuum second-moment series.  The pinning double series integrates its
+bias gap by gap and writes its own Gamma coefficients.  A nested
+Gauss-Jacobi quadrature of the same integral, built without the closed
+form, serves as the numerical oracle.
 """
 
 from __future__ import annotations

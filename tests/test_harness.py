@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from chaoslim import cli, harness
+from chaoslim import cli, dists, harness
 from chaoslim.errors import InputError
 from chaoslim.harness import (
     ComparisonReport,
@@ -356,10 +356,22 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
     (["run"], None, {"model": "polymer", "grid": [50], "params": {"beta_hat": "x"}}, "beta_hat"),
     (["run"], None, {"model": "ising", "grid": [0.25], "samples": 2, "params": {"lam_hat": "x"}},
      "lam_hat"),
+    (["run"], None, {"model": "pinning", "grid": [50], "params": {"probs": ["a", "b"]}}, "probs"),
+    (["run"], None, {"model": "ising", "grid": [0.25], "samples": 2, "params": {"domain": 5}},
+     "domain"),
+    (["run"], None, {"model": "ising", "grid": [0.25], "samples": 2,
+                     "params": {"domain": [0.0, 0.0, 1.0]}}, "domain"),
+    (["run"], None, {"model": "ising", "grid": [0.25], "samples": 2,
+                     "params": {"domain": "0011"}}, "domain"),
+    (["run"], None, {"model": "lindeberg", "grid": [16], "samples": 2,
+                     "params": {"zeta": "other"}}, "zeta_values"),
+    (["run"], None, {"model": "tilt", "params": {"probs": [0.499, 0.501]}}, "values"),
 ], ids=["atoms_one_field", "p_not_a_number", "atoms_missing", "probs_not_a_number",
         "config_missing", "config_not_json", "config_no_model", "config_samples_not_int",
         "config_grid_not_numbers", "config_grid_not_a_list", "config_param_not_a_number",
-        "config_profile_not_a_number"])
+        "config_profile_not_a_number", "config_probs_not_numbers", "config_domain_not_a_list",
+        "config_domain_three_entries", "config_domain_a_string", "config_zeta_values_missing",
+        "config_tilt_values_missing"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, atoms, config, message):
     out = tmp_path / "out"
     if argv[0] == "run":
@@ -512,6 +524,21 @@ def test_tilt_model_through_study():
     quantities = {r.quantity for r in report.rows}
     assert "tilt_lambda" in quantities and "tilted_mean" in quantities
     assert any(q.startswith("density_moment") for q in quantities)
+
+
+def test_tilt_study_labels_keep_p_text():
+    cfg = ExperimentConfig("tilt", {"values": [-1.0, 1.0], "probs": [0.499, 0.501]}, (), 0, 0)
+    labels = [r.quantity for r in run_convergence_study(cfg).rows
+              if r.quantity.startswith("density_moment")]
+    assert labels == ["density_moment[p=2.0]", "density_moment[p=0.5]",
+                      "density_moment[p=-1.0]"]
+
+
+def test_disorder_param_gives_the_shared_law_objects():
+    assert harness._disorder({"disorder": "rademacher"}) is dists.RADEMACHER
+    assert harness._disorder({}) is dists.GAUSSIAN_DISORDER
+    with pytest.raises(InputError):
+        harness._disorder({"disorder": "cauchy"})
 
 
 def test_polymer_conditioned_sampling_normalized():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from chaoslim.dists import Atoms, VariableFamily, RADEMACHER_DISORDER, DisorderLaw
+from chaoslim.dists import Atoms, VariableFamily, RADEMACHER_DISORDER
 from chaoslim.errors import PreconditionError
 from chaoslim.tilting import (
     choose_a_level,
@@ -155,7 +155,7 @@ def test_tilt_family_centered_identity():
 
 
 def test_tilt_family_sign_condition_with_spread_base():
-    base = DisorderLaw("atoms", Atoms([-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1]))
+    base = Atoms([-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1])
     fam = VariableFamily(means=np.full(3, 5e-4), sigma2=1.0, base=base)
     report = tilt_family(fam)
     assert report.sign_condition_holds
