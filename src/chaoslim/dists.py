@@ -15,6 +15,8 @@ import numpy as np
 from .errors import DomainError, InputError
 
 _ATOL = 1e-12
+# 1/k! for k = 19 down to 2: the Horner coefficients of e^x - 1 - x on |x| < 1
+_EXP_TAIL_COEFS = tuple(1.0 / math.factorial(k) for k in range(19, 1, -1))
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,15 @@ class Atoms:
         return Atoms((self.values - self.mean()) / sd, self.probs)
 
     def log_mgf(self, t: float) -> float:
-        a = t * self.values + np.log(np.maximum(self.probs, 1e-300))
+        x = t * self.values
+        if np.max(np.abs(x)) < 1.0:
+            # log1p(t E[X] + E[e^{tX} - 1 - tX]) keeps its relative accuracy as
+            # t -> 0, where the log-sum-exp below cancels against log 1
+            tail = np.zeros_like(x)
+            for c in _EXP_TAIL_COEFS:
+                tail = tail * x + c
+            return math.log1p(t * self.mean() + float(self.probs @ (tail * x * x)))
+        a = x + np.log(np.maximum(self.probs, 1e-300))
         amax = a.max()
         return float(amax + np.log(np.exp(a - amax).sum()))
 

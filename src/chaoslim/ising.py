@@ -27,14 +27,6 @@ from .errors import DomainError, InputError, ResourceError
 
 BETA_C = 0.5 * math.log(1.0 + math.sqrt(2.0))
 
-# zeta'(-1) = 1/12 - log(Glaisher-Kinkelin constant)
-ZETA_PRIME_MINUS_ONE = -0.16542114370045092921
-# Normalization of the continuum spin correlations on mesh-delta lattices:
-# 2^{5/48} * exp(-3 zeta'(-1) / 2).  Stored for reference; it multiplies the
-# (externally supplied) continuum correlation functions and enters no
-# computation here.  A mesh-sqrt(2)*delta lattice convention rescales it.
-SPIN_CORRELATION_CONSTANT = 2.0 ** (5.0 / 48.0) * math.exp(-1.5 * ZETA_PRIME_MINUS_ONE)
-
 _ENUM_CAP = 20
 _NEIGHBOR_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -245,15 +237,6 @@ def scale_fields(profiles: FieldProfiles, system: LatticeSpinSystem):
         lam[k] = profiles.lam_at(p) * d ** (7.0 / 8.0)
         h[k] = profiles.h_at(p) * d ** (15.0 / 8.0)
     return lam, h
-
-
-def rfim_partition(system: LatticeSpinSystem, omega, profiles: FieldProfiles) -> float:
-    """Partition function of the random-field model at the scaled couplings."""
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (system.n_sites,):
-        raise InputError("omega must have one entry per interior site")
-    lam, h = scale_fields(profiles, system)
-    return rfim_partition_xi(system, lam * omega + h)
 
 
 def chaos_rewrite(system: LatticeSpinSystem, xi) -> tuple[float, Kernel]:

@@ -3,7 +3,8 @@
 White noise on a box in R^d is discretized on a uniform tessellation: the
 cell values are i.i.d. centered Gaussians with variance equal to the cell
 volume, drawn from a counter-based generator so that the field is a pure
-function of (seed, cell index).
+function of (seed, cell index).  A field is a row of ``sample_noise_batch``,
+and every evaluation below takes a matrix of such rows.
 
 Multiple stochastic integrals sum the kernel over ordered tuples of
 *pairwise distinct* cells (off-diagonal), which is what makes the Ito
@@ -78,46 +79,13 @@ class Tessellation:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-@dataclass(frozen=True)
-class GridWhiteNoise:
-    """One realization of the discretized white noise field."""
+def sample_noise_batch(tess: Tessellation, seed: int, n: int) -> np.ndarray:
+    """Matrix of n independent fields (rows) of per-cell N(0, cell_volume)
+    values, field j keyed by (seed, j).
 
-    tess: Tessellation
-    values: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.tess.n_cells,):
-            raise InputError("values must have one entry per cell")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def integral(self, f) -> float:
-        """W(f) = sum_c f(center_c) * W_c for the piecewise-constant extension."""
-        return float(_eval_on_centers(f, self.tess) @ self.values)
-
-    def to_csv(self, path) -> None:
-        centers = self.tess.centers()
-        with open(path, "w", encoding="ascii") as fh:
-            coords = ",".join(f"x{a}_center" for a in range(self.tess.dimension))
-            fh.write(f"cell_index,{coords},value\n")
-            for i in range(self.tess.n_cells):
-                mid = ",".join(repr(float(x)) for x in centers[i])
-                fh.write(f"{i},{mid},{float(self.values[i])!r}\n")
-
-
-def sample_noise(tess: Tessellation, seed: int) -> GridWhiteNoise:
-    """Draw per-cell N(0, cell_volume) values, deterministic in the seed.
-
-    Philox is counter-based: draw i is a fixed function of (seed, i), so the
+    Philox is counter-based: draw i is a fixed function of (seed, i), so a
     field does not depend on evaluation order.
     """
-    return GridWhiteNoise(tess, sample_noise_batch(tess, seed, 1)[0], int(seed))
-
-
-def sample_noise_batch(tess: Tessellation, seed: int, n: int) -> np.ndarray:
-    """Matrix of n independent fields (rows), field j keyed by (seed, j)."""
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     return gen.standard_normal((n, tess.n_cells)) * math.sqrt(tess.cell_volume)
 
@@ -158,8 +126,6 @@ def _dense_kernel(f, tess: Tessellation, k: int) -> np.ndarray:
 
 
 def _check_symmetric(arr: np.ndarray, k: int) -> None:
-    if k < 2:
-        return
     scale = float(np.max(np.abs(arr))) or 1.0
     for perm in list(permutations(range(k)))[1 : min(6, math.factorial(k))]:
         if np.max(np.abs(arr - arr.transpose(perm))) > 1e-9 * scale:
@@ -188,18 +154,19 @@ def _off_diagonal_sums(g: np.ndarray, fields: np.ndarray) -> np.ndarray:
     return out
 
 
-def multiple_integral(f, noise: GridWhiteNoise, k: int) -> float:
-    """Off-diagonal multiple integral: sum over ordered k-tuples of distinct
-    cells of f * prod of cell values.  k = 0 returns the constant f."""
+def multiple_integral(f, tess: Tessellation, fields: np.ndarray, k: int) -> np.ndarray:
+    """Off-diagonal multiple integral of each row of ``fields``: the sum over
+    ordered k-tuples of distinct cells of f * prod of cell values.  k = 0
+    gives the constant f, k = 1 the plain integral W(f)."""
     if k < 0:
         raise InputError("k must be >= 0")
     if k == 0:
-        return float(f)
+        return np.full(fields.shape[0], float(f))
     if k == 1:
-        return noise.integral(f)
-    arr = _dense_kernel(f, noise.tess, k)
+        return fields @ _eval_on_centers(f, tess)
+    arr = _dense_kernel(f, tess, k)
     _check_symmetric(arr, k)
-    return float(_off_diagonal_sums(arr, noise.values[None, :])[0])
+    return _off_diagonal_sums(arr, fields)
 
 
 def elementary_symmetric(vals: np.ndarray, k_max: int) -> np.ndarray:
@@ -308,20 +275,16 @@ class ChaosSeriesSpec:
             )
 
 
-def chaos_series_eval(spec: ChaosSeriesSpec, noise: GridWhiteNoise) -> float:
-    """Evaluate sum_k (1/k!) int f_k prod(sigma0 W(dy) + mu0(y) dy) up to k_max.
+def chaos_series_eval_batch(
+    spec: ChaosSeriesSpec, tess: Tessellation, fields: np.ndarray
+) -> np.ndarray:
+    """Evaluate sum_k (1/k!) int f_k prod(sigma0 W(dy) + mu0(y) dy) up to k_max
+    on each row of ``fields``, after checking L2 summability.
 
     Deterministic coordinates are integrated by midpoint quadrature per cell
     and the regrouped series is summed in degree-ascending order.
     """
-    spec.check_l2(noise.tess)
-    return float(chaos_series_eval_batch(spec, noise.tess, noise.values[None, :])[0])
-
-
-def chaos_series_eval_batch(
-    spec: ChaosSeriesSpec, tess: Tessellation, fields: np.ndarray
-) -> np.ndarray:
-    """Vectorized evaluation over many noise fields (rows of ``fields``)."""
+    spec.check_l2(tess)
     v = tess.cell_volume
     mu = None
     if spec.biased:
@@ -354,37 +317,24 @@ def chaos_series_eval_batch(
     muv = mu * v if mu is not None else None
     top = min(spec.k_max, len(spec.kernels) - 1)
     for k in range(top + 1):
-        if k == 0:
-            out += float(spec.kernels[0])
-            continue
-        arr = _dense_kernel(spec.kernels[k], tess, k)
-        _check_symmetric(arr, k)
+        arr = spec.kernels[0] if k == 0 else _dense_kernel(spec.kernels[k], tess, k)
         for j in range(k, -1, -1):
             if j < k and muv is None:
                 break
             g = arr
             for _ in range(k - j):
                 g = g @ muv
-            if j == 0:
-                stoch = np.full(fields.shape[0], float(g))
-            elif j == 1:
-                stoch = fields @ g
-            else:
-                stoch = _off_diagonal_sums(g, fields)
+            stoch = multiple_integral(g, tess, fields, j)
             out += (math.comb(k, j) * spec.sigma0**j / math.factorial(k)) * stoch
     return out
 
 
-def cameron_martin_weight(noise: GridWhiteNoise, nu) -> float:
-    """Radon-Nikodym weight exp(W(nu) - 0.5 E[W(nu)^2]) on the grid.
+def cameron_martin_weight_batch(tess: Tessellation, fields: np.ndarray, nu) -> np.ndarray:
+    """Radon-Nikodym weight exp(W(nu) - 0.5 E[W(nu)^2]) of each row of ``fields``.
 
     E[W(nu)^2] uses the exact grid variance sum(nu_c^2) * v, so the weight
     has mean exactly 1 under resampling.
     """
-    return float(cameron_martin_weight_batch(noise.tess, noise.values[None, :], nu)[0])
-
-
-def cameron_martin_weight_batch(tess: Tessellation, fields: np.ndarray, nu) -> np.ndarray:
     vals = _eval_on_centers(nu, tess)
     v = tess.cell_volume
     return np.exp(fields @ vals - 0.5 * float(vals @ vals) * v)

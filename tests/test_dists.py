@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chaoslim.dists import RADEMACHER, Atoms, StdGaussian, VariableFamily
+from chaoslim.dists import RADEMACHER, Atoms, StdGaussian, VariableFamily, overlap_weight
 from chaoslim.errors import InputError
 
 
@@ -20,11 +20,35 @@ def test_rademacher_log_mgf_matches_log_cosh():
     t = np.concatenate([np.linspace(-40.0, 40.0, 8001), np.geomspace(1e-12, 1.0, 200)])
     ref = np.array([_log_cosh(x) for x in t])
     got = np.array([RADEMACHER.log_mgf(x) for x in t])
-    # both forms cancel against log 2 near t = 0, so allow one unit of
-    # roundoff there on top of 1e-15 relative
+    # the closed form cancels against log 2 near t = 0, so allow one unit
+    # of roundoff there on top of 1e-15 relative
     assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref) + np.finfo(float).eps)
     far = np.abs(t) >= 0.5
     assert np.all(np.abs(got[far] - ref[far]) <= 1e-15 * ref[far])
+
+
+def test_rademacher_log_mgf_relative_accuracy_near_zero():
+    # Taylor series of log cosh, which has no cancellation; at |t| <= 1e-2
+    # the first omitted term is below 1e-20 relative
+    t = np.concatenate([np.geomspace(1e-8, 1e-2, 61), -np.geomspace(1e-8, 1e-2, 61)])
+    ref = t**2 / 2 - t**4 / 12 + t**6 / 45 - 17 * t**8 / 2520
+    got = np.array([RADEMACHER.log_mgf(x) for x in t])
+    assert np.all(np.abs(got - ref) <= 1e-15 * ref)
+    # gamma(beta) = Lambda(2 beta) - 2 Lambda(beta) by the same series
+    beta = np.geomspace(1e-4, 1e-2, 21)
+    ref = beta**2 - 7 * beta**4 / 6 + 62 * beta**6 / 45 - 17 * 127 * beta**8 / 1260
+    got = np.array([overlap_weight(b, RADEMACHER) for b in beta])
+    assert np.all(np.abs(got - ref) <= 2e-15 * ref)
+
+
+def test_atoms_log_mgf_matches_high_precision():
+    mpmath = pytest.importorskip("mpmath")
+    for law in (RADEMACHER, Atoms([-1.0, 2.0, 0.5], [0.2, 0.3, 0.5])):
+        for t in (*np.geomspace(1e-6, 40.0, 40), -1e-3, -0.7, -5.0):
+            with mpmath.workdps(40):
+                ref = mpmath.log(sum(mpmath.mpf(float(p)) * mpmath.exp(t * mpmath.mpf(float(v)))
+                                     for v, p in zip(law.values, law.probs)))
+            assert abs(law.log_mgf(t) - ref) <= 1e-15 * abs(ref), (law, t)
 
 
 SPREAD = Atoms([-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1])

@@ -456,6 +456,19 @@ def test_cli_run_bad_sample_count_exit_code(tmp_path, capsys, model, samples):
     assert not out.exists()
 
 
+def test_cli_run_growing_chaos_series_exit_code(tmp_path, capsys):
+    # at rho = 3 the factorized series terms (1.5 * rho^2)^k / k! still grow at
+    # the default k_max = 8, so the L2 summability check stops the study
+    out = tmp_path / "rows.csv"
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps({
+        "model": "wiener", "params": {"diagnostic": "cameron_martin", "rho": 3},
+        "grid": [8], "samples": 200, "seed": 5, "out_csv": str(out)}))
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "study", sorted((Path(__file__).resolve().parents[1] / "studies").glob("*.json")),
     ids=lambda p: p.stem)

@@ -1,5 +1,6 @@
 """Import hygiene: no module of the package or the tests imports a name it
-never uses, and importing chaoslim loads no heavy scipy subpackage."""
+never uses, no private helper of the package is left without a reader, and
+importing chaoslim loads no heavy scipy subpackage."""
 
 import ast
 import os
@@ -48,6 +49,52 @@ def test_no_unused_imports():
              for path in files
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def private_definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every module-level ``_name`` that ``source`` defines."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def references(source: str) -> set[str]:
+    """Every name ``source`` reads: identifiers, attributes, imported names
+    and string constants (for lookups by name)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_private_definitions_are_found():
+    source = "_A = 1\n__all__ = []\ndef _f():\n    return _A\nclass _C:\n    _x = 2\n"
+    assert private_definitions(source) == [(1, "_A"), (3, "_f"), (5, "_C")]
+    assert {"_A"} <= references(source) and "_f" not in references(source)
+
+
+def test_no_orphaned_private_names():
+    package = sorted((ROOT / "src" / "chaoslim").glob("*.py"))
+    readers = sorted({*package, *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")})
+    read = set().union(*(references(path.read_text(encoding="utf-8")) for path in readers))
+    orphans = [f"{path.relative_to(ROOT)}:{line}: {name}"
+               for path in package
+               for line, name in private_definitions(path.read_text(encoding="utf-8"))
+               if name not in read]
+    assert not orphans, "private names nothing reads:\n" + "\n".join(orphans)
 
 
 def test_import_loads_no_heavy_scipy_subpackage():

@@ -21,7 +21,6 @@ from chaoslim.ising import (
     f_omega_l2_ratio,
     gks_decoupling_check,
     normalization_prefactor,
-    rfim_partition,
     rfim_partition_xi,
     scale_fields,
 )
@@ -38,16 +37,6 @@ SQ33 = LatticeSpinSystem.rectangle(3, 3)
 
 def test_single_site_closed_form():
     assert correlation(ONE, [(0, 0)]) == pytest.approx(math.tanh(4.0 * BETA_C), abs=1e-12)
-
-
-def test_spin_correlation_constant_value():
-    from chaoslim.ising import SPIN_CORRELATION_CONSTANT
-
-    # independent route through the Glaisher-Kinkelin constant:
-    # zeta'(-1) = 1/12 - ln A
-    glaisher = 1.2824271291006226368753425688697917277676889273250
-    ref = 2.0 ** (5.0 / 48.0) * math.exp(-1.5 * (1.0 / 12.0 - math.log(glaisher)))
-    assert SPIN_CORRELATION_CONSTANT == pytest.approx(ref, rel=1e-14)
 
 
 def test_empty_set_correlation_is_one():
@@ -125,8 +114,9 @@ def test_rfim_symmetric_site_swap_invariance():
     idx_b = SQ22.site_index((1, 1))
     swapped = omega.copy()
     swapped[[idx_a, idx_b]] = swapped[[idx_b, idx_a]]
-    assert rfim_partition(SQ22, omega, profiles) == pytest.approx(
-        rfim_partition(SQ22, swapped, profiles), rel=1e-12
+    lam, h = scale_fields(profiles, SQ22)
+    assert rfim_partition_xi(SQ22, lam * omega + h) == pytest.approx(
+        rfim_partition_xi(SQ22, lam * swapped + h), rel=1e-12
     )
 
 
@@ -167,7 +157,8 @@ def test_sample_ising_matches_per_sample_rfim_partition():
     prefactor = normalization_prefactor(profiles)
     omegas = np.random.default_rng(np.random.SeedSequence(11)).standard_normal(
         (20, system.n_sites))
-    reference = [prefactor * rfim_partition(system, om, profiles) for om in omegas]
+    lam, h = scale_fields(profiles, system)
+    reference = [prefactor * rfim_partition_xi(system, lam * om + h) for om in omegas]
     assert z.tolist() == reference
 
 

@@ -8,16 +8,12 @@ import pytest
 from chaoslim.errors import InputError, PreconditionError, ResourceError
 from chaoslim.wiener import (
     ChaosSeriesSpec,
-    GridWhiteNoise,
     Tessellation,
-    cameron_martin_weight,
     cameron_martin_weight_batch,
-    chaos_series_eval,
     chaos_series_eval_batch,
     elementary_symmetric,
     factorized_moment,
     multiple_integral,
-    sample_noise,
     sample_noise_batch,
 )
 
@@ -35,11 +31,11 @@ def test_tessellation_geometry():
 
 def test_same_seed_reproduces_field():
     tess = Tessellation.unit_interval(16)
-    a = sample_noise(tess, 99)
-    b = sample_noise(tess, 99)
-    assert np.array_equal(a.values, b.values)
-    c = sample_noise(tess, 100)
-    assert not np.array_equal(a.values, c.values)
+    a = sample_noise_batch(tess, 99, 1)
+    b = sample_noise_batch(tess, 99, 1)
+    assert np.array_equal(a, b)
+    c = sample_noise_batch(tess, 100, 1)
+    assert not np.array_equal(a, c)
 
 
 def test_total_mass_variance_and_independence():
@@ -57,23 +53,25 @@ def test_total_mass_variance_and_independence():
 
 def test_multiple_integral_k1_is_plain_integral():
     tess = Tessellation.unit_interval(8)
-    noise = sample_noise(tess, 5)
-    assert multiple_integral(1.0, noise, 1) == pytest.approx(noise.values.sum())
-    assert multiple_integral(1.0, noise, 0) == 1.0
+    fields = sample_noise_batch(tess, 5, 1)
+    assert multiple_integral(1.0, tess, fields, 1)[0] == pytest.approx(fields[0].sum())
+    assert multiple_integral(1.0, tess, fields, 0)[0] == 1.0
 
 
 def test_multiple_integral_matches_brute_force_4_cells():
     tess = Tessellation.unit_interval(4)
-    noise = sample_noise(tess, 9)
-    w = noise.values
+    fields = sample_noise_batch(tess, 9, 1)
+    w = fields[0]
     brute = sum(w[i] * w[j] for i in range(4) for j in range(4) if i != j)
-    assert multiple_integral(np.ones((4, 4)), noise, 2) == pytest.approx(brute, rel=1e-12)
+    assert multiple_integral(np.ones((4, 4)), tess, fields, 2)[0] == pytest.approx(
+        brute, rel=1e-12)
     brute3 = sum(
         w[i] * w[j] * w[k]
         for i in range(4) for j in range(4) for k in range(4)
         if i != j and j != k and i != k
     )
-    assert multiple_integral(np.ones((4, 4, 4)), noise, 3) == pytest.approx(brute3, rel=1e-12)
+    assert multiple_integral(np.ones((4, 4, 4)), tess, fields, 3)[0] == pytest.approx(
+        brute3, rel=1e-12)
 
 
 def test_multiple_integral_second_moment_grid_isometry():
@@ -103,9 +101,7 @@ def test_ito_isometry_cross_orders():
     vals = {}
     for name, ker, k in (("f1", f, 1), ("g1", g, 1), ("f2", f2, 2),
                          ("g2", g2, 2), ("g3", g3, 3)):
-        vals[name] = np.array([
-            multiple_integral(ker, GridWhiteNoise(tess, w, 0), k) for w in fields[:8_000]
-        ])
+        vals[name] = multiple_integral(ker, tess, fields, k)
     v = tess.cell_volume
 
     def offdiag_inner(a, b, k):
@@ -136,29 +132,29 @@ def test_ito_isometry_cross_orders():
 
 def test_multiple_integral_rejects_asymmetric_kernel():
     tess = Tessellation.unit_interval(4)
-    noise = sample_noise(tess, 2)
+    fields = sample_noise_batch(tess, 2, 1)
     f = np.zeros((4, 4))
     f[0, 1] = 1.0
     with pytest.raises(InputError):
-        multiple_integral(f, noise, 2)
+        multiple_integral(f, tess, fields, 2)
 
 
 def test_multiple_integral_permutation_invariance():
     tess = Tessellation.unit_interval(5)
-    noise = sample_noise(tess, 3)
+    fields = sample_noise_batch(tess, 3, 1)
     rng = np.random.default_rng(0)
     base = rng.standard_normal((5, 5))
     f = base + base.T
-    assert multiple_integral(f, noise, 2) == pytest.approx(
-        multiple_integral(f.T, noise, 2), rel=1e-12
+    assert multiple_integral(f, tess, fields, 2)[0] == pytest.approx(
+        multiple_integral(f.T, tess, fields, 2)[0], rel=1e-12
     )
 
 
 def test_dense_cap():
     tess = Tessellation.unit_interval(256)
-    noise = sample_noise(tess, 0)
+    fields = sample_noise_batch(tess, 0, 1)
     with pytest.raises(ResourceError):
-        multiple_integral(lambda *a: 1.0, noise, 4)
+        multiple_integral(lambda *a: 1.0, tess, fields, 4)
 
 
 def test_elementary_symmetric_small_case():
@@ -169,25 +165,25 @@ def test_elementary_symmetric_small_case():
 
 def test_chaos_series_constant_term():
     tess = Tessellation.unit_interval(8)
-    noise = sample_noise(tess, 4)
+    fields = sample_noise_batch(tess, 4, 1)
     spec = ChaosSeriesSpec(sigma0=1.0, mu0=None, k_max=0, kernels=[2.5])
-    assert chaos_series_eval(spec, noise) == pytest.approx(2.5)
+    assert chaos_series_eval_batch(spec, tess, fields)[0] == pytest.approx(2.5)
 
 
 def test_chaos_series_degree_one_matches_multiple_integral():
     tess = Tessellation.unit_interval(8)
-    noise = sample_noise(tess, 4)
+    fields = sample_noise_batch(tess, 4, 1)
     sigma = 1.3
     spec = ChaosSeriesSpec(sigma0=sigma, mu0=None, k_max=1,
                            kernels=[0.0, lambda x: np.ones(np.shape(x))])
-    assert chaos_series_eval(spec, noise) == pytest.approx(
-        sigma * multiple_integral(1.0, noise, 1), rel=1e-12
+    assert chaos_series_eval_batch(spec, tess, fields)[0] == pytest.approx(
+        sigma * multiple_integral(1.0, tess, fields, 1)[0], rel=1e-12
     )
 
 
 def test_chaos_series_factorized_equals_general():
     tess = Tessellation.unit_interval(6)
-    noise = sample_noise(tess, 3)
+    fields = sample_noise_batch(tess, 3, 1)
     rho = 0.7
     spec_f = ChaosSeriesSpec(sigma0=1.3, mu0=0.4, k_max=3, factor_coefs=lambda k: rho**k)
     kernels = [
@@ -197,8 +193,8 @@ def test_chaos_series_factorized_equals_general():
         lambda x, y, z: rho**3 * np.ones(np.shape(x)[0]),
     ]
     spec_g = ChaosSeriesSpec(sigma0=1.3, mu0=0.4, k_max=3, kernels=kernels)
-    assert chaos_series_eval(spec_f, noise) == pytest.approx(
-        chaos_series_eval(spec_g, noise), rel=1e-12
+    assert chaos_series_eval_batch(spec_f, tess, fields)[0] == pytest.approx(
+        chaos_series_eval_batch(spec_g, tess, fields)[0], rel=1e-12
     )
 
 
@@ -207,8 +203,9 @@ def test_chaos_series_l2_condition_failure():
         sigma0=1.0, mu0=1.0, k_max=8,
         factor_coefs=lambda k: float(math.factorial(k)) * 4.0**k,
     )
+    tess = Tessellation.unit_interval(8)
     with pytest.raises(PreconditionError):
-        chaos_series_eval(spec, sample_noise(Tessellation.unit_interval(8), 0))
+        chaos_series_eval_batch(spec, tess, sample_noise_batch(tess, 0, 1))
 
 
 def test_tail_bound_reported_and_small():
@@ -266,8 +263,8 @@ def test_factorized_series_matches_lognormal_law():
 
 def test_cameron_martin_weight_basics():
     tess = Tessellation.unit_interval(32)
-    noise = sample_noise(tess, 12)
-    assert cameron_martin_weight(noise, 0.0) == pytest.approx(1.0)
+    assert cameron_martin_weight_batch(tess, sample_noise_batch(tess, 12, 1), 0.0)[0] == (
+        pytest.approx(1.0))
     fields = sample_noise_batch(tess, 2, 50_000)
     w = cameron_martin_weight_batch(tess, fields, 0.7)
     se = float(w.std(ddof=1) / math.sqrt(w.size))
@@ -295,15 +292,3 @@ def test_factorized_moment_against_mc_second_moment():
     # allow the grid discretization on top of the MC band
     assert abs(m2 - target) <= 4 * se + 0.02 * target
 
-
-def test_noise_csv_export(tmp_path):
-    tess = Tessellation((0.0, 0.0), (1.0, 1.0), (2, 2))
-    noise = sample_noise(tess, 1)
-    path = tmp_path / "noise.csv"
-    noise.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "cell_index,x0_center,x1_center,value"
-    assert len(lines) == 5
-    parsed = [float(x) for x in lines[1].split(",")[1:]]
-    assert parsed[0] == pytest.approx(0.25)
-    assert parsed[2] == noise.values[0]
