@@ -305,8 +305,13 @@ def sample_pinning(
     disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
 ) -> np.ndarray:
     """Partition-function samples at the scaled couplings (beta_N, h_N); each
-    chunk of _PINNING_CHUNK samples draws from its own spawned Generator."""
+    chunk of _PINNING_CHUNK samples draws from its own spawned Generator.
+
+    One chunk's disorder omega is held at a time; besides it the transfer
+    needs O((min(N, n_max) + 64) * chunk) memory.
+    """
     beta_n, h_n = pinning.scale_couplings(law, beta_hat, h_hat, n_steps)
+    pinning._check_cap(n_steps)
     streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / _PINNING_CHUNK))
     out = np.empty(n_samples)
     pos = 0

@@ -112,30 +112,57 @@ class RenewalLaw:
         return np.clip(out, 0.0, None)
 
 
-def _renewal_solve(kernel: np.ndarray, n_steps: int, weights=None) -> np.ndarray:
+_BLOCK_STEPS = 64  # steps per block of the transfer; a larger buffer falls out of cache
+
+
+def _check_cap(n_steps: int) -> None:
+    if n_steps < 0:
+        raise InputError(f"N = {n_steps} must be >= 0")
+    if n_steps > _N_CAP:
+        raise ResourceError(f"N = {n_steps} exceeds the cap {_N_CAP}")
+
+
+def _renewal_solve(
+    kernel: np.ndarray, n_steps: int, weights=None, n_rows: int = 0
+) -> np.ndarray:
     """x(0) = 1, x(n) = w(n) sum_{m=1}^{min(n, n_max)} kernel[m] x(n-m).
 
     ``kernel`` is [0, K(1), ..., K(n_max)] with any constant site weight
-    folded in; each row of ``weights`` holds one sample's w(1..n_steps), and
-    None means w = 1.  Returns x(0..n_steps), one row per sample.
+    folded in.  ``weights(n0, n1)`` returns w(n0+1..n1) for ``n_rows``
+    samples, one row each; None solves one row with w = 1.
+
+    The steps run in blocks of _BLOCK_STEPS through one time-major buffer
+    that holds only the history the kernel reaches, slid to the front
+    between blocks, so besides the caller's disorder the memory is
+    O((min(N, n_max) + _BLOCK_STEPS) * n_rows).  Returns the last
+    min(N, n_max) + 1 values x(N - min(N, n_max) .. N), one row per sample;
+    with w = 1 it keeps and returns all of x(0..N).
     """
     rev = np.ascontiguousarray(kernel[:0:-1])  # K(n_max), ..., K(1)
     n_max = rev.size
-    # x(n) starts as w(n); time-major, so every step reads and writes
-    # contiguous memory
-    x = np.ones((n_steps + 1,) + np.shape(weights)[:-1])
-    if weights is not None:
-        x[1:] = weights.T
-    for n in range(1, n_steps + 1):
-        m = min(n, n_max)
-        x[n] *= rev[n_max - m :] @ x[n - m : n]
-    return x.T
+    hist = n_steps if weights is None else min(n_steps, n_max)
+    # buffer row i holds x(base + i); time-major, so every step reads and
+    # writes contiguous memory
+    rows = () if weights is None else (n_rows,)
+    x = np.empty((min(n_steps, hist + _BLOCK_STEPS) + 1, *rows))
+    x[0] = 1.0
+    base = 0
+    for n0 in range(0, n_steps, _BLOCK_STEPS):
+        n1 = min(n0 + _BLOCK_STEPS, n_steps)
+        if n1 - base >= x.shape[0]:  # slide x(n0 - hist .. n0) to the front
+            x[: hist + 1] = x[n0 - hist - base : n0 + 1 - base]
+            base = n0 - hist
+        # x(n) starts as w(n)
+        x[n0 + 1 - base : n1 + 1 - base] = 1.0 if weights is None else weights(n0, n1).T
+        for i in range(n0 + 1 - base, n1 + 1 - base):
+            m = min(i + base, n_max)
+            x[i] *= rev[n_max - m :] @ x[i - m : i]
+    return x[n_steps - hist - base : n_steps + 1 - base].T
 
 
 def renewal_mass(law: RenewalLaw, n_points: int) -> np.ndarray:
     """u(n) = P(n in tau) for n = 0..n_points, by convolution recursion."""
-    if n_points > _N_CAP:
-        raise ResourceError(f"N = {n_points} exceeds the cap {_N_CAP}")
+    _check_cap(n_points)
     return _renewal_solve(law.probs, n_points)
 
 
@@ -201,18 +228,31 @@ def partition_function_batch(
     mode: str = "conditioned",
     disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
 ) -> np.ndarray:
-    """Vectorized transfer recursion over rows of ``omega`` (one per sample)."""
+    """Vectorized transfer recursion over rows of ``omega`` (one per sample).
+
+    The site weights are computed block by block inside the transfer, so
+    besides ``omega`` the memory is O((min(N, n_max) + 64) * samples).
+    """
     if mode not in ("free", "conditioned"):
         raise InputError(f"unknown mode {mode!r}")
     omega = np.asarray(omega, dtype=float)
-    n_steps = omega.shape[1]
-    z = _renewal_solve(law.probs, n_steps, _site_weights(omega, beta, h, disorder))
+    if omega.ndim != 2:
+        raise InputError(f"omega must be 2-D (samples, N), not of shape {omega.shape}")
+    n_samples, n_steps = omega.shape
+    _check_cap(n_steps)
+    z = _renewal_solve(
+        law.probs,
+        n_steps,
+        lambda n0, n1: _site_weights(omega[:, n0:n1], beta, h, disorder),
+        n_samples,
+    )
     if mode == "conditioned":
         u = renewal_mass(law, n_steps)
         if u[n_steps] <= 0.0:
             raise ConditioningError(f"u({n_steps}) = 0: cannot condition")
-        return z[:, n_steps] / u[n_steps]
-    return z @ law.tail(n_steps)[::-1]
+        return z[:, -1] / u[n_steps]
+    # P(tau_1 > j) = 0 for j >= n_max, so the returned window holds every term
+    return z @ law.tail(z.shape[1] - 1)[::-1]
 
 
 def _lattice_index(t: float, n_steps: int) -> int:
@@ -340,8 +380,7 @@ def second_moment_exact(
     """
     if mode not in ("free", "conditioned"):
         raise InputError(f"unknown mode {mode!r}")
-    if n_steps > _N_CAP:
-        raise ResourceError(f"N = {n_steps} exceeds the cap {_N_CAP}")
+    _check_cap(n_steps)
     gamma = overlap_weight(beta, disorder)
     e2h = math.exp(2.0 * h)
 

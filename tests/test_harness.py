@@ -413,6 +413,9 @@ def test_cli_underflowed_samples_exit_code(tmp_path, capsys, argv):
     ["pinning", "--N", "10", "--samples", "1"],
     ["pinning", "--N", "10", "--samples", "0"],
     ["pinning", "--N", "0", "--samples", "5"],
+    # above the N cap: refused before any disorder is drawn
+    ["pinning", "--N", "300000", "--samples", "2", "--mode", "free"],
+    ["pinning", "--N", "300000", "--samples", "2", "--mode", "conditioned"],
     ["polymer", "--N", "10", "--samples", "0"],
     ["polymer", "--N", "10", "--samples", "1"],
     ["polymer", "--N", "10", "--samples", "-1"],

@@ -2,15 +2,16 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from chaoslim import pinning
+from chaoslim import harness, pinning
 from chaoslim.chaos import eval_multilinear
-from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER_DISORDER
-from chaoslim.errors import ConditioningError, DomainError, InputError
+from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER_DISORDER, StdGaussian
+from chaoslim.errors import ConditioningError, DomainError, InputError, ResourceError
 from chaoslim.pinning import (
     RenewalLaw,
     a_n_scale,
@@ -21,6 +22,7 @@ from chaoslim.pinning import (
     discrete_kernel,
     lognormal_limit_law,
     partition_function,
+    partition_function_batch,
     renewal_mass,
     scale_couplings,
     second_moment_exact,
@@ -180,6 +182,104 @@ def test_martingale_normalization_exact():
         total_f += partition_function(LAW_HALF, om, 0.4, 0.0, "free", RADEMACHER_DISORDER)
     assert total_c / 2**n == pytest.approx(1.0, abs=1e-12)
     assert total_f / 2**n == pytest.approx(1.0, abs=1e-12)
+
+
+def _one_shot_solve(kernel, n_steps, weights=None):
+    """The renewal recursion over one (N+1)-row array holding all of x and
+    w, as it ran before the transfer was streamed in time blocks."""
+    rev = np.ascontiguousarray(kernel[:0:-1])
+    n_max = rev.size
+    x = np.ones((n_steps + 1,) + np.shape(weights)[:-1])
+    if weights is not None:
+        x[1:] = weights.T
+    for n in range(1, n_steps + 1):
+        m = min(n, n_max)
+        x[n] *= rev[n_max - m :] @ x[n - m : n]
+    return x.T
+
+
+def _one_shot_partition_batch(law, omega, beta, h, mode, disorder):
+    n = omega.shape[1]
+    z = _one_shot_solve(law.probs, n, pinning._site_weights(omega, beta, h, disorder))
+    if mode == "conditioned":
+        return z[:, n] / _one_shot_solve(law.probs, n)[n]
+    return z @ law.tail(n)[::-1]
+
+
+_STREAM_LAWS = {
+    "two-atom": LAW_HALF,
+    "five-atom": RenewalLaw.from_probabilities([0.3, 0.25, 0.2, 0.15, 0.1]),
+    "alpha-20000": RenewalLaw.heavy_tail(0.75, 20000),
+    "alpha-100": RenewalLaw.heavy_tail(0.75, 100),
+    # the history the kernel reaches is exactly one block
+    "n_max-64": RenewalLaw.from_probabilities(np.full(64, 1.0 / 64)),
+}
+
+
+@pytest.mark.parametrize("disorder", [GAUSSIAN_DISORDER, RADEMACHER_DISORDER],
+                         ids=["gaussian", "rademacher"])
+@pytest.mark.parametrize("law", _STREAM_LAWS.values(), ids=_STREAM_LAWS.keys())
+def test_blocked_transfer_matches_one_shot(law, disorder):
+    rng = np.random.default_rng(11)
+    for n in (0, 1, 2, 63, 64, 65, 129, 1000, 2000):
+        omega = disorder.sample(rng, (7, n))
+        beta, h = 1.0 / math.sqrt(max(n, 1)), 0.4 / max(n, 1)
+        for mode in ("conditioned", "free"):
+            z = partition_function_batch(law, omega, beta, h, mode, disorder)
+            ref = _one_shot_partition_batch(law, omega, beta, h, mode, disorder)
+            assert np.array_equal(z, ref), (n, mode)
+    assert np.array_equal(partition_function_batch(law, np.zeros((3, 0)), 0.5, 0.1, "free"),
+                          np.ones(3))
+
+
+def test_renewal_mass_matches_one_shot():
+    for law in _STREAM_LAWS.values():
+        assert np.array_equal(renewal_mass(law, 2000), _one_shot_solve(law.probs, 2000))
+
+
+@pytest.mark.parametrize("mode", ["conditioned", "free"])
+def test_partition_batch_memory_is_bounded(mode):
+    # the (256, 8000) omega is 16.4 MB; the full weight and history arrays
+    # it replaced took 32.8 MB more
+    omega = np.random.default_rng(2).standard_normal((256, 8000))
+    beta, h = scale_couplings(LAW_HALF, 1.0, 0.4, 8000)
+    tracemalloc.start()
+    try:
+        partition_function_batch(LAW_HALF, omega, beta, h, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def test_sample_pinning_memory_is_bounded():
+    # one (256, 8000) omega is 16.4 MB; with the full arrays the peak was 49 MB
+    tracemalloc.start()
+    try:
+        harness.sample_pinning(LAW_HALF, 1.0, 0.0, 8000, 256, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * 256 * 8000 * 8
+
+
+def test_partition_batch_bad_input():
+    with pytest.raises(InputError):
+        partition_function_batch(LAW_HALF, np.zeros(10), 0.1, 0.0)
+    with pytest.raises(InputError):
+        renewal_mass(LAW_HALF, -1)
+    for mode in ("conditioned", "free"):
+        with pytest.raises(ResourceError):
+            partition_function_batch(LAW_HALF, np.zeros((1, pinning._N_CAP + 1)), 0.1, 0.0, mode)
+
+
+def test_sample_pinning_checks_cap_before_drawing():
+    class NoDraw(StdGaussian):
+        def sample(self, rng, size):
+            raise AssertionError("disorder drawn")
+
+    with pytest.raises(ResourceError):
+        harness.sample_pinning(LAW_HALF, 1.0, 0.0, 300_000, 2, 0, "free", NoDraw())
 
 
 @pytest.mark.parametrize("mode", ["conditioned", "free"])
