@@ -307,8 +307,10 @@ def sample_pinning(
     """Partition-function samples at the scaled couplings (beta_N, h_N); each
     chunk of _PINNING_CHUNK samples draws from its own spawned Generator.
 
-    One chunk's disorder omega is held at a time; besides it the transfer
-    needs O((min(N, n_max) + 64) * chunk) memory.
+    One chunk's disorder omega is held at a time.  Its transfer costs one
+    (64 x min(N, n_max)) by (min(N, n_max) x chunk) matrix product per 64
+    steps plus N steps over in-block lags; besides omega it needs
+    O((min(N, n_max) + 64) * chunk) floats and at most 64 * min(N, n_max).
     """
     beta_n, h_n = pinning.scale_couplings(law, beta_hat, h_hat, n_steps)
     pinning._check_cap(n_steps)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln, zeta
 
 from .chaos import Kernel
@@ -60,7 +61,7 @@ class RenewalLaw:
         if np.any(k < 0) or abs(k.sum() - 1.0) > 1e-9:
             raise InputError("jump probabilities must be nonnegative and sum to 1")
         support = np.nonzero(k)[0]
-        if math.gcd(*(int(s) for s in support)) != 1:
+        if int(np.gcd.reduce(support)) != 1:
             raise InputError("renewal law must be aperiodic")
         if self.regime not in ("finite_mean", "alpha"):
             raise InputError(f"unknown regime {self.regime!r}")
@@ -131,20 +132,46 @@ def _renewal_solve(
     folded in.  ``weights(n0, n1)`` returns w(n0+1..n1) for ``n_rows``
     samples, one row each; None solves one row with w = 1.
 
-    The steps run in blocks of _BLOCK_STEPS through one time-major buffer
-    that holds only the history the kernel reaches, slid to the front
-    between blocks, so besides the caller's disorder the memory is
-    O((min(N, n_max) + _BLOCK_STEPS) * n_rows).  Returns the last
-    min(N, n_max) + 1 values x(N - min(N, n_max) .. N), one row per sample;
-    with w = 1 it keeps and returns all of x(0..N).
+    The steps run in blocks of _BLOCK_STEPS.  The lags of a block's steps
+    that reach back before the block (its far history) enter all of them at
+    once: one (block x min(N, n_max)) Toeplitz of K times the history rows,
+    or one ``np.convolve`` window for the single row.  Each step then adds
+    only its in-block lags.  So the far history costs one matrix product
+    per block instead of one matrix-vector product per step.
+
+    One time-major buffer holds only the history the kernel reaches, slid
+    to the front between blocks, so besides the caller's disorder the
+    memory is O((min(N, n_max) + _BLOCK_STEPS) * n_rows) plus the
+    Toeplitz, at most _BLOCK_STEPS * min(N, n_max) floats.  Returns the
+    last min(N, n_max) + 1 values x(N - min(N, n_max) .. N), one row per
+    sample; with w = 1 it keeps and returns all of x(0..N).
     """
-    rev = np.ascontiguousarray(kernel[:0:-1])  # K(n_max), ..., K(1)
-    n_max = rev.size
+    n_max = kernel.size - 1
     hist = n_steps if weights is None else min(n_steps, n_max)
+    reach = min(n_steps, n_max)  # the most far-history rows a block reads
+    far = min(_BLOCK_STEPS, n_max)  # the most steps of a block they reach
+    # kpad[m] = K(m), zero past n_max, so that every block reads whole
+    # windows; kernel[0] is never read
+    kpad = np.concatenate([kernel, np.zeros(_BLOCK_STEPS)])
+    # step j of a block dots coef into the buffer rows x(n - c + e .. n - 1 + e),
+    # c = coef.size.  While the far history reaches it (j <= n_max) the
+    # coef is [K(j-1), ..., K(1), 1] and e = 1: the in-block lags, then the
+    # far term, which the row of x(n) holds until the step writes x(n).
+    # After that it is [K(n_max), ..., K(1)] and e = 0.
+    near = np.append(kpad[_BLOCK_STEPS - 1 : 0 : -1], 1.0)
+    steps = [(near[-j:], 1) if j <= n_max else (near[-n_max - 1 : -1], 0)
+             for j in range(1, _BLOCK_STEPS + 1)]
     # buffer row i holds x(base + i); time-major, so every step reads and
     # writes contiguous memory
     rows = () if weights is None else (n_rows,)
     x = np.empty((min(n_steps, hist + _BLOCK_STEPS) + 1, *rows))
+    w = np.ones((_BLOCK_STEPS, *rows))
+    if weights is not None:
+        # toeplitz[j - 1, c] = K(reach - 1 + j - c); a block whose far
+        # history is p rows long takes the last p columns
+        toeplitz = np.ascontiguousarray(
+            sliding_window_view(kpad[1 : reach + far], reach)[:, ::-1]
+        )
     x[0] = 1.0
     base = 0
     for n0 in range(0, n_steps, _BLOCK_STEPS):
@@ -152,11 +179,22 @@ def _renewal_solve(
         if n1 - base >= x.shape[0]:  # slide x(n0 - hist .. n0) to the front
             x[: hist + 1] = x[n0 - hist - base : n0 + 1 - base]
             base = n0 - hist
-        # x(n) starts as w(n)
-        x[n0 + 1 - base : n1 + 1 - base] = 1.0 if weights is None else weights(n0, n1).T
-        for i in range(n0 + 1 - base, n1 + 1 - base):
-            m = min(i + base, n_max)
-            x[i] *= rev[n_max - m :] @ x[i - m : i]
+        # the far history x(max(0, n0 + 1 - n_max) .. n0) and the rows of
+        # the steps it reaches
+        past = x[max(0, n0 + 1 - n_max) - base : n0 + 1 - base]
+        p = past.shape[0]
+        f = min(n1 - n0, far)
+        block = x[n0 + 1 - base : n0 + 1 + f - base]
+        if weights is None:
+            block[:] = np.convolve(past, kpad[1 : p + f], "valid")
+        else:
+            w[: n1 - n0] = weights(n0, n1).T
+            np.matmul(toeplitz[:f, reach - p :], past, out=block)
+        for i, (coef, e), w_n in zip(range(n0 + 1 - base, n1 + 1 - base), steps, w):
+            if weights is None:
+                x[i] = coef @ x[i + e - coef.size : i + e]
+            else:
+                np.multiply(coef @ x[i + e - coef.size : i + e], w_n, out=x[i])
     return x[n_steps - hist - base : n_steps + 1 - base].T
 
 
@@ -230,8 +268,12 @@ def partition_function_batch(
 ) -> np.ndarray:
     """Vectorized transfer recursion over rows of ``omega`` (one per sample).
 
-    The site weights are computed block by block inside the transfer, so
-    besides ``omega`` the memory is O((min(N, n_max) + 64) * samples).
+    Each 64-step block takes the history before it in one matrix product,
+    (64 x min(N, n_max)) by (min(N, n_max) x samples), and then runs its
+    steps over their in-block lags only.  The site weights are computed
+    block by block inside the transfer, so besides ``omega`` the memory is
+    O((min(N, n_max) + 64) * samples) floats, plus at most 64 * min(N, n_max)
+    for the block Toeplitz of K.
     """
     if mode not in ("free", "conditioned"):
         raise InputError(f"unknown mode {mode!r}")

@@ -61,6 +61,12 @@ def test_heavy_tail_law_construction():
     assert np.max(np.abs(ratios - 1.0)) < 1e-12
 
 
+def test_periodic_law_rejected():
+    with pytest.raises(InputError, match="aperiodic"):
+        RenewalLaw.from_probabilities([0.0, 0.5, 0.0, 0.5])  # support {2, 4}
+    assert RenewalLaw.from_probabilities([0.0, 0.5, 0.5]).n_max == 3  # support {2, 3}
+
+
 def test_heavy_tail_rejects_use_beyond_tail_range():
     law = RenewalLaw.heavy_tail(0.75, 100)
     with pytest.raises(InputError):
@@ -189,7 +195,7 @@ def _one_shot_solve(kernel, n_steps, weights=None):
     w, as it ran before the transfer was streamed in time blocks."""
     rev = np.ascontiguousarray(kernel[:0:-1])
     n_max = rev.size
-    x = np.ones((n_steps + 1,) + np.shape(weights)[:-1])
+    x = np.ones((n_steps + 1,) + np.shape(weights)[:-1], dtype=kernel.dtype)
     if weights is not None:
         x[1:] = weights.T
     for n in range(1, n_steps + 1):
@@ -213,7 +219,21 @@ _STREAM_LAWS = {
     "alpha-100": RenewalLaw.heavy_tail(0.75, 100),
     # the history the kernel reaches is exactly one block
     "n_max-64": RenewalLaw.from_probabilities(np.full(64, 1.0 / 64)),
+    # 64 < n_max < 128: the far history grows through the second block and
+    # is n_max rows long from the third
+    "geometric-96": RenewalLaw.from_probabilities(0.97 ** np.arange(96) * 0.03 / (1 - 0.97**96)),
 }
+
+
+def _assert_matches_one_shot(law, got, ref, context=None):
+    """The blocked transfer sums the far history in another order than the
+    one-shot loop.  With two atoms of mass 1/2 every product is exact and
+    each step sums at most two of them, so there the results are equal;
+    otherwise they agree to a few units of the float64 rounding per step."""
+    if law is LAW_HALF:
+        assert np.array_equal(got, ref), context
+    else:
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0, err_msg=str(context))
 
 
 @pytest.mark.parametrize("disorder", [GAUSSIAN_DISORDER, RADEMACHER_DISORDER],
@@ -227,14 +247,15 @@ def test_blocked_transfer_matches_one_shot(law, disorder):
         for mode in ("conditioned", "free"):
             z = partition_function_batch(law, omega, beta, h, mode, disorder)
             ref = _one_shot_partition_batch(law, omega, beta, h, mode, disorder)
-            assert np.array_equal(z, ref), (n, mode)
+            _assert_matches_one_shot(law, z, ref, (n, mode))
     assert np.array_equal(partition_function_batch(law, np.zeros((3, 0)), 0.5, 0.1, "free"),
                           np.ones(3))
 
 
 def test_renewal_mass_matches_one_shot():
-    for law in _STREAM_LAWS.values():
-        assert np.array_equal(renewal_mass(law, 2000), _one_shot_solve(law.probs, 2000))
+    for name, law in _STREAM_LAWS.items():
+        _assert_matches_one_shot(law, renewal_mass(law, 2000), _one_shot_solve(law.probs, 2000),
+                                 name)
 
 
 @pytest.mark.parametrize("mode", ["conditioned", "free"])
@@ -250,6 +271,19 @@ def test_partition_batch_memory_is_bounded(mode):
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+    # a long kernel: the transfer holds the (64, reach) block Toeplitz and a
+    # buffer of reach + 64 history rows, reach = min(N, n_max) = 2000
+    law = RenewalLaw.heavy_tail(0.75, 20000)
+    omega = np.random.default_rng(2).standard_normal((256, 2000))
+    beta, h = scale_couplings(law, 1.0, 0.4, 2000)
+    tracemalloc.start()
+    try:
+        partition_function_batch(law, omega, beta, h, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    reach, rows = 2000, 256
+    assert peak < 1.5 * (64 * reach + (reach + 64) * rows) * 8
 
 
 def test_sample_pinning_memory_is_bounded():
@@ -462,6 +496,38 @@ def test_second_moment_matches_f_loop(law, n, h_hat, mode):
     beta_n, h_n = scale_couplings(law, 1.0, h_hat, n)
     ref = _second_moment_f_loop(law, n, beta_n, h_n, mode)
     assert second_moment_exact(law, n, beta_n, h_n, mode) == pytest.approx(ref, rel=2e-11)
+
+
+def _second_moment_longdouble(law, n, beta, h, mode):
+    """second_moment_exact's recursions in np.longdouble, one step at a time."""
+    probs = law.probs.astype(np.longdouble)
+    lam = GAUSSIAN_DISORDER.log_mgf
+    gamma = np.longdouble(lam(2 * beta) - 2 * lam(beta))
+    e_h = np.exp(np.longdouble(h))
+    d = _one_shot_solve(e_h * probs, n)
+    big_g = d * d
+    f = -_one_shot_solve(-big_g, n) / e_h**2
+    f[0] = 0.0
+    a = _one_shot_solve(e_h**2 * np.exp(gamma) * f, n)
+    if mode == "conditioned":
+        return a[n] / _one_shot_solve(probs, n)[n] ** 2
+    tail = np.zeros(n + 1, dtype=np.longdouble)
+    tail[: law.n_max + 1] = 1.0 - np.cumsum(probs)
+    t1 = np.convolve(d, tail)[: n + 1]
+    g_free = t1 * t1
+    t_pair = g_free - e_h**2 * np.convolve(f, g_free)[: n + 1]
+    return a @ t_pair[::-1]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("mode", ["conditioned", "free"])
+def test_second_moment_matches_longdouble(mode):
+    for h_hat in (0.0, 0.4):
+        beta_n, h_n = scale_couplings(LAW_HALF, 1.0, h_hat, 2000)
+        ref = _second_moment_longdouble(LAW_HALF, 2000, beta_n, h_n, mode)
+        got = second_moment_exact(LAW_HALF, 2000, beta_n, h_n, mode)
+        assert abs(np.longdouble(got) / ref - 1) < 2e-11, h_hat
 
 
 def test_second_moment_no_disorder_squares_mean():
