@@ -31,6 +31,12 @@ def _floats(text: str, flag: str) -> list[float]:
         raise InputError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
+def _quiet_numerics():
+    """Overflow and invalid-value warnings off for a sample command's draws:
+    ``_write_samples`` reports any sample they leave non-finite as an error."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _write_samples(args, fixed: dict, z: np.ndarray) -> int:
     """One CSV row per sample: the run's ``fixed`` columns, then Z and log Z.
 
@@ -60,8 +66,9 @@ def _cmd_pinning(args) -> int:
         params = {"probs": _floats(args.probs, "--probs")}
     else:
         params = {"law": "alpha", "alpha": args.alpha, "n_max": max(2 * args.N, 4)}
-    z = harness.sample_pinning(harness.pinning_law(params), args.beta_hat, args.h_hat,
-                               args.N, args.samples, args.seed, args.mode)
+    with _quiet_numerics():
+        z = harness.sample_pinning(harness.pinning_law(params), args.beta_hat, args.h_hat,
+                                   args.N, args.samples, args.seed, args.mode)
     return _write_samples(args, {"seed": args.seed, "N": args.N}, z)
 
 
@@ -69,10 +76,11 @@ def _cmd_polymer(args) -> int:
     _check_samples(args, 2)
     law = harness.polymer_law({"alpha": args.alpha, "gamma": args.gamma,
                                "window": args.window})
-    z = harness.sample_polymer(
-        law, args.beta_hat, args.N, args.samples, args.seed, args.mode, args.x,
-        mass_tol=args.mass_tol,
-    )
+    with _quiet_numerics():
+        z = harness.sample_polymer(
+            law, args.beta_hat, args.N, args.samples, args.seed, args.mode, args.x,
+            mass_tol=args.mass_tol,
+        )
     return _write_samples(
         args, {"seed": args.seed, "N": args.N, "mode": args.mode, "x": args.x}, z)
 
@@ -83,7 +91,8 @@ def _cmd_ising(args) -> int:
     profiles = ising.FieldProfiles(
         args.lambda_hat_const, args.h_hat_const, domain, args.delta
     )
-    z = harness.sample_ising(profiles, args.samples, args.seed)
+    with _quiet_numerics():
+        z = harness.sample_ising(profiles, args.samples, args.seed)
     return _write_samples(args, {"seed": args.seed, "delta": args.delta}, z)
 
 

@@ -331,15 +331,16 @@ def sample_pinning(
 _FIELD_BLOCK_CELLS = 1 << 20  # disorder values per time block of a sample group
 
 
-def _field_blocks(rngs, n_steps: int, width: int, disorder: Atoms | StdGaussian):
+def _field_blocks(rngs, n_steps: int, cols: int, disorder: Atoms | StdGaussian):
     """Fields of one sample group, one Generator each, as time blocks of
-    shape (steps, samples, width) drawn into one reused buffer."""
-    steps = max(1, _FIELD_BLOCK_CELLS // (len(rngs) * width))
-    buf = np.empty((min(steps, n_steps), len(rngs), width))
+    shape (steps, samples, cols) drawn into one reused buffer: ``cols``
+    values a step, one for each site of the walk's sublattice in the window."""
+    steps = max(1, _FIELD_BLOCK_CELLS // (len(rngs) * cols))
+    buf = np.empty((min(steps, n_steps), len(rngs), cols))
     for n0 in range(0, n_steps, steps):
         c = min(steps, n_steps - n0)
         for i, rng in enumerate(rngs):
-            buf[:c, i] = disorder.sample(rng, (c, width))
+            buf[:c, i] = disorder.sample(rng, (c, cols))
         yield buf[:c]
 
 
@@ -358,7 +359,10 @@ def sample_polymer(
     field over the reachable sites within 6.5 N^{1/alpha} walk spreads of
     the origin.
 
-    Sample i draws its field from the i-th Generator spawned from
+    A walk of period p and residue r visits at step n only the sites
+    k = r n (mod p), so a field holds values only there: ceil(width / p)
+    a step, of which a step whose sublattice has one site fewer leaves the
+    last unused. Sample i draws its field from the i-th Generator spawned from
     ``SeedSequence(seed)``. Groups of samples go through one batched
     transfer loop, each group drawing its fields in time blocks of at most
     _FIELD_BLOCK_CELLS values into one reused buffer, so no sample's whole
@@ -372,19 +376,20 @@ def sample_polymer(
     half = polymer._half_width(law, n_steps, 1)
     lo, hi = polymer.reachable_window(law, n_steps)
     k_lo, k_hi = max(lo, -half), min(hi, half)
+    p, r = law.period, law.residue
     y = None
     if mode != "free":
         scale = n_steps ** (1.0 / law.alpha)
         y = int(round(x * scale))
-        p, r = law.period, law.residue
         y -= (y - r * n_steps) % p
     width = k_hi - k_lo + 1
-    group = max(1, math.isqrt(_FIELD_BLOCK_CELLS // width))
+    cols = -(-width // p)
+    group = max(1, math.isqrt(_FIELD_BLOCK_CELLS // cols))
     streams = np.random.SeedSequence(seed).spawn(n_samples)
     out = np.empty(n_samples)
     for s0 in range(0, n_samples, group):
         rngs = [np.random.default_rng(ss) for ss in streams[s0 : s0 + group]]
-        fields = _field_blocks(rngs, n_steps, width, disorder)
+        fields = _field_blocks(rngs, n_steps, cols, disorder)
         out[s0 : s0 + len(rngs)] = polymer._partition_batch(
             law, k_lo, len(rngs), width, fields, beta_n, mode, y, disorder, mass_tol
         )

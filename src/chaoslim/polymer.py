@@ -108,8 +108,7 @@ class WalkLaw:
 
     @property
     def period(self) -> int:
-        diffs = np.diff(self.offsets)
-        return int(math.gcd(*[int(d) for d in diffs]))
+        return int(np.gcd.reduce(np.diff(self.offsets)))
 
     @property
     def residue(self) -> int:
@@ -401,9 +400,13 @@ def _partition_batch(
     """Partition functions of ``rows`` disorder fields on the spatial window
     [k_lo, k_lo + width).
 
-    ``blocks`` yields consecutive time blocks of the fields as arrays of
-    shape (steps, rows, width): entry [j, r, x] is omega(n, k_lo + x) of
-    field r at the block's j-th step. Each block is overwritten with the
+    A law of period p and residue r reaches at step n only the sites
+    k = r n (mod p), so a field holds values only there. ``blocks`` yields
+    consecutive time blocks of the fields as arrays of shape
+    (steps, rows, ceil(width / p)): at the block's j-th step, step n,
+    entry [j, s, i] is omega(n, k_lo + off_n + i p) of field s, where
+    off_n = (r n - k_lo) mod p. A step whose sublattice has one site fewer
+    leaves its last entry unused. Each block is overwritten with the
     weights e^{beta omega - Lambda(beta)}, so a caller may hand the same
     buffer back for the next block.
 
@@ -412,7 +415,9 @@ def _partition_batch(
     end in one flat array, each followed by a gap of zeros as wide as the
     longest jump, so one np.convolve a step moves every row and no row
     reaches into the next; mass a step pushes past either edge of the window lands in a gap
-    and is dropped. That walk probability mass is measured once, on a
+    and is dropped. After the convolve every site off the step's sublattice
+    holds exactly 0, so only the sublattice sites are weighted. The
+    dropped walk probability mass is measured once, on a
     unit-weight row carried through the same loop, against the mass
     (sum p)^n the walk carries without a window; the call aborts if the
     loss exceeds ``mass_tol``. Returns one partition function per row, in
@@ -429,18 +434,20 @@ def _partition_batch(
     stride = width + max(-inc.lo, inc.lo + inc.probs.size - 1)  # a row and its gap
     flat = np.zeros((rows + 1) * stride)  # row `rows` is the bare walk
     flat[-k_lo::stride] = 1.0
+    p, res = law.period, law.residue
     n_steps = 0
     for block in blocks:
         block *= beta
         block -= lam
         np.exp(block, out=block)
         for w in block:
+            n_steps += 1
             # entry k of row r lands at flat index r * stride + k - inc.lo
             flat = np.convolve(flat, inc.probs)[-inc.lo : -inc.lo + flat.size]
             z = flat.reshape(rows + 1, stride)
             z[:, width:] = 0.0
-            z[:rows, :width] *= w
-        n_steps += block.shape[0]
+            sites = z[:rows, (res * n_steps - k_lo) % p : width : p]
+            sites *= w[:, : sites.shape[1]]
     z = flat.reshape(rows + 1, stride)[:, :width]
     lost = float(inc.probs.sum()) ** n_steps - float(z[rows].sum())
     if lost > mass_tol:
@@ -477,10 +484,17 @@ def polymer_partition(
     Walk probability mass driven outside the field's spatial window is
     dropped and measured; the run aborts if it exceeds ``mass_tol``. This is
     the one-row call of the batched transfer loop that ``sample_polymer``
-    runs over groups of samples.
+    runs over groups of samples: it gathers the field's values on the
+    walk's sublattice, the only sites the recursion reads.
     """
-    block = omega.values[:, None, :].copy()
-    return float(_partition_batch(law, omega.k_lo, 1, block.shape[2], [block], beta,
+    p, res = law.period, law.residue
+    n_steps, width = omega.values.shape
+    cols = -(-width // p)
+    padded = np.zeros((n_steps, cols * p))
+    padded[:, :width] = omega.values
+    offs = (res * np.arange(1, n_steps + 1) - omega.k_lo) % p
+    block = np.take_along_axis(padded, offs[:, None] + p * np.arange(cols), axis=1)
+    return float(_partition_batch(law, omega.k_lo, 1, width, [block[:, None, :]], beta,
                                   mode, y, disorder, mass_tol)[0])
 
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +410,20 @@ def test_cli_underflowed_samples_exit_code(tmp_path, capsys, argv):
     code = cli.main(argv + ["--out", str(tmp_path / "z.csv")])
     assert code == 2
     assert "error: " in capsys.readouterr().err
+
+
+def test_cli_overflowing_samples_print_only_the_error_line(tmp_path):
+    # the transfer overflows to inf and then nan; numpy's RuntimeWarnings,
+    # which pytest would capture in-process, must not reach stderr
+    argv = ["pinning", "--N", "4000", "--beta-hat", "80", "--h-hat", "30000",
+            "--seed", "0", "--out", str(tmp_path / "z.csv")]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-m", "chaoslim.cli", *argv],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert not (tmp_path / "z.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -28,6 +28,7 @@ from chaoslim.polymer import (
 
 SIMPLE = WalkLaw.simple_symmetric()
 LAZY = WalkLaw.from_pmf([-2, -1, 0, 1, 2], [0.1, 0.2, 0.4, 0.2, 0.1])
+THREE = WalkLaw.from_pmf([-2, 1], [1 / 3, 2 / 3])  # period 3, residue 1
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +56,15 @@ def test_period_detection():
     assert LAZY.period == 1
     three = WalkLaw.from_pmf([-3, 3], [0.5, 0.5])
     assert three.period == 6 and three.residue == 3
+
+
+@pytest.mark.parametrize("law,period,residue", [
+    (SIMPLE, 2, 1), (LAZY, 1, 0), (WalkLaw.heavy_tail(1.5, 0.0, 2000), 1, 0), (THREE, 3, 1),
+], ids=["simple", "lazy", "heavy", "three"])
+def test_period_and_residue_match_the_pairwise_gcd(law, period, residue):
+    gcd = math.gcd(*(int(d) for d in np.diff(law.offsets)))
+    assert (law.period, law.residue) == (gcd, int(law.offsets[0]) % gcd) == (period, residue)
+    assert type(law.period) is int and type(law.residue) is int
 
 
 def test_walk_law_validation():
@@ -413,20 +423,44 @@ def _reference_z(law, field, beta, disorder=GAUSSIAN_DISORDER):
     return z
 
 
+def _off_lattice(law, n_steps, k_lo, width):
+    """Mask of the (step, site) cells of a field that no walk path visits:
+    cell [n - 1, x] is site k_lo + x at step n, which the walk reaches only
+    if k_lo + x = r n (mod p)."""
+    n = np.arange(1, n_steps + 1)[:, None]
+    k = k_lo + np.arange(width)
+    return (k - law.residue * n) % law.period != 0
+
+
+def _embed(law, values, k_lo, width, junk):
+    """Full (n_steps, width) field with values[n - 1, i] on the i-th site of
+    step n's sublattice in the window and ``junk`` on every other cell."""
+    field = junk.copy()
+    on = ~_off_lattice(law, values.shape[0], k_lo, width)
+    for row, vals, mask in zip(field, values, on):
+        row[mask] = vals[: mask.sum()]
+    return field
+
+
 def _reference_samples(law, beta_hat, n_steps, n_samples, seed, mode, x, disorder):
-    """harness.sample_polymer as a loop over samples, each with its whole
-    (n_steps, width) field drawn at once."""
+    """harness.sample_polymer as a loop over samples, each drawing all its
+    sublattice values, ceil(width / p) a step, at once and running the
+    per-sample loop on them embedded in a field whose other cells hold
+    non-zero junk."""
     beta = scale_beta(law.alpha, beta_hat, n_steps)
     spread = math.sqrt(law.sigma2) if law.alpha == 2.0 else law.c_tail ** (1.0 / law.alpha)
     half = int(math.ceil(6.5 * n_steps ** (1.0 / law.alpha) * spread))
     lo, hi = polymer.reachable_window(law, n_steps)
     k_lo, k_hi = max(lo, -half), min(hi, half)
+    width = k_hi - k_lo + 1
     y = int(round(x * n_steps ** (1.0 / law.alpha)))
     y -= (y - law.residue * n_steps) % law.period
+    junk = np.random.default_rng(seed + 1).uniform(1.0, 2.0, (n_steps, width))
     out = []
     for ss in np.random.SeedSequence(seed).spawn(n_samples):
         rng = np.random.default_rng(ss)
-        field = SpaceTimeField(disorder.sample(rng, (n_steps, k_hi - k_lo + 1)), k_lo)
+        values = disorder.sample(rng, (n_steps, -(-width // law.period)))
+        field = SpaceTimeField(_embed(law, values, k_lo, width, junk), k_lo)
         z = _reference_z(law, field, beta, disorder)
         if mode == "free":
             out.append(float(z.sum()))
@@ -444,12 +478,53 @@ MODES = [("free", 0.0), ("point2point", 0.3), ("conditioned", -0.2)]
                          ids=["gaussian", "rademacher"])
 @pytest.mark.parametrize("mode,x", MODES, ids=[m for m, _ in MODES])
 def test_sample_polymer_bit_identical_to_per_sample_loop(monkeypatch, mode, x, disorder):
-    # 786 cells a block on the 131-site window (half-width 65 at N = 100,
-    # narrower than the reachable range) give groups of 2 samples and 3-step
-    # blocks, and 6-step blocks for the last sample, so both splits are crossed
-    monkeypatch.setattr(harness, "_FIELD_BLOCK_CELLS", 786)
+    # the 131-site window (half-width 65 at N = 100, narrower than the
+    # reachable range) holds ceil(131 / 2) = 66 sublattice values a step;
+    # 396 = 6 * 66 values a block give groups of isqrt(6) = 2 samples and
+    # 3-step blocks, and 6-step blocks for the last sample, so both splits
+    # are crossed
+    monkeypatch.setattr(harness, "_FIELD_BLOCK_CELLS", 396)
     z = harness.sample_polymer(SIMPLE, 0.7, 100, 5, 3, mode, x, disorder)
     assert np.array_equal(z, _reference_samples(SIMPLE, 0.7, 100, 5, 3, mode, x, disorder))
+
+
+@pytest.mark.parametrize("mode,x", MODES, ids=[m for m, _ in MODES])
+def test_sample_polymer_period_three_matches_per_sample_loop(monkeypatch, mode, x):
+    # the 100-site window [-59, 40] at N = 40 holds ceil(100 / 3) = 34 values a
+    # step; 306 = 9 * 34 values a block give groups of 3 samples and 3-step
+    # blocks, and 9-step blocks for the last sample
+    monkeypatch.setattr(harness, "_FIELD_BLOCK_CELLS", 306)
+    z = harness.sample_polymer(THREE, 0.7, 40, 4, 5, mode, x)
+    ref = _reference_samples(THREE, 0.7, 40, 4, 5, mode, x, GAUSSIAN_DISORDER)
+    assert np.array_equal(z, ref)
+
+
+@pytest.mark.parametrize("mode", ["free", "point2point", "conditioned"])
+@pytest.mark.parametrize("law,n_steps,k_lo,width", [
+    (SIMPLE, 9, -6, 12), (SIMPLE, 9, -6, 13), (SIMPLE, 8, 0, 1),
+    (THREE, 9, -12, 18), (THREE, 9, -12, 20), (THREE, 9, -18, 28), (THREE, 8, -1, 2),
+], ids=["simple-12", "simple-13", "simple-1", "three-18", "three-20", "three-28", "three-2"])
+def test_partition_reads_only_the_walk_sublattice(law, n_steps, k_lo, width, mode):
+    rng = np.random.default_rng(31)
+    values = rng.standard_normal((n_steps, width))
+    # a target site on the step-N sublattice, the one nearest the origin
+    y = min((k for k in range(k_lo, k_lo + width) if (k - law.residue * n_steps) % law.period == 0),
+            key=abs)
+    z = polymer_partition(law, SpaceTimeField(values.copy(), k_lo), 0.6, mode, y,
+                          mass_tol=1.0)
+    off = _off_lattice(law, n_steps, k_lo, width)
+    values[off] = rng.uniform(3.0, 4.0, off.sum())
+    assert polymer_partition(law, SpaceTimeField(values, k_lo), 0.6, mode, y,
+                             mass_tol=1.0) == z
+
+
+def test_partition_period_three_matches_path_enumeration():
+    n = 6
+    lo, hi = polymer.reachable_window(THREE, n)
+    field = SpaceTimeField(np.random.default_rng(8).standard_normal((n, hi - lo + 1)), lo)
+    for mode, y in [("free", None), ("point2point", 3), ("conditioned", 0)]:
+        assert polymer_partition(THREE, field, 0.6, mode, y) == pytest.approx(
+            _brute_partition(THREE, field, 0.6, mode, y), rel=1e-12)
 
 
 @pytest.mark.parametrize("mode,x", MODES, ids=[m for m, _ in MODES])
