@@ -130,9 +130,8 @@ class StdGaussian:
         return rng.standard_normal(size)
 
 
-# the disorder laws of every model; each Lambda(t) is its log_mgf
+# the default disorder law of every model; a law's Lambda(t) is its log_mgf
 GAUSSIAN_DISORDER = StdGaussian()
-RADEMACHER_DISORDER = RADEMACHER
 
 
 def overlap_weight(beta: float, disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER) -> float:

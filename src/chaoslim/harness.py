@@ -549,34 +549,43 @@ def pinning_alpha_reference(
     n_samples: int = 10_000,
     seed: int = 0,
 ) -> np.ndarray:
-    """Reference sample of the conditioned alpha-regime chaos limit, built by
-    evaluating the gap-product kernels at cell centers on a time grid.
+    """Reference sample of the conditioned alpha-regime chaos limit on a grid of
+    ``cells`` cell centers t in (0, 1).
 
-    Center evaluation underestimates the mass of the gap singularities, so
-    with coarse grids the reference is systematically light in the tails
-    (about 10% of the variance at 32 cells for alpha = 3/4); it serves as a
-    qualitative target, not a calibrated one.
+    The degree-k kernel c_alpha^k prod_{i=1}^{k+1} (t_i - t_{i-1})^{alpha-1},
+    with t_0 = 0 and t_{k+1} = 1, is a renewal product, so the series over
+    increasing center tuples is one transfer recursion on each field W:
+    A_1 = W t^{alpha-1} and A_k = W (A_{k-1} @ K), where
+    K[c', c] = (t_c - t_c')^{alpha-1} for c' < c and 0 otherwise, and
+    Z = 1 + sum_{k <= k_max} (beta_hat c_alpha)^k A_k . (1 - t)^{alpha-1}.
+    The same recursion on K*K with the cell volume gives the exact grid
+    variance of each degree, on which L2 summability is checked.  Center
+    evaluation misses part of the mass of the gap singularities: at 32 cells,
+    k_max 3 and alpha = 3/4 the grid variance is 0.923 of the continuum value.
     """
-    ca = pinning.c_alpha(alpha)
-
-    def gap_kernel(k):
-        def f(*args):
-            pts = np.sort(np.stack(args, axis=-1), axis=-1)
-            pad_lo = np.zeros(pts.shape[:-1] + (1,))
-            pad_hi = np.ones(pts.shape[:-1] + (1,))
-            gaps = np.diff(np.concatenate([pad_lo, pts, pad_hi], axis=-1), axis=-1)
-            vals = ca**k * np.prod(np.maximum(gaps, 1e-300) ** (alpha - 1.0), axis=-1)
-            coincident = np.any(np.diff(pts, axis=-1) == 0.0, axis=-1)
-            return np.where(coincident, 0.0, vals)
-
-        return f
-
-    kernels = [1.0] + [gap_kernel(k) for k in range(1, k_max + 1)]
+    if beta_hat <= 0 or k_max < 0:
+        raise InputError("beta_hat must be positive and k_max >= 0")
     tess = wiener.Tessellation.unit_interval(cells)
-    spec = wiener.ChaosSeriesSpec(sigma0=beta_hat, mu0=None, k_max=k_max,
-                                  kernels=kernels)
+    t = tess.centers()[:, 0]
+    gaps = t - t[:, None]
+    kern = np.zeros_like(gaps)
+    ahead = gaps > 0
+    kern[ahead] = gaps[ahead] ** (alpha - 1.0)
+    head, tail = t ** (alpha - 1.0), (1.0 - t) ** (alpha - 1.0)
+    rho = beta_hat * pinning.c_alpha(alpha)
+    terms, b = [1.0], tess.cell_volume * head**2
+    for k in range(1, k_max + 1):
+        if k > 1:
+            b = tess.cell_volume * (b @ kern**2)
+        terms.append(rho ** (2 * k) * float(b @ tail**2))
+    wiener.check_decay(terms)
     fields = wiener.sample_noise_batch(tess, seed, n_samples)
-    return wiener.chaos_series_eval_batch(spec, tess, fields)
+    z, a = np.ones(n_samples), fields * head
+    for k in range(1, k_max + 1):
+        if k > 1:
+            a = fields * (a @ kern)
+        z += rho**k * (a @ tail)
+    return z
 
 
 def _flat_kernel(n: int) -> chaos.Kernel:

@@ -1,4 +1,4 @@
-"""Discretized white noise and Wiener-chaos series evaluation.
+"""Discretized white noise, factorized Wiener-chaos series and exact weights.
 
 White noise on a box in R^d is discretized on a uniform tessellation: the
 cell values are i.i.d. centered Gaussians with variance equal to the cell
@@ -6,27 +6,26 @@ volume, drawn from a counter-based generator so that the field is a pure
 function of (seed, cell index).  A field is a row of ``sample_noise_batch``,
 and every evaluation below takes a matrix of such rows.
 
-Multiple stochastic integrals sum the kernel over ordered tuples of
-*pairwise distinct* cells (off-diagonal), which is what makes the Ito
-isometry  Cov(W^k(f), W^l(g)) = k! 1_{k=l} <f,g>  hold exactly on the grid
-(with the off-diagonal grid inner product).  Chaos series with a bias
-mu0(y) dy integrate the deterministic coordinates by midpoint quadrature per
-cell and regroup in degree-ascending order; the L2 summability of the
-regrouped series makes the value order-independent in the limit.
+A factorized chaos series has the constant degree-k kernel
+``factor_coefs(k)``.  Its degree-k multiple integral sums over ordered
+k-tuples of *pairwise distinct* cells (off-diagonal, so the Ito isometry
+holds exactly on the grid), which is k! times the elementary symmetric
+polynomial e_k of the cell values.  A bias mu0(y) dy integrates the
+deterministic coordinates by midpoint quadrature per cell, and the regrouped
+series is summed in degree-ascending order after an L2 summability check.
+The Cameron-Martin weight and the exact moments of the factorized limit
+complete the module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InputError, PreconditionError, ResourceError
-
-_DENSE_CAP = 4_000_000
+from .errors import DomainError, InputError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -105,70 +104,6 @@ def _eval_on_centers(f, tess: Tessellation) -> np.ndarray:
     return np.asarray([float(f(*c)) for c in centers])
 
 
-def _dense_kernel(f, tess: Tessellation, k: int) -> np.ndarray:
-    if isinstance(f, np.ndarray):
-        if f.shape != (tess.n_cells,) * k:
-            raise InputError(f"gridded degree-{k} kernel has wrong shape")
-        return f.astype(float)
-    if tess.n_cells**k > _DENSE_CAP:
-        raise ResourceError(
-            f"dense degree-{k} kernel on {tess.n_cells} cells exceeds the size cap"
-        )
-    centers = tess.centers()
-    grids = np.meshgrid(*(np.arange(tess.n_cells),) * k, indexing="ij")
-    flat = [centers[g.ravel()] for g in grids]
-    if tess.dimension == 1:
-        args = [x[:, 0] for x in flat]
-    else:
-        args = flat
-    vals = np.asarray(f(*args), dtype=float)
-    return vals.reshape((tess.n_cells,) * k)
-
-
-def _check_symmetric(arr: np.ndarray, k: int) -> None:
-    scale = float(np.max(np.abs(arr))) or 1.0
-    for perm in list(permutations(range(k)))[1 : min(6, math.factorial(k))]:
-        if np.max(np.abs(arr - arr.transpose(perm))) > 1e-9 * scale:
-            raise InputError("kernel is not symmetric under argument permutation")
-
-
-def _distinct_mask(n: int, k: int) -> np.ndarray:
-    grids = np.meshgrid(*(np.arange(n),) * k, indexing="ij")
-    mask = np.ones((n,) * k, dtype=bool)
-    for a in range(k):
-        for b in range(a + 1, k):
-            mask &= grids[a] != grids[b]
-    return mask
-
-
-def _off_diagonal_sums(g: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    """Per row w of ``fields``: the sum of g(c_1..c_j) w_{c_1} ... w_{c_j} over
-    ordered j-tuples of pairwise distinct cells, j = g.ndim >= 2."""
-    gm = g * _distinct_mask(g.shape[0], g.ndim)
-    out = np.empty(fields.shape[0])
-    for s, w in enumerate(fields):
-        outer = w
-        for _ in range(g.ndim - 1):
-            outer = np.multiply.outer(outer, w)
-        out[s] = np.sum(gm * outer)
-    return out
-
-
-def multiple_integral(f, tess: Tessellation, fields: np.ndarray, k: int) -> np.ndarray:
-    """Off-diagonal multiple integral of each row of ``fields``: the sum over
-    ordered k-tuples of distinct cells of f * prod of cell values.  k = 0
-    gives the constant f, k = 1 the plain integral W(f)."""
-    if k < 0:
-        raise InputError("k must be >= 0")
-    if k == 0:
-        return np.full(fields.shape[0], float(f))
-    if k == 1:
-        return fields @ _eval_on_centers(f, tess)
-    arr = _dense_kernel(f, tess, k)
-    _check_symmetric(arr, k)
-    return _off_diagonal_sums(arr, fields)
-
-
 def elementary_symmetric(vals: np.ndarray, k_max: int) -> np.ndarray:
     """e_0..e_k_max of the entries of ``vals`` (last axis), Newton identities.
 
@@ -198,27 +133,21 @@ def elementary_symmetric(vals: np.ndarray, k_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChaosSeriesSpec:
-    """Specification of a (possibly biased) chaos series.
-
-    Either ``factor_coefs`` is given -- the degree-k kernel is the constant
-    ``factor_coefs(k)`` for every k <= k_max -- or ``kernels`` lists general
-    symmetric callables/arrays f_0..f_K.
+    """Specification of a (possibly biased) factorized chaos series: the
+    degree-k kernel is the constant ``factor_coefs(k)`` for every k <= k_max.
 
     ``sigma0`` multiplies the noise; ``mu0`` (callable, constant or None)
     is the bias density integrated as mu0(y) dy.
     """
 
     sigma0: float
+    factor_coefs: Callable[[int], float]
     mu0: object = None
     k_max: int = 8
-    factor_coefs: Callable[[int], float] | None = None
-    kernels: Sequence | None = None
 
     def __post_init__(self):
         if self.sigma0 <= 0:
             raise InputError("sigma0 must be positive")
-        if (self.factor_coefs is None) == (self.kernels is None):
-            raise InputError("specify exactly one of factor_coefs or kernels")
         if self.k_max < 0:
             raise InputError("k_max must be >= 0")
 
@@ -233,15 +162,7 @@ class ChaosSeriesSpec:
 
     def degree_norm2(self, tess: Tessellation, k: int) -> float:
         """||f_k||^2 on the grid (piecewise-constant extension)."""
-        v = tess.cell_volume
-        if self.factor_coefs is not None:
-            return self.coef(k) ** 2 * float(tess.n_cells * v) ** k
-        if k >= len(self.kernels):
-            return 0.0
-        if k == 0:
-            return float(self.kernels[0]) ** 2
-        arr = _dense_kernel(self.kernels[k], tess, k)
-        return float(np.sum(arr**2)) * v**k
+        return self.coef(k) ** 2 * float(tess.n_cells * tess.cell_volume) ** k
 
     def series_terms(self, tess: Tessellation, eps: float = 0.5) -> np.ndarray:
         """t_k = (1+eps)^k sigma0^{2k} ||f_k||^2 / k! for k = 0..k_max."""
@@ -266,13 +187,17 @@ class ChaosSeriesSpec:
         return float(t[-1] * r / (1.0 - r)) if r < 1.0 else math.inf
 
     def check_l2(self, tess: Tessellation) -> None:
-        eps = 0.5 if self.biased else 0.0
-        t = self.series_terms(tess, eps=eps)
-        if self.k_max >= 2 and t[-1] > t[-2] >= t[-3] and t[-1] > 0:
-            raise PreconditionError(
-                "chaos series terms are not decaying by k_max; "
-                "the L2 summability condition fails"
-            )
+        check_decay(self.series_terms(tess, eps=0.5 if self.biased else 0.0))
+
+
+def check_decay(t) -> None:
+    """Raise unless the chaos series terms t_0..t_k_max decay by k_max, the
+    grid form of the L2 summability condition."""
+    if len(t) >= 3 and t[-1] > t[-2] >= t[-3] and t[-1] > 0:
+        raise PreconditionError(
+            "chaos series terms are not decaying by k_max; "
+            "the L2 summability condition fails"
+        )
 
 
 def chaos_series_eval_batch(
@@ -285,47 +210,21 @@ def chaos_series_eval_batch(
     and the regrouped series is summed in degree-ascending order.
     """
     spec.check_l2(tess)
-    v = tess.cell_volume
-    mu = None
+    m = 0.0
     if spec.biased:
-        mu = _eval_on_centers(spec.mu0, tess)
-    if spec.factor_coefs is not None:
-        e = elementary_symmetric(fields, spec.k_max)
         # ones @ mu, not mu.sum(): the two round differently, and outputs keep their bits
-        m = float(np.ones(tess.n_cells) @ mu * v) if mu is not None else 0.0
-        out = np.zeros(fields.shape[0])
-        for k in range(spec.k_max + 1):
-            coef = spec.coef(k)
-            if coef == 0.0:
-                continue
-            term = np.zeros(fields.shape[0])
-            for j in range(k + 1):
-                term += (
-                    spec.sigma0**j
-                    * e[:, j]
-                    * m ** (k - j)
-                    / math.factorial(k - j)
-                )
-            out += coef * term
-        return out
-    # general kernel list: contract deterministic coordinates with mu(y) v per
-    # cell (diagonals with stochastic coordinates are Lebesgue-null in the
-    # continuum, so the contraction runs over all cells), then take
-    # off-diagonal stochastic sums; by symmetry the k-choose-j coordinate
-    # subsets of one size contribute identically.
+        mu = _eval_on_centers(spec.mu0, tess)
+        m = float(np.ones(tess.n_cells) @ mu * tess.cell_volume)
+    e = elementary_symmetric(fields, spec.k_max)
     out = np.zeros(fields.shape[0])
-    muv = mu * v if mu is not None else None
-    top = min(spec.k_max, len(spec.kernels) - 1)
-    for k in range(top + 1):
-        arr = spec.kernels[0] if k == 0 else _dense_kernel(spec.kernels[k], tess, k)
-        for j in range(k, -1, -1):
-            if j < k and muv is None:
-                break
-            g = arr
-            for _ in range(k - j):
-                g = g @ muv
-            stoch = multiple_integral(g, tess, fields, j)
-            out += (math.comb(k, j) * spec.sigma0**j / math.factorial(k)) * stoch
+    for k in range(spec.k_max + 1):
+        coef = spec.coef(k)
+        if coef == 0.0:
+            continue
+        term = np.zeros(fields.shape[0])
+        for j in range(k + 1):
+            term += spec.sigma0**j * e[:, j] * m ** (k - j) / math.factorial(k - j)
+        out += coef * term
     return out
 
 

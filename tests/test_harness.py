@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from chaoslim import cli, dists, harness
+from chaoslim import cli, dists, harness, pinning
 from chaoslim.errors import InputError
 from chaoslim.harness import (
     ComparisonReport,
@@ -600,11 +600,23 @@ def test_cli_run_lindeberg_config(tmp_path):
 
 
 def test_pinning_alpha_reference_sampler_sanity():
-    ref = harness.pinning_alpha_reference(0.75, 1.0, cells=32, k_max=3,
+    alpha, beta_hat, cells, k_max = 0.75, 1.0, 32, 3
+    ref = harness.pinning_alpha_reference(alpha, beta_hat, cells=cells, k_max=k_max,
                                           n_samples=20_000, seed=7)
-    from chaoslim.pinning import continuum_second_moment
-
-    target_var = continuum_second_moment("alpha", 1.0, 0.0, 1.0, alpha=0.75) - 1.0
+    # the grid's exact variance: the reference's renewal recursion on K*K with the cell volume
+    t = (np.arange(cells) + 0.5) / cells
+    gaps = t - t[:, None]
+    kern2 = np.zeros_like(gaps)
+    kern2[gaps > 0] = gaps[gaps > 0] ** (2 * (alpha - 1.0))
+    rho2 = (beta_hat * pinning.c_alpha(alpha)) ** 2
+    b, exact_var = t ** (2 * (alpha - 1.0)) / cells, 0.0
+    for k in range(1, k_max + 1):
+        exact_var += rho2**k * float(b @ (1.0 - t) ** (2 * (alpha - 1.0)))
+        b = (b @ kern2) / cells
+    target_var = pinning.continuum_second_moment("alpha", beta_hat, 0.0, 1.0, alpha=alpha) - 1.0
+    assert exact_var == pytest.approx(0.08753, abs=1e-5)
+    assert exact_var / target_var == pytest.approx(0.923, abs=5e-4)
     assert abs(float(ref.mean()) - 1.0) < 0.01
-    # center-evaluated singular kernels are systematically light, never heavy
-    assert 0.5 * target_var < float(ref.var(ddof=1)) < 1.05 * target_var
+    dev2 = (ref - ref.mean()) ** 2
+    se = float(dev2.std(ddof=1) / math.sqrt(ref.size))
+    assert abs(float(ref.var(ddof=1)) - exact_var) <= 4 * se

@@ -1,6 +1,7 @@
 """Import hygiene: no module of the package or the tests imports a name it
-never uses, no private helper of the package is left without a reader, and
-importing chaoslim loads no heavy scipy subpackage."""
+never uses, no private helper of the package is left without a reader, no
+public name beyond a shrinking list is read by tests alone, and importing
+chaoslim loads no heavy scipy subpackage."""
 
 import ast
 import os
@@ -51,8 +52,9 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
-def private_definitions(source: str) -> list[tuple[int, str]]:
-    """(line, name) of every module-level ``_name`` that ``source`` defines."""
+def definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every function, class and variable that ``source``
+    defines at module level."""
     found = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -60,7 +62,12 @@ def private_definitions(source: str) -> list[tuple[int, str]]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
-    return [(line, name) for line, name in found
+    return found
+
+
+def private_definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every module-level ``_name`` that ``source`` defines."""
+    return [(line, name) for line, name in definitions(source)
             if name.startswith("_") and not name.startswith("__")]
 
 
@@ -95,6 +102,43 @@ def test_no_orphaned_private_names():
                for line, name in private_definitions(path.read_text(encoding="utf-8"))
                if name not in read]
     assert not orphans, "private names nothing reads:\n" + "\n".join(orphans)
+
+
+# Public names that only tests other than the acceptance tests read.  Each
+# must come to feed a study, move into tests/ as an oracle, or be deleted,
+# and then leave this list: the list only shrinks.
+TEST_ONLY_PUBLIC_NAMES = frozenset({
+    "chaos.influence",
+    "chaos.shift_kernel",
+    "chaos.lindeberg_bound_mean",
+    "chaos.save_kernel",
+    "chaos.load_kernel",
+    "harness.pinning_alpha_reference",
+    "ising.correlation_bound_constant",
+    "pinning.discrete_kernel",
+    "pinning.continuum_kernel",
+    "polymer.polymer_kernel_discrete",
+    "polymer.polymer_kernel_continuum",
+    "simplex.liouville_simplex_log",
+    "tilting.tilt_family",
+    "wiener.factorized_moment",
+})
+
+
+def test_public_names_have_readers_outside_tests():
+    package = sorted((ROOT / "src" / "chaoslim").glob("*.py"))
+    readers = [*package, *(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    read = set().union(*(references(path.read_text(encoding="utf-8")) for path in readers))
+    unread = {f"{path.stem}.{name}"
+              for path in package
+              for _, name in definitions(path.read_text(encoding="utf-8"))
+              if not name.startswith("_") and name not in read}
+    assert not unread - TEST_ONLY_PUBLIC_NAMES, (
+        "public names no module, benchmark or acceptance test reads: "
+        f"{sorted(unread - TEST_ONLY_PUBLIC_NAMES)}")
+    assert not TEST_ONLY_PUBLIC_NAMES - unread, (
+        "listed names that now have a reader or are gone; drop them from the list: "
+        f"{sorted(TEST_ONLY_PUBLIC_NAMES - unread)}")
 
 
 def test_import_loads_no_heavy_scipy_subpackage():

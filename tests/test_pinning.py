@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from chaoslim import harness, pinning
 from chaoslim.chaos import eval_multilinear
-from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER_DISORDER, StdGaussian
+from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER, StdGaussian
 from chaoslim.errors import ConditioningError, DomainError, InputError, ResourceError
 from chaoslim.pinning import (
     RenewalLaw,
@@ -184,8 +184,8 @@ def test_martingale_normalization_exact():
     total_f = 0.0
     for bits in itertools.product([-1.0, 1.0], repeat=n):
         om = np.array(bits)
-        total_c += partition_function(LAW_HALF, om, 0.4, 0.0, "conditioned", RADEMACHER_DISORDER)
-        total_f += partition_function(LAW_HALF, om, 0.4, 0.0, "free", RADEMACHER_DISORDER)
+        total_c += partition_function(LAW_HALF, om, 0.4, 0.0, "conditioned", RADEMACHER)
+        total_f += partition_function(LAW_HALF, om, 0.4, 0.0, "free", RADEMACHER)
     assert total_c / 2**n == pytest.approx(1.0, abs=1e-12)
     assert total_f / 2**n == pytest.approx(1.0, abs=1e-12)
 
@@ -236,7 +236,7 @@ def _assert_matches_one_shot(law, got, ref, context=None):
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0, err_msg=str(context))
 
 
-@pytest.mark.parametrize("disorder", [GAUSSIAN_DISORDER, RADEMACHER_DISORDER],
+@pytest.mark.parametrize("disorder", [GAUSSIAN_DISORDER, RADEMACHER],
                          ids=["gaussian", "rademacher"])
 @pytest.mark.parametrize("law", _STREAM_LAWS.values(), ids=_STREAM_LAWS.keys())
 def test_blocked_transfer_matches_one_shot(law, disorder):

@@ -9,7 +9,7 @@ import pytest
 
 from chaoslim import harness, polymer
 from chaoslim.chaos import Kernel, eval_multilinear
-from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER_DISORDER
+from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER
 from chaoslim.errors import ConditioningError, DomainError, InputError, NumericError
 from chaoslim.polymer import (
     SpaceTimeField,
@@ -363,7 +363,7 @@ def test_normalization_exact_over_rademacher_disorder():
     for bits in itertools.product([-1.0, 1.0], repeat=n * width):
         field = SpaceTimeField(np.array(bits).reshape(n, width), -2)
         total += polymer_partition(SIMPLE, field, 0.3, "free",
-                                   disorder=RADEMACHER_DISORDER)
+                                   disorder=RADEMACHER)
     assert total / 2 ** (n * width) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -474,7 +474,7 @@ def _reference_samples(law, beta_hat, n_steps, n_samples, seed, mode, x, disorde
 MODES = [("free", 0.0), ("point2point", 0.3), ("conditioned", -0.2)]
 
 
-@pytest.mark.parametrize("disorder", [GAUSSIAN_DISORDER, RADEMACHER_DISORDER],
+@pytest.mark.parametrize("disorder", [GAUSSIAN_DISORDER, RADEMACHER],
                          ids=["gaussian", "rademacher"])
 @pytest.mark.parametrize("mode,x", MODES, ids=[m for m, _ in MODES])
 def test_sample_polymer_bit_identical_to_per_sample_loop(monkeypatch, mode, x, disorder):

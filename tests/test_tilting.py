@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from chaoslim.dists import Atoms, VariableFamily, RADEMACHER_DISORDER
+from chaoslim.dists import Atoms, VariableFamily, RADEMACHER
 from chaoslim.errors import PreconditionError
 from chaoslim.tilting import (
     choose_a_level,
@@ -140,7 +140,7 @@ def test_tilt_normalization_property(magnitudes, seed, mean_shift):
 
 
 def test_tilt_family_uniform_two_point():
-    fam = VariableFamily(means=np.full(6, 0.002), sigma2=1.0, base=RADEMACHER_DISORDER)
+    fam = VariableFamily(means=np.full(6, 0.002), sigma2=1.0, base=RADEMACHER)
     report = tilt_family(fam, p_list=(2.0, 0.5, -1.0))
     assert len(report.results) == 6
     lams = {round(r.lam, 14) for r in report.results}
@@ -149,7 +149,7 @@ def test_tilt_family_uniform_two_point():
 
 
 def test_tilt_family_centered_identity():
-    fam = VariableFamily(means=np.zeros(4), sigma2=1.0, base=RADEMACHER_DISORDER)
+    fam = VariableFamily(means=np.zeros(4), sigma2=1.0, base=RADEMACHER)
     report = tilt_family(fam)
     assert all(abs(r.lam) <= 1e-12 for r in report.results)
 
@@ -163,7 +163,7 @@ def test_tilt_family_sign_condition_with_spread_base():
 
 def test_tilt_family_aggregates_failures():
     means = np.array([0.0, 0.3, 0.0, 0.4])
-    fam = VariableFamily(means=means, sigma2=1.0, base=RADEMACHER_DISORDER)
+    fam = VariableFamily(means=means, sigma2=1.0, base=RADEMACHER)
     with pytest.raises(PreconditionError) as err:
         tilt_family(fam)
     assert "sites [1, 3]" in str(err.value)

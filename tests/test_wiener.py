@@ -1,11 +1,20 @@
-"""Tests for discretized white noise and chaos-series evaluation."""
+"""Tests for discretized white noise and chaos-series evaluation.
 
+The general dense-kernel chaos series below is the oracle: it sums every
+ordered tuple of distinct cells, so it is exponential in the degree, and the
+factorized series and the alpha-regime pinning reference are checked
+against it.
+"""
+
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from chaoslim.errors import InputError, PreconditionError, ResourceError
+from chaoslim import harness, pinning
+from chaoslim.errors import PreconditionError
 from chaoslim.wiener import (
     ChaosSeriesSpec,
     Tessellation,
@@ -13,9 +22,75 @@ from chaoslim.wiener import (
     chaos_series_eval_batch,
     elementary_symmetric,
     factorized_moment,
-    multiple_integral,
     sample_noise_batch,
 )
+
+
+def distinct_mask(n, k):
+    grids = np.meshgrid(*(np.arange(n),) * k, indexing="ij")
+    mask = np.ones((n,) * k, dtype=bool)
+    for a in range(k):
+        for b in range(a + 1, k):
+            mask &= grids[a] != grids[b]
+    return mask
+
+
+def multiple_integral(g, fields):
+    """Off-diagonal multiple integral of each row w of ``fields``: the sum of
+    g(c_1..c_j) w_{c_1} ... w_{c_j} over ordered j-tuples of pairwise distinct
+    cells, j = g.ndim (a scalar g is the constant degree-0 integral)."""
+    g = np.asarray(g, dtype=float)
+    if g.ndim == 0:
+        return np.full(fields.shape[0], float(g))
+    if g.ndim == 1:
+        return fields @ g
+    gm = g * distinct_mask(g.shape[0], g.ndim)
+    out = np.empty(fields.shape[0])
+    for s, w in enumerate(fields):
+        outer = w
+        for _ in range(g.ndim - 1):
+            outer = np.multiply.outer(outer, w)
+        out[s] = np.sum(gm * outer)
+    return out
+
+
+def dense_chaos_series(kernels, sigma0, mu0, tess, fields):
+    """sum_k (1/k!) int f_k prod(sigma0 W(dy) + mu0 dy) over the symmetric
+    dense kernels f_0..f_K (f_k of shape (n_cells,) * k) and a constant bias
+    mu0 (or None).
+
+    Deterministic coordinates are contracted with mu0 v per cell over all
+    cells (diagonals with stochastic coordinates are Lebesgue-null in the
+    continuum), then the stochastic ones take off-diagonal sums; by symmetry
+    the k-choose-j coordinate subsets of one size contribute identically.
+    """
+    muv = None if mu0 is None else np.full(tess.n_cells, mu0 * tess.cell_volume)
+    out = np.zeros(fields.shape[0])
+    for k, arr in enumerate(kernels):
+        for j in range(k, -1, -1):
+            if j < k and muv is None:
+                break
+            g = np.asarray(arr, dtype=float)
+            for _ in range(k - j):
+                g = g @ muv
+            out += (math.comb(k, j) * sigma0**j / math.factorial(k)) * multiple_integral(g, fields)
+    return out
+
+
+def alpha_gap_kernels(alpha, tess, k_max):
+    """Dense conditioned alpha-regime pinning kernels f_0..f_k_max at the
+    cell centers, zero on coincident cells, from ``pinning.continuum_kernel``."""
+    t = tess.centers()[:, 0]
+    kernels = [1.0]
+    for k in range(1, k_max + 1):
+        tuples = np.array(list(itertools.combinations(range(tess.n_cells), k)))
+        values = [pinning.continuum_kernel("alpha", t[c], 1.0, "conditioned", alpha=alpha)
+                  for c in tuples]
+        arr = np.zeros((tess.n_cells,) * k)
+        for perm in itertools.permutations(range(k)):
+            arr[tuple(tuples[:, perm].T)] = values
+        kernels.append(arr)
+    return kernels
 
 
 def test_tessellation_geometry():
@@ -54,8 +129,8 @@ def test_total_mass_variance_and_independence():
 def test_multiple_integral_k1_is_plain_integral():
     tess = Tessellation.unit_interval(8)
     fields = sample_noise_batch(tess, 5, 1)
-    assert multiple_integral(1.0, tess, fields, 1)[0] == pytest.approx(fields[0].sum())
-    assert multiple_integral(1.0, tess, fields, 0)[0] == 1.0
+    assert multiple_integral(np.ones(8), fields)[0] == pytest.approx(fields[0].sum())
+    assert multiple_integral(1.0, fields)[0] == 1.0
 
 
 def test_multiple_integral_matches_brute_force_4_cells():
@@ -63,14 +138,14 @@ def test_multiple_integral_matches_brute_force_4_cells():
     fields = sample_noise_batch(tess, 9, 1)
     w = fields[0]
     brute = sum(w[i] * w[j] for i in range(4) for j in range(4) if i != j)
-    assert multiple_integral(np.ones((4, 4)), tess, fields, 2)[0] == pytest.approx(
+    assert multiple_integral(np.ones((4, 4)), fields)[0] == pytest.approx(
         brute, rel=1e-12)
     brute3 = sum(
         w[i] * w[j] * w[k]
         for i in range(4) for j in range(4) for k in range(4)
         if i != j and j != k and i != k
     )
-    assert multiple_integral(np.ones((4, 4, 4)), tess, fields, 3)[0] == pytest.approx(
+    assert multiple_integral(np.ones((4, 4, 4)), fields)[0] == pytest.approx(
         brute3, rel=1e-12)
 
 
@@ -99,23 +174,12 @@ def test_ito_isometry_cross_orders():
     g3 = np.add.outer(np.add.outer(g, g), g) / 3.0
     fields = sample_noise_batch(tess, 3, 8_000)
     vals = {}
-    for name, ker, k in (("f1", f, 1), ("g1", g, 1), ("f2", f2, 2),
-                         ("g2", g2, 2), ("g3", g3, 3)):
-        vals[name] = multiple_integral(ker, tess, fields, k)
+    for name, ker in (("f1", f), ("g1", g), ("f2", f2), ("g2", g2), ("g3", g3)):
+        vals[name] = multiple_integral(ker, fields)
     v = tess.cell_volume
 
     def offdiag_inner(a, b, k):
-        prod = a * b
-        mask = _distinct_mask_local(8, k)
-        return float(np.sum(prod * mask)) * v**k
-
-    def _distinct_mask_local(n, k):
-        grids = np.meshgrid(*(np.arange(n),) * k, indexing="ij")
-        mask = np.ones((n,) * k, dtype=bool)
-        for i in range(k):
-            for j in range(i + 1, k):
-                mask &= grids[i] != grids[j]
-        return mask
+        return float(np.sum(a * b * distinct_mask(8, k))) * v**k
 
     for a, b, k_a, k_b, inner in (
         ("f1", "g1", 1, 1, float(f @ g) * v),
@@ -130,31 +194,15 @@ def test_ito_isometry_cross_orders():
         assert abs(cov - target) <= 3.5 * se, (a, b, cov, target, se)
 
 
-def test_multiple_integral_rejects_asymmetric_kernel():
-    tess = Tessellation.unit_interval(4)
-    fields = sample_noise_batch(tess, 2, 1)
-    f = np.zeros((4, 4))
-    f[0, 1] = 1.0
-    with pytest.raises(InputError):
-        multiple_integral(f, tess, fields, 2)
-
-
 def test_multiple_integral_permutation_invariance():
     tess = Tessellation.unit_interval(5)
     fields = sample_noise_batch(tess, 3, 1)
     rng = np.random.default_rng(0)
     base = rng.standard_normal((5, 5))
     f = base + base.T
-    assert multiple_integral(f, tess, fields, 2)[0] == pytest.approx(
-        multiple_integral(f.T, tess, fields, 2)[0], rel=1e-12
+    assert multiple_integral(f, fields)[0] == pytest.approx(
+        multiple_integral(f.T, fields)[0], rel=1e-12
     )
-
-
-def test_dense_cap():
-    tess = Tessellation.unit_interval(256)
-    fields = sample_noise_batch(tess, 0, 1)
-    with pytest.raises(ResourceError):
-        multiple_integral(lambda *a: 1.0, tess, fields, 4)
 
 
 def test_elementary_symmetric_small_case():
@@ -163,39 +211,36 @@ def test_elementary_symmetric_small_case():
     assert np.allclose(e[0], [1.0, 6.0, 11.0, 6.0])
 
 
-def test_chaos_series_constant_term():
-    tess = Tessellation.unit_interval(8)
-    fields = sample_noise_batch(tess, 4, 1)
-    spec = ChaosSeriesSpec(sigma0=1.0, mu0=None, k_max=0, kernels=[2.5])
-    assert chaos_series_eval_batch(spec, tess, fields)[0] == pytest.approx(2.5)
-
-
-def test_chaos_series_degree_one_matches_multiple_integral():
-    tess = Tessellation.unit_interval(8)
-    fields = sample_noise_batch(tess, 4, 1)
-    sigma = 1.3
-    spec = ChaosSeriesSpec(sigma0=sigma, mu0=None, k_max=1,
-                           kernels=[0.0, lambda x: np.ones(np.shape(x))])
-    assert chaos_series_eval_batch(spec, tess, fields)[0] == pytest.approx(
-        sigma * multiple_integral(1.0, tess, fields, 1)[0], rel=1e-12
-    )
-
-
 def test_chaos_series_factorized_equals_general():
     tess = Tessellation.unit_interval(6)
     fields = sample_noise_batch(tess, 3, 1)
     rho = 0.7
     spec_f = ChaosSeriesSpec(sigma0=1.3, mu0=0.4, k_max=3, factor_coefs=lambda k: rho**k)
-    kernels = [
-        1.0,
-        lambda x: rho * np.ones(np.shape(x)),
-        lambda x, y: rho**2 * np.ones(np.shape(x)[0]),
-        lambda x, y, z: rho**3 * np.ones(np.shape(x)[0]),
-    ]
-    spec_g = ChaosSeriesSpec(sigma0=1.3, mu0=0.4, k_max=3, kernels=kernels)
+    kernels = [rho**k * np.ones((6,) * k) for k in range(4)]
     assert chaos_series_eval_batch(spec_f, tess, fields)[0] == pytest.approx(
-        chaos_series_eval_batch(spec_g, tess, fields)[0], rel=1e-12
+        dense_chaos_series(kernels, 1.3, 0.4, tess, fields)[0], rel=1e-12
     )
+
+
+@pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+@pytest.mark.parametrize("cells", [6, 16, 32])
+def test_pinning_alpha_reference_matches_dense_oracle(alpha, cells):
+    tess = Tessellation.unit_interval(cells)
+    n_samples = 200 if cells == 32 else 1000
+    fields = sample_noise_batch(tess, 5, n_samples)
+    kernels = alpha_gap_kernels(alpha, tess, 4)
+    for k_max in range(5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = harness.pinning_alpha_reference(alpha, 1.0, cells=cells, k_max=k_max,
+                                                  n_samples=n_samples, seed=5)
+        oracle = dense_chaos_series(kernels[: k_max + 1], 1.0, None, tess, fields)
+        assert np.max(np.abs(ref - oracle) / np.abs(oracle)) < 1e-12, k_max
+
+
+def test_pinning_alpha_reference_checks_l2():
+    with pytest.raises(PreconditionError):
+        harness.pinning_alpha_reference(0.75, 8.0, cells=16, k_max=4, n_samples=10)
 
 
 def test_chaos_series_l2_condition_failure():
