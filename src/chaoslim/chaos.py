@@ -5,14 +5,13 @@ coefficients psi(I); the associated polynomial is
 
     Psi(x) = sum_I psi(I) * prod_{i in I} x_i,   with x^emptyset = 1.
 
-The module provides evaluation, the squared-coefficient mass C_Psi, variable
-influences, degree truncation, the (1+eps)^{|I|/2} inflation, the exact
-mean-shift transform, truncated-moment extraction, and the two computable
-Lindeberg-type distance bounds (zero-mean and mean-shifted).
+The module provides evaluation, the squared-coefficient mass C_Psi, the
+maximal variable influence, degree truncation, truncated-moment extraction,
+and the computable Lindeberg-type distance bound for zero-mean inputs.
 
 Conventions: the empty-set entry is stored like any other coefficient but is
-excluded from ``c_psi`` and ``influence``, which describe the fluctuating
-part only.  Kernels are immutable value objects; every operation returns a
+excluded from ``c_psi`` and ``max_influence``, which describe the
+fluctuating part only.  Kernels are immutable value objects; every operation returns a
 new kernel.
 """
 
@@ -92,13 +91,8 @@ def c_psi(kernel: Kernel) -> float:
     return sum(c * c for i, c in kernel.entries.items() if i)
 
 
-def influence(kernel: Kernel, site: int) -> float:
-    """Squared-coefficient mass of the entries containing ``site``."""
-    site = int(site)
-    return sum(c * c for i, c in kernel.entries.items() if site in i)
-
-
 def max_influence(kernel: Kernel) -> float:
+    """Largest squared-coefficient mass of the entries containing one site."""
     acc: dict[int, float] = {}
     for index_set, coef in kernel.entries.items():
         for i in index_set:
@@ -113,37 +107,6 @@ def truncate(kernel: Kernel, ell: int) -> tuple[Kernel, Kernel]:
     low = {i: c for i, c in kernel.entries.items() if len(i) <= ell}
     high = {i: c for i, c in kernel.entries.items() if len(i) > ell}
     return Kernel(low), Kernel(high)
-
-
-def epsilon_inflate(kernel: Kernel, eps: float) -> Kernel:
-    """Scale each entry by (1+eps)^{|I|/2}."""
-    if eps < 0:
-        raise InputError("eps must be >= 0")
-    return Kernel({i: c * (1.0 + eps) ** (len(i) / 2.0) for i, c in kernel.entries.items()})
-
-
-def shift_kernel(kernel: Kernel, mu: Mapping[int, float]) -> Kernel:
-    """Kernel of x -> Psi(x + mu): psi~(J) = sum_{I >= J} psi(I) mu^{I \\ J}.
-
-    Exact algebraic identity: eval(shifted, x) == eval(kernel, x + mu).
-    """
-    support = {int(i): float(v) for i, v in mu.items() if float(v) != 0.0}
-    out: dict[IndexSet, float] = {}
-    for index_set, coef in kernel.entries.items():
-        movable = [i for i in index_set if i in support]
-        fixed = tuple(i for i in index_set if i not in support)
-        m = len(movable)
-        for mask in range(1 << m):
-            kept = []
-            weight = coef
-            for b in range(m):
-                if mask >> b & 1:
-                    kept.append(movable[b])
-                else:
-                    weight *= support[movable[b]]
-            j = tuple(sorted(fixed + tuple(kept)))
-            out[j] = out.get(j, 0.0) + weight
-    return Kernel({j: c for j, c in out.items() if c != 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -219,66 +182,3 @@ def lindeberg_bound(
         * math.sqrt(max_influence(low))
     )
     return c_f * (tail + second + third)
-
-
-def lindeberg_bound_mean(
-    kernel: Kernel,
-    eps: float,
-    c_mu: float,
-    ell: int,
-    moments: TruncatedMoments,
-    c_f: float,
-) -> float:
-    """Mean-shifted variant: inputs are zeta + mu with sum mu_i^2 = c_mu.
-
-    Evaluates exp(2 c_mu / eps) times the zero-mean bound applied to the
-    (1+eps)-inflated kernel.
-    """
-    if eps <= 0:
-        raise InputError("eps must be > 0")
-    if c_mu < 0:
-        raise InputError("c_mu must be >= 0")
-    inflated = epsilon_inflate(kernel, eps)
-    return math.exp(2.0 * c_mu / eps) * lindeberg_bound(inflated, ell, moments, c_f)
-
-
-# ---------------------------------------------------------------------------
-# serialization: one entry per line, "i1,i2,...<TAB>coefficient", "-" for the
-# empty set; round-trips exactly for any float (repr is shortest-exact).
-# ---------------------------------------------------------------------------
-
-
-def dumps_kernel(kernel: Kernel) -> str:
-    lines = []
-    for index_set in sorted(kernel.entries, key=lambda i: (len(i), i)):
-        head = ",".join(str(s) for s in index_set) if index_set else "-"
-        lines.append(f"{head}\t{float(kernel.entries[index_set])!r}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def loads_kernel(text: str) -> Kernel:
-    entries: dict[IndexSet, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            head, value = line.split("\t")
-        except ValueError as err:
-            raise InputError(f"line {lineno}: expected 'sites<TAB>coef'") from err
-        index_set = () if head == "-" else tuple(int(s) for s in head.split(","))
-        key = _canonical(index_set)
-        if key in entries:
-            raise InputError(f"line {lineno}: duplicate index set {key}")
-        entries[key] = float(value)
-    return Kernel(entries)
-
-
-def save_kernel(kernel: Kernel, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_kernel(kernel))
-
-
-def load_kernel(path) -> Kernel:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_kernel(fh.read())

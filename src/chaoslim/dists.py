@@ -65,12 +65,6 @@ class Atoms:
         mask = np.abs(self.values) <= m
         return float((np.abs(self.values[mask]) ** 3) @ self.probs[mask])
 
-    def shifted(self, c: float) -> "Atoms":
-        return Atoms(self.values + c, self.probs)
-
-    def scaled(self, c: float) -> "Atoms":
-        return Atoms(self.values * c, self.probs)
-
     def standardized(self) -> "Atoms":
         sd = math.sqrt(self.var())
         if sd == 0.0:
@@ -102,9 +96,6 @@ class StdGaussian:
 
     def mean(self):
         return 0.0
-
-    def var(self):
-        return 1.0
 
     def m2_above(self, m: float) -> float:
         if not math.isfinite(m):
@@ -141,40 +132,3 @@ def overlap_weight(beta: float, disorder: Atoms | StdGaussian = GAUSSIAN_DISORDE
     if not math.isfinite(lam2):
         raise DomainError("Lambda(2 beta) must be finite")
     return lam2 - 2.0 * disorder.log_mgf(beta)
-
-
-@dataclass(frozen=True)
-class VariableFamily:
-    """Independent variables zeta_i = mu_i + sigma * (base draw).
-
-    ``base`` is a zero-mean unit-variance law.  The shared variance and the
-    per-site means are what the mean-shift bound machinery consumes; an
-    atom base gives exact per-site atom lists for tilting.
-    """
-
-    means: np.ndarray
-    sigma2: float
-    base: Atoms | StdGaussian = GAUSSIAN_DISORDER
-
-    def __post_init__(self):
-        mu = np.asarray(self.means, dtype=float)
-        if mu.ndim != 1:
-            raise InputError("means must be a 1-d array")
-        if self.sigma2 <= 0:
-            raise InputError("shared variance must be positive")
-        if abs(self.base.mean()) > 1e-9 or abs(self.base.var() - 1.0) > 1e-9:
-            raise InputError("base law must have zero mean and unit variance")
-        object.__setattr__(self, "means", mu)
-
-    @property
-    def n_sites(self) -> int:
-        return self.means.size
-
-    def c_mu(self) -> float:
-        """Sum of squared means (finite by construction)."""
-        return float(self.means @ self.means)
-
-    def site_atoms(self, i: int) -> Atoms:
-        if not isinstance(self.base, Atoms):
-            raise InputError("site_atoms requires a discrete base law")
-        return self.base.scaled(math.sqrt(self.sigma2)).shifted(float(self.means[i]))

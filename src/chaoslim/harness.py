@@ -144,6 +144,12 @@ class ExperimentConfig:
         if not isinstance(self.params, dict):
             raise InputError(f"params must be a JSON object, got {self.params!r}")
         grid = tuple(grid)
+        # every grid but the ising delta values counts steps or cells
+        if self.model not in ("ising", "tilt"):
+            if not all(g >= 1 and g == math.floor(g) for g in grid):
+                raise InputError(f"{self.model} grid values count steps or cells and must "
+                                 f"be integers >= 1, got {list(grid)!r}")
+            grid = tuple(int(g) for g in grid)
         if len(grid) >= 2:
             diffs = np.diff(np.asarray(grid, dtype=float))
             if not (np.all(diffs > 0) or np.all(diffs < 0)):

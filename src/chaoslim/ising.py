@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import Kernel
-from .errors import DomainError, InputError, ResourceError
+from .errors import InputError, ResourceError
 
 BETA_C = 0.5 * math.log(1.0 + math.sqrt(2.0))
 
@@ -307,19 +307,9 @@ def gks_decoupling_check(system: LatticeSpinSystem, subdomains):
 # ---------------------------------------------------------------------------
 
 
-def f_omega(points, domain: Rect) -> float:
-    """prod_i d(x_i, boundary(Omega) cup I \\ {x_i})^{-1/8}."""
-    pts = [tuple(float(c) for c in p) for p in points]
-    for p in pts:
-        if not domain.contains(p):
-            raise InputError(f"point {p} outside the open domain")
-    if len(set(pts)) < len(pts):
-        raise DomainError("f_Omega diverges on coincident points")
-    return math.sqrt(float(_f_omega_sq_batch(np.array(pts).reshape(1, -1, 2), domain)[0]))
-
-
 def _f_omega_sq_batch(samples: np.ndarray, domain: Rect) -> np.ndarray:
-    """f_Omega(x_1..x_n)^2 for a batch of point tuples, shape (m, n, 2)."""
+    """f_Omega(x_1..x_n)^2 for a batch of point tuples, shape (m, n, 2), where
+    f_Omega(I) = prod_i d(x_i, boundary(Omega) cup I \\ {x_i})^{-1/8}."""
     m, n, _ = samples.shape
     d_bnd = np.minimum.reduce(
         [
@@ -373,19 +363,3 @@ def f_omega_l2_ratio(
     ratio = num / den
     se = ratio * math.sqrt((num_se / num) ** 2 + (den_se / den) ** 2)
     return L2RatioEstimate(ratio, se, num, num_se, den, den_se)
-
-
-def correlation_bound_constant(domain: Rect, delta: float, site_sets) -> float:
-    """Fitted constant C with delta^{-n/8} E+[sigma^I] <= C^n f_Omega(I) on the
-    tested family; reported, never asserted against any reference value."""
-    system = LatticeSpinSystem.from_domain(domain, delta)
-    best = 0.0
-    for sites in site_sets:
-        sites = [(int(a), int(b)) for a, b in sites]
-        n = len(sites)
-        corr = correlation(system, sites)
-        pts = [(i * delta, j * delta) for i, j in sites]
-        f_val = f_omega(pts, domain)
-        if corr > 0:
-            best = max(best, (delta ** (-n / 8.0) * corr / f_val) ** (1.0 / n))
-    return best

@@ -32,7 +32,6 @@ from .errors import (
 )
 
 _N_CAP = 200_000
-_LATTICE_TOL = 1e-9
 
 
 def c_alpha(alpha: float) -> float:
@@ -89,6 +88,10 @@ class RenewalLaw:
             raise DomainError("alpha must lie in (1/2, 1)")
         if n_max < 2:
             raise InputError("n_max must be >= 2")
+        if n_max > 2 * _N_CAP:
+            raise ResourceError(
+                f"n_max = {n_max} exceeds the cap {2 * _N_CAP}, twice the largest N"
+            )
         n = np.arange(1, n_max + 1, dtype=float)
         raw = n ** -(1.0 + alpha)
         raw[-1] += float(zeta(1.0 + alpha, n_max + 1))
@@ -295,69 +298,6 @@ def partition_function_batch(
         return z[:, -1] / u[n_steps]
     # P(tau_1 > j) = 0 for j >= n_max, so the returned window holds every term
     return z @ law.tail(z.shape[1] - 1)[::-1]
-
-
-def _lattice_index(t: float, n_steps: int) -> int:
-    j = round(t * n_steps)
-    if abs(t * n_steps - j) > _LATTICE_TOL * n_steps:
-        raise InputError(f"time {t} is not on the lattice with mesh 1/{n_steps}")
-    return int(j)
-
-
-def discrete_kernel(law: RenewalLaw, n_steps: int, times) -> float:
-    """a_N^k P({N t_1, ..., N t_k} in tau | N in tau) via the gap product.
-
-    Vanishes when two times coincide; times must lie on the 1/N lattice in
-    (0, 1].
-    """
-    ts = sorted(float(t) for t in times)
-    if any(t <= 0.0 or t > 1.0 for t in ts):
-        raise InputError("times must lie in (0, 1]")
-    idx = [_lattice_index(t, n_steps) for t in ts]
-    if len(set(idx)) != len(idx):
-        return 0.0
-    u = renewal_mass(law, n_steps)
-    if u[n_steps] <= 0.0:
-        raise ConditioningError(f"u({n_steps}) = 0")
-    a = a_n_scale(law, n_steps)
-    value = u[n_steps - idx[-1]] / u[n_steps]
-    prev = 0
-    for j in idx:
-        value *= a * u[j - prev]
-        prev = j
-    return float(value)
-
-
-def continuum_kernel(
-    regime: str,
-    times,
-    t: float,
-    mode: str = "conditioned",
-    alpha: float | None = None,
-    mean: float | None = None,
-) -> float:
-    """Limit kernel: the alpha-regime gap product, or (1/E[tau_1])^k."""
-    ts = sorted(float(s) for s in times)
-    if len(set(ts)) != len(ts):
-        raise DomainError("kernel diverges on coincident times")
-    if any(s <= 0 or s >= t for s in ts):
-        raise InputError("times must lie strictly inside (0, t)")
-    if regime == "finite_mean":
-        if not mean or mean <= 0:
-            raise InputError("finite-mean kernel needs E[tau_1] > 0")
-        return (1.0 / mean) ** len(ts)
-    if regime != "alpha":
-        raise InputError(f"unknown regime {regime!r}")
-    if alpha is None or not 0.5 < alpha < 1.0:
-        raise DomainError("alpha regime requires alpha in (1/2, 1)")
-    ca = c_alpha(alpha)
-    gaps = np.diff(np.array([0.0] + ts))
-    value = ca ** len(ts) / float(np.prod(gaps ** (1.0 - alpha)))
-    if mode == "conditioned":
-        value *= t ** (1.0 - alpha) / (t - ts[-1]) ** (1.0 - alpha)
-    elif mode != "free":
-        raise InputError(f"unknown mode {mode!r}")
-    return value
 
 
 def chaos_kernel(law: RenewalLaw, n_steps: int, mode: str = "conditioned") -> Kernel:

@@ -31,7 +31,6 @@ from .errors import (
 )
 
 _SUPPORT_CAP = 50_000_000
-_LATTICE_TOL = 1e-9
 _INVERSION_CELLS = 1 << 20  # (point, node) cells per row block of the inversion: 8 MB a temporary
 _INVERSION_NODES_CAP = 1 << 20  # most quadrature nodes one inversion may use
 _GRADED_PANELS = 30  # panels halving toward t = 0, which absorb the t^alpha cusp
@@ -84,6 +83,11 @@ class WalkLaw:
             raise InputError("|gamma| must be < 1")
         if window < 4:
             raise InputError("window must be >= 4")
+        if 2 * window + 1 > _SUPPORT_CAP:
+            raise ResourceError(
+                f"window = {window} gives a support 2 * window + 1 above the size cap "
+                f"{_SUPPORT_CAP}"
+            )
         n = np.arange(2, window + 1, dtype=float)
         w = n ** -(1.0 + alpha)
         # c keeps the +-1 atoms strictly positive after the mean correction:
@@ -246,13 +250,6 @@ class StableDensity:
             # a row sum (not a BLAS product) gives each point the same bits in any block
             out[r0 : r0 + rows] = f.sum(axis=1)
         return out.reshape(x.shape)
-
-    def pdf_scaled(self, t: float, x) -> np.ndarray:
-        """g_t(x) = t^{-1/alpha} g(x t^{-1/alpha})."""
-        if t <= 0:
-            raise DomainError("time must be positive")
-        s = t ** (-1.0 / self.alpha)
-        return s * self.pdf(np.asarray(x, dtype=float) * s)
 
     def l2_norm_sq(self) -> float:
         """c_g = int g(x)^2 dx = Gamma(1/alpha) / (pi alpha (2a)^{1/alpha})."""
@@ -496,93 +493,6 @@ def polymer_partition(
     block = np.take_along_axis(padded, offs[:, None] + p * np.arange(cols), axis=1)
     return float(_partition_batch(law, omega.k_lo, 1, width, [block[:, None, :]], beta,
                                   mode, y, disorder, mass_tol)[0])
-
-
-def _on_lattice(value: float, scale: float) -> int:
-    j = round(value * scale)
-    if abs(value * scale - j) > _LATTICE_TOL * max(1.0, scale):
-        raise InputError(f"coordinate {value} is off the rescaled lattice")
-    return int(j)
-
-
-def polymer_kernel_discrete(
-    law: WalkLaw, n_steps: int, points, endpoint=None, mode: str = "conditioned"
-) -> float:
-    """Discrete chaos kernel: product of walk-pmf ratios with one factor
-    N^{-(alpha-1)/(2 alpha)} per point; vanishes on coincident points.
-
-    ``points`` are (t_i, x_i) on the rescaled lattice (t in Z/N, x in
-    N^{-1/alpha}(pZ + r n)); ``endpoint`` is the conditioning point (1, x).
-    """
-    if mode not in ("free", "conditioned"):
-        raise InputError(f"unknown mode {mode!r}")
-    space_scale = n_steps ** (1.0 / law.alpha)
-    a_n = n_steps ** (-(law.alpha - 1.0) / (2.0 * law.alpha))
-    p, r = law.period, law.residue
-    pts = []
-    for t, x in points:
-        n = _on_lattice(float(t), float(n_steps))
-        k = _on_lattice(float(x), space_scale)
-        if not 0 < n <= n_steps:
-            raise InputError("time coordinates must lie in (0, 1]")
-        if (k - r * n) % p != 0:
-            raise InputError(f"site ({t}, {x}) violates the period-{p} lattice")
-        pts.append((n, k))
-    if len(set(pts)) != len(pts):
-        return 0.0
-    pts.sort()
-    if len({n for n, _ in pts}) != len(pts):
-        return 0.0  # distinct space at equal time: the walk cannot be at both
-    value = 1.0
-    prev = (0, 0)
-    for n, k in pts:
-        value *= a_n * walk_pmf(law, n - prev[0])[k - prev[1]]
-        prev = (n, k)
-    if mode == "conditioned":
-        if endpoint is None:
-            raise InputError("conditioned mode needs the endpoint (1, x)")
-        t_end, x_end = endpoint
-        n_end = _on_lattice(float(t_end), float(n_steps))
-        k_end = _on_lattice(float(x_end), space_scale)
-        q_end = walk_pmf(law, n_steps)[k_end]
-        if q_end <= 0.0:
-            raise ConditioningError(f"q_N({x_end}) = 0: cannot condition")
-        value *= walk_pmf(law, n_end - prev[0])[k_end - prev[1]] / q_end
-    return float(value)
-
-
-def polymer_kernel_continuum(
-    density: StableDensity,
-    points,
-    endpoint=None,
-    mode: str = "conditioned",
-    period: int = 1,
-) -> float:
-    """prod_i sqrt(p) g_{t_i - t_{i-1}}(x_i - x_{i-1}), times the endpoint
-    ratio g_{t-t_k}(x - x_k)/g_t(x) in conditioned mode."""
-    if mode not in ("free", "conditioned"):
-        raise InputError(f"unknown mode {mode!r}")
-    pts = sorted((float(t), float(x)) for t, x in points)
-    times = [t for t, _ in pts]
-    if len(set(times)) != len(times):
-        raise DomainError("kernel is not defined at coincident times")
-    value = 1.0
-    prev = (0.0, 0.0)
-    for t, x in pts:
-        if t <= prev[0]:
-            raise DomainError("times must be strictly increasing and positive")
-        value *= math.sqrt(period) * float(density.pdf_scaled(t - prev[0], x - prev[1]))
-        prev = (t, x)
-    if mode == "conditioned":
-        if endpoint is None:
-            raise InputError("conditioned mode needs the endpoint (t, x)")
-        t_end, x_end = float(endpoint[0]), float(endpoint[1])
-        if t_end <= prev[0]:
-            raise DomainError("endpoint time must exceed the last point time")
-        value *= float(density.pdf_scaled(t_end - prev[0], x_end - prev[1])) / float(
-            density.pdf_scaled(t_end, x_end)
-        )
-    return float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -99,15 +99,3 @@ def dirichlet_quadrature(
     u, w = _rule_01(order, 0.0, -chi)
     vals = _chain_eval(k - 1, u, chi, order) * u**chi
     return float(vals @ w)
-
-
-def liouville_simplex_log(exponents, total: float = 1.0) -> float:
-    """log of int over {g_i >= 0, sum g_i = total} of prod g_i^{a_i - 1} dg.
-
-    ``exponents`` are the a_i (all > 0); the integral is over the
-    (len-1)-dimensional surface measure obtained by eliminating the last gap.
-    """
-    a = np.asarray(exponents, dtype=float)
-    if np.any(a <= 0):
-        raise DomainError("all Liouville exponents must be positive")
-    return float(np.sum(gammaln(a)) - gammaln(a.sum()) + (a.sum() - 1.0) * math.log(total))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import Atoms, VariableFamily
+from .dists import Atoms
 from .errors import InputError, NumericError, PreconditionError
 
 _MEAN_TOL = 1e-10
@@ -221,52 +221,3 @@ def verify_tilt_bounds(result: TiltResult, dist: Atoms, p_list=(2.0, 0.5, -1.0))
     rows.append(("tilt_size", None, abs(result.lam), lam_cap, abs(result.lam) <= lam_cap))
 
     return BoundReport(tuple(rows), all(r[-1] for r in rows))
-
-
-@dataclass(frozen=True)
-class FamilyTiltReport:
-    results: tuple
-    sign_condition_holds: bool
-
-
-def tilt_family(family: VariableFamily, p_list=(2.0, 0.5, -1.0)) -> FamilyTiltReport:
-    """Tilt every site law of the family to zero mean and verify its bounds.
-
-    Sites whose hypothesis fails are collected into one error, and a bound
-    that fails at any site is a NumericError.  ``sign_condition_holds``
-    reports whether every site has positive mass and conditional variance
-    on both sides of 0.
-    """
-    results = []
-    failures = []
-    for i in range(family.n_sites):
-        atoms = family.site_atoms(i)
-        try:
-            results.append(tilt_zero_mean(atoms, "two-sided"))
-        except PreconditionError as err:
-            failures.append((i, str(err)))
-    if failures:
-        sites = ", ".join(str(i) for i, _ in failures)
-        raise PreconditionError(
-            f"tilting hypothesis fails at sites [{sites}]: {failures[0][1]}"
-        )
-
-    sign_ok = True
-    for i in range(family.n_sites):
-        atoms = family.site_atoms(i)
-        v, p = atoms.values, atoms.probs
-        for side in (v > 0, v < 0):
-            mass = float(p[side].sum())
-            if mass <= 0:
-                sign_ok = False
-                break
-            mu = float(v[side] @ p[side]) / mass
-            var = float((v[side] ** 2) @ p[side]) / mass - mu * mu
-            if var <= 0:
-                sign_ok = False
-                break
-
-    for i, res in enumerate(results):
-        if not verify_tilt_bounds(res, family.site_atoms(i), p_list=p_list).all_hold:
-            raise NumericError(f"tilting bound failed at site {i}")
-    return FamilyTiltReport(tuple(results), sign_ok)

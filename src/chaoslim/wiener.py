@@ -1,4 +1,5 @@
-"""Discretized white noise, factorized Wiener-chaos series and exact weights.
+"""Discretized white noise, factorized Wiener-chaos series and the
+Cameron-Martin weight.
 
 White noise on a box in R^d is discretized on a uniform tessellation: the
 cell values are i.i.d. centered Gaussians with variance equal to the cell
@@ -13,8 +14,7 @@ holds exactly on the grid), which is k! times the elementary symmetric
 polynomial e_k of the cell values.  A bias mu0(y) dy integrates the
 deterministic coordinates by midpoint quadrature per cell, and the regrouped
 series is summed in degree-ascending order after an L2 summability check.
-The Cameron-Martin weight and the exact moments of the factorized limit
-complete the module.
+The Cameron-Martin weight completes the module.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InputError, PreconditionError
+from .errors import InputError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -237,14 +237,3 @@ def cameron_martin_weight_batch(tess: Tessellation, fields: np.ndarray, nu) -> n
     vals = _eval_on_centers(nu, tess)
     v = tess.cell_volume
     return np.exp(fields @ vals - 0.5 * float(vals @ vals) * v)
-
-
-def factorized_moment(rho: float, lam: float, h: float, zeta: float, volume: float) -> float:
-    """Exact moment E[Z^zeta] of the factorized-kernel chaos limit.
-
-    Z = exp(rho*lam*W(Omega) + (rho*h - (rho*lam)^2/2) * Leb(Omega)) gives
-    E[Z^zeta] = exp(rho*zeta*(h - rho*lam^2*(1-zeta)/2) * Leb(Omega)).
-    """
-    if volume <= 0:
-        raise DomainError("volume must be positive")
-    return math.exp(rho * zeta * (h - 0.5 * rho * lam * lam * (1.0 - zeta)) * volume)

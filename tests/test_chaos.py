@@ -6,19 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from chaoslim import chaos
 from chaoslim.chaos import (
     Kernel,
     TruncatedMoments,
     c_psi,
-    dumps_kernel,
-    epsilon_inflate,
     eval_multilinear,
-    influence,
     lindeberg_bound,
-    lindeberg_bound_mean,
-    loads_kernel,
-    shift_kernel,
+    max_influence,
     truncate,
     truncated_moments,
 )
@@ -28,6 +22,12 @@ from chaoslim.errors import InputError, PreconditionError
 index_sets = st.frozensets(st.integers(0, 7), max_size=4).map(lambda s: tuple(sorted(s)))
 coefs = st.floats(-10, 10, allow_nan=False).filter(lambda c: c != 0.0)
 kernels = st.dictionaries(index_sets, coefs, max_size=12).map(Kernel)
+
+
+def influence(kernel, site):
+    """Squared-coefficient mass of the entries containing ``site``: the
+    oracle for ``max_influence``, one site at a time."""
+    return sum(c * c for i, c in kernel.entries.items() if site in i)
 
 
 def random_kernel(rng, n_sites=6, max_degree=3, n_entries=12):
@@ -120,6 +120,11 @@ def test_influence_sum_identity(ker):
     assert total == pytest.approx(by_size, rel=1e-12, abs=1e-12)
 
 
+@given(kernels)
+def test_max_influence_is_largest_site_influence(ker):
+    assert max_influence(ker) == max((influence(ker, s) for s in ker.sites()), default=0.0)
+
+
 def test_influence_is_conditional_variance():
     # E[ Var(Psi | zeta_{!=i}) ] = Inf_i for zero-mean unit-variance inputs;
     # the inner variance is B^2 with B the partial derivative in zeta_i.
@@ -150,7 +155,7 @@ def test_parseval_variance():
 
 
 # ---------------------------------------------------------------------------
-# truncation, inflation, shift
+# truncation
 # ---------------------------------------------------------------------------
 
 
@@ -172,46 +177,6 @@ def test_truncate_mass_additivity(ker, ell):
     recombined = dict(low.entries)
     recombined.update(high.entries)
     assert recombined == dict(ker.entries)
-
-
-def test_epsilon_inflate_examples():
-    ker = Kernel({(1, 2): 1.0})
-    assert epsilon_inflate(ker, 0.0).entries == ker.entries
-    # (1+eps)^{|I|/2} with |I| = 2, eps = 3: factor (1+3)^1 = 4
-    assert epsilon_inflate(ker, 3.0).coefficient((1, 2)) == pytest.approx(4.0)
-    assert epsilon_inflate(Kernel({(1,): 1.0}), 3.0).coefficient((1,)) == pytest.approx(2.0)
-
-
-@given(kernels, st.floats(0, 5, allow_nan=False))
-def test_epsilon_inflate_mass(ker, eps):
-    inflated = epsilon_inflate(ker, eps)
-    oracle = sum((1 + eps) ** len(s) * c * c for s, c in ker.entries.items() if s)
-    assert c_psi(inflated) == pytest.approx(oracle, rel=1e-10, abs=1e-12)
-
-
-def test_shift_kernel_zero_mu_identity():
-    rng = np.random.default_rng(5)
-    ker = random_kernel(rng)
-    assert dict(shift_kernel(ker, {}).entries) == dict(ker.entries)
-    assert dict(shift_kernel(ker, {0: 0.0, 3: 0.0}).entries) == dict(ker.entries)
-
-
-def test_shift_kernel_binomial_example():
-    ker = Kernel({(1, 2): 1.0})
-    shifted = shift_kernel(ker, {1: 2.0, 2: 3.0})
-    assert dict(shifted.entries) == {(): 6.0, (1,): 3.0, (2,): 2.0, (1, 2): 1.0}
-
-
-def test_shift_kernel_evaluation_identity():
-    rng = np.random.default_rng(9)
-    ker = random_kernel(rng, n_sites=5, n_entries=10)
-    mu = {i: float(rng.standard_normal()) for i in range(5)}
-    shifted = shift_kernel(ker, mu)
-    for _ in range(20):
-        x = {i: float(rng.standard_normal()) for i in range(5)}
-        lhs = eval_multilinear(shifted, x)
-        rhs = eval_multilinear(ker, {i: x[i] + mu[i] for i in range(5)})
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +248,8 @@ def test_lindeberg_bound_monotone(m2a, m2b, m3a, m3b):
     assert lo <= hi + 1e-12
 
 
-def test_lindeberg_bound_mean_reductions():
-    ker = Kernel({(0,): 0.4, (0, 1): 0.3})
-    moments = TruncatedMoments(0.0, 1.5)
-    # c_mu = 0: e^0 times the zero-mean bound of the inflated kernel
-    b = lindeberg_bound_mean(ker, 0.7, 0.0, 1, moments, 1.0)
-    assert b == pytest.approx(lindeberg_bound(epsilon_inflate(ker, 0.7), 1, moments, 1.0))
-    # eps -> infinity: the exponential prefactor tends to 1
-    big = 1e12
-    b_inf = lindeberg_bound_mean(ker, big, 2.0, 1, moments, 1.0)
-    assert b_inf == pytest.approx(
-        lindeberg_bound(epsilon_inflate(ker, big), 1, moments, 1.0), rel=1e-6
-    )
-
-
 # ---------------------------------------------------------------------------
-# construction and serialization
+# construction
 # ---------------------------------------------------------------------------
 
 
@@ -313,31 +264,3 @@ def test_kernel_degree_and_sites():
     ker = Kernel({(): 1.0, (2, 5): 1.5})
     assert ker.degree() == 2
     assert ker.sites() == {2, 5}
-
-
-def test_serialization_round_trip_file(tmp_path):
-    rng = np.random.default_rng(11)
-    ker = random_kernel(rng, n_entries=9)
-    path = tmp_path / "kernel.tsv"
-    chaos.save_kernel(ker, path)
-    again = chaos.load_kernel(path)
-    assert dict(again.entries) == dict(ker.entries)
-
-
-@given(st.dictionaries(index_sets, st.floats(allow_nan=False, allow_infinity=False).filter(lambda c: c != 0.0), max_size=10))
-def test_serialization_bit_exact(entries):
-    ker = Kernel(entries)
-    again = loads_kernel(dumps_kernel(ker))
-    assert dict(again.entries) == dict(ker.entries)
-
-
-def test_loads_kernel_rejects_duplicates():
-    with pytest.raises(InputError):
-        loads_kernel("1,2\t1.0\n2,1\t2.0\n")
-
-
-def test_empty_set_serialization():
-    ker = Kernel({(): -0.25, (4,): 1.0})
-    text = dumps_kernel(ker)
-    assert text.splitlines()[0] == "-\t-0.25"
-    assert dict(loads_kernel(text).entries) == dict(ker.entries)

@@ -1,12 +1,11 @@
-"""Tests for the shared probability laws and the variable family."""
+"""Tests for the shared probability laws."""
 
 import math
 
 import numpy as np
 import pytest
 
-from chaoslim.dists import RADEMACHER, Atoms, StdGaussian, VariableFamily, overlap_weight
-from chaoslim.errors import InputError
+from chaoslim.dists import RADEMACHER, Atoms, overlap_weight
 
 
 def _log_cosh(t):
@@ -49,29 +48,3 @@ def test_atoms_log_mgf_matches_high_precision():
                 ref = mpmath.log(sum(mpmath.mpf(float(p)) * mpmath.exp(t * mpmath.mpf(float(v)))
                                      for v, p in zip(law.values, law.probs)))
             assert abs(law.log_mgf(t) - ref) <= 1e-15 * abs(ref), (law, t)
-
-
-SPREAD = Atoms([-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1])
-
-
-@pytest.mark.parametrize("base", [StdGaussian(), RADEMACHER, SPREAD],
-                         ids=["gaussian", "rademacher", "four_atoms"])
-def test_variable_family_accepts_standardized_laws(base):
-    fam = VariableFamily(means=np.zeros(3), sigma2=1.0, base=base)
-    assert fam.base is base
-
-
-@pytest.mark.parametrize("base", [RADEMACHER.shifted(0.1), RADEMACHER.scaled(1.5),
-                                  SPREAD.scaled(0.5)],
-                         ids=["not_centered", "variance_above_1", "variance_below_1"])
-def test_variable_family_rejects_unstandardized_laws(base):
-    with pytest.raises(InputError):
-        VariableFamily(means=np.zeros(3), sigma2=1.0, base=base)
-
-
-def test_site_atoms_needs_an_atom_base():
-    fam = VariableFamily(means=np.array([0.0, 0.25]), sigma2=4.0, base=RADEMACHER)
-    site = fam.site_atoms(1)
-    np.testing.assert_array_equal(site.values, [-1.75, 2.25])
-    with pytest.raises(InputError):
-        VariableFamily(means=np.zeros(2), sigma2=1.0).site_atoms(0)

@@ -369,12 +369,24 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
     (["run"], None, {"model": "lindeberg", "grid": [16], "samples": 2,
                      "params": {"zeta": "other"}}, "zeta_values"),
     (["run"], None, {"model": "tilt", "params": {"probs": [0.499, 0.501]}}, "values"),
+    (["run"], None, {"model": "pinning", "grid": [10.5]}, "grid"),
+    (["run"], None, {"model": "polymer", "grid": [10.5]}, "grid"),
+    (["run"], None, {"model": "wiener", "grid": [4.5], "samples": 2}, "grid"),
+    (["run"], None, {"model": "lindeberg", "grid": [2.5], "samples": 2}, "grid"),
+    (["run"], None, {"model": "lindeberg", "grid": [0], "samples": 2}, "grid"),
+    (["run"], None, {"model": "pinning", "grid": [50],
+                     "params": {"law": "alpha", "alpha": 0.75, "n_max": 1e12}}, "cap"),
+    (["pinning", "--alpha", "0.75", "--N", str(10**12)], None, None, "cap"),
+    (["polymer", "--alpha", "1.5", "--window", str(10**12), "--N", "10"], None, None, "cap"),
 ], ids=["atoms_one_field", "p_not_a_number", "atoms_missing", "probs_not_a_number",
         "config_missing", "config_not_json", "config_no_model", "config_samples_not_int",
         "config_grid_not_numbers", "config_grid_not_a_list", "config_param_not_a_number",
         "config_profile_not_a_number", "config_probs_not_numbers", "config_domain_not_a_list",
         "config_domain_three_entries", "config_domain_a_string", "config_zeta_values_missing",
-        "config_tilt_values_missing"])
+        "config_tilt_values_missing", "config_pinning_grid_not_int",
+        "config_polymer_grid_not_int", "config_wiener_grid_not_int",
+        "config_lindeberg_grid_not_int", "config_lindeberg_grid_zero",
+        "config_n_max_above_cap", "pinning_n_max_above_cap", "polymer_window_above_cap"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, atoms, config, message):
     out = tmp_path / "out"
     if argv[0] == "run":
@@ -508,41 +520,6 @@ def test_report_json_ends_with_one_newline(tmp_path):
     text = out.read_text()
     assert text.endswith("}\n") and not text.endswith("\n\n")
     assert json.loads(text)["rows"][0]["value"] == 0.5
-
-
-def test_lindeberg_bound_mean_mc_audit():
-    # mean-shifted families zeta + mu vs xi + mu: the MC distance sits below
-    # the computable mean-shifted bound
-    from chaoslim.chaos import Kernel, lindeberg_bound_mean, truncated_moments
-    from chaoslim.dists import Atoms, StdGaussian
-
-    rng = np.random.default_rng(12)
-    n = 9
-    entries = {(i,): 0.3 for i in range(n)}
-    entries[(0, 1)] = 0.4
-    entries[(2, 5, 7)] = 0.2
-    kernel = Kernel(entries)
-    mu = np.full(n, 0.05)
-    moments = truncated_moments([Atoms([-1.0, 1.0], [0.5, 0.5]), StdGaussian()], math.inf)
-    bound = lindeberg_bound_mean(kernel, 1.0, float(mu @ mu), 2, moments, 1.0)
-
-    def psi(mat):
-        out = np.zeros(mat.shape[0])
-        for sites, coef in kernel.entries.items():
-            term = np.full(mat.shape[0], coef)
-            for s in sites:
-                term = term * mat[:, s]
-            out += term
-        return out
-
-    size = 40_000
-    zeta = rng.choice([-1.0, 1.0], size=(size, n)) + mu
-    xi = rng.standard_normal((size, n)) + mu
-    fz = smooth_test_function(psi(zeta))
-    fg = smooth_test_function(psi(xi))
-    d = abs(float(fz.mean() - fg.mean()))
-    se = math.sqrt(fz.var(ddof=1) / size + fg.var(ddof=1) / size)
-    assert d + harness.Z99 * se <= bound
 
 
 def test_tilt_model_through_study():

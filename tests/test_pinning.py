@@ -17,9 +17,7 @@ from chaoslim.pinning import (
     a_n_scale,
     c_alpha,
     chaos_kernel,
-    continuum_kernel,
     continuum_second_moment,
-    discrete_kernel,
     lognormal_limit_law,
     partition_function,
     partition_function_batch,
@@ -59,6 +57,12 @@ def test_heavy_tail_law_construction():
     n = np.arange(2, 400)
     ratios = law.probs[n] * n ** 1.75 / law.tail_constant
     assert np.max(np.abs(ratios - 1.0)) < 1e-12
+
+
+def test_heavy_tail_cap_admits_the_largest_cli_law():
+    # chaoslim pinning builds n_max = 2 N, so N = _N_CAP must still fit; the
+    # malformed-input CLI table checks that 10**12 is refused
+    assert RenewalLaw.heavy_tail(0.75, 2 * pinning._N_CAP).n_max == 2 * pinning._N_CAP
 
 
 def test_periodic_law_rejected():
@@ -338,34 +342,23 @@ def test_chaos_rewrite_identity(mode):
 
 def test_discrete_kernel_deterministic_law():
     law = RenewalLaw.from_probabilities([1.0])
-    val = discrete_kernel(law, 10, [0.5])
+    val = chaos_kernel(law, 10).coefficient((5,))
     assert val == pytest.approx(a_n_scale(law, 10))
 
 
 def test_discrete_kernel_endpoint_time_uses_u0():
-    # t_k = 1 is the conditioning point itself: the closing factor is
+    # site N is the conditioning point itself: the closing factor is
     # u(0) = 1, so the value reduces to a_N u(N) / u(N) * earlier gaps
     u = renewal_mass(LAW_HALF, 8)
     a = a_n_scale(LAW_HALF, 8)
-    val = discrete_kernel(LAW_HALF, 8, [1.0])
-    assert val == pytest.approx(a * u[8] / u[8], rel=1e-12)
-    val2 = discrete_kernel(LAW_HALF, 8, [0.5, 1.0])
-    assert val2 == pytest.approx(a * u[4] * a * u[4] / u[8], rel=1e-12)
-
-
-def test_discrete_kernel_coincident_times_vanish():
-    assert discrete_kernel(LAW_HALF, 10, [0.3, 0.3]) == 0.0
-
-
-def test_discrete_kernel_off_lattice_rejected():
-    with pytest.raises(InputError):
-        discrete_kernel(LAW_HALF, 10, [0.123])
+    ker = chaos_kernel(LAW_HALF, 8)
+    assert ker.coefficient((8,)) == pytest.approx(a * u[8] / u[8], rel=1e-12)
+    assert ker.coefficient((4, 8)) == pytest.approx(a * u[4] * a * u[4] / u[8], rel=1e-12)
 
 
 def test_discrete_kernel_against_marker_dp():
     """Joint renewal probability via an independent constrained DP."""
-    n, t1, t2 = 64, 0.25, 0.75
-    a, b = int(t1 * n), int(t2 * n)
+    n, a, b = 16, 4, 12
     k = LAW_HALF.probs
     # state: (position, markers hit), absorbing at position n; paths that
     # jump strictly over a marker can never hit both, so they are pruned
@@ -385,22 +378,20 @@ def test_discrete_kernel_against_marker_dp():
         probs = new
     joint = sum(p for (pos, hit), p in probs.items() if pos == n and hit == 2)
     oracle = joint / renewal_mass(LAW_HALF, n)[n]
-    val = discrete_kernel(LAW_HALF, n, [t1, t2])
+    val = chaos_kernel(LAW_HALF, n).coefficient((a, b))
     assert val == pytest.approx(a_n_scale(LAW_HALF, n) ** 2 * oracle, rel=1e-12)
 
 
-def test_continuum_kernel_values():
+def test_c_alpha_value():
     assert c_alpha(0.75) == pytest.approx(0.168809, abs=1e-6)
-    assert continuum_kernel("finite_mean", [0.2, 0.6], 1.0, mean=1.5) == pytest.approx(4.0 / 9.0)
-    with pytest.raises(DomainError):
-        continuum_kernel("alpha", [0.3, 0.3], 1.0, alpha=0.75)
-    with pytest.raises(DomainError):
-        continuum_kernel("alpha", [0.3], 1.0, alpha=0.4)
 
 
 def test_discrete_kernel_converges_to_continuum():
     """Pointwise convergence, with the N^{alpha-1} correction extrapolated.
 
+    The discrete kernel at sites i_1 < i_2 is a_N^2 u(i_1) u(i_2 - i_1)
+    u(N - i_2) / u(N); rescaled by N^{k/2} it tends to the conditioned
+    continuum kernel c_alpha^2 (t_1 (t_2 - t_1) (1 - t_2))^{alpha-1}.
     The renewal mass approaches its limit like n^{-(1-alpha)}, so the plain
     gap at N = 4096 is still ~20%; the trend must shrink and the Richardson
     extrapolation in that rate must land near the continuum value.
@@ -410,9 +401,12 @@ def test_discrete_kernel_converges_to_continuum():
     vals = {}
     cont = None
     for n in (1024, 4096, 16384):
-        ts = (round(0.3 * n) / n, round(0.7 * n) / n)
-        disc = discrete_kernel(law, n, ts) * n ** (len(ts) / 2)
-        cont = continuum_kernel("alpha", ts, 1.0, "conditioned", alpha=0.75)
+        i1, i2 = round(0.3 * n), round(0.7 * n)
+        u = renewal_mass(law, n)
+        a = a_n_scale(law, n)
+        disc = a * u[i1] * a * u[i2 - i1] * u[n - i2] / u[n] * n
+        t1, t2 = i1 / n, i2 / n
+        cont = c_alpha(0.75) ** 2 * (t1 * (t2 - t1) * (1.0 - t2)) ** -0.25
         vals[n] = disc
         gaps.append(abs(disc / cont - 1.0))
     assert gaps[0] > gaps[1] > gaps[2]

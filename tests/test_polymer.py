@@ -17,8 +17,6 @@ from chaoslim.polymer import (
     WalkLaw,
     gnedenko_gap,
     overlap_weight,
-    polymer_kernel_continuum,
-    polymer_kernel_discrete,
     polymer_partition,
     polymer_second_moment_continuum,
     polymer_second_moment_exact,
@@ -93,7 +91,7 @@ def test_heavy_tail_law_tails():
 def test_stable_density_gaussian_case():
     g = StableDensity(2.0, sigma2=1.0)
     assert float(g.pdf(0.0)) == pytest.approx(1.0 / math.sqrt(2 * math.pi))
-    assert float(g.pdf_scaled(4.0, 0.0)) == pytest.approx(1.0 / math.sqrt(8 * math.pi))
+    assert float(pdf_scaled(g, 4.0, 0.0)) == pytest.approx(1.0 / math.sqrt(8 * math.pi))
     assert g.l2_norm_sq() == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)))
 
 
@@ -565,6 +563,98 @@ def test_sample_polymer_memory_is_bounded():
 # ---------------------------------------------------------------------------
 
 
+# The discrete and continuum chaos kernels are oracles: the chaos rewrite
+# checks polymer_partition against the first, and the second is the limit of
+# the first.
+
+_LATTICE_TOL = 1e-9
+
+
+def pdf_scaled(density, t, x):
+    """g_t(x) = t^{-1/alpha} g(x t^{-1/alpha})."""
+    s = t ** (-1.0 / density.alpha)
+    return s * density.pdf(np.asarray(x, dtype=float) * s)
+
+
+def _on_lattice(value: float, scale: float) -> int:
+    j = round(value * scale)
+    if abs(value * scale - j) > _LATTICE_TOL * max(1.0, scale):
+        raise InputError(f"coordinate {value} is off the rescaled lattice")
+    return int(j)
+
+
+def polymer_kernel_discrete(law: WalkLaw, n_steps: int, points, endpoint) -> float:
+    """Discrete conditioned chaos kernel: product of walk-pmf ratios with one
+    factor N^{-(alpha-1)/(2 alpha)} per point; vanishes on coincident points.
+
+    ``points`` are (t_i, x_i) on the rescaled lattice (t in Z/N, x in
+    N^{-1/alpha}(pZ + r n)); ``endpoint`` is the conditioning point (1, x).
+    """
+    space_scale = n_steps ** (1.0 / law.alpha)
+    a_n = n_steps ** (-(law.alpha - 1.0) / (2.0 * law.alpha))
+    p, r = law.period, law.residue
+    pts = []
+    for t, x in points:
+        n = _on_lattice(float(t), float(n_steps))
+        k = _on_lattice(float(x), space_scale)
+        if not 0 < n <= n_steps:
+            raise InputError("time coordinates must lie in (0, 1]")
+        if (k - r * n) % p != 0:
+            raise InputError(f"site ({t}, {x}) violates the period-{p} lattice")
+        pts.append((n, k))
+    if len(set(pts)) != len(pts):
+        return 0.0
+    pts.sort()
+    if len({n for n, _ in pts}) != len(pts):
+        return 0.0  # distinct space at equal time: the walk cannot be at both
+    value = 1.0
+    prev = (0, 0)
+    for n, k in pts:
+        value *= a_n * walk_pmf(law, n - prev[0])[k - prev[1]]
+        prev = (n, k)
+    t_end, x_end = endpoint
+    n_end = _on_lattice(float(t_end), float(n_steps))
+    k_end = _on_lattice(float(x_end), space_scale)
+    q_end = walk_pmf(law, n_steps)[k_end]
+    if q_end <= 0.0:
+        raise ConditioningError(f"q_N({x_end}) = 0: cannot condition")
+    return float(value * (walk_pmf(law, n_end - prev[0])[k_end - prev[1]] / q_end))
+
+
+def polymer_kernel_continuum(
+    density: StableDensity,
+    points,
+    endpoint=None,
+    mode: str = "conditioned",
+    period: int = 1,
+) -> float:
+    """prod_i sqrt(p) g_{t_i - t_{i-1}}(x_i - x_{i-1}), times the endpoint
+    ratio g_{t-t_k}(x - x_k)/g_t(x) in conditioned mode."""
+    if mode not in ("free", "conditioned"):
+        raise InputError(f"unknown mode {mode!r}")
+    pts = sorted((float(t), float(x)) for t, x in points)
+    times = [t for t, _ in pts]
+    if len(set(times)) != len(times):
+        raise DomainError("kernel is not defined at coincident times")
+    value = 1.0
+    prev = (0.0, 0.0)
+    for t, x in pts:
+        if t <= prev[0]:
+            raise DomainError("times must be strictly increasing and positive")
+        value *= math.sqrt(period) * float(pdf_scaled(density, t - prev[0], x - prev[1]))
+        prev = (t, x)
+    if mode == "conditioned":
+        if endpoint is None:
+            raise InputError("conditioned mode needs the endpoint (t, x)")
+        t_end, x_end = float(endpoint[0]), float(endpoint[1])
+        if t_end <= prev[0]:
+            raise DomainError("endpoint time must exceed the last point time")
+        value *= float(pdf_scaled(density, t_end - prev[0], x_end - prev[1])) / float(
+            pdf_scaled(density, t_end, x_end)
+        )
+    return float(value)
+
+
 def test_kernel_discrete_examples():
     val = polymer_kernel_discrete(SIMPLE, 4, [(0.5, 0.0)], endpoint=(1.0, 0.0))
     a_n = 4.0 ** -0.25
@@ -614,7 +704,7 @@ def test_kernel_l2_over_space_matches_quadrature():
     g = StableDensity(2.0, sigma2=1.0)
     t = 0.7
     xs = np.linspace(-12, 12, 4001)
-    vals = 2.0 * np.asarray(g.pdf_scaled(t, xs)) ** 2
+    vals = 2.0 * np.asarray(pdf_scaled(g, t, xs)) ** 2
     quad = float(np.trapezoid(vals, xs))
     assert quad == pytest.approx(2.0 * g.l2_norm_sq() * t**-0.5, rel=1e-8)
 

@@ -3,13 +3,11 @@
 import math
 
 import pytest
-from scipy.special import beta as beta_fn
 
 from chaoslim.errors import DomainError
 from chaoslim.simplex import (
     dirichlet_closed_form,
     dirichlet_quadrature,
-    liouville_simplex_log,
 )
 
 
@@ -63,23 +61,3 @@ def test_domain_errors():
         dirichlet_closed_form(2, 1.0)
     with pytest.raises(DomainError):
         dirichlet_quadrature(2, -0.1)
-
-
-def test_liouville_matches_beta_function():
-    # two gaps: int_{g1+g2=1} g1^{a-1} g2^{b-1} = B(a, b)
-    for a, b in [(0.5, 0.5), (1.5, 0.75), (2.0, 3.0)]:
-        assert math.exp(liouville_simplex_log([a, b])) == pytest.approx(
-            float(beta_fn(a, b)), rel=1e-12
-        )
-
-
-def test_liouville_total_scaling():
-    a = [0.7, 1.2, 2.0]
-    base = liouville_simplex_log(a)
-    scaled = liouville_simplex_log(a, total=3.0)
-    assert scaled - base == pytest.approx((sum(a) - 1.0) * math.log(3.0))
-
-
-def test_liouville_rejects_nonpositive_exponent():
-    with pytest.raises(DomainError):
-        liouville_simplex_log([0.5, 0.0])

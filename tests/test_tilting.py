@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from chaoslim.dists import Atoms, VariableFamily, RADEMACHER
+from chaoslim.dists import Atoms
 from chaoslim.errors import PreconditionError
 from chaoslim.tilting import (
     choose_a_level,
-    tilt_family,
     tilt_zero_mean,
     verify_tilt_bounds,
 )
@@ -137,33 +136,3 @@ def test_tilt_normalization_property(magnitudes, seed, mean_shift):
     for row in report.rows:
         if row[0] != "second_moment_improved":
             assert row[-1], row
-
-
-def test_tilt_family_uniform_two_point():
-    fam = VariableFamily(means=np.full(6, 0.002), sigma2=1.0, base=RADEMACHER)
-    report = tilt_family(fam, p_list=(2.0, 0.5, -1.0))
-    assert len(report.results) == 6
-    lams = {round(r.lam, 14) for r in report.results}
-    assert len(lams) == 1  # identical sites give identical constants
-    assert not report.sign_condition_holds  # two-point sides are degenerate
-
-
-def test_tilt_family_centered_identity():
-    fam = VariableFamily(means=np.zeros(4), sigma2=1.0, base=RADEMACHER)
-    report = tilt_family(fam)
-    assert all(abs(r.lam) <= 1e-12 for r in report.results)
-
-
-def test_tilt_family_sign_condition_with_spread_base():
-    base = Atoms([-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1])
-    fam = VariableFamily(means=np.full(3, 5e-4), sigma2=1.0, base=base)
-    report = tilt_family(fam)
-    assert report.sign_condition_holds
-
-
-def test_tilt_family_aggregates_failures():
-    means = np.array([0.0, 0.3, 0.0, 0.4])
-    fam = VariableFamily(means=means, sigma2=1.0, base=RADEMACHER)
-    with pytest.raises(PreconditionError) as err:
-        tilt_family(fam)
-    assert "sites [1, 3]" in str(err.value)

@@ -21,7 +21,6 @@ from chaoslim.wiener import (
     cameron_martin_weight_batch,
     chaos_series_eval_batch,
     elementary_symmetric,
-    factorized_moment,
     sample_noise_batch,
 )
 
@@ -77,15 +76,22 @@ def dense_chaos_series(kernels, sigma0, mu0, tess, fields):
     return out
 
 
+def alpha_gap_kernel(alpha, times):
+    """Conditioned alpha-regime pinning limit kernel at increasing times
+    0 < t_1 < ... < t_k < 1: c_alpha^k prod_{i=1}^{k+1} (t_i - t_{i-1})^{alpha-1}
+    with t_0 = 0 and t_{k+1} = 1."""
+    gaps = np.diff(np.concatenate([[0.0], times, [1.0]]))
+    return pinning.c_alpha(alpha) ** len(times) * float(np.prod(gaps ** (alpha - 1.0)))
+
+
 def alpha_gap_kernels(alpha, tess, k_max):
     """Dense conditioned alpha-regime pinning kernels f_0..f_k_max at the
-    cell centers, zero on coincident cells, from ``pinning.continuum_kernel``."""
+    cell centers, zero on coincident cells, from ``alpha_gap_kernel``."""
     t = tess.centers()[:, 0]
     kernels = [1.0]
     for k in range(1, k_max + 1):
         tuples = np.array(list(itertools.combinations(range(tess.n_cells), k)))
-        values = [pinning.continuum_kernel("alpha", t[c], 1.0, "conditioned", alpha=alpha)
-                  for c in tuples]
+        values = [alpha_gap_kernel(alpha, t[c]) for c in tuples]
         arr = np.zeros((tess.n_cells,) * k)
         for perm in itertools.permutations(range(k)):
             arr[tuple(tuples[:, perm].T)] = values
@@ -318,6 +324,15 @@ def test_cameron_martin_weight_basics():
     rw = w * fields.sum(axis=1)
     se_rw = float(rw.std(ddof=1) / math.sqrt(rw.size))
     assert abs(rw.mean() - 0.7) <= 3 * se_rw
+
+
+def factorized_moment(rho, lam, h, zeta, volume):
+    """Exact moment E[Z^zeta] of the factorized-kernel chaos limit.
+
+    Z = exp(rho*lam*W(Omega) + (rho*h - (rho*lam)^2/2) * Leb(Omega)) gives
+    E[Z^zeta] = exp(rho*zeta*(h - rho*lam^2*(1-zeta)/2) * Leb(Omega)).
+    """
+    return math.exp(rho * zeta * (h - 0.5 * rho * lam * lam * (1.0 - zeta)) * volume)
 
 
 def test_factorized_moment_values():
