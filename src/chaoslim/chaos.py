@@ -57,12 +57,6 @@ class Kernel:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def coefficient(self, index_set) -> float:
-        return self.entries.get(_canonical(index_set), 0.0)
-
-    def degree(self) -> int:
-        return max((len(i) for i in self.entries), default=0)
-
     def sites(self) -> set[int]:
         out: set[int] = set()
         for index_set in self.entries:

@@ -70,10 +70,6 @@ class WalkLaw:
         return cls(np.array([-1, 1]), np.array([0.5, 0.5]))
 
     @classmethod
-    def from_pmf(cls, offsets, probs) -> "WalkLaw":
-        return cls(np.asarray(offsets), np.asarray(probs))
-
-    @classmethod
     def heavy_tail(cls, alpha: float, gamma_skew: float = 0.0, window: int = 2000) -> "WalkLaw":
         """P(+-n) = c (1 +- gamma) n^{-(1+alpha)} for 2 <= n <= window, with
         the +-1 atoms solving for total mass 1 and mean exactly 0."""
@@ -140,9 +136,6 @@ class Pmf:
     @property
     def offsets(self) -> np.ndarray:
         return np.arange(self.lo, self.lo + self.probs.size)
-
-    def as_dict(self) -> dict[int, float]:
-        return {int(k): float(q) for k, q in zip(self.offsets, self.probs) if q > 0.0}
 
 
 def _dense(law: WalkLaw) -> Pmf:

@@ -160,44 +160,20 @@ class ChaosSeriesSpec:
             return False
         return not (np.isscalar(self.mu0) and float(self.mu0) == 0.0)
 
-    def degree_norm2(self, tess: Tessellation, k: int) -> float:
-        """||f_k||^2 on the grid (piecewise-constant extension)."""
-        return self.coef(k) ** 2 * float(tess.n_cells * tess.cell_volume) ** k
-
-    def series_terms(self, tess: Tessellation, eps: float = 0.5) -> np.ndarray:
-        """t_k = (1+eps)^k sigma0^{2k} ||f_k||^2 / k! for k = 0..k_max."""
-        out = np.empty(self.k_max + 1)
-        for k in range(self.k_max + 1):
-            out[k] = (
-                (1.0 + eps) ** k
-                * self.sigma0 ** (2 * k)
-                * self.degree_norm2(tess, k)
-                / math.factorial(k)
-            )
-        return out
-
-    def tail_bound(self, tess: Tessellation) -> float:
-        """Geometric bound on sum_{k > k_max} sigma0^{2k} ||f_k||^2 / k!."""
-        t = self.series_terms(tess, eps=0.0)
-        if t[-1] == 0.0:
-            return 0.0
-        if self.k_max == 0:
-            return math.inf
-        r = t[-1] / t[-2] if t[-2] > 0 else math.inf
-        return float(t[-1] * r / (1.0 - r)) if r < 1.0 else math.inf
-
     def check_l2(self, tess: Tessellation) -> None:
-        check_decay(self.series_terms(tess, eps=0.5 if self.biased else 0.0))
-
-
-def check_decay(t) -> None:
-    """Raise unless the chaos series terms t_0..t_k_max decay by k_max, the
-    grid form of the L2 summability condition."""
-    if len(t) >= 3 and t[-1] > t[-2] >= t[-3] and t[-1] > 0:
-        raise PreconditionError(
-            "chaos series terms are not decaying by k_max; "
-            "the L2 summability condition fails"
-        )
+        """Raise unless the terms t_k = (1+eps)^k sigma0^{2k} ||f_k||^2 / k!,
+        k = 0..k_max, decay by k_max: the grid form of the L2 summability
+        condition.  ||f_k||^2 is taken on the grid (piecewise-constant
+        extension), and a bias asks for the margin eps = 1/2."""
+        eps = 0.5 if self.biased else 0.0
+        volume = float(tess.n_cells * tess.cell_volume)
+        t = [(1.0 + eps) ** k * self.sigma0 ** (2 * k) * (self.coef(k) ** 2 * volume**k)
+             / math.factorial(k) for k in range(self.k_max + 1)]
+        if len(t) >= 3 and t[-1] > t[-2] >= t[-3] and t[-1] > 0:
+            raise PreconditionError(
+                "chaos series terms are not decaying by k_max; "
+                "the L2 summability condition fails"
+            )
 
 
 def chaos_series_eval_batch(

@@ -376,6 +376,9 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
     (["run"], None, {"model": "lindeberg", "grid": [0], "samples": 2}, "grid"),
     (["run"], None, {"model": "pinning", "grid": [50],
                      "params": {"law": "alpha", "alpha": 0.75, "n_max": 1e12}}, "cap"),
+    (["run"], None, {"model": "pinning", "grid": [], "samples": 0}, "grid"),
+    (["run"], None, {"model": "ising", "grid": [], "samples": 2}, "grid"),
+    (["run"], None, {"model": "pinning", "grid": [10**330]}, "grid"),
     (["pinning", "--alpha", "0.75", "--N", str(10**12)], None, None, "cap"),
     (["polymer", "--alpha", "1.5", "--window", str(10**12), "--N", "10"], None, None, "cap"),
 ], ids=["atoms_one_field", "p_not_a_number", "atoms_missing", "probs_not_a_number",
@@ -386,7 +389,8 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
         "config_tilt_values_missing", "config_pinning_grid_not_int",
         "config_polymer_grid_not_int", "config_wiener_grid_not_int",
         "config_lindeberg_grid_not_int", "config_lindeberg_grid_zero",
-        "config_n_max_above_cap", "pinning_n_max_above_cap", "polymer_window_above_cap"])
+        "config_n_max_above_cap", "config_pinning_grid_empty", "config_ising_grid_empty",
+        "config_grid_int_beyond_float", "pinning_n_max_above_cap", "polymer_window_above_cap"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, atoms, config, message):
     out = tmp_path / "out"
     if argv[0] == "run":
@@ -577,22 +581,18 @@ def test_cli_run_lindeberg_config(tmp_path):
 
 
 def test_pinning_alpha_reference_sampler_sanity():
-    alpha, beta_hat, cells, k_max = 0.75, 1.0, 32, 3
-    ref = harness.pinning_alpha_reference(alpha, beta_hat, cells=cells, k_max=k_max,
-                                          n_samples=20_000, seed=7)
-    # the grid's exact variance: the reference's renewal recursion on K*K with the cell volume
-    t = (np.arange(cells) + 0.5) / cells
-    gaps = t - t[:, None]
-    kern2 = np.zeros_like(gaps)
-    kern2[gaps > 0] = gaps[gaps > 0] ** (2 * (alpha - 1.0))
+    alpha, beta_hat, cells = 0.75, 1.0, 128
+    ref = harness.pinning_alpha_reference(alpha, beta_hat, cells=cells, n_samples=20_000, seed=7)
+    # the grid's exact E Z^2: y(n) = v(n) sum_m K(m)^2 y(n - m), the sum over site
+    # sets of prod K^2 prod E[w^2], with v(n) = (beta_hat c_alpha)^2 / M and v(M) = 1
     rho2 = (beta_hat * pinning.c_alpha(alpha)) ** 2
-    b, exact_var = t ** (2 * (alpha - 1.0)) / cells, 0.0
-    for k in range(1, k_max + 1):
-        exact_var += rho2**k * float(b @ (1.0 - t) ** (2 * (alpha - 1.0)))
-        b = (b @ kern2) / cells
+    y = [1.0]
+    for n in range(1, cells + 1):
+        v = rho2 / cells if n < cells else 1.0
+        y.append(v * sum((m / cells) ** (2 * (alpha - 1.0)) * y[n - m] for m in range(1, n + 1)))
+    exact_var = y[cells] - 1.0
     target_var = pinning.continuum_second_moment("alpha", beta_hat, 0.0, 1.0, alpha=alpha) - 1.0
-    assert exact_var == pytest.approx(0.08753, abs=1e-5)
-    assert exact_var / target_var == pytest.approx(0.923, abs=5e-4)
+    assert exact_var / target_var == pytest.approx(0.912, abs=5e-4)
     assert abs(float(ref.mean()) - 1.0) < 0.01
     dev2 = (ref - ref.mean()) ** 2
     se = float(dev2.std(ddof=1) / math.sqrt(ref.size))

@@ -1,7 +1,7 @@
 """Import hygiene: no module of the package, the tests or the benchmark
 imports a name it never uses, no private helper of the package is left
-without a reader, no public name beyond a shrinking list is read by tests
-alone, and importing chaoslim loads no heavy scipy subpackage."""
+without a reader, no public name or method beyond a shrinking list is read
+by tests alone, and importing chaoslim loads no heavy scipy subpackage."""
 
 import ast
 import os
@@ -66,6 +66,14 @@ def definitions(source: str) -> list[tuple[int, str]]:
     return found
 
 
+def methods(source: str) -> list[tuple[int, str]]:
+    """(line, "Class.name") of every method, property and classmethod that a
+    module-level class of ``source`` defines."""
+    return [(item.lineno, f"{node.name}.{item.name}")
+            for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, ast.FunctionDef)]
+
+
 def private_definitions(source: str) -> list[tuple[int, str]]:
     """(line, name) of every module-level ``_name`` that ``source`` defines."""
     return [(line, name) for line, name in definitions(source)
@@ -94,6 +102,12 @@ def test_private_definitions_are_found():
     assert {"_A"} <= references(source) and "_f" not in references(source)
 
 
+def test_methods_are_found():
+    source = "class C:\n    x = 1\n    @property\n    def p(self):\n        return 1\n" \
+             "    def _q(self):\n        pass\ndef f():\n    pass\n"
+    assert methods(source) == [(4, "C.p"), (6, "C._q")]
+
+
 def test_no_orphaned_private_names():
     package = sorted((ROOT / "src" / "chaoslim").glob("*.py"))
     readers = sorted({*package, *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")})
@@ -105,9 +119,11 @@ def test_no_orphaned_private_names():
     assert not orphans, "private names nothing reads:\n" + "\n".join(orphans)
 
 
-# Public names that only tests other than the acceptance tests read.  Each
-# must come to feed a study, move into tests/ as an oracle, or be deleted,
-# and then leave this list: the list only shrinks.
+# Public names and methods that only tests other than the acceptance tests
+# read.  Each must come to feed a study, move into tests/ as an oracle, or be
+# deleted, and then leave this list: the list only shrinks.  A method counts
+# as read when its bare name is read anywhere, so a name shared with another
+# attribute hides it.
 TEST_ONLY_PUBLIC_NAMES = frozenset({
     "harness.pinning_alpha_reference",
 })
@@ -117,12 +133,15 @@ def test_public_names_have_readers_outside_tests():
     package = sorted((ROOT / "src" / "chaoslim").glob("*.py"))
     readers = [*package, *(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
     read = set().union(*(references(path.read_text(encoding="utf-8")) for path in readers))
-    unread = {f"{path.stem}.{name}"
-              for path in package
-              for _, name in definitions(path.read_text(encoding="utf-8"))
-              if not name.startswith("_") and name not in read}
+    unread = set()
+    for path in package:
+        source = path.read_text(encoding="utf-8")
+        for _, name in definitions(source) + methods(source):
+            short = name.rpartition(".")[2]
+            if not short.startswith("_") and short not in read:
+                unread.add(f"{path.stem}.{name}")
     assert not unread - TEST_ONLY_PUBLIC_NAMES, (
-        "public names no module, benchmark or acceptance test reads: "
+        "public names and methods no module, benchmark or acceptance test reads: "
         f"{sorted(unread - TEST_ONLY_PUBLIC_NAMES)}")
     assert not TEST_ONLY_PUBLIC_NAMES - unread, (
         "listed names that now have a reader or are gone; drop them from the list: "

@@ -342,7 +342,7 @@ def test_chaos_rewrite_identity(mode):
 
 def test_discrete_kernel_deterministic_law():
     law = RenewalLaw.from_probabilities([1.0])
-    val = chaos_kernel(law, 10).coefficient((5,))
+    val = chaos_kernel(law, 10).entries[(5,)]
     assert val == pytest.approx(a_n_scale(law, 10))
 
 
@@ -352,8 +352,8 @@ def test_discrete_kernel_endpoint_time_uses_u0():
     u = renewal_mass(LAW_HALF, 8)
     a = a_n_scale(LAW_HALF, 8)
     ker = chaos_kernel(LAW_HALF, 8)
-    assert ker.coefficient((8,)) == pytest.approx(a * u[8] / u[8], rel=1e-12)
-    assert ker.coefficient((4, 8)) == pytest.approx(a * u[4] * a * u[4] / u[8], rel=1e-12)
+    assert ker.entries[(8,)] == pytest.approx(a * u[8] / u[8], rel=1e-12)
+    assert ker.entries[(4, 8)] == pytest.approx(a * u[4] * a * u[4] / u[8], rel=1e-12)
 
 
 def test_discrete_kernel_against_marker_dp():
@@ -378,7 +378,7 @@ def test_discrete_kernel_against_marker_dp():
         probs = new
     joint = sum(p for (pos, hit), p in probs.items() if pos == n and hit == 2)
     oracle = joint / renewal_mass(LAW_HALF, n)[n]
-    val = chaos_kernel(LAW_HALF, n).coefficient((a, b))
+    val = chaos_kernel(LAW_HALF, n).entries[(a, b)]
     assert val == pytest.approx(a_n_scale(LAW_HALF, n) ** 2 * oracle, rel=1e-12)
 
 

@@ -25,8 +25,8 @@ from chaoslim.polymer import (
 )
 
 SIMPLE = WalkLaw.simple_symmetric()
-LAZY = WalkLaw.from_pmf([-2, -1, 0, 1, 2], [0.1, 0.2, 0.4, 0.2, 0.1])
-THREE = WalkLaw.from_pmf([-2, 1], [1 / 3, 2 / 3])  # period 3, residue 1
+LAZY = WalkLaw([-2, -1, 0, 1, 2], [0.1, 0.2, 0.4, 0.2, 0.1])
+THREE = WalkLaw([-2, 1], [1 / 3, 2 / 3])  # period 3, residue 1
 
 
 # ---------------------------------------------------------------------------
@@ -35,16 +35,16 @@ THREE = WalkLaw.from_pmf([-2, 1], [1 / 3, 2 / 3])  # period 3, residue 1
 
 
 def test_walk_pmf_simple_binomial():
-    q2 = walk_pmf(SIMPLE, 2)
-    assert q2.as_dict() == {-2: 0.25, 0: 0.5, 2: 0.25}
-    assert walk_pmf(SIMPLE, 0).as_dict() == {0: 1.0}
+    q2, q0 = walk_pmf(SIMPLE, 2), walk_pmf(SIMPLE, 0)
+    assert (q2.lo, q2.probs.tolist()) == (-2, [0.25, 0.0, 0.5, 0.0, 0.25])
+    assert (q0.lo, q0.probs.tolist()) == (0, [1.0])
 
 
 def test_walk_pmf_normalization_and_lattice():
     for n in (1, 7, 50):
         q = walk_pmf(SIMPLE, n)
         assert q.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        for k, p in q.as_dict().items():
+        for k in q.offsets[q.probs > 0.0]:
             assert (k - SIMPLE.residue * n) % SIMPLE.period == 0
     assert walk_pmf(SIMPLE, 5)[0] == 0.0  # off the step-5 parity lattice
 
@@ -52,7 +52,7 @@ def test_walk_pmf_normalization_and_lattice():
 def test_period_detection():
     assert SIMPLE.period == 2 and SIMPLE.residue == 1
     assert LAZY.period == 1
-    three = WalkLaw.from_pmf([-3, 3], [0.5, 0.5])
+    three = WalkLaw([-3, 3], [0.5, 0.5])
     assert three.period == 6 and three.residue == 3
 
 
@@ -67,9 +67,9 @@ def test_period_and_residue_match_the_pairwise_gcd(law, period, residue):
 
 def test_walk_law_validation():
     with pytest.raises(InputError):
-        WalkLaw.from_pmf([-1, 1], [0.4, 0.6])  # nonzero mean
+        WalkLaw([-1, 1], [0.4, 0.6])  # nonzero mean
     with pytest.raises(InputError):
-        WalkLaw.from_pmf([-1, 1], [0.7, 0.7])
+        WalkLaw([-1, 1], [0.7, 0.7])
 
 
 def test_heavy_tail_law_tails():
@@ -345,7 +345,7 @@ def test_partition_mass_tol_ignores_the_law_mass_deficit(excess, half, raises):
     # a law whose mass is off 1 by 5e-10 carries (1 + excess)^100, about
     # 1 + 100 excess, after 100 steps; the window loses nothing at half-width
     # 100 and about 5e-8 of walk mass at half-width 38
-    law = WalkLaw.from_pmf([-1, 0, 1], [0.25, 0.5 + excess, 0.25])
+    law = WalkLaw([-1, 0, 1], [0.25, 0.5 + excess, 0.25])
     field = SpaceTimeField(np.zeros((100, 2 * half + 1)), -half)
     if raises:
         with pytest.raises(NumericError, match="truncated walk mass 5.025e-08"):
@@ -829,7 +829,7 @@ def test_second_moment_random_walks_match_enumeration(raw, beta):
     m = half.size
     probs = np.concatenate([half[::-1], [2.0 * half.sum()], half])
     probs /= probs.sum()
-    law = WalkLaw.from_pmf(np.arange(-m, m + 1), probs)
+    law = WalkLaw(np.arange(-m, m + 1), probs)
     dp = polymer_second_moment_exact(law, 4, beta)
     brute = _brute_second_moment(law, 4, beta)
     assert dp == pytest.approx(brute, rel=1e-10)
