@@ -3,7 +3,7 @@
 Subpackages
 -----------
 chaos    sparse multi-linear polynomial algebra and Lindeberg-type bounds
-wiener   discretized white noise and Wiener-chaos series
+wiener   white noise on [0, 1] and factorized Wiener-chaos series
 simplex  ordered-simplex gap integrals (closed form and quadrature oracle)
 pinning  disordered pinning model with exact DP oracles
 polymer  (long-range) directed polymer with exact DP oracles

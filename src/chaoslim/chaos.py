@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .dists import Atoms, StdGaussian
 from .errors import InputError, PreconditionError
 
@@ -56,12 +54,6 @@ class Kernel:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def sites(self) -> set[int]:
-        out: set[int] = set()
-        for index_set in self.entries:
-            out.update(index_set)
-        return out
 
 
 def eval_multilinear(kernel: Kernel, values: Mapping[int, float]) -> float:
@@ -124,21 +116,15 @@ class TruncatedMoments:
             raise InputError("truncated moments must be nonnegative")
 
 
-def truncated_moments(variables: Iterable, threshold: float) -> TruncatedMoments:
+def truncated_moments(laws: Iterable[Atoms | StdGaussian], threshold: float) -> TruncatedMoments:
     """Compute maximal truncated moments over a family of laws.
 
-    Each element may be an :class:`Atoms` law, a :class:`StdGaussian`, or a
-    1-d array of samples (reduced to a weighted atom list after empirical
-    standardization).  Laws must be centered; non-centered input is an
-    error rather than silently recentered.
+    Laws must be centered; non-centered input is an error rather than
+    silently recentered.
     """
     m2 = 0.0
     m3 = 0.0
-    for v in variables:
-        if isinstance(v, (Atoms, StdGaussian)):
-            law = v
-        else:
-            law = Atoms.from_samples(np.asarray(v, dtype=float)).standardized()
+    for law in laws:
         if abs(law.mean()) > 1e-9:
             raise InputError(f"variable is not centered: mean={law.mean():.3e}")
         m2 = max(m2, law.m2_above(threshold))

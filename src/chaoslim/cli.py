@@ -221,8 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InputError(f"--{name.replace('_', '-')} must be a finite number, "
+                                 f"got {value!r}")
         return args.func(args)
-    except ChaoslimError as err:
+    except (ChaoslimError, OSError) as err:  # OSError: an output file that cannot be written
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -39,13 +39,6 @@ class Atoms:
         object.__setattr__(self, "values", v[order])
         object.__setattr__(self, "probs", np.clip(p[order], 0.0, None))
 
-    @classmethod
-    def from_samples(cls, samples) -> "Atoms":
-        """Collapse an empirical sample to a weighted atom list."""
-        x = np.asarray(samples, dtype=float).ravel()
-        vals, counts = np.unique(x, return_counts=True)
-        return cls(vals, counts / counts.sum())
-
     def mean(self) -> float:
         return float(self.values @ self.probs)
 

@@ -185,6 +185,9 @@ class ExperimentConfig:
             samples, seed = int(raw.get("samples", 0)), int(raw.get("seed", 0))
         except (TypeError, ValueError):
             raise InputError(f"config {path}: samples and seed must be integers") from None
+        for key in ("out_csv", "out_json"):
+            if not isinstance(raw.get(key), (str, type(None))):
+                raise InputError(f"config {path}: {key} must be a path or null, got {raw[key]!r}")
         return cls(
             model=raw["model"],
             params=raw.get("params", {}),
@@ -245,27 +248,33 @@ class ComparisonReport:
 
 def _number(params: dict, key: str, default, kind=float):
     """``params[key]``, or ``default`` when absent, as ``kind``; a value that
-    is not a number is an InputError."""
+    is not a number, or is NaN or infinite where the default is not, is an
+    InputError."""
     value = params.get(key, default)
     try:
-        return kind(value)
+        out = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise InputError(f"param {key!r} must be a number, got {value!r}") from None
+        out = math.nan
+    if math.isfinite(out) or out == default:
+        return out
+    raise InputError(f"param {key!r} must be a finite number, got {value!r}")
 
 
 def _numbers(params: dict, key: str, default=None) -> list[float]:
     """``params[key]``, or ``default`` when absent, as a list of floats; a
-    value that is not a list of numbers, or a missing list with no default,
-    is an InputError."""
+    value that is not a list of finite numbers, or a missing list with no
+    default, is an InputError."""
     value = params.get(key, default)
     if value is None:
         raise InputError(f"param {key!r} is required")
     if isinstance(value, (list, tuple)):
         try:
-            return [float(v) for v in value]
+            out = [float(v) for v in value]
         except (TypeError, ValueError, OverflowError):
-            pass
-    raise InputError(f"param {key!r} must be a list of numbers, got {value!r}")
+            out = [math.nan]
+        if all(map(math.isfinite, out)):
+            return out
+    raise InputError(f"param {key!r} must be a list of finite numbers, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +523,7 @@ def _ising_point(config, delta, stream_seed) -> list[ReportRow]:
 
 def _wiener_point(config, n_cells, stream_seed) -> list[ReportRow]:
     params = config.params
-    tess = wiener.Tessellation.unit_interval(int(n_cells))
-    fields = wiener.sample_noise_batch(tess, stream_seed, config.samples)
+    fields = wiener.sample_noise_batch(n_cells, stream_seed, config.samples)
     diagnostic = params.get("diagnostic", "isometry")
     if diagnostic == "isometry":
         s = fields.sum(axis=1)
@@ -523,29 +531,25 @@ def _wiener_point(config, n_cells, stream_seed) -> list[ReportRow]:
         x2 = (s**2 - q) ** 2
         var = float((s**2 - q).var(ddof=1))
         se = float(x2.std(ddof=1) / math.sqrt(x2.size))
-        v = tess.cell_volume
-        oracle = 2.0 * (v * v) * tess.n_cells * (tess.n_cells - 1)
+        v = 1.0 / n_cells
+        oracle = 2.0 * (v * v) * n_cells * (n_cells - 1)
         return [ReportRow(n_cells, "var_double_integral", var, se, oracle,
                           abs(var - oracle), "mc-ci",
                           abs(var - oracle) <= 3 * se, "3 s.e.")]
     if diagnostic == "cameron_martin":
-        rho = _number(params, "rho", 0.8)
         spec_b = wiener.ChaosSeriesSpec(
             sigma0=_number(params, "lam_hat", 1.0),
+            rho=_number(params, "rho", 0.8),
             mu0=_number(params, "h_hat", 0.5),
             k_max=_number(params, "k_max", 8, int),
-            factor_coefs=lambda k: rho**k,
         )
-        spec_0 = wiener.ChaosSeriesSpec(
-            sigma0=spec_b.sigma0, mu0=None, k_max=spec_b.k_max,
-            factor_coefs=spec_b.factor_coefs,
-        )
+        spec_0 = wiener.ChaosSeriesSpec(spec_b.sigma0, spec_b.rho, k_max=spec_b.k_max)
         nu = spec_b.mu0 / spec_b.sigma0
-        f1 = wiener.sample_noise_batch(tess, stream_seed, config.samples)
-        f2 = wiener.sample_noise_batch(tess, stream_seed + 1, config.samples)
-        biased = wiener.chaos_series_eval_batch(spec_b, tess, f1)
-        unbiased = wiener.chaos_series_eval_batch(spec_0, tess, f2)
-        weights = wiener.cameron_martin_weight_batch(tess, f2, nu)
+        f1 = wiener.sample_noise_batch(n_cells, stream_seed, config.samples)
+        f2 = wiener.sample_noise_batch(n_cells, stream_seed + 1, config.samples)
+        biased = wiener.chaos_series_eval_batch(spec_b, f1)
+        unbiased = wiener.chaos_series_eval_batch(spec_0, f2)
+        weights = wiener.cameron_martin_weight_batch(f2, nu)
         ks = ks_two_sample(unbiased, biased, wx=weights)
         return [ReportRow(n_cells, "ks_cameron_martin", ks.statistic, None,
                           ks.critical_value, None, "mc-ci", ks.passed,
@@ -577,8 +581,7 @@ def pinning_alpha_reference(
     """
     if beta_hat <= 0:
         raise InputError("beta_hat must be positive")
-    tess = wiener.Tessellation.unit_interval(cells)
-    w = beta_hat * pinning.c_alpha(alpha) * wiener.sample_noise_batch(tess, seed, n_samples)
+    w = beta_hat * pinning.c_alpha(alpha) * wiener.sample_noise_batch(cells, seed, n_samples)
     w[:, -1] = 1.0
     kernel = np.append(0.0, (np.arange(1, cells + 1) / cells) ** (alpha - 1.0))
     return pinning._renewal_solve(kernel, cells, lambda n0, n1: w[:, n0:n1], n_samples)[:, -1]

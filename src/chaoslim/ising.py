@@ -8,7 +8,8 @@ identity
     Z = prod_x cosh(xi_x) * sum_{I subset interior} E+[sigma^I] tanh(xi)^I
 
 an exact algebraic statement rather than a sampled one.  The inverse
-temperature is pinned at the critical point beta_c = log(1+sqrt(2))/2.
+temperature is pinned at the critical point beta_c = log(1+sqrt(2))/2, and
+the random field has a constant strength lam_hat and bias h_hat.
 
 Continuum geometry (distances to the domain boundary, the singular product
 f_Omega and its L^2 growth ratios) is measured against the polygonal
@@ -201,41 +202,28 @@ def rfim_partition_xi(system: LatticeSpinSystem, xi) -> float:
 
 @dataclass(frozen=True)
 class FieldProfiles:
-    """Continuum disorder-strength and bias profiles on a rectangle domain."""
+    """Constant disorder strength ``lam_hat`` and bias ``h_hat`` on a
+    rectangle domain, at lattice spacing ``delta``."""
 
-    lam_hat: object
-    h_hat: object
+    lam_hat: float
+    h_hat: float
     domain: Rect
     delta: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lam_hat) and self.lam_hat > 0):
+            raise InputError(f"lam_hat must be finite and > 0, got {self.lam_hat!r}")
+        if not math.isfinite(self.h_hat):
+            raise InputError(f"h_hat must be finite, got {self.h_hat!r}")
         if self.delta <= 0:
             raise InputError("delta must be positive")
 
-    def _eval(self, f, p) -> float:
-        if np.isscalar(f):
-            return float(f)
-        return float(f(p[0], p[1]))
-
-    def lam_at(self, p) -> float:
-        v = self._eval(self.lam_hat, p)
-        if v <= 0:
-            raise InputError("lam_hat must be strictly positive")
-        return v
-
-    def h_at(self, p) -> float:
-        return self._eval(self.h_hat, p)
-
 
 def scale_fields(profiles: FieldProfiles, system: LatticeSpinSystem):
-    """Site maps lambda_x = lam_hat(x) delta^{7/8}, h_x = h_hat(x) delta^{15/8}."""
+    """Site maps lambda_x = lam_hat delta^{7/8}, h_x = h_hat delta^{15/8}."""
     d = profiles.delta
-    lam = np.empty(system.n_sites)
-    h = np.empty(system.n_sites)
-    for k, (i, j) in enumerate(system.interior):
-        p = (i * d, j * d)
-        lam[k] = profiles.lam_at(p) * d ** (7.0 / 8.0)
-        h[k] = profiles.h_at(p) * d ** (15.0 / 8.0)
+    lam = np.full(system.n_sites, profiles.lam_hat * d ** (7.0 / 8.0))
+    h = np.full(system.n_sites, profiles.h_hat * d ** (15.0 / 8.0))
     return lam, h
 
 
@@ -261,14 +249,13 @@ def chaos_rewrite(system: LatticeSpinSystem, xi) -> tuple[float, Kernel]:
 
 
 def normalization_prefactor(profiles: FieldProfiles) -> float:
-    """exp(-||lam_hat||^2_{L2(Omega)} delta^{-1/4} / 2), midpoint quadrature."""
+    """exp(-lam_hat^2 |Omega| delta^{-1/4} / 2), with |Omega| counted as the
+    nx * ny cells of side about delta that tile the domain."""
     d, dom = profiles.delta, profiles.domain
     nx = max(1, round((dom.x1 - dom.x0) / d))
     ny = max(1, round((dom.y1 - dom.y0) / d))
-    xs = dom.x0 + (np.arange(nx) + 0.5) * (dom.x1 - dom.x0) / nx
-    ys = dom.y0 + (np.arange(ny) + 0.5) * (dom.y1 - dom.y0) / ny
     cell = ((dom.x1 - dom.x0) / nx) * ((dom.y1 - dom.y0) / ny)
-    norm_sq = sum(profiles.lam_at((x, y)) ** 2 for x in xs for y in ys) * cell
+    norm_sq = profiles.lam_hat**2 * nx * ny * cell
     return math.exp(-0.5 * norm_sq * profiles.delta ** (-0.25))
 
 

@@ -133,10 +133,6 @@ class Pmf:
             return float(self.probs[i])
         return 0.0
 
-    @property
-    def offsets(self) -> np.ndarray:
-        return np.arange(self.lo, self.lo + self.probs.size)
-
 
 def _dense(law: WalkLaw) -> Pmf:
     lo, hi = int(law.offsets[0]), int(law.offsets[-1])
@@ -353,10 +349,6 @@ class SpaceTimeField:
             raise InputError("field must be a 2-d array (time, space)")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[0]
 
 
 def reachable_window(law: WalkLaw, n_steps: int) -> tuple[int, int]:

@@ -7,8 +7,7 @@ Given X with small mean, the mass on the interval I (either [-A, A] or
 
 where Y ~ X | X in I.  F' is monotone, and on |lam| <= Var(Y)/(12 A^3) it is
 provably well-conditioned, so the root is found by bisection.  Everything is
-an exact finite sum over atoms; empirical samples are collapsed to weighted
-atoms first.
+an exact finite sum over atoms.
 
 The quantitative consequences are checked, not assumed: the density-moment
 bound E[f(X)^p] <= 1 + C_p E[X]^2, the second-moment bounds with C and the

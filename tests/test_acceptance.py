@@ -69,8 +69,7 @@ def test_criterion_01_chaos_rewrite_identities():
 
 def test_criterion_02_ito_isometry():
     t0 = time.time()
-    tess = wiener.Tessellation.unit_interval(32)
-    fields = wiener.sample_noise_batch(tess, 0, 100_000)
+    fields = wiener.sample_noise_batch(32, 0, 100_000)
     s = fields.sum(axis=1)
     q = (fields**2).sum(axis=1)
     x = s**2 - q
@@ -318,17 +317,14 @@ def test_criterion_10_ising_enumerations():
 
 
 def test_criterion_11_cameron_martin():
-    tess = wiener.Tessellation.unit_interval(64)
     lam_hat, h_hat, rho = 1.0, 0.5, 0.8
-    spec_b = wiener.ChaosSeriesSpec(sigma0=lam_hat, mu0=h_hat, k_max=10,
-                                    factor_coefs=lambda k: rho**k)
-    spec_0 = wiener.ChaosSeriesSpec(sigma0=lam_hat, mu0=None, k_max=10,
-                                    factor_coefs=lambda k: rho**k)
-    f_biased = wiener.sample_noise_batch(tess, 1001, 10_000)
-    f_plain = wiener.sample_noise_batch(tess, 2002, 10_000)
-    biased = wiener.chaos_series_eval_batch(spec_b, tess, f_biased)
-    unbiased = wiener.chaos_series_eval_batch(spec_0, tess, f_plain)
-    weights = wiener.cameron_martin_weight_batch(tess, f_plain, h_hat / lam_hat)
+    spec_b = wiener.ChaosSeriesSpec(sigma0=lam_hat, rho=rho, mu0=h_hat, k_max=10)
+    spec_0 = wiener.ChaosSeriesSpec(sigma0=lam_hat, rho=rho, k_max=10)
+    f_biased = wiener.sample_noise_batch(64, 1001, 10_000)
+    f_plain = wiener.sample_noise_batch(64, 2002, 10_000)
+    biased = wiener.chaos_series_eval_batch(spec_b, f_biased)
+    unbiased = wiener.chaos_series_eval_batch(spec_0, f_plain)
+    weights = wiener.cameron_martin_weight_batch(f_plain, h_hat / lam_hat)
     ks = harness.ks_two_sample(unbiased, biased, wx=weights)
     _report(11, "Cameron-Martin reweighting", ks.passed,
             f"weighted two-sample KS {ks.statistic:.4f} <= 5% critical "

@@ -115,14 +115,15 @@ def test_influence_values():
 
 @given(kernels)
 def test_influence_sum_identity(ker):
-    total = sum(influence(ker, s) for s in ker.sites())
+    total = sum(influence(ker, s) for s in set().union(*ker.entries))
     by_size = sum(len(sites) * c * c for sites, c in ker.entries.items())
     assert total == pytest.approx(by_size, rel=1e-12, abs=1e-12)
 
 
 @given(kernels)
 def test_max_influence_is_largest_site_influence(ker):
-    assert max_influence(ker) == max((influence(ker, s) for s in ker.sites()), default=0.0)
+    sites = set().union(*ker.entries)
+    assert max_influence(ker) == max((influence(ker, s) for s in sites), default=0.0)
 
 
 def test_influence_is_conditional_variance():
@@ -207,13 +208,6 @@ def test_truncated_moments_nonzero_mean_rejected():
         truncated_moments([Atoms([0.0, 1.0], [0.5, 0.5])], 1.0)
 
 
-def test_truncated_moments_sample_standardization():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal(5000) * 3.0 + 1.0
-    m = truncated_moments([x], math.inf)
-    assert m.m3_below == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=0.1)
-
-
 def _flat_kernel(n):
     return Kernel({(i,): 1.0 / math.sqrt(n) for i in range(n)})
 
@@ -263,4 +257,4 @@ def test_kernel_drops_zero_entries_and_canonicalizes():
 def test_kernel_degree_and_sites():
     ker = Kernel({(): 1.0, (2, 5): 1.5})
     assert set(ker.entries) == {(), (2, 5)}
-    assert ker.sites() == {2, 5}
+    assert set().union(*ker.entries) == {2, 5}

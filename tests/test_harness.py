@@ -381,6 +381,35 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
     (["run"], None, {"model": "pinning", "grid": [10**330]}, "grid"),
     (["pinning", "--alpha", "0.75", "--N", str(10**12)], None, None, "cap"),
     (["polymer", "--alpha", "1.5", "--window", str(10**12), "--N", "10"], None, None, "cap"),
+    (["run"], None, {"model": "ising", "grid": [0.25], "samples": 10,
+                     "params": {"lam_hat": math.nan}}, "lam_hat"),
+    (["run"], None, {"model": "ising", "grid": [0.25], "samples": 10,
+                     "params": {"lam_hat": math.inf}}, "lam_hat"),
+    (["run"], None, {"model": "ising", "grid": [0.25], "samples": 10,
+                     "params": {"h_hat": math.nan}}, "h_hat"),
+    (["run"], None, {"model": "polymer", "grid": [64], "samples": 0,
+                     "params": {"alpha": 1.5, "window": 200, "mass_tol": math.nan}}, "mass_tol"),
+    (["run"], None, {"model": "pinning", "grid": [50, 100], "samples": 0,
+                     "params": {"law": "alpha", "alpha": 0.75, "h_hat": math.nan}}, "h_hat"),
+    (["run"], None, {"model": "polymer", "grid": [16], "samples": 2,
+                     "params": {"mode": "point2point", "x": math.inf}}, "'x'"),
+    (["run"], None, {"model": "lindeberg", "grid": [16], "samples": 2,
+                     "params": {"M": -math.inf}}, "'M'"),
+    (["run"], None, {"model": "pinning", "grid": [50], "params": {"probs": [0.5, math.nan]}},
+     "probs"),
+    (["polymer", "--alpha", "1.5", "--window", "200", "--N", "64", "--samples", "2",
+      "--mass-tol", "nan"], None, None, "--mass-tol"),
+    (["polymer", "--mode", "point2point", "--x", "nan", "--N", "16", "--samples", "2"],
+     None, None, "--x"),
+    (["ising", "--delta", "nan"], None, None, "--delta"),
+    (["pinning", "--N", "10", "--beta-hat", "inf"], None, None, "--beta-hat"),
+    (["run"], None, dict(_TILT_STUDY, out_csv=7), "out_csv"),
+    (["run"], None, dict(_TILT_STUDY, out_json=["a"]), "out_json"),
+    (["run"], None, dict(_TILT_STUDY, out_csv=None, out_json="/nonexistent/d/x.json"),
+     "/nonexistent/d"),
+    (["pinning", "--N", "10", "--samples", "2", "--out", "/nonexistent/d/x.csv"], None, None,
+     "/nonexistent/d"),
+    (["tilt", "--out", "/nonexistent/d/x.json"], _ATOMS, None, "/nonexistent/d"),
 ], ids=["atoms_one_field", "p_not_a_number", "atoms_missing", "probs_not_a_number",
         "config_missing", "config_not_json", "config_no_model", "config_samples_not_int",
         "config_grid_not_numbers", "config_grid_not_a_list", "config_param_not_a_number",
@@ -390,14 +419,19 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
         "config_polymer_grid_not_int", "config_wiener_grid_not_int",
         "config_lindeberg_grid_not_int", "config_lindeberg_grid_zero",
         "config_n_max_above_cap", "config_pinning_grid_empty", "config_ising_grid_empty",
-        "config_grid_int_beyond_float", "pinning_n_max_above_cap", "polymer_window_above_cap"])
+        "config_grid_int_beyond_float", "pinning_n_max_above_cap", "polymer_window_above_cap",
+        "config_lam_hat_nan", "config_lam_hat_inf", "config_h_hat_nan", "config_mass_tol_nan",
+        "config_alpha_pinning_h_hat_nan", "config_x_inf", "config_lindeberg_m_minus_inf",
+        "config_probs_nan", "polymer_mass_tol_nan", "polymer_x_nan", "ising_delta_nan",
+        "pinning_beta_hat_inf", "config_out_csv_int", "config_out_json_list",
+        "config_out_json_missing_dir", "pinning_out_missing_dir", "tilt_out_missing_dir"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, atoms, config, message):
     out = tmp_path / "out"
     if argv[0] == "run":
         if isinstance(config, dict):
-            config = json.dumps(dict(config, out_csv=str(out), out_json=str(out)))
+            config = json.dumps({"out_csv": str(out), "out_json": str(out), **config})
         argv = argv + ["--config", str(tmp_path / "study.json")]
-    else:
+    elif "--out" not in argv:
         argv = argv + ["--out", str(out)]
     if argv[0] == "tilt":
         argv += ["--atoms", str(tmp_path / "atoms.csv")]

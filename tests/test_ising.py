@@ -149,8 +149,7 @@ def test_chaos_rewrite_identity_2x2():
 
 
 def test_sample_ising_matches_per_sample_rfim_partition():
-    profiles = FieldProfiles(lambda x, y: 1.0 + x * y, lambda x, y: 0.3 * x - y,
-                             Rect.unit_square(), 0.25)
+    profiles = FieldProfiles(1.3, -0.4, Rect.unit_square(), 0.25)
     z = harness.sample_ising(profiles, 20, 11)
     system = LatticeSpinSystem.from_domain(profiles.domain, profiles.delta)
     prefactor = normalization_prefactor(profiles)
@@ -177,6 +176,19 @@ def test_scale_fields_powers():
 def test_normalization_prefactor_values():
     assert normalization_prefactor(FieldProfiles(0.0 + 1e-300, 0.0, Rect.unit_square(), 0.1)) == pytest.approx(1.0)
     assert normalization_prefactor(FieldProfiles(1.0, 0.0, Rect.unit_square(), 1.0 / 16)) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    # a constant lam_hat needs no quadrature: the prefactor is exp(-lam_hat^2 |Omega| delta^{-1/4} / 2)
+    domain = Rect(-0.5, 0.25, 1.0, 1.0)
+    exact = math.exp(-0.5 * 1.3**2 * domain.area * 0.2 ** (-0.25))
+    assert normalization_prefactor(FieldProfiles(1.3, 0.7, domain, 0.2)) == pytest.approx(
+        exact, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("lam_hat, h_hat", [
+    (0.0, 0.0), (-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, -math.inf),
+])
+def test_field_profiles_reject_bad_constants(lam_hat, h_hat):
+    with pytest.raises(InputError):
+        FieldProfiles(lam_hat, h_hat, Rect.unit_square(), 0.25)
 
 
 def test_rescaled_partition_mean_approaches_one():
@@ -193,15 +205,6 @@ def test_rescaled_partition_mean_approaches_one():
         logs.append(abs(log_mean))
     assert logs[0] > logs[1] > logs[2]
     assert logs[-1] < 0.5
-
-
-def test_normalization_prefactor_quadrature_refinement():
-    lam = lambda x, y: 1.0 + 0.5 * math.sin(3 * x) * math.cos(2 * y)
-    coarse = FieldProfiles(lam, 0.0, Rect.unit_square(), 1.0 / 8)
-    fine = FieldProfiles(lam, 0.0, Rect.unit_square(), 1.0 / 64)
-    n_coarse = -2.0 * math.log(normalization_prefactor(coarse)) * (1.0 / 8) ** 0.25
-    n_fine = -2.0 * math.log(normalization_prefactor(fine)) * (1.0 / 64) ** 0.25
-    assert n_coarse == pytest.approx(n_fine, rel=0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def test_walk_pmf_normalization_and_lattice():
     for n in (1, 7, 50):
         q = walk_pmf(SIMPLE, n)
         assert q.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        for k in q.offsets[q.probs > 0.0]:
+        for k in np.arange(q.lo, q.lo + q.probs.size)[q.probs > 0.0]:
             assert (k - SIMPLE.residue * n) % SIMPLE.period == 0
     assert walk_pmf(SIMPLE, 5)[0] == 0.0  # off the step-5 parity lattice
 
@@ -266,7 +266,7 @@ def test_scale_beta_values():
 
 def _brute_partition(law, field, beta, mode, y=None, disorder=GAUSSIAN_DISORDER):
     lam = disorder.log_mgf(beta)
-    n = field.n_steps
+    n = field.values.shape[0]
     free = 0.0
     p2p = {}
     for incs in itertools.product(range(len(law.offsets)), repeat=n):

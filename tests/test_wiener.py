@@ -17,7 +17,6 @@ from chaoslim import harness, pinning
 from chaoslim.errors import PreconditionError
 from chaoslim.wiener import (
     ChaosSeriesSpec,
-    Tessellation,
     cameron_martin_weight_batch,
     chaos_series_eval_batch,
     elementary_symmetric,
@@ -53,7 +52,7 @@ def multiple_integral(g, fields):
     return out
 
 
-def dense_chaos_series(kernels, sigma0, mu0, tess, fields):
+def dense_chaos_series(kernels, sigma0, mu0, n_cells, fields):
     """sum_k (1/k!) int f_k prod(sigma0 W(dy) + mu0 dy) over the symmetric
     dense kernels f_0..f_K (f_k of shape (n_cells,) * k) and a constant bias
     mu0 (or None).
@@ -63,7 +62,7 @@ def dense_chaos_series(kernels, sigma0, mu0, tess, fields):
     continuum), then the stochastic ones take off-diagonal sums; by symmetry
     the k-choose-j coordinate subsets of one size contribute identically.
     """
-    muv = None if mu0 is None else np.full(tess.n_cells, mu0 * tess.cell_volume)
+    muv = None if mu0 is None else np.full(n_cells, mu0 * (1.0 / n_cells))
     out = np.zeros(fields.shape[0])
     for k, arr in enumerate(kernels):
         for j in range(k, -1, -1):
@@ -92,49 +91,34 @@ def alpha_subset_series(alpha, beta_hat, fields):
     return out
 
 
-def test_tessellation_geometry():
-    tess = Tessellation((0.0,), (2.0,), (8,))
-    assert tess.cell_volume == pytest.approx(0.25)
-    centers = tess.centers()
-    assert centers.shape == (8, 1)
-    assert centers[0, 0] == pytest.approx(0.125)
-    tess2 = Tessellation((0.0, -1.0), (1.0, 1.0), (4, 8))
-    assert tess2.n_cells == 32
-    assert tess2.cell_volume == pytest.approx(0.25 * 0.25)
-
-
 def test_same_seed_reproduces_field():
-    tess = Tessellation.unit_interval(16)
-    a = sample_noise_batch(tess, 99, 1)
-    b = sample_noise_batch(tess, 99, 1)
+    a = sample_noise_batch(16, 99, 1)
+    b = sample_noise_batch(16, 99, 1)
     assert np.array_equal(a, b)
-    c = sample_noise_batch(tess, 100, 1)
+    c = sample_noise_batch(16, 100, 1)
     assert not np.array_equal(a, c)
 
 
 def test_total_mass_variance_and_independence():
-    tess = Tessellation((0.0,), (2.0,), (32,))
-    fields = sample_noise_batch(tess, 0, 100_000)
-    # W([0,1]) over the first 16 cells has variance 1
+    fields = sample_noise_batch(32, 0, 100_000)
+    # W([0, 1/2]) over the first 16 cells has variance 1/2, and W([1/2, 1]) is independent
     w_a = fields[:, :16].sum(axis=1)
     w_b = fields[:, 16:].sum(axis=1)
     se = float((w_a**2).std(ddof=1) / math.sqrt(w_a.size))
-    assert abs(w_a.var(ddof=1) - 1.0) <= 3 * se
+    assert abs(w_a.var(ddof=1) - 0.5) <= 3 * se
     cov = float(np.mean(w_a * w_b))
     cov_se = float((w_a * w_b).std(ddof=1) / math.sqrt(w_a.size))
     assert abs(cov) <= 3 * cov_se
 
 
 def test_multiple_integral_k1_is_plain_integral():
-    tess = Tessellation.unit_interval(8)
-    fields = sample_noise_batch(tess, 5, 1)
+    fields = sample_noise_batch(8, 5, 1)
     assert multiple_integral(np.ones(8), fields)[0] == pytest.approx(fields[0].sum())
     assert multiple_integral(1.0, fields)[0] == 1.0
 
 
 def test_multiple_integral_matches_brute_force_4_cells():
-    tess = Tessellation.unit_interval(4)
-    fields = sample_noise_batch(tess, 9, 1)
+    fields = sample_noise_batch(4, 9, 1)
     w = fields[0]
     brute = sum(w[i] * w[j] for i in range(4) for j in range(4) if i != j)
     assert multiple_integral(np.ones((4, 4)), fields)[0] == pytest.approx(
@@ -150,12 +134,11 @@ def test_multiple_integral_matches_brute_force_4_cells():
 
 def test_multiple_integral_second_moment_grid_isometry():
     # E[(W^2(f))^2] = 2 * sum_{i != j} v^2 on the grid (off-diagonal isometry)
-    tess = Tessellation.unit_interval(32)
-    fields = sample_noise_batch(tess, 1, 50_000)
+    fields = sample_noise_batch(32, 1, 50_000)
     s = fields.sum(axis=1)
     q = (fields**2).sum(axis=1)
     x = s**2 - q
-    v = tess.cell_volume
+    v = 1.0 / 32
     exact = 2.0 * 32 * 31 * v * v
     se = float((x**2).std(ddof=1) / math.sqrt(x.size))
     assert abs(x.var(ddof=1) - exact) <= 3 * se
@@ -164,18 +147,17 @@ def test_multiple_integral_second_moment_grid_isometry():
 def test_ito_isometry_cross_orders():
     # Cov(W^k(f), W^l(g)) = k! 1_{k=l} <f, g> with the off-diagonal grid
     # inner product, for k, l up to 3 on a coarse grid
-    tess = Tessellation.unit_interval(8)
     rng = np.random.default_rng(6)
     f = rng.random(8) + 0.5
     g = rng.random(8) + 0.5
     f2 = np.add.outer(f, f) / 2.0
     g2 = np.add.outer(g, g) / 2.0
     g3 = np.add.outer(np.add.outer(g, g), g) / 3.0
-    fields = sample_noise_batch(tess, 3, 8_000)
+    fields = sample_noise_batch(8, 3, 8_000)
     vals = {}
     for name, ker in (("f1", f), ("g1", g), ("f2", f2), ("g2", g2), ("g3", g3)):
         vals[name] = multiple_integral(ker, fields)
-    v = tess.cell_volume
+    v = 1.0 / 8
 
     def offdiag_inner(a, b, k):
         return float(np.sum(a * b * distinct_mask(8, k))) * v**k
@@ -194,8 +176,7 @@ def test_ito_isometry_cross_orders():
 
 
 def test_multiple_integral_permutation_invariance():
-    tess = Tessellation.unit_interval(5)
-    fields = sample_noise_batch(tess, 3, 1)
+    fields = sample_noise_batch(5, 3, 1)
     rng = np.random.default_rng(0)
     base = rng.standard_normal((5, 5))
     f = base + base.T
@@ -211,13 +192,12 @@ def test_elementary_symmetric_small_case():
 
 
 def test_chaos_series_factorized_equals_general():
-    tess = Tessellation.unit_interval(6)
-    fields = sample_noise_batch(tess, 3, 1)
+    fields = sample_noise_batch(6, 3, 1)
     rho = 0.7
-    spec_f = ChaosSeriesSpec(sigma0=1.3, mu0=0.4, k_max=3, factor_coefs=lambda k: rho**k)
+    spec_f = ChaosSeriesSpec(sigma0=1.3, rho=rho, mu0=0.4, k_max=3)
     kernels = [rho**k * np.ones((6,) * k) for k in range(4)]
-    assert chaos_series_eval_batch(spec_f, tess, fields)[0] == pytest.approx(
-        dense_chaos_series(kernels, 1.3, 0.4, tess, fields)[0], rel=1e-12
+    assert chaos_series_eval_batch(spec_f, fields)[0] == pytest.approx(
+        dense_chaos_series(kernels, 1.3, 0.4, 6, fields)[0], rel=1e-12
     )
 
 
@@ -227,19 +207,16 @@ def test_pinning_alpha_reference_matches_subset_oracle(alpha, cells):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ref = harness.pinning_alpha_reference(alpha, 1.0, cells=cells, n_samples=200, seed=5)
-    fields = sample_noise_batch(Tessellation.unit_interval(cells), 5, 200)[:, : cells - 1]
+    fields = sample_noise_batch(cells, 5, 200)[:, : cells - 1]
     oracle = alpha_subset_series(alpha, 1.0, fields)
     assert np.max(np.abs(ref - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def test_chaos_series_l2_condition_failure():
-    spec = ChaosSeriesSpec(
-        sigma0=1.0, mu0=1.0, k_max=8,
-        factor_coefs=lambda k: float(math.factorial(k)) * 4.0**k,
-    )
-    tess = Tessellation.unit_interval(8)
+    # the terms (1.5 rho^2)^k / k! still grow at k_max = 8 when rho = 3
+    spec = ChaosSeriesSpec(sigma0=1.0, rho=3.0, mu0=1.0, k_max=8)
     with pytest.raises(PreconditionError):
-        chaos_series_eval_batch(spec, tess, sample_noise_batch(tess, 0, 1))
+        chaos_series_eval_batch(spec, sample_noise_batch(8, 0, 1))
 
 
 def test_refinement_changes_moment_within_discretization_estimate():
@@ -253,11 +230,9 @@ def test_refinement_changes_moment_within_discretization_estimate():
         return sum(rho ** (2 * k) * sigma ** (2 * k) * e[k] for k in range(k_max + 1))
 
     def emp_m2(n_cells, seed, n_samples=40_000):
-        tess = Tessellation.unit_interval(n_cells)
-        spec = ChaosSeriesSpec(sigma0=sigma, mu0=None, k_max=k_max,
-                               factor_coefs=lambda k: rho**k)
-        fields = sample_noise_batch(tess, seed, n_samples)
-        vals = chaos_series_eval_batch(spec, tess, fields)
+        spec = ChaosSeriesSpec(sigma0=sigma, rho=rho, k_max=k_max)
+        fields = sample_noise_batch(n_cells, seed, n_samples)
+        vals = chaos_series_eval_batch(spec, fields)
         m2 = float((vals**2).mean())
         se = float((vals**2).std(ddof=1) / math.sqrt(n_samples))
         return m2, se
@@ -279,21 +254,19 @@ def test_factorized_series_matches_lognormal_law():
     rho, lam, h = 0.8, 1.0, 0.5
     drift = rho * h - 0.5 * rho**2 * lam**2
     vol = rho * lam
-    tess = Tessellation.unit_interval(128)
-    spec = ChaosSeriesSpec(sigma0=lam, mu0=h, k_max=16, factor_coefs=lambda k: rho**k)
-    fields = sample_noise_batch(tess, 0, 10_000)
-    vals = chaos_series_eval_batch(spec, tess, fields)
+    spec = ChaosSeriesSpec(sigma0=lam, rho=rho, mu0=h, k_max=16)
+    fields = sample_noise_batch(128, 0, 10_000)
+    vals = chaos_series_eval_batch(spec, fields)
     assert np.all(vals > 0)
     ks = ks_statistic(np.log(vals), lambda t: ndtr((t - drift) / vol))
     assert ks < 1.3581 / math.sqrt(10_000)  # 5% one-sample level
 
 
 def test_cameron_martin_weight_basics():
-    tess = Tessellation.unit_interval(32)
-    assert cameron_martin_weight_batch(tess, sample_noise_batch(tess, 12, 1), 0.0)[0] == (
+    assert cameron_martin_weight_batch(sample_noise_batch(32, 12, 1), 0.0)[0] == (
         pytest.approx(1.0))
-    fields = sample_noise_batch(tess, 2, 50_000)
-    w = cameron_martin_weight_batch(tess, fields, 0.7)
+    fields = sample_noise_batch(32, 2, 50_000)
+    w = cameron_martin_weight_batch(fields, 0.7)
     se = float(w.std(ddof=1) / math.sqrt(w.size))
     assert abs(w.mean() - 1.0) <= 3 * se
     # reweighted mean of W([0,1]) equals the shift
@@ -318,10 +291,9 @@ def test_factorized_moment_values():
 
 def test_factorized_moment_against_mc_second_moment():
     rho, lam, h = 0.8, 0.9, 0.2
-    tess = Tessellation.unit_interval(32)
-    spec = ChaosSeriesSpec(sigma0=lam, mu0=h, k_max=14, factor_coefs=lambda k: rho**k)
-    fields = sample_noise_batch(tess, 21, 60_000)
-    vals = chaos_series_eval_batch(spec, tess, fields)
+    spec = ChaosSeriesSpec(sigma0=lam, rho=rho, mu0=h, k_max=14)
+    fields = sample_noise_batch(32, 21, 60_000)
+    vals = chaos_series_eval_batch(spec, fields)
     m2 = float((vals**2).mean())
     se = float((vals**2).std(ddof=1) / math.sqrt(vals.size))
     target = factorized_moment(rho, lam, h, 2.0, 1.0)
