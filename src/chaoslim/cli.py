@@ -32,8 +32,8 @@ def _floats(text: str, flag: str) -> list[float]:
 
 
 def _quiet_numerics():
-    """Overflow and invalid-value warnings off for a sample command's draws:
-    ``_write_samples`` reports any sample they leave non-finite as an error."""
+    """Overflow and invalid-value warnings off for a command's numerics: a
+    sample or a second moment they leave non-finite is reported as an error."""
     return np.errstate(over="ignore", invalid="ignore")
 
 
@@ -142,7 +142,8 @@ def _cmd_tilt(args) -> int:
 
 def _cmd_run(args) -> int:
     config = harness.ExperimentConfig.from_json(args.config)
-    report = harness.run_convergence_study(config)
+    with _quiet_numerics():
+        report = harness.run_convergence_study(config)
     for row in report.rows:
         status = "" if row.passed is None else ("PASS" if row.passed else "FAIL")
         print(f"[{config.model}] grid={row.grid_value} {row.quantity}: "

@@ -63,8 +63,6 @@ def point_mass_cdf(a: float):
 class TwoSampleKS:
     statistic: float
     critical_value: float
-    n_eff_x: float
-    n_eff_y: float
 
     @property
     def passed(self) -> bool:
@@ -96,7 +94,7 @@ def ks_two_sample(x, y, wx=None) -> TwoSampleKS:
     n_x = float(wx.sum() ** 2 / (wx**2).sum())
     n_y = float(y.size)
     crit = KS_TWO_SAMPLE_C05 * math.sqrt(1.0 / n_x + 1.0 / n_y)
-    return TwoSampleKS(stat, crit, n_x, n_y)
+    return TwoSampleKS(stat, crit)
 
 
 TREND_ALLOWED_INVERSIONS = 1  # rises within noise that a trend may still show
@@ -451,14 +449,7 @@ def _pinning_point(config, n_steps, stream_seed) -> list[ReportRow]:
 
     beta_n, h_n = pinning.scale_couplings(law, beta_hat, h_hat, n_steps)
     m2 = pinning.second_moment_exact(law, n_steps, beta_n, h_n, mode, disorder)
-    if law.regime == "finite_mean":
-        oracle = pinning.continuum_second_moment(
-            "finite_mean", beta_hat, h_hat, 1.0, mode=mode, mean=law.mean()
-        )
-    else:
-        oracle = pinning.continuum_second_moment(
-            "alpha", beta_hat, h_hat, 1.0, mode=mode, alpha=law.alpha
-        )
+    oracle = pinning.continuum_second_moment(law, beta_hat, h_hat, mode)
     rows.append(ReportRow(n_steps, "second_moment", m2, None, oracle,
                           abs(m2 / oracle - 1.0), "dp-exact"))
 
@@ -468,7 +459,7 @@ def _pinning_point(config, n_steps, stream_seed) -> list[ReportRow]:
         se = float(z.std(ddof=1) / math.sqrt(z.size))
         rows.append(ReportRow(n_steps, "mean_Z", float(z.mean()), se, None, None, "mc-ci"))
         if law.regime == "finite_mean":
-            drift, vol = pinning.lognormal_limit_law(law.mean(), beta_hat, h_hat, 1.0)
+            drift, vol = pinning.lognormal_limit_law(law, beta_hat, h_hat)
             if vol == 0.0:
                 cdf, cdf_left = point_mass_cdf(drift)
                 ks = ks_statistic(np.log(z), cdf, cdf_left)
@@ -488,9 +479,7 @@ def _polymer_point(config, n_steps, stream_seed) -> list[ReportRow]:
     mass_tol = _number(params, "mass_tol", 1e-8)
     m2 = polymer.polymer_second_moment_exact(law, n_steps, beta_n, disorder,
                                              mass_tol=mass_tol)
-    oracle = polymer.polymer_second_moment_continuum(
-        law.stable_density(), beta_hat, 1.0, period=law.period
-    )
+    oracle = polymer.polymer_second_moment_continuum(law, beta_hat)
     rows.append(ReportRow(n_steps, "second_moment", m2, None, oracle,
                           abs(m2 / oracle - 1.0), "dp-exact"))
     if config.samples > 0:

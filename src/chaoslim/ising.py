@@ -53,16 +53,33 @@ class Rect:
     def area(self) -> float:
         return (self.x1 - self.x0) * (self.y1 - self.y0)
 
-    def contains(self, p) -> bool:
-        x, y = float(p[0]), float(p[1])
-        return self.x0 < x < self.x1 and self.y0 < y < self.y1
-
     def sample_interior(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random((size, 2))
         return np.stack(
             [self.x0 + u[:, 0] * (self.x1 - self.x0), self.y0 + u[:, 1] * (self.y1 - self.y0)],
             axis=-1,
         )
+
+
+def _check_enum_cap(n_sites: int) -> None:
+    if n_sites > _ENUM_CAP:
+        raise ResourceError(f"{n_sites} interior spins exceed the enumeration cap {_ENUM_CAP}")
+
+
+def _axis_range(lo: float, hi: float, delta: float) -> range:
+    """The integers i with lo < i * delta < hi: the lattice points of one
+    side of an open Rect."""
+    try:
+        i0, i1 = math.floor(lo / delta), math.ceil(hi / delta)
+    except OverflowError:  # an axis count beyond the float range
+        raise ResourceError(
+            f"delta = {delta!r} gives more interior spins than the enumeration cap {_ENUM_CAP}"
+        ) from None
+    while i0 <= i1 and not lo < i0 * delta:
+        i0 += 1
+    while i1 >= i0 and not i1 * delta < hi:
+        i1 -= 1
+    return range(i0, i1 + 1)
 
 
 @dataclass(frozen=True)
@@ -77,10 +94,7 @@ class LatticeSpinSystem:
             raise InputError("repeated interior sites")
         if not sites:
             raise InputError("interior must be non-empty")
-        if len(sites) > _ENUM_CAP:
-            raise ResourceError(
-                f"{len(sites)} interior spins exceed the enumeration cap {_ENUM_CAP}"
-            )
+        _check_enum_cap(len(sites))
         object.__setattr__(self, "interior", sites)
         object.__setattr__(self, "_cache", {})
 
@@ -90,18 +104,18 @@ class LatticeSpinSystem:
 
     @classmethod
     def from_domain(cls, domain: Rect, delta: float) -> "LatticeSpinSystem":
-        """Interior sites of Omega cap (delta Z)^2, stored as integer coords."""
+        """Interior sites of Omega cap (delta Z)^2, stored as integer coords.
+
+        The sites of a rectangle are a product of two axis ranges, so the
+        enumeration cap is checked on their sizes before any site is built.
+        """
         if delta <= 0:
             raise InputError("delta must be positive")
-        i0, i1 = math.floor(domain.x0 / delta), math.ceil(domain.x1 / delta)
-        j0, j1 = math.floor(domain.y0 / delta), math.ceil(domain.y1 / delta)
-        sites = tuple(
-            (i, j)
-            for i in range(i0, i1 + 1)
-            for j in range(j0, j1 + 1)
-            if domain.contains((i * delta, j * delta))
-        )
-        return cls(sites)
+        xs = _axis_range(domain.x0, domain.x1, delta)
+        ys = _axis_range(domain.y0, domain.y1, delta)
+        # stop - start, not len(): len() of a range past 2^63 raises OverflowError
+        _check_enum_cap((xs.stop - xs.start) * (ys.stop - ys.start))
+        return cls(tuple((i, j) for i in xs for j in ys))
 
     @property
     def n_sites(self) -> int:
@@ -318,10 +332,6 @@ def _f_omega_sq_batch(samples: np.ndarray, domain: Rect) -> np.ndarray:
 class L2RatioEstimate:
     ratio: float
     se: float
-    numerator: float
-    numerator_se: float
-    denominator: float
-    denominator_se: float
 
 
 def f_omega_l2_ratio(
@@ -349,4 +359,4 @@ def f_omega_l2_ratio(
     den, den_se = norm_sq(n - 1)
     ratio = num / den
     se = ratio * math.sqrt((num_se / num) ** 2 + (den_se / den) ** 2)
-    return L2RatioEstimate(ratio, se, num, num_se, den, den_se)
+    return L2RatioEstimate(ratio, se)

@@ -14,6 +14,7 @@ P(S_1 > n) ~ C (1+gamma)/2 n^{-alpha}.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -521,31 +522,26 @@ def polymer_second_moment_exact(
         absorbed += float(full.sum() - kept.sum())
         v = kept
         v[window] *= boost
+    m2 = float(v.sum() + absorbed)
+    if not math.isfinite(m2):
+        raise NumericError(f"E[Z^2] = {m2!r} is not finite; lower beta_hat or N")
     if absorbed > mass_tol:
         raise NumericError(
             f"absorbed difference-walk mass {absorbed:.3e} exceeds "
             f"mass_tol={mass_tol:.1e}; enlarge window"
         )
-    return float(v.sum() + absorbed)
+    return m2
 
 
-def polymer_second_moment_continuum(
-    density: StableDensity,
-    beta_hat: float,
-    t: float = 1.0,
-    k_max: int = 40,
-    period: int = 1,
-) -> float:
-    """1 + sum_k (p beta_hat^2 c_g)^k D_k(1/a) on (0, t), with c_g = int g^2
-    and D_k the free ordered-simplex gap integral, whose closed form is
-    t^{k(1-1/a)} Gamma(1-1/a)^k / Gamma(k(1-1/a)+1)."""
-    if beta_hat == 0.0:
-        return 1.0
+def polymer_second_moment_continuum(law: WalkLaw, beta_hat: float) -> float:
+    """Second moment at time 1 of the continuum limit of ``law``'s polymer:
+    1 + sum_k (p beta_hat^2 c_g)^k D_k(1/a), with p the law's period,
+    c_g = int g^2 of its stable density g and D_k the free ordered-simplex
+    gap integral Gamma(1-1/a)^k / Gamma(k(1-1/a)+1), summed until the terms
+    vanish."""
+    density = law.stable_density()
     chi = 1.0 / density.alpha
-    x = period * beta_hat * beta_hat * density.l2_norm_sq()
-    terms = [x**k * simplex.dirichlet_closed_form(k, chi, False, t) for k in range(k_max + 1)]
-    if len(terms) >= 3 and terms[-1] > terms[-2] and terms[-1] > 1e-12 * sum(terms):
-        raise NumericError(
-            "second-moment series is not decaying by k_max; reported as non-summable"
-        )
-    return float(sum(terms))
+    x = law.period * beta_hat * beta_hat * density.l2_norm_sq()
+    return simplex.sum_series(
+        x**k * simplex.dirichlet_closed_form(k, chi, False) for k in itertools.count()
+    )

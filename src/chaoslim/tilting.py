@@ -62,7 +62,6 @@ class TiltResult:
     density: np.ndarray
     tilted: Atoms
     source: Atoms
-    flipped: bool = False
 
     def __post_init__(self):
         total = float(self.density @ self.source.probs)
@@ -165,7 +164,6 @@ def tilt_zero_mean(dist: Atoms, interval: str = "two-sided") -> TiltResult:
         density=density_out,
         tilted=tilted,
         source=dist,
-        flipped=flipped,
     )
     report = verify_tilt_bounds(result, dist, p_list=(2.0,))
     # the improved quadratic bound is a consequence of the one-sided

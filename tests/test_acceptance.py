@@ -112,7 +112,7 @@ def test_criterion_03_dirichlet_closed_form():
 def test_criterion_04_pinning_lognormal_limit():
     t0 = time.time()
     law = pinning.RenewalLaw.from_probabilities([0.5, 0.5])
-    drift, vol = pinning.lognormal_limit_law(law.mean(), 1.0, 0.0, 1.0)
+    drift, vol = pinning.lognormal_limit_law(law, 1.0, 0.0)
     grid = (250, 500, 1000, 2000)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(42).spawn(4)]
     ks_values = []
@@ -137,15 +137,14 @@ def test_criterion_04_pinning_lognormal_limit():
 def test_criterion_05_pinning_second_moments():
     t0 = time.time()
     law = pinning.RenewalLaw.from_probabilities([0.5, 0.5])
-    target = pinning.continuum_second_moment("finite_mean", 1.0, 0.0, 1.0,
-                                             mean=law.mean())
+    target = pinning.continuum_second_moment(law, 1.0, 0.0, "conditioned")
     assert target == pytest.approx(math.exp((2.0 / 3.0) ** 2), rel=1e-12)
     beta_n, h_n = pinning.scale_couplings(law, 1.0, 0.0, 2000)
     m2 = pinning.second_moment_exact(law, 2000, beta_n, h_n, "conditioned")
     gap_fm = abs(m2 / target - 1.0)
 
     heavy = pinning.RenewalLaw.heavy_tail(0.75, 20_000)
-    target_a = pinning.continuum_second_moment("alpha", 1.0, 0.0, 1.0, alpha=0.75)
+    target_a = pinning.continuum_second_moment(heavy, 1.0, 0.0, "conditioned")
     gaps = []
     for n in (500, 1000, 2000):
         b_n, hh_n = pinning.scale_couplings(heavy, 1.0, 0.0, n)
@@ -165,8 +164,7 @@ def test_criterion_05_pinning_second_moments():
 
 def test_criterion_06_polymer_second_moments():
     law = polymer.WalkLaw.simple_symmetric()
-    target = polymer.polymer_second_moment_continuum(law.stable_density(), 0.5, 1.0,
-                                                     period=law.period)
+    target = polymer.polymer_second_moment_continuum(law, 0.5)
     beta_n = polymer.scale_beta(2.0, 0.5, 2000)
     m2 = polymer.polymer_second_moment_exact(law, 2000, beta_n)
     gap = abs(m2 / target - 1.0)

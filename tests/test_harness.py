@@ -74,7 +74,8 @@ def test_ks_two_sample_weighted_effective_size():
     w[:500] = 3.0
     res = ks_two_sample(x, rng.standard_normal(1000), wx=w)
     n_eff = (w.sum()) ** 2 / (w**2).sum()
-    assert res.n_eff_x == pytest.approx(n_eff)
+    assert res.critical_value == pytest.approx(1.3581 * math.sqrt(1 / n_eff + 1 / 1000),
+                                               rel=1e-12)
 
 
 def test_ks_two_sample_detects_shift():
@@ -410,6 +411,15 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
     (["pinning", "--N", "10", "--samples", "2", "--out", "/nonexistent/d/x.csv"], None, None,
      "/nonexistent/d"),
     (["tilt", "--out", "/nonexistent/d/x.json"], _ATOMS, None, "/nonexistent/d"),
+    (["run"], None, {"model": "pinning", "params": {"beta_hat": 30}, "grid": [100, 200],
+                     "samples": 0}, "not finite"),
+    (["run"], None, {"model": "pinning", "params": {"beta_hat": 40}, "grid": [100, 200],
+                     "samples": 0}, "not finite"),
+    (["run"], None, {"model": "pinning", "grid": [2, 4], "samples": 0,
+                     "params": {"law": "alpha", "alpha": 0.75, "n_max": 100, "beta_hat": 30}},
+     "not summable"),
+    (["ising", "--delta", "1e-300"], None, None, "enumeration cap"),
+    (["ising", "--delta", "1e-320"], None, None, "enumeration cap"),
 ], ids=["atoms_one_field", "p_not_a_number", "atoms_missing", "probs_not_a_number",
         "config_missing", "config_not_json", "config_no_model", "config_samples_not_int",
         "config_grid_not_numbers", "config_grid_not_a_list", "config_param_not_a_number",
@@ -424,7 +434,10 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
         "config_alpha_pinning_h_hat_nan", "config_x_inf", "config_lindeberg_m_minus_inf",
         "config_probs_nan", "polymer_mass_tol_nan", "polymer_x_nan", "ising_delta_nan",
         "pinning_beta_hat_inf", "config_out_csv_int", "config_out_json_list",
-        "config_out_json_missing_dir", "pinning_out_missing_dir", "tilt_out_missing_dir"])
+        "config_out_json_missing_dir", "pinning_out_missing_dir", "tilt_out_missing_dir",
+        "config_second_moment_overflows", "config_second_moment_overflows_further",
+        "config_alpha_series_not_summable", "ising_delta_beyond_int64_count",
+        "ising_delta_beyond_float_count"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, atoms, config, message):
     out = tmp_path / "out"
     if argv[0] == "run":
@@ -473,6 +486,17 @@ def test_cli_overflowing_samples_print_only_the_error_line(tmp_path):
     assert result.returncode == 2
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert not (tmp_path / "z.csv").exists()
+
+
+def test_cli_ising_cap_exits_before_building_sites(tmp_path):
+    # 1e5 sites an axis: a product of 1e10 sites, checked against the cap unbuilt
+    argv = ["ising", "--delta", "1e-5", "--out", str(tmp_path / "z.csv")]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-m", "chaoslim.cli", *argv],
+                            capture_output=True, text=True, env=env, timeout=10)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and "enumeration cap" in result.stderr
     assert not (tmp_path / "z.csv").exists()
 
 
@@ -625,7 +649,8 @@ def test_pinning_alpha_reference_sampler_sanity():
         v = rho2 / cells if n < cells else 1.0
         y.append(v * sum((m / cells) ** (2 * (alpha - 1.0)) * y[n - m] for m in range(1, n + 1)))
     exact_var = y[cells] - 1.0
-    target_var = pinning.continuum_second_moment("alpha", beta_hat, 0.0, 1.0, alpha=alpha) - 1.0
+    law = pinning.RenewalLaw.heavy_tail(alpha, 2)  # the continuum reads only its alpha
+    target_var = pinning.continuum_second_moment(law, beta_hat, 0.0, "conditioned") - 1.0
     assert exact_var / target_var == pytest.approx(0.912, abs=5e-4)
     assert abs(float(ref.mean()) - 1.0) < 0.01
     dev2 = (ref - ref.mean()) ** 2

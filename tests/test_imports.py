@@ -1,7 +1,8 @@
 """Import hygiene: no module of the package, the tests or the benchmark
 imports a name it never uses, no private helper of the package is left
-without a reader, no public name or method beyond a shrinking list is read
-by tests alone, and importing chaoslim loads no heavy scipy subpackage."""
+without a reader, no public name, method or field beyond a shrinking list is
+read by tests alone, no defaulted parameter beyond another is set by tests
+alone, and importing chaoslim loads no heavy scipy subpackage."""
 
 import ast
 import os
@@ -67,11 +68,69 @@ def definitions(source: str) -> list[tuple[int, str]]:
 
 
 def methods(source: str) -> list[tuple[int, str]]:
-    """(line, "Class.name") of every method, property and classmethod that a
-    module-level class of ``source`` defines."""
-    return [(item.lineno, f"{node.name}.{item.name}")
-            for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
-            for item in node.body if isinstance(item, ast.FunctionDef)]
+    """(line, "Class.name") of every method, property, classmethod and
+    annotated field that a module-level class of ``source`` defines."""
+    found = []
+    for node in ast.parse(source).body:
+        for item in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(item, ast.FunctionDef):
+                found.append((item.lineno, f"{node.name}.{item.name}"))
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                found.append((item.lineno, f"{node.name}.{item.target.id}"))
+    return found
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, list[str], dict]]:
+    """(name, positional parameters, {parameter: default}) of every public
+    function and public method of a public class that ``source`` defines at
+    module level with a defaulted parameter.  A method's positional
+    parameters leave out ``self`` or ``cls``."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            functions = [(node.name, node)]
+        elif isinstance(node, ast.ClassDef):
+            functions = [(f"{node.name}.{item.name}", item) for item in node.body
+                         if isinstance(item, ast.FunctionDef)]
+        else:
+            continue
+        for name, fn in functions:
+            if any(part.startswith("_") for part in name.split(".")):
+                continue
+            args = fn.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaults = dict(zip(positional[len(positional) - len(args.defaults):],
+                                args.defaults))
+            defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                            if d is not None)
+            if "." in name and positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            if defaults:
+                found.append((name, positional, defaults))
+    return found
+
+
+def calls(source: str) -> dict[str, list[ast.Call]]:
+    """Every call in ``source``, by the name it calls: ``f`` of ``f(...)``
+    and of ``x.f(...)``."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            found.setdefault(name, []).append(node)
+    return found
+
+
+def passes(call: ast.Call, positional: list[str], param: str, default: ast.expr) -> bool:
+    """Whether ``call`` gives ``param`` an expression other than ``default``,
+    by keyword or by position; unpacked ``*args`` or ``**kwargs`` may."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    given = dict(zip(positional, call.args))
+    given.update((kw.arg, kw.value) for kw in call.keywords)
+    if None in given:
+        return True
+    return param in given and ast.dump(given[param]) != ast.dump(default)
 
 
 def private_definitions(source: str) -> list[tuple[int, str]]:
@@ -119,9 +178,23 @@ def test_attribute_references_skip_bare_names():
 
 
 def test_methods_are_found():
-    source = "class C:\n    x = 1\n    @property\n    def p(self):\n        return 1\n" \
-             "    def _q(self):\n        pass\ndef f():\n    pass\n"
-    assert methods(source) == [(4, "C.p"), (6, "C._q")]
+    source = "class C:\n    x = 1\n    y: int = 2\n    @property\n    def p(self):\n" \
+             "        return 1\n    def _q(self):\n        pass\ndef f():\n    pass\n"
+    assert methods(source) == [(3, "C.y"), (5, "C.p"), (7, "C._q")]
+
+
+def test_unpassed_parameters_are_found():
+    source = "def f(a, b=1, *, c=-1):\n    pass\nclass C:\n    def m(self, d=None):\n" \
+             "        pass\n    def _n(self, e=0):\n        pass\ndef _g(f=2):\n    pass\n"
+    found = defaulted_parameters(source)
+    assert [(name, positional, sorted(d)) for name, positional, d in found] == [
+        ("f", ["a", "b"], ["b", "c"]), ("C.m", ["d"], ["d"])]
+    (_, f_pos, f_defaults), (_, m_pos, m_defaults) = found
+    f_calls = calls("f(0, 1, c=-1)\nf(0, x)\nf(*a)\n")["f"]
+    m_calls = calls("obj.m(d=None)\nobj.m(**kw)\n")["m"]
+    assert [passes(c, f_pos, "b", f_defaults["b"]) for c in f_calls] == [False, True, True]
+    assert [passes(c, f_pos, "c", f_defaults["c"]) for c in f_calls] == [False, False, True]
+    assert [passes(c, m_pos, "d", m_defaults["d"]) for c in m_calls] == [False, True]
 
 
 def test_no_orphaned_private_names():
@@ -135,12 +208,13 @@ def test_no_orphaned_private_names():
     assert not orphans, "private names nothing reads:\n" + "\n".join(orphans)
 
 
-# Public names and methods that only tests other than the acceptance tests
-# read.  Each must come to feed a study, move into tests/ as an oracle, or be
-# deleted, and then leave this list: the list only shrinks.  A module-level
-# name counts as read when its bare name is read anywhere; a method only when
-# it is read as an attribute ``x.name`` or named in a string, so a name shared
-# with another attribute still hides it.
+# Public names, methods and fields that only tests other than the acceptance
+# tests read.  Each must come to feed a study, move into tests/ as an oracle,
+# or be deleted, and then leave this list: the list only shrinks.  A
+# module-level name counts as read when its bare name is read anywhere; a
+# method or an annotated class field only when it is read as an attribute
+# ``x.name`` or named in a string, so a name shared with another attribute
+# still hides it.
 TEST_ONLY_PUBLIC_NAMES = frozenset({
     "harness.pinning_alpha_reference",
 })
@@ -166,6 +240,49 @@ def test_public_names_have_readers_outside_tests():
     assert not TEST_ONLY_PUBLIC_NAMES - unread, (
         "listed names that now have a reader or are gone; drop them from the list: "
         f"{sorted(TEST_ONLY_PUBLIC_NAMES - unread)}")
+
+
+# Defaulted parameters of public functions and methods that no call in the
+# package, the benchmark or the acceptance tests sets to anything but their
+# default.  Each is a test oracle's switch or waits on a ROADMAP item; the
+# list only shrinks.  A call counts by the name it calls, so a function that
+# shares its name with another is seen through that one's calls too.
+TEST_ONLY_PARAMETERS = frozenset({
+    "harness.pinning_alpha_reference.cells",
+    "harness.pinning_alpha_reference.n_samples",
+    "harness.pinning_alpha_reference.seed",
+    "ising.f_omega_l2_ratio.mc_samples",
+    "pinning.chaos_kernel.mode",
+    "polymer.polymer_partition.mode",
+    "polymer.polymer_partition.y",
+    "polymer.polymer_partition.disorder",
+    "polymer.polymer_partition.mass_tol",
+    "polymer.polymer_second_moment_exact.window",
+    "simplex.dirichlet_quadrature.conditioned",
+    "simplex.dirichlet_quadrature.order",
+})
+
+
+def test_defaulted_parameters_are_set_outside_tests():
+    package = sorted((ROOT / "src" / "chaoslim").glob("*.py"))
+    readers = [*package, *(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    by_name = {}
+    for path in readers:
+        for name, found in calls(path.read_text(encoding="utf-8")).items():
+            by_name.setdefault(name, []).extend(found)
+    unset = {f"{path.stem}.{name}.{param}"
+             for path in package
+             for name, positional, defaults in defaulted_parameters(
+                 path.read_text(encoding="utf-8"))
+             for param, default in defaults.items()
+             if not any(passes(call, positional, param, default)
+                        for call in by_name.get(name.rpartition(".")[2], ()))}
+    assert not unset - TEST_ONLY_PARAMETERS, (
+        "defaulted parameters no module, benchmark or acceptance test sets: "
+        f"{sorted(unset - TEST_ONLY_PARAMETERS)}")
+    assert not TEST_ONLY_PARAMETERS - unset, (
+        "listed parameters that are now set or gone; drop them from the list: "
+        f"{sorted(TEST_ONLY_PARAMETERS - unset)}")
 
 
 def test_import_loads_no_heavy_scipy_subpackage():

@@ -7,11 +7,18 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import gammaln, logsumexp
 
 from chaoslim import harness, pinning
 from chaoslim.chaos import eval_multilinear
 from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER, StdGaussian
-from chaoslim.errors import ConditioningError, DomainError, InputError, ResourceError
+from chaoslim.errors import (
+    ConditioningError,
+    DomainError,
+    InputError,
+    NumericError,
+    ResourceError,
+)
 from chaoslim.pinning import (
     RenewalLaw,
     a_n_scale,
@@ -183,15 +190,10 @@ def test_partition_conditioning_error():
 def test_martingale_normalization_exact():
     # with h = 0 the site factors are centered, so E[Z] = 1 exactly;
     # checked by exhaustive enumeration of Rademacher disorder
-    n = 8
-    total_c = 0.0
-    total_f = 0.0
-    for bits in itertools.product([-1.0, 1.0], repeat=n):
-        om = np.array(bits)
-        total_c += partition_function(LAW_HALF, om, 0.4, 0.0, "conditioned", RADEMACHER)
-        total_f += partition_function(LAW_HALF, om, 0.4, 0.0, "free", RADEMACHER)
-    assert total_c / 2**n == pytest.approx(1.0, abs=1e-12)
-    assert total_f / 2**n == pytest.approx(1.0, abs=1e-12)
+    omega = np.array(list(itertools.product([-1.0, 1.0], repeat=8)))
+    for mode in ("conditioned", "free"):
+        z = partition_function_batch(LAW_HALF, omega, 0.4, 0.0, mode, RADEMACHER)
+        assert z.mean() == pytest.approx(1.0, abs=1e-12)
 
 
 def _one_shot_solve(kernel, n_steps, weights=None):
@@ -539,31 +541,35 @@ def test_second_moment_jensen_and_monotone_in_beta():
 
 
 def test_continuum_second_moment_finite_mean_value():
-    val = continuum_second_moment("finite_mean", 1.0, 0.0, 1.0, mean=1.5)
+    val = continuum_second_moment(LAW_HALF, 1.0, 0.0, "conditioned")  # E[tau_1] = 3/2
     assert val == pytest.approx(math.exp(4.0 / 9.0), rel=1e-12)
 
 
 def test_continuum_second_moment_alpha_reduces_to_dirichlet_series():
-    from chaoslim.simplex import dirichlet_closed_form
+    # at h_hat = 0 the series is sum_k (bhat c_alpha)^{2k} D_k(2(1 - alpha)), with
+    # D_k the simplex integral in its Gamma closed form; 2,000 terms in log space
+    # hold the whole sum, which at bhat = 8 still grows past degree 12
+    k = np.arange(2000)
+    for alpha, bhat in ((0.8, 0.7), (0.75, 5.0), (0.75, 8.0), (0.75, 10.0)):
+        a = 2.0 * alpha - 1.0
+        for mode, log_d in (("conditioned", (k + 1) * gammaln(a) - gammaln((k + 1) * a)),
+                            ("free", k * gammaln(a) - gammaln(k * a + 1.0))):
+            series = math.exp(logsumexp(2.0 * k * math.log(bhat * c_alpha(alpha)) + log_d))
+            val = continuum_second_moment(RenewalLaw.heavy_tail(alpha, 2), bhat, 0.0, mode)
+            assert val == pytest.approx(series, rel=1e-13), (alpha, bhat, mode)
 
-    for mode, conditioned in (("conditioned", True), ("free", False)):
-        alpha, bhat = 0.8, 0.7
-        chi = 2.0 * (1.0 - alpha)
-        series = sum(
-            (bhat * c_alpha(alpha)) ** (2 * k) * dirichlet_closed_form(k, chi, conditioned)
-            for k in range(13)
-        )
-        val = continuum_second_moment("alpha", bhat, 0.0, 1.0, mode=mode, alpha=alpha)
-        assert val == pytest.approx(series, rel=1e-12)
 
-
-def test_continuum_second_moment_alpha_rejects_small_alpha():
-    with pytest.raises(DomainError):
-        continuum_second_moment("alpha", 1.0, alpha=0.5)
+@pytest.mark.parametrize("mode", ["conditioned", "free"])
+def test_continuum_second_moment_not_summable_is_numeric_error(mode):
+    law = RenewalLaw.heavy_tail(0.75, 2)
+    with pytest.raises(NumericError, match="not summable"):
+        continuum_second_moment(law, 30.0, 0.0, mode)
+    with pytest.raises(NumericError, match="overflows"):
+        continuum_second_moment(LAW_HALF, 40.0, 0.0, mode)
 
 
 def test_second_moment_converges_finite_mean():
-    target = continuum_second_moment("finite_mean", 1.0, 0.0, 1.0, mean=LAW_HALF.mean())
+    target = continuum_second_moment(LAW_HALF, 1.0, 0.0, "conditioned")
     gaps = []
     for n in (500, 1000, 2000):
         beta_n, h_n = scale_couplings(LAW_HALF, 1.0, 0.0, n)
@@ -575,7 +581,7 @@ def test_second_moment_converges_finite_mean():
 
 def test_second_moment_converges_with_bias():
     law = RenewalLaw.heavy_tail(0.75, 20000)
-    target = continuum_second_moment("alpha", 0.8, 0.6, 1.0, alpha=0.75, k_max=14, m_max=14)
+    target = continuum_second_moment(law, 0.8, 0.6, "conditioned")
     gaps = []
     for n in (500, 2000, 8000):
         beta_n, h_n = scale_couplings(law, 0.8, 0.6, n)
@@ -588,22 +594,24 @@ def test_sampled_law_matches_biased_lognormal():
 
     from chaoslim.harness import ks_statistic, sample_pinning
 
-    drift, vol = lognormal_limit_law(LAW_HALF.mean(), 1.0, 0.5, 1.0)
+    drift, vol = lognormal_limit_law(LAW_HALF, 1.0, 0.5)
     z = sample_pinning(LAW_HALF, 1.0, 0.5, 1000, 10_000, 0, "conditioned")
     ks = ks_statistic(np.log(z), lambda t: ndtr((t - drift) / vol))
     assert ks < 1.3581 / math.sqrt(10_000)
 
 
 def test_lognormal_limit_law():
-    drift, vol = lognormal_limit_law(1.0, 1.0, 0.0, 1.0)
+    drift, vol = lognormal_limit_law(RenewalLaw.from_probabilities([1.0]), 1.0, 0.0)
     assert drift == pytest.approx(-0.5)
     assert vol == pytest.approx(1.0)
-    drift0, vol0 = lognormal_limit_law(2.0, 0.0, 0.7, 1.0)
+    drift0, vol0 = lognormal_limit_law(RenewalLaw.from_probabilities([0.5, 0.0, 0.5]), 0.0, 0.7)
     assert vol0 == 0.0
     assert drift0 == pytest.approx(0.35)
-    # lognormal mean identity: E[Z] = exp(drift + vol^2/2) = exp(rho h t)
-    drift1, vol1 = lognormal_limit_law(1.5, 0.9, 0.4, 2.0)
-    assert math.exp(drift1 + 0.5 * vol1**2) == pytest.approx(math.exp((0.4 / 1.5) * 2.0))
+    # lognormal mean identity: E[Z] = exp(drift + vol^2/2) = exp(rho h)
+    drift1, vol1 = lognormal_limit_law(LAW_HALF, 0.9, 0.4)
+    assert math.exp(drift1 + 0.5 * vol1**2) == pytest.approx(math.exp(0.4 / 1.5))
+    with pytest.raises(DomainError):
+        lognormal_limit_law(RenewalLaw.heavy_tail(0.75, 2), 1.0, 0.0)
 
 
 @given(

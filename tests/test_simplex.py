@@ -42,22 +42,8 @@ def test_free_variant_small_cases():
     assert dirichlet_closed_form(1, 0.0, conditioned=False) == pytest.approx(1.0)
 
 
-def test_time_scaling():
-    # free: t^{k(1-chi)}; conditioned: t^{(k+1)(1-chi)-1}
-    for chi in (0.0, 0.4):
-        for k in (1, 3):
-            f1 = dirichlet_closed_form(k, chi, False, t=2.0)
-            assert f1 == pytest.approx(
-                dirichlet_closed_form(k, chi, False) * 2.0 ** (k * (1 - chi))
-            )
-            c1 = dirichlet_closed_form(k, chi, True, t=2.0)
-            assert c1 == pytest.approx(
-                dirichlet_closed_form(k, chi, True) * 2.0 ** ((k + 1) * (1 - chi) - 1)
-            )
-
-
 def test_domain_errors():
     with pytest.raises(DomainError):
-        dirichlet_closed_form(2, 1.0)
+        dirichlet_closed_form(2, 1.0, True)
     with pytest.raises(DomainError):
         dirichlet_quadrature(2, -0.1)
