@@ -27,8 +27,6 @@ from .errors import InputError, PreconditionError
 
 IndexSet = tuple[int, ...]
 
-_ZERO_TOL = 0.0  # exact zeros are dropped; everything else is kept
-
 
 def _canonical(index_set) -> IndexSet:
     t = tuple(int(i) for i in index_set)
@@ -47,7 +45,7 @@ class Kernel:
         clean = {}
         for index_set, coef in self.entries.items():
             c = float(coef)
-            if c == _ZERO_TOL:
+            if c == 0.0:
                 continue
             clean[_canonical(index_set)] = c
         object.__setattr__(self, "entries", MappingProxyType(clean))

@@ -24,7 +24,7 @@ from scipy.special import ndtr
 
 from . import chaos, ising, pinning, polymer, tilting, wiener
 from .dists import GAUSSIAN_DISORDER, RADEMACHER, Atoms, StdGaussian
-from .errors import InputError
+from .errors import InputError, NumericError
 
 KS_TWO_SAMPLE_C05 = 1.3581  # Smirnov 5% coefficient
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -526,19 +526,17 @@ def _wiener_point(config, n_cells, stream_seed) -> list[ReportRow]:
                           abs(var - oracle), "mc-ci",
                           abs(var - oracle) <= 3 * se, "3 s.e.")]
     if diagnostic == "cameron_martin":
-        spec_b = wiener.ChaosSeriesSpec(
-            sigma0=_number(params, "lam_hat", 1.0),
-            rho=_number(params, "rho", 0.8),
-            mu0=_number(params, "h_hat", 0.5),
-            k_max=_number(params, "k_max", 8, int),
-        )
-        spec_0 = wiener.ChaosSeriesSpec(spec_b.sigma0, spec_b.rho, k_max=spec_b.k_max)
-        nu = spec_b.mu0 / spec_b.sigma0
-        f1 = wiener.sample_noise_batch(n_cells, stream_seed, config.samples)
-        f2 = wiener.sample_noise_batch(n_cells, stream_seed + 1, config.samples)
-        biased = wiener.chaos_series_eval_batch(spec_b, f1)
-        unbiased = wiener.chaos_series_eval_batch(spec_0, f2)
-        weights = wiener.cameron_martin_weight_batch(f2, nu)
+        lam_hat = _number(params, "lam_hat", 1.0)
+        if lam_hat <= 0:
+            raise InputError(f"param 'lam_hat' must be positive, got {lam_hat!r}")
+        rho = _number(params, "rho", 0.8)
+        h_hat = _number(params, "h_hat", 0.5)
+        plain = wiener.sample_noise_batch(n_cells, stream_seed + 1, config.samples)
+        biased = wiener.chaos_series_eval_batch(fields, lam_hat, rho, h_hat)
+        unbiased = wiener.chaos_series_eval_batch(plain, lam_hat, rho, 0.0)
+        if not (np.isfinite(biased).all() and np.isfinite(unbiased).all()):
+            raise NumericError("the chaos series overflows; lower rho or h_hat")
+        weights = wiener.cameron_martin_weight_batch(plain, h_hat / lam_hat)
         ks = ks_two_sample(unbiased, biased, wx=weights)
         return [ReportRow(n_cells, "ks_cameron_martin", ks.statistic, None,
                           ks.critical_value, None, "mc-ci", ks.passed,

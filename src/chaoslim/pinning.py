@@ -34,9 +34,6 @@ from .errors import (
 )
 
 _N_CAP = 200_000
-# h_hat degrees of the alpha-regime continuum series: at beta_hat <= 2 within
-# 3e-5 relative of 40 degrees at h_hat = 4, but only 2e-3 at h_hat = -4
-_BIAS_DEGREES = 12
 
 
 def c_alpha(alpha: float) -> float:
@@ -399,9 +396,9 @@ def continuum_second_moment(
     rho = 1/E[tau_1].  Alpha regime: the bias is integrated out gap by gap
     in closed form (Liouville simplex integrals), leaving a double series in
     beta_hat^2 and h_hat whose coefficients are pure Gamma-function
-    expressions.  It is summed over the degrees in beta_hat^2 until their
-    terms vanish, and over _BIAS_DEGREES degrees in h_hat.  For h_hat = 0 it
-    reduces to 1 + sum_k b^{2k} C_a^{2k} Gamma(1-chi)^{k+1} / Gamma((k+1)(1-chi))
+    expressions.  It is summed by total degree in (beta_hat^2, h_hat) until
+    the terms vanish.  For h_hat = 0 it reduces to
+    1 + sum_k b^{2k} C_a^{2k} Gamma(1-chi)^{k+1} / Gamma((k+1)(1-chi))
     with chi = 2(1-alpha) in conditioned mode.
     """
     if mode not in ("free", "conditioned"):
@@ -413,40 +410,48 @@ def continuum_second_moment(
         except OverflowError:
             raise NumericError("the continuum second moment overflows; lower beta_hat") from None
     alpha = law.alpha
-    m_max = _BIAS_DEGREES if h_hat else 0
     ca = c_alpha(alpha)
     x = (beta_hat * ca) ** 2
     y = h_hat * ca
     conditioned = mode == "conditioned"
-    degrees = range(m_max + 1)
-    # a pair gap holding m bias points: sum_{a+b=m} c_a c_b Gamma((m+2) alpha - 1), with
-    # c_j = Gamma(alpha)^{j+1} / Gamma((j+1) alpha); the free trailing stretch has
-    # f_j = Gamma(alpha)^j / Gamma(j alpha + 1) and Gamma(m alpha + 1) in their place
-    c = [math.exp((j + 1) * gammaln(alpha) - gammaln((j + 1) * alpha)) for j in degrees]
-    gap_poly = np.convolve(c, c)[: m_max + 1] * [
-        math.exp(gammaln((m + 2) * alpha - 1.0)) for m in degrees]
-    if not conditioned:
-        f = [math.exp(j * gammaln(alpha) - gammaln(j * alpha + 1.0)) for j in degrees]
-        trail_poly = np.convolve(f, f)[: m_max + 1] * [
-            math.exp(gammaln(m * alpha + 1.0)) for m in degrees]
     # r pair gaps closed by a common point: j + 1 when conditioned (the last
     # one closed at 1), j in free mode, which ends with the trailing stretch
     shift = 0.0 if conditioned else 1.0
 
-    def terms():
-        power = np.array([1.0])  # gap_poly^r truncated at degree m_max
-        for j in itertools.count():
-            r = j + 1 if conditioned else j
-            if r:
-                power = np.convolve(power, gap_poly)[: m_max + 1]
-            poly = power if conditioned else np.convolve(power, trail_poly)[: m_max + 1]
-            yield x**j * sum(
-                y**m * math.exp(math.log(max(poly[m], 5e-324))
-                                - gammaln((m + 2 * r) * alpha - r + shift))
-                for m in degrees
-            )
+    def pair_sum(log_w, log_gamma):
+        d = len(log_w) - 1
+        return sum(math.exp(log_w[a] + log_w[d - a] + log_gamma) for a in range(d + 1))
 
-    return simplex.sum_series(terms())
+    def terms():
+        # log c_j = log Gamma(alpha)^{j+1} / Gamma((j+1) alpha) and
+        # log f_j = log Gamma(alpha)^j / Gamma(j alpha + 1), the gap polynomials' factors
+        log_c, log_f, gap, trail = [], [], [], []
+        rows = []  # rows[j][m]: the y^m coefficient of gap^r, times trail in free mode
+        for d in itertools.count():
+            # a pair gap holding d bias points: sum_{a+b=d} c_a c_b Gamma((d+2) alpha - 1);
+            # the free trailing stretch has f_a f_b Gamma(d alpha + 1) in their place.
+            # Without a bias only degree 0 is read.
+            if y or not gap:
+                log_c.append((d + 1) * gammaln(alpha) - gammaln((d + 1) * alpha))
+                gap.append(pair_sum(log_c, gammaln((d + 2) * alpha - 1.0)))
+                if not conditioned:
+                    log_f.append(d * gammaln(alpha) - gammaln(d * alpha + 1.0))
+                    trail.append(pair_sum(log_f, gammaln(d * alpha + 1.0)))
+            term = 0.0
+            # degree j in x and m = d - j in y; a zero x or y keeps only its degree 0
+            for j in range(0 if y else d, (d if x else 0) + 1):
+                m = d - j
+                if j == len(rows):
+                    rows.append([])
+                rows[j].append(np.dot(rows[j - 1][: m + 1], gap[m::-1]) if j
+                               else (gap if conditioned else trail)[m])
+                r = j + 1 if conditioned else j
+                term += x**j * y**m * math.exp(math.log(max(rows[j][m], 5e-324))
+                                               - gammaln((m + 2 * r) * alpha - r + shift))
+            yield term
+
+    with np.errstate(over="ignore"):  # an overflowed coefficient ends the sum as not finite
+        return simplex.sum_series(terms())
 
 
 def lognormal_limit_law(law: RenewalLaw, beta_hat: float, h_hat: float):

@@ -119,10 +119,6 @@ def dirichlet_quadrature(
         return 1.0
     if order**k > 20_000_000:
         raise InputError("order**k too large; lower the order or k")
-    if conditioned:
-        u, w = _rule_01(order, -chi, -chi)
-        vals = _chain_eval(k - 1, u, chi, order) * u**chi
-        return float(vals @ w)
-    u, w = _rule_01(order, 0.0, -chi)
+    u, w = _rule_01(order, -chi if conditioned else 0.0, -chi)
     vals = _chain_eval(k - 1, u, chi, order) * u**chi
     return float(vals @ w)

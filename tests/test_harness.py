@@ -420,6 +420,12 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
      "not summable"),
     (["ising", "--delta", "1e-300"], None, None, "enumeration cap"),
     (["ising", "--delta", "1e-320"], None, None, "enumeration cap"),
+    (["run"], None, {"model": "wiener", "grid": [8], "samples": 2,
+                     "params": {"diagnostic": "cameron_martin", "lam_hat": 0}}, "lam_hat"),
+    (["run"], None, {"model": "wiener", "grid": [8], "samples": 2,
+                     "params": {"diagnostic": "cameron_martin", "lam_hat": -1.0}}, "lam_hat"),
+    (["run"], None, {"model": "wiener", "grid": [8], "samples": 2,
+                     "params": {"diagnostic": "cameron_martin", "rho": 2000}}, "overflows"),
 ], ids=["atoms_one_field", "p_not_a_number", "atoms_missing", "probs_not_a_number",
         "config_missing", "config_not_json", "config_no_model", "config_samples_not_int",
         "config_grid_not_numbers", "config_grid_not_a_list", "config_param_not_a_number",
@@ -437,7 +443,8 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
         "config_out_json_missing_dir", "pinning_out_missing_dir", "tilt_out_missing_dir",
         "config_second_moment_overflows", "config_second_moment_overflows_further",
         "config_alpha_series_not_summable", "ising_delta_beyond_int64_count",
-        "ising_delta_beyond_float_count"])
+        "ising_delta_beyond_float_count", "config_wiener_lam_hat_zero",
+        "config_wiener_lam_hat_negative", "config_wiener_series_overflows"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, atoms, config, message):
     out = tmp_path / "out"
     if argv[0] == "run":
@@ -546,19 +553,6 @@ def test_cli_run_bad_sample_count_exit_code(tmp_path, capsys, model, samples):
                                   "samples": samples, "seed": 0, "out_csv": str(out)}))
     code = cli.main(["run", "--config", str(config)])
     assert code == 2
-    assert "error: " in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_cli_run_growing_chaos_series_exit_code(tmp_path, capsys):
-    # at rho = 3 the factorized series terms (1.5 * rho^2)^k / k! still grow at
-    # the default k_max = 8, so the L2 summability check stops the study
-    out = tmp_path / "rows.csv"
-    config = tmp_path / "study.json"
-    config.write_text(json.dumps({
-        "model": "wiener", "params": {"diagnostic": "cameron_martin", "rho": 3},
-        "grid": [8], "samples": 200, "seed": 5, "out_csv": str(out)}))
-    assert cli.main(["run", "--config", str(config)]) == 2
     assert "error: " in capsys.readouterr().err
     assert not out.exists()
 

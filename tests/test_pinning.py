@@ -32,6 +32,7 @@ from chaoslim.pinning import (
     scale_couplings,
     second_moment_exact,
 )
+from chaoslim.simplex import dirichlet_closed_form
 
 LAW_HALF = RenewalLaw.from_probabilities([0.5, 0.5])
 
@@ -557,6 +558,20 @@ def test_continuum_second_moment_alpha_reduces_to_dirichlet_series():
             series = math.exp(logsumexp(2.0 * k * math.log(bhat * c_alpha(alpha)) + log_d))
             val = continuum_second_moment(RenewalLaw.heavy_tail(alpha, 2), bhat, 0.0, mode)
             assert val == pytest.approx(series, rel=1e-13), (alpha, bhat, mode)
+
+
+@pytest.mark.parametrize("mode", ["conditioned", "free"])
+@pytest.mark.parametrize("h_hat", [-4.0, -2.0, 0.6, 4.0])
+def test_continuum_second_moment_alpha_bias_is_square_of_dirichlet_series(h_hat, mode):
+    # at bhat = 0 the limit is the number sum_k (h_hat c_alpha)^k D_k(1 - alpha),
+    # with D_k the simplex integral in its Gamma closed form, so the second
+    # moment is its square; 200 terms hold the whole sum
+    alpha = 0.75
+    y = h_hat * c_alpha(alpha)
+    z = sum(y**k * dirichlet_closed_form(k, 1.0 - alpha, mode == "conditioned")
+            for k in range(200))
+    val = continuum_second_moment(RenewalLaw.heavy_tail(alpha, 2), 0.0, h_hat, mode)
+    assert val == pytest.approx(z * z, rel=1e-13)
 
 
 @pytest.mark.parametrize("mode", ["conditioned", "free"])

@@ -1,9 +1,11 @@
 """Tests for discretized white noise and chaos-series evaluation.
 
-Two exhaustive sums are the oracles.  The general dense-kernel chaos series
-sums every ordered tuple of distinct cells, so it is exponential in the
-degree, and the factorized series is checked against it.  The alpha-regime
-pinning reference is checked against a sum over all site sets of the lattice.
+Three sums are the oracles.  The general dense-kernel chaos series sums
+every ordered tuple of distinct cells, so it is exponential in the degree.
+The truncated factorized series builds each degree from elementary symmetric
+polynomials (Newton identities) and sums the degrees one by one.  The
+factorized product is checked against both.  The alpha-regime pinning
+reference is checked against a sum over all site sets of the lattice.
 """
 
 import itertools
@@ -14,12 +16,9 @@ import numpy as np
 import pytest
 
 from chaoslim import harness, pinning
-from chaoslim.errors import PreconditionError
 from chaoslim.wiener import (
-    ChaosSeriesSpec,
     cameron_martin_weight_batch,
     chaos_series_eval_batch,
-    elementary_symmetric,
     sample_noise_batch,
 )
 
@@ -52,26 +51,47 @@ def multiple_integral(g, fields):
     return out
 
 
-def dense_chaos_series(kernels, sigma0, mu0, n_cells, fields):
-    """sum_k (1/k!) int f_k prod(sigma0 W(dy) + mu0 dy) over the symmetric
-    dense kernels f_0..f_K (f_k of shape (n_cells,) * k) and a constant bias
-    mu0 (or None).
-
-    Deterministic coordinates are contracted with mu0 v per cell over all
-    cells (diagonals with stochastic coordinates are Lebesgue-null in the
-    continuum), then the stochastic ones take off-diagonal sums; by symmetry
-    the k-choose-j coordinate subsets of one size contribute identically.
-    """
-    muv = None if mu0 is None else np.full(n_cells, mu0 * (1.0 / n_cells))
+def dense_chaos_series(kernels, sigma0, fields):
+    """sum_k (1/k!) int f_k prod(sigma0 W(dy)) over the symmetric dense
+    kernels f_0..f_K (f_k of shape (n_cells,) * k), each degree an
+    off-diagonal sum over ordered tuples of distinct cells."""
     out = np.zeros(fields.shape[0])
     for k, arr in enumerate(kernels):
-        for j in range(k, -1, -1):
-            if j < k and muv is None:
-                break
-            g = np.asarray(arr, dtype=float)
-            for _ in range(k - j):
-                g = g @ muv
-            out += (math.comb(k, j) * sigma0**j / math.factorial(k)) * multiple_integral(g, fields)
+        out += (sigma0**k / math.factorial(k)) * multiple_integral(arr, fields)
+    return out
+
+
+def elementary_symmetric(vals, k_max):
+    """e_0..e_k_max of the entries of ``vals`` (last axis), Newton identities;
+    shape vals.shape[:-1] + (k_max+1,)."""
+    vals = np.asarray(vals, dtype=float)
+    lead = vals.shape[:-1]
+    p = np.empty(lead + (k_max + 1,))
+    e = np.zeros(lead + (k_max + 1,))
+    for j in range(1, k_max + 1):
+        p[..., j] = np.sum(vals**j, axis=-1)
+    e[..., 0] = 1.0
+    for k in range(1, k_max + 1):
+        acc = np.zeros(lead)
+        for i in range(1, k + 1):
+            acc += (-1.0) ** (i - 1) * e[..., k - i] * p[..., i]
+        e[..., k] = acc / k
+    return e
+
+
+def truncated_chaos_series(fields, sigma0, rho, mu0, k_max):
+    """sum_{k <= k_max} (1/k!) int rho^k prod(sigma0 W(dy) + mu0 dy) on each
+    row of ``fields``, summed degree by degree.  Of the k coordinates, j
+    carry noise (C(k, j) choices, j! e_j over ordered j-tuples of distinct
+    cells) and each of the others gives mu0, so the degree-k term is
+    rho^k sum_j sigma0^j e_j mu0^(k-j) / (k-j)!."""
+    e = elementary_symmetric(fields, k_max)
+    out = np.zeros(fields.shape[0])
+    for k in range(k_max + 1):
+        term = np.zeros(fields.shape[0])
+        for j in range(k + 1):
+            term += sigma0**j * e[:, j] * mu0 ** (k - j) / math.factorial(k - j)
+        out += rho**k * term
     return out
 
 
@@ -192,13 +212,24 @@ def test_elementary_symmetric_small_case():
 
 
 def test_chaos_series_factorized_equals_general():
-    fields = sample_noise_batch(6, 3, 1)
+    # without a bias, 6 cells carry degrees 0..6 only, so the dense sum is the whole series
+    fields = sample_noise_batch(6, 3, 4)
     rho = 0.7
-    spec_f = ChaosSeriesSpec(sigma0=1.3, rho=rho, mu0=0.4, k_max=3)
-    kernels = [rho**k * np.ones((6,) * k) for k in range(4)]
-    assert chaos_series_eval_batch(spec_f, fields)[0] == pytest.approx(
-        dense_chaos_series(kernels, 1.3, 0.4, 6, fields)[0], rel=1e-12
-    )
+    kernels = [rho**k * np.ones((6,) * k) for k in range(7)]
+    np.testing.assert_allclose(chaos_series_eval_batch(fields, 1.3, rho, 0.0),
+                               dense_chaos_series(kernels, 1.3, fields), rtol=1e-12)
+
+
+@pytest.mark.parametrize("mu0", [0.0, 0.5])
+@pytest.mark.parametrize("n_cells", [8, 32, 128])
+def test_chaos_series_product_matches_degree_sum(n_cells, mu0):
+    # the degree sum carries every noise degree (e_k = 0 for k > n_cells) and
+    # 40 more bias degrees, whose terms (rho mu0)^i / i! are then below 1e-60
+    fields = sample_noise_batch(n_cells, 11, 200)
+    sigma0, rho = 1.0, 0.8
+    product = chaos_series_eval_batch(fields, sigma0, rho, mu0)
+    reference = truncated_chaos_series(fields, sigma0, rho, mu0, n_cells + 40)
+    np.testing.assert_allclose(product, reference, rtol=1e-13)
 
 
 @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
@@ -212,32 +243,23 @@ def test_pinning_alpha_reference_matches_subset_oracle(alpha, cells):
     assert np.max(np.abs(ref - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
-def test_chaos_series_l2_condition_failure():
-    # the terms (1.5 rho^2)^k / k! still grow at k_max = 8 when rho = 3
-    spec = ChaosSeriesSpec(sigma0=1.0, rho=3.0, mu0=1.0, k_max=8)
-    with pytest.raises(PreconditionError):
-        chaos_series_eval_batch(spec, sample_noise_batch(8, 0, 1))
-
-
 def test_refinement_changes_moment_within_discretization_estimate():
-    # exact grid second moment of the unbiased factorized series:
-    # sum_k rho^{2k} sigma^{2k} e_k(v,...,v) vs the continuum sum_k x^k / k!
-    rho, sigma, k_max = 0.8, 1.0, 12
+    # exact grid second moment of the unbiased factorized series,
+    # prod_c E[(1 + rho sigma W_c)^2] = (1 + rho^2 sigma^2 / n)^n, against
+    # the continuum exp(rho^2 sigma^2)
+    rho, sigma = 0.8, 1.0
 
     def grid_m2(n_cells):
-        v = 1.0 / n_cells
-        e = elementary_symmetric(np.full((1, n_cells), v), k_max)[0]
-        return sum(rho ** (2 * k) * sigma ** (2 * k) * e[k] for k in range(k_max + 1))
+        return (1.0 + (rho * sigma) ** 2 / n_cells) ** n_cells
 
     def emp_m2(n_cells, seed, n_samples=40_000):
-        spec = ChaosSeriesSpec(sigma0=sigma, rho=rho, k_max=k_max)
         fields = sample_noise_batch(n_cells, seed, n_samples)
-        vals = chaos_series_eval_batch(spec, fields)
+        vals = chaos_series_eval_batch(fields, sigma, rho, 0.0)
         m2 = float((vals**2).mean())
         se = float((vals**2).std(ddof=1) / math.sqrt(n_samples))
         return m2, se
 
-    cont = sum((rho * sigma) ** (2 * k) / math.factorial(k) for k in range(k_max + 1))
+    cont = math.exp((rho * sigma) ** 2)
     est = abs(grid_m2(16) - cont) + abs(grid_m2(32) - cont)
     m16, se16 = emp_m2(16, 7)
     m32, se32 = emp_m2(32, 8)
@@ -254,9 +276,8 @@ def test_factorized_series_matches_lognormal_law():
     rho, lam, h = 0.8, 1.0, 0.5
     drift = rho * h - 0.5 * rho**2 * lam**2
     vol = rho * lam
-    spec = ChaosSeriesSpec(sigma0=lam, rho=rho, mu0=h, k_max=16)
     fields = sample_noise_batch(128, 0, 10_000)
-    vals = chaos_series_eval_batch(spec, fields)
+    vals = chaos_series_eval_batch(fields, lam, rho, h)
     assert np.all(vals > 0)
     ks = ks_statistic(np.log(vals), lambda t: ndtr((t - drift) / vol))
     assert ks < 1.3581 / math.sqrt(10_000)  # 5% one-sample level
@@ -291,9 +312,8 @@ def test_factorized_moment_values():
 
 def test_factorized_moment_against_mc_second_moment():
     rho, lam, h = 0.8, 0.9, 0.2
-    spec = ChaosSeriesSpec(sigma0=lam, rho=rho, mu0=h, k_max=14)
     fields = sample_noise_batch(32, 21, 60_000)
-    vals = chaos_series_eval_batch(spec, fields)
+    vals = chaos_series_eval_batch(fields, lam, rho, h)
     m2 = float((vals**2).mean())
     se = float((vals**2).std(ddof=1) / math.sqrt(vals.size))
     target = factorized_moment(rho, lam, h, 2.0, 1.0)
