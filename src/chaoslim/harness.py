@@ -438,109 +438,124 @@ def sample_ising(
 # ---------------------------------------------------------------------------
 
 
-def _pinning_point(config, n_steps, stream_seed) -> list[ReportRow]:
+def _pinning_study(config):
     params = config.params
     law = pinning_law(params)
     disorder = _disorder(params)
     beta_hat = _number(params, "beta_hat", 1.0)
     h_hat = _number(params, "h_hat", 0.0)
     mode = params.get("mode", "conditioned")
-    rows = []
-
-    beta_n, h_n = pinning.scale_couplings(law, beta_hat, h_hat, n_steps)
-    m2 = pinning.second_moment_exact(law, n_steps, beta_n, h_n, mode, disorder)
     oracle = pinning.continuum_second_moment(law, beta_hat, h_hat, mode)
-    rows.append(ReportRow(n_steps, "second_moment", m2, None, oracle,
-                          abs(m2 / oracle - 1.0), "dp-exact"))
 
-    if config.samples > 0:
-        z = sample_pinning(law, beta_hat, h_hat, n_steps, config.samples,
-                           stream_seed, mode, disorder)
-        se = float(z.std(ddof=1) / math.sqrt(z.size))
-        rows.append(ReportRow(n_steps, "mean_Z", float(z.mean()), se, None, None, "mc-ci"))
-        if law.regime == "finite_mean":
-            drift, vol = pinning.lognormal_limit_law(law, beta_hat, h_hat)
-            if vol == 0.0:
-                cdf, cdf_left = point_mass_cdf(drift)
-                ks = ks_statistic(np.log(z), cdf, cdf_left)
-            else:
-                ks = ks_statistic(np.log(z), lambda t: ndtr((t - drift) / vol))
-            rows.append(ReportRow(n_steps, "ks_lognormal", ks, None, None, None, "mc-ci"))
-    return rows
+    def point(n_steps, stream_seed) -> list[ReportRow]:
+        beta_n, h_n = pinning.scale_couplings(law, beta_hat, h_hat, n_steps)
+        m2 = pinning.second_moment_exact(law, n_steps, beta_n, h_n, mode, disorder)
+        rows = [ReportRow(n_steps, "second_moment", m2, None, oracle,
+                          abs(m2 / oracle - 1.0), "dp-exact")]
+        if config.samples > 0:
+            z = sample_pinning(law, beta_hat, h_hat, n_steps, config.samples,
+                               stream_seed, mode, disorder)
+            se = float(z.std(ddof=1) / math.sqrt(z.size))
+            rows.append(ReportRow(n_steps, "mean_Z", float(z.mean()), se, None, None, "mc-ci"))
+            if law.regime == "finite_mean":
+                drift, vol = pinning.lognormal_limit_law(law, beta_hat, h_hat)
+                if vol == 0.0:
+                    cdf, cdf_left = point_mass_cdf(drift)
+                    ks = ks_statistic(np.log(z), cdf, cdf_left)
+                else:
+                    ks = ks_statistic(np.log(z), lambda t: ndtr((t - drift) / vol))
+                rows.append(ReportRow(n_steps, "ks_lognormal", ks, None, None, None, "mc-ci"))
+        return rows
+
+    return point
 
 
-def _polymer_point(config, n_steps, stream_seed) -> list[ReportRow]:
+def _polymer_study(config):
     params = config.params
     law = polymer_law(params)
     disorder = _disorder(params)
     beta_hat = _number(params, "beta_hat", 0.5)
-    rows = []
-    beta_n = polymer.scale_beta(law.alpha, beta_hat, n_steps)
     mass_tol = _number(params, "mass_tol", 1e-8)
-    m2 = polymer.polymer_second_moment_exact(law, n_steps, beta_n, disorder,
-                                             mass_tol=mass_tol)
     oracle = polymer.polymer_second_moment_continuum(law, beta_hat)
-    rows.append(ReportRow(n_steps, "second_moment", m2, None, oracle,
-                          abs(m2 / oracle - 1.0), "dp-exact"))
-    if config.samples > 0:
-        z = sample_polymer(law, beta_hat, n_steps, config.samples, stream_seed,
-                           params.get("mode", "free"), _number(params, "x", 0.0),
-                           disorder, mass_tol=mass_tol)
-        se = float(z.std(ddof=1) / math.sqrt(z.size))
-        rows.append(ReportRow(n_steps, "mean_Z", float(z.mean()), se, 1.0,
-                              abs(float(z.mean()) - 1.0), "mc-ci",
-                              abs(float(z.mean()) - 1.0) <= 3 * se, "3 s.e. (calibration)"))
-    return rows
+
+    def point(n_steps, stream_seed) -> list[ReportRow]:
+        beta_n = polymer.scale_beta(law.alpha, beta_hat, n_steps)
+        m2 = polymer.polymer_second_moment_exact(law, n_steps, beta_n, disorder,
+                                                 mass_tol=mass_tol)
+        rows = [ReportRow(n_steps, "second_moment", m2, None, oracle,
+                          abs(m2 / oracle - 1.0), "dp-exact")]
+        if config.samples > 0:
+            z = sample_polymer(law, beta_hat, n_steps, config.samples, stream_seed,
+                               params.get("mode", "free"), _number(params, "x", 0.0),
+                               disorder, mass_tol=mass_tol)
+            se = float(z.std(ddof=1) / math.sqrt(z.size))
+            rows.append(ReportRow(n_steps, "mean_Z", float(z.mean()), se, 1.0,
+                                  abs(float(z.mean()) - 1.0), "mc-ci",
+                                  abs(float(z.mean()) - 1.0) <= 3 * se, "3 s.e. (calibration)"))
+        return rows
+
+    return point
 
 
-def _ising_point(config, delta, stream_seed) -> list[ReportRow]:
+def _ising_study(config):
     params = config.params
     domain = _numbers(params, "domain", [0.0, 0.0, 1.0, 1.0])
     if len(domain) != 4:
         raise InputError(f"param 'domain' must be [x0, y0, x1, y1], got {domain!r}")
     domain = ising.Rect(*domain)
-    profiles = ising.FieldProfiles(
-        _number(params, "lam_hat", 1.0), _number(params, "h_hat", 0.0), domain, float(delta)
-    )
-    z = sample_ising(profiles, config.samples, stream_seed, _disorder(params))
-    se = float(z.std(ddof=1) / math.sqrt(z.size))
-    return [
-        ReportRow(delta, "mean_rescaled_Z", float(z.mean()), se, None, None, "mc-ci"),
-        ReportRow(delta, "var_rescaled_Z", float(z.var(ddof=1)), None, None, None, "mc-ci"),
-    ]
+    lam_hat = _number(params, "lam_hat", 1.0)
+    h_hat = _number(params, "h_hat", 0.0)
+    disorder = _disorder(params)
+
+    def point(delta, stream_seed) -> list[ReportRow]:
+        profiles = ising.FieldProfiles(lam_hat, h_hat, domain, float(delta))
+        z = sample_ising(profiles, config.samples, stream_seed, disorder)
+        se = float(z.std(ddof=1) / math.sqrt(z.size))
+        return [
+            ReportRow(delta, "mean_rescaled_Z", float(z.mean()), se, None, None, "mc-ci"),
+            ReportRow(delta, "var_rescaled_Z", float(z.var(ddof=1)), None, None, None, "mc-ci"),
+        ]
+
+    return point
 
 
-def _wiener_point(config, n_cells, stream_seed) -> list[ReportRow]:
+def _wiener_study(config):
     params = config.params
-    fields = wiener.sample_noise_batch(n_cells, stream_seed, config.samples)
     diagnostic = params.get("diagnostic", "isometry")
     if diagnostic == "isometry":
-        s = fields.sum(axis=1)
-        q = (fields**2).sum(axis=1)
-        x2 = (s**2 - q) ** 2
-        var = float((s**2 - q).var(ddof=1))
-        se = float(x2.std(ddof=1) / math.sqrt(x2.size))
-        v = 1.0 / n_cells
-        oracle = 2.0 * (v * v) * n_cells * (n_cells - 1)
-        return [ReportRow(n_cells, "var_double_integral", var, se, oracle,
-                          abs(var - oracle), "mc-ci",
-                          abs(var - oracle) <= 3 * se, "3 s.e.")]
+        def point(n_cells, stream_seed) -> list[ReportRow]:
+            fields = wiener.sample_noise_batch(n_cells, stream_seed, config.samples)
+            s = fields.sum(axis=1)
+            q = (fields**2).sum(axis=1)
+            x2 = (s**2 - q) ** 2
+            var = float((s**2 - q).var(ddof=1))
+            se = float(x2.std(ddof=1) / math.sqrt(x2.size))
+            v = 1.0 / n_cells
+            oracle = 2.0 * (v * v) * n_cells * (n_cells - 1)
+            return [ReportRow(n_cells, "var_double_integral", var, se, oracle,
+                              abs(var - oracle), "mc-ci",
+                              abs(var - oracle) <= 3 * se, "3 s.e.")]
+        return point
     if diagnostic == "cameron_martin":
         lam_hat = _number(params, "lam_hat", 1.0)
         if lam_hat <= 0:
             raise InputError(f"param 'lam_hat' must be positive, got {lam_hat!r}")
         rho = _number(params, "rho", 0.8)
         h_hat = _number(params, "h_hat", 0.5)
-        plain = wiener.sample_noise_batch(n_cells, stream_seed + 1, config.samples)
-        biased = wiener.chaos_series_eval_batch(fields, lam_hat, rho, h_hat)
-        unbiased = wiener.chaos_series_eval_batch(plain, lam_hat, rho, 0.0)
-        if not (np.isfinite(biased).all() and np.isfinite(unbiased).all()):
-            raise NumericError("the chaos series overflows; lower rho or h_hat")
-        weights = wiener.cameron_martin_weight_batch(plain, h_hat / lam_hat)
-        ks = ks_two_sample(unbiased, biased, wx=weights)
-        return [ReportRow(n_cells, "ks_cameron_martin", ks.statistic, None,
-                          ks.critical_value, None, "mc-ci", ks.passed,
-                          "5% two-sample KS")]
+
+        def point(n_cells, stream_seed) -> list[ReportRow]:
+            fields = wiener.sample_noise_batch(n_cells, stream_seed, config.samples)
+            plain = wiener.sample_noise_batch(n_cells, stream_seed + 1, config.samples)
+            biased = wiener.chaos_series_eval_batch(fields, lam_hat, rho, h_hat)
+            unbiased = wiener.chaos_series_eval_batch(plain, lam_hat, rho, 0.0)
+            if not (np.isfinite(biased).all() and np.isfinite(unbiased).all()):
+                raise NumericError("the chaos series overflows; lower rho or h_hat")
+            weights = wiener.cameron_martin_weight_batch(plain, h_hat / lam_hat)
+            ks = ks_two_sample(unbiased, biased, wx=weights)
+            return [ReportRow(n_cells, "ks_cameron_martin", ks.statistic, None,
+                              ks.critical_value, None, "mc-ci", ks.passed,
+                              "5% two-sample KS")]
+        return point
     raise InputError(f"unknown wiener diagnostic {diagnostic!r}")
 
 
@@ -639,14 +654,15 @@ def lindeberg_audit(config: ExperimentConfig) -> ComparisonReport:
     return report
 
 
-def _grid_report(runner, config: ExperimentConfig) -> ComparisonReport:
-    """Run ``runner`` at each grid point, in grid order, and attach trend
-    verdicts."""
+def _grid_report(study, config: ExperimentConfig) -> ComparisonReport:
+    """Set up ``study`` once, run the ``point(grid_value, stream_seed)`` it
+    returns at each grid point, in grid order, and attach trend verdicts."""
+    point = study(config)
     report = ComparisonReport(config.model)
     child_seeds = [int(s.generate_state(1)[0]) for s in
                    np.random.SeedSequence(config.seed).spawn(len(config.grid))]
     for grid_value, stream_seed in zip(config.grid, child_seeds):
-        report.rows.extend(runner(config, grid_value, stream_seed))
+        report.rows.extend(point(grid_value, stream_seed))
 
     gaps = [(r.grid_value, r.gap) for r in report.rows
             if r.quantity == "second_moment" and r.gap is not None]
@@ -691,10 +707,10 @@ def _tilt_report(config: ExperimentConfig) -> ComparisonReport:
 
 # the study each model runs; ExperimentConfig accepts exactly these models
 _STUDIES = {
-    "pinning": partial(_grid_report, _pinning_point),
-    "polymer": partial(_grid_report, _polymer_point),
-    "ising": partial(_grid_report, _ising_point),
-    "wiener": partial(_grid_report, _wiener_point),
+    "pinning": partial(_grid_report, _pinning_study),
+    "polymer": partial(_grid_report, _polymer_study),
+    "ising": partial(_grid_report, _ising_study),
+    "wiener": partial(_grid_report, _wiener_study),
     "lindeberg": lindeberg_audit,
     "tilt": _tilt_report,
 }

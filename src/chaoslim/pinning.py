@@ -142,7 +142,11 @@ def _renewal_solve(
     once: one (block x min(N, n_max)) Toeplitz of K times the history rows,
     or one ``np.convolve`` window for the single row.  Each step then adds
     only its in-block lags.  So the far history costs one matrix product
-    per block instead of one matrix-vector product per step.
+    per block instead of one matrix-vector product per step.  With w = 1
+    only the first block steps: a later block solves (I - T_K) x = y for
+    its far term y, T_K the strictly lower Toeplitz of K, and the inverse is
+    the lower Toeplitz whose first column is x(0..63) itself.  So the single
+    row costs two convolves per block and no per-step loop after the first.
 
     One time-major buffer holds only the history the kernel reaches, slid
     to the front between blocks, so besides the caller's disorder the
@@ -192,6 +196,9 @@ def _renewal_solve(
         block = x[n0 + 1 - base : n0 + 1 + f - base]
         if weights is None:
             block[:] = np.convolve(past, kpad[1 : p + f], "valid")
+            if n0:  # (I - T_K)^{-1} times the far term; with w = 1 base stays 0
+                x[n0 + 1 : n1 + 1] = np.convolve(block, x[: n1 - n0])[: n1 - n0]
+                continue
         else:
             w[: n1 - n0] = weights(n0, n1).T
             np.matmul(toeplitz[:f, reach - p :], past, out=block)
@@ -204,7 +211,8 @@ def _renewal_solve(
 
 
 def renewal_mass(law: RenewalLaw, n_points: int) -> np.ndarray:
-    """u(n) = P(n in tau) for n = 0..n_points, by convolution recursion."""
+    """u(n) = P(n in tau) for n = 0..n_points, by convolution recursion:
+    64 steps, then two convolves per 64-step block."""
     _check_cap(n_points)
     return _renewal_solve(law.probs, n_points)
 
@@ -355,7 +363,9 @@ def second_moment_exact(
     one has G := d^2 = 1 + e^{2h} F * G, so F = (1 - 1/G) / e^{2h} with the
     series inverse 1/G solved by the same renewal recursion as d and A;
     A = e^{2h+gamma} F * A, and the free moment sums A against the weighted
-    no-more-common-points tail.  All recursions are O(N^2).
+    no-more-common-points tail.  All recursions are O(N^2), each solved in
+    64-step blocks by two convolves a block, with no per-step loop after
+    the first block.
     """
     if mode not in ("free", "conditioned"):
         raise InputError(f"unknown mode {mode!r}")

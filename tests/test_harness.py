@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from chaoslim import cli, dists, harness, pinning
+from chaoslim import cli, dists, harness, pinning, polymer
 from chaoslim.errors import InputError
 from chaoslim.harness import (
     ComparisonReport,
@@ -102,11 +102,12 @@ def test_ks_trend_verdict(ks, passed):
     # within 0.089 of each other show no trend to judge
     values = iter(ks)
 
-    def runner(config, grid_value, stream_seed):
-        return [ReportRow(grid_value, "ks_lognormal", next(values))]
+    def study(config):
+        return lambda grid_value, stream_seed: [
+            ReportRow(grid_value, "ks_lognormal", next(values))]
 
     config = ExperimentConfig("pinning", {}, (1000, 2000, 4000, 8000), 500, 0)
-    trend = harness._grid_report(runner, config).rows[-1]
+    trend = harness._grid_report(study, config).rows[-1]
     assert trend.quantity == "ks_trend"
     assert trend.passed is passed
 
@@ -220,6 +221,26 @@ def test_polymer_study_gap_trend():
     report = run_convergence_study(cfg)
     trend = [r for r in report.rows if r.quantity == "second_moment_gap_trend"]
     assert trend and trend[0].passed
+
+
+@pytest.mark.parametrize("model, module, oracle, params", [
+    ("pinning", pinning, "continuum_second_moment",
+     {"law": "alpha", "alpha": 0.75, "n_max": 2000, "beta_hat": 8, "h_hat": -4}),
+    ("polymer", polymer, "polymer_second_moment_continuum", {"alpha": 2.0, "beta_hat": 0.5}),
+], ids=["pinning", "polymer"])
+def test_study_calls_its_oracle_once(monkeypatch, model, module, oracle, params):
+    # the continuum oracle does not depend on N, so a study computes it once
+    calls = []
+    real = getattr(module, oracle)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, oracle, counted)
+    report = run_convergence_study(ExperimentConfig(model, params, (50, 100, 200, 400), 0, 0))
+    assert len(calls) == 1
+    assert len({r.oracle for r in report.rows if r.quantity == "second_moment"}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +434,9 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
     (["tilt", "--out", "/nonexistent/d/x.json"], _ATOMS, None, "/nonexistent/d"),
     (["run"], None, {"model": "pinning", "params": {"beta_hat": 30}, "grid": [100, 200],
                      "samples": 0}, "not finite"),
+    # the continuum oracle, computed once before the first grid point, overflows
     (["run"], None, {"model": "pinning", "params": {"beta_hat": 40}, "grid": [100, 200],
-                     "samples": 0}, "not finite"),
+                     "samples": 0}, "continuum second moment overflows"),
     (["run"], None, {"model": "pinning", "grid": [2, 4], "samples": 0,
                      "params": {"law": "alpha", "alpha": 0.75, "n_max": 100, "beta_hat": 30}},
      "not summable"),

@@ -260,9 +260,33 @@ def test_blocked_transfer_matches_one_shot(law, disorder):
 
 
 def test_renewal_mass_matches_one_shot():
+    # up to N = 64 only the first block's step loop runs; past it each block
+    # is one convolve of its far term with x(0..63), whole or cut short
     for name, law in _STREAM_LAWS.items():
-        _assert_matches_one_shot(law, renewal_mass(law, 2000), _one_shot_solve(law.probs, 2000),
-                                 name)
+        for n in (0, 1, 2, 63, 64, 65, 127, 128, 129, 1000, 2000):
+            _assert_matches_one_shot(law, renewal_mass(law, n), _one_shot_solve(law.probs, n),
+                                     (name, n))
+    _assert_matches_one_shot(LAW_HALF, renewal_mass(LAW_HALF, 8000),
+                             _one_shot_solve(LAW_HALF.probs, 8000))
+
+
+@pytest.mark.parametrize("law", [LAW_HALF, RenewalLaw.heavy_tail(0.75, 20000)],
+                         ids=["two-atom", "alpha-20000"])
+def test_unweighted_block_solve_on_signed_kernels(law):
+    # the two full-length kernels second_moment_exact solves after d: -G, whose
+    # solution 1/G changes sign, and e^{2h+gamma} F.  Terms of 1/G that cancel
+    # to (near) zero keep no relative accuracy in any summation order, so the
+    # solve is held to 1e-13 of the solution's largest term
+    n = 2000
+    beta, h = scale_couplings(law, 1.0, 0.4, n)
+    d = _one_shot_solve(math.exp(h) * law.probs, n)
+    f = -_one_shot_solve(-d * d, n) / math.exp(2 * h)
+    f[0] = 0.0
+    gamma = GAUSSIAN_DISORDER.log_mgf(2 * beta) - 2 * GAUSSIAN_DISORDER.log_mgf(beta)
+    for kernel in (-d * d, math.exp(2 * h + gamma) * f):
+        ref = _one_shot_solve(kernel, n)
+        np.testing.assert_allclose(pinning._renewal_solve(kernel, n), ref, rtol=1e-13,
+                                   atol=1e-13 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("mode", ["conditioned", "free"])
@@ -508,8 +532,10 @@ def _second_moment_longdouble(law, n, beta, h, mode):
     a = _one_shot_solve(e_h**2 * np.exp(gamma) * f, n)
     if mode == "conditioned":
         return a[n] / _one_shot_solve(probs, n)[n] ** 2
+    # P(tau_1 > j) for j = 0..n, zero from n_max on, as RenewalLaw.tail builds it
     tail = np.zeros(n + 1, dtype=np.longdouble)
-    tail[: law.n_max + 1] = 1.0 - np.cumsum(probs)
+    m = min(n, law.n_max)
+    tail[: m + 1] = np.clip(1.0 - np.cumsum(probs)[: m + 1], 0.0, None)
     t1 = np.convolve(d, tail)[: n + 1]
     g_free = t1 * t1
     t_pair = g_free - e_h**2 * np.convolve(f, g_free)[: n + 1]
@@ -520,11 +546,19 @@ def _second_moment_longdouble(law, n, beta, h, mode):
                     reason="np.longdouble is no wider than float64 here")
 @pytest.mark.parametrize("mode", ["conditioned", "free"])
 def test_second_moment_matches_longdouble(mode):
-    for h_hat in (0.0, 0.4):
-        beta_n, h_n = scale_couplings(LAW_HALF, 1.0, h_hat, 2000)
-        ref = _second_moment_longdouble(LAW_HALF, 2000, beta_n, h_n, mode)
-        got = second_moment_exact(LAW_HALF, 2000, beta_n, h_n, mode)
-        assert abs(np.longdouble(got) / ref - 1) < 2e-11, h_hat
+    alpha_law = RenewalLaw.heavy_tail(0.75, 4000)
+    for law, n, beta_hat, h_hat in (
+        (LAW_HALF, 2000, 1.0, 0.0),
+        (LAW_HALF, 2000, 1.0, 0.4),
+        (LAW_HALF, 3000, 6.0, -0.5),
+        # strong coupling with N < n_max, where the tail is cut at N
+        (alpha_law, 1000, 4.0, 0.4),
+        (alpha_law, 2000, 8.0, 0.4),
+    ):
+        beta_n, h_n = scale_couplings(law, beta_hat, h_hat, n)
+        ref = _second_moment_longdouble(law, n, beta_n, h_n, mode)
+        got = second_moment_exact(law, n, beta_n, h_n, mode)
+        assert abs(np.longdouble(got) / ref - 1) < 2e-11, (n, beta_hat, h_hat)
 
 
 def test_second_moment_no_disorder_squares_mean():
