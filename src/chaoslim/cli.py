@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mass-tol", type=float, default=1e-8,
-                   help="abort threshold for walk mass leaving the DP window; "
+                   help="abort threshold for walk mass leaving the field window; "
                         "loosen for alpha < 2, where stable tails always escape")
     p.add_argument("--out", default="polymer.csv")
     p.set_defaults(func=_cmd_polymer)

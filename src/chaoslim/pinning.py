@@ -8,8 +8,8 @@ site energies beta*omega_n - Lambda(beta) + h at its renewal times:
 
 free, or conditioned on {N in tau}.  Everything discrete here is exact:
 the transfer recursion, the renewal mass function, and the pair-renewal
-second moment (computed in O(N^2) by factorizing over first common renewal
-points rather than by the naive age-pair state space).
+second moment, O(N^2) by factorizing over meeting points, which the
+polymer's second moment shares.
 """
 
 from __future__ import annotations
@@ -341,6 +341,17 @@ def chaos_kernel(law: RenewalLaw, n_steps: int, mode: str = "conditioned") -> Ke
 # ---------------------------------------------------------------------------
 
 
+def _pair_renewal(meeting: np.ndarray, n_steps: int, gamma: float) -> np.ndarray:
+    """A(0..N), the mass of pairs of chains that meet at n with every meeting
+    weighted by e^gamma, for the meeting mass G = ``meeting``, G(0) = 1.
+
+    The first-meeting law is K = 1 - 1/G, 1/G the renewal solve with kernel
+    -G; A = 1/(1 - e^gamma K) is the solve with kernel -e^gamma/G, whose
+    index 0 the solve never reads.
+    """
+    return _renewal_solve(-math.exp(gamma) * _renewal_solve(-meeting, n_steps), n_steps)
+
+
 def second_moment_exact(
     law: RenewalLaw,
     n_steps: int,
@@ -349,49 +360,32 @@ def second_moment_exact(
     mode: str = "conditioned",
     disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
 ) -> float:
-    """E[Z^2] over the disorder, exactly, by pair-renewal dynamic programming.
+    """E[Z^2] over the disorder, exactly, by one pair-renewal solve.
 
-    Averaging the disorder leaves site weights e^{2h + Lambda(2b) - 2Lambda(b)}
-    where both renewal chains visit and e^h where exactly one does.  The pair
-    measure factorizes over common renewal points, so with
-
-        d(n)  = single-chain e^h-weighted renewal mass,
-        F(n)  = weighted mass of pairs whose first common point is n
-                (weight at n excluded),
-        A(n)  = fully weighted mass of pairs with a common point at n,
-
-    one has G := d^2 = 1 + e^{2h} F * G, so F = (1 - 1/G) / e^{2h} with the
-    series inverse 1/G solved by the same renewal recursion as d and A;
-    A = e^{2h+gamma} F * A, and the free moment sums A against the weighted
-    no-more-common-points tail.  All recursions are O(N^2), each solved in
-    64-step blocks by two convolves a block, with no per-step loop after
-    the first block.
+    Averaging the disorder leaves site weights e^{2h + gamma} where both
+    renewal chains visit and e^h where exactly one does.  With
+    d = 1/(1 - e^h K) the chains meet with mass G = d^2 at gamma = 0, and
+    ``_pair_renewal`` weights every meeting.  Conditioned mode returns
+    A(N)/u(N)^2.  In free mode t1 = d * (1 - K)/(1 - x), the running sum of
+    (1 - e^{-h}) d + e^{-h} delta_0, ends each chain, and g = t1^2 is the
+    free pair mass at gamma = 0; the moment is
+    (1 - e^{-gamma}) (A * g)(N) + e^{-gamma} g(N), one dot product.
+    The three solves are O(N^2), in 64-step blocks of two convolves each.
     """
     if mode not in ("free", "conditioned"):
         raise InputError(f"unknown mode {mode!r}")
     _check_cap(n_steps)
     gamma = overlap_weight(beta, disorder)
-    e2h = math.exp(2.0 * h)
-
     d = _renewal_solve(math.exp(h) * law.probs, n_steps)
-    big_g = d * d
-
-    # e^{2h} F = 1 - 1/G, and 1/G is the renewal solve with kernel -G
-    f = -_renewal_solve(-big_g, n_steps) / e2h
-    f[0] = 0.0
-
-    a = _renewal_solve(e2h * math.exp(gamma) * f, n_steps)
-
+    a = _pair_renewal(d * d, n_steps, gamma)
     if mode == "conditioned":
         u = renewal_mass(law, n_steps)
         if u[n_steps] <= 0.0:
             raise ConditioningError(f"u({n_steps}) = 0: cannot condition")
         m2 = float(a[n_steps] / u[n_steps] ** 2)
     else:
-        t1 = np.convolve(d, law.tail(n_steps))[: n_steps + 1]
-        g_free = t1 * t1
-        t_pair = g_free - e2h * np.convolve(f, g_free)[: n_steps + 1]
-        m2 = float(a @ t_pair[::-1])
+        g = (math.exp(-h) - math.expm1(-h) * np.cumsum(d)) ** 2
+        m2 = float(-math.expm1(-gamma) * (a @ g[::-1]) + math.exp(-gamma) * g[n_steps])
     if not math.isfinite(m2):
         raise NumericError(f"E[Z^2] = {m2!r} is not finite; lower beta_hat or N")
     return m2

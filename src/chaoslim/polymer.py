@@ -30,6 +30,7 @@ from .errors import (
     NumericError,
     ResourceError,
 )
+from .pinning import _check_cap, _pair_renewal
 
 _SUPPORT_CAP = 50_000_000
 _INVERSION_CELLS = 1 << 20  # (point, node) cells per row block of the inversion: 8 MB a temporary
@@ -142,23 +143,18 @@ def _dense(law: WalkLaw) -> Pmf:
     return Pmf(lo, probs)
 
 
-def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full convolution of two nonnegative arrays by real FFT, with the
-    roundoff below zero clipped."""
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full convolution of two nonnegative arrays: directly unless both have
+    more than 500 entries, else by real FFT (roundoff ~1e-15 relative), with
+    the roundoff below zero clipped."""
+    if a.size + b.size > _SUPPORT_CAP:
+        raise ResourceError("convolution support exceeds the size cap")
+    if min(a.size, b.size) <= 500:
+        return np.convolve(a, b)
     size = a.size + b.size - 1
     n = 1 << (size - 1).bit_length()
     out = np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)[:size]
     return np.clip(out, 0.0, None)
-
-
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full convolution of two nonnegative arrays: by FFT when both have more
-    than 500 entries (roundoff ~1e-15 relative), directly otherwise."""
-    if a.size + b.size > _SUPPORT_CAP:
-        raise ResourceError("convolution support exceeds the size cap")
-    if min(a.size, b.size) > 500:
-        return _fft_convolve(a, b)
-    return np.convolve(a, b)
 
 
 def walk_pmf(law: WalkLaw, n: int) -> Pmf:
@@ -356,15 +352,14 @@ def reachable_window(law: WalkLaw, n_steps: int) -> tuple[int, int]:
     return int(law.offsets[0]) * n_steps, int(law.offsets[-1]) * n_steps
 
 
-def _half_width(law: WalkLaw, n_steps: int, copies: int) -> int:
-    """Default spatial half-width 6.5 N^{1/alpha} s of a DP window, where s is
-    the spread of the sum of ``copies`` independent walks: sqrt(copies sigma^2)
-    for alpha = 2, (copies C)^{1/alpha} for alpha < 2.  The difference walk
-    S - S' has the spread of two copies."""
+def _half_width(law: WalkLaw, n_steps: int) -> int:
+    """Default spatial half-width 6.5 N^{1/alpha} s of a field window, where
+    s is the spread of the walk: sigma for alpha = 2, C^{1/alpha} for
+    alpha < 2."""
     if law.alpha == 2.0:
-        spread = math.sqrt(copies * law.sigma2)
+        spread = math.sqrt(law.sigma2)
     else:
-        spread = (copies * (law.c_tail or 1.0)) ** (1.0 / law.alpha)
+        spread = (law.c_tail or 1.0) ** (1.0 / law.alpha)
     return int(math.ceil(6.5 * n_steps ** (1.0 / law.alpha) * spread))
 
 
@@ -486,50 +481,50 @@ def polymer_partition(
 # ---------------------------------------------------------------------------
 
 
+def _meeting_mass(law: WalkLaw, n_steps: int) -> np.ndarray:
+    """u(n) = P(V_n = 0), n = 0..N, for the difference walk V = S - S': the
+    mean of psi^n over M DFT bins, psi = |rfft(p, M)|^2 the transform of
+    V_1's pmf.  That mean is sum_l P(V_n = l M), so it is exact for M the
+    smallest power of two above J N, J = max |V_1|.  O(N M) time, O(M) memory.
+    """
+    _check_cap(n_steps)
+    span = int(law.offsets[-1] - law.offsets[0])  # J
+    bins = 1 << (span * n_steps).bit_length()
+    if bins > _SUPPORT_CAP:
+        raise ResourceError(f"the difference walk reaches |V| = {span * n_steps} in N = "
+                            f"{n_steps} steps: {bins} DFT bins exceed the size cap")
+    spec = np.fft.rfft(_dense(law).probs, bins)
+    psi = spec.real**2 + spec.imag**2
+    # w psi^n, w = 1/M for bins 0 and M/2 and 2/M for the rest, each of
+    # which also stands for its mirror bin M - k
+    power = np.full(psi.size, 2.0 / bins)
+    power[0] = power[-1] = 1.0 / bins
+    u = np.ones(n_steps + 1)
+    for n in range(1, n_steps + 1):
+        power *= psi
+        u[n] = power.sum()
+    return u
+
+
 def polymer_second_moment_exact(
     law: WalkLaw,
     n_steps: int,
     beta: float,
     disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
-    window: int | None = None,
-    mass_tol: float = 1e-8,
 ) -> float:
-    """E[Z_free^2] = E[exp(gamma * #{n <= N : V_n = 0})] over the difference
-    walk V = S - S', by dynamic programming on the spatial window
-    [-window, window], by default 6.5 N^{1/alpha} times the spread of V.
+    """E[Z_free^2] = E[exp(gamma L_N)] exactly, L_N = #{1 <= n <= N : V_n = 0}
+    the zeros of the difference walk V = S - S'.
 
-    Mass leaving the window is absorbed with weight 1 (it no longer collides);
-    the run aborts if the absorbed mass exceeds ``mass_tol``.
+    They form a renewal of mass u = ``_meeting_mass``, so the pair-renewal
+    solve gives A(n) = E[e^{gamma L_n}; V_n = 0], and a walk that ends free
+    gives E[e^{gamma L_N}] = (1 - e^{-gamma}) sum_{n<=N} A(n) + e^{-gamma}.
     """
+    u = _meeting_mass(law, n_steps)
     gamma = overlap_weight(beta, disorder)
-    dense = _dense(law)
-    # difference-walk increment pmf: (p * p-reflected), supported on +-(size-1)
-    diff = np.convolve(dense.probs, dense.probs[::-1])
-    diff_lo = -(dense.probs.size - 1)
-    if window is None:
-        window = _half_width(law, n_steps, 2)
-    window = max(window, dense.probs.size + 1)
-    if 2 * window + 1 > _SUPPORT_CAP:
-        raise ResourceError("difference-walk window exceeds the size cap")
-    v = np.zeros(2 * window + 1)
-    v[window] = 1.0
-    boost = math.exp(gamma)
-    absorbed = 0.0
-    for _ in range(n_steps):
-        full = _convolve(v, diff)
-        start = -diff_lo
-        kept = full[start : start + v.size]
-        absorbed += float(full.sum() - kept.sum())
-        v = kept
-        v[window] *= boost
-    m2 = float(v.sum() + absorbed)
+    m2 = float(-math.expm1(-gamma) * _pair_renewal(u, n_steps, gamma).sum()
+               + math.exp(-gamma))
     if not math.isfinite(m2):
         raise NumericError(f"E[Z^2] = {m2!r} is not finite; lower beta_hat or N")
-    if absorbed > mass_tol:
-        raise NumericError(
-            f"absorbed difference-walk mass {absorbed:.3e} exceeds "
-            f"mass_tol={mass_tol:.1e}; enlarge window"
-        )
     return m2
 
 

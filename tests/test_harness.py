@@ -223,6 +223,35 @@ def test_polymer_study_gap_trend():
     assert trend and trend[0].passed
 
 
+@pytest.mark.parametrize("mode", ["free", "point2point", "conditioned"])
+def test_polymer_study_mean_z_oracle_is_e_z(mode):
+    # E Z = q_N(y) point-to-point, 1 otherwise; the point-to-point row
+    # reads 0.0982 at N = 64, against q_64(0) = 0.0993
+    cfg = ExperimentConfig(model="polymer",
+                           params={"alpha": 2.0, "beta_hat": 0.5, "mode": mode},
+                           grid=(64,), samples=200, seed=1)
+    row, = [r for r in run_convergence_study(cfg).rows if r.quantity == "mean_Z"]
+    law = polymer.WalkLaw.simple_symmetric()
+    assert row.oracle == (polymer.walk_pmf(law, 64)[0] if mode == "point2point" else 1.0)
+    assert row.passed
+
+
+def test_cli_run_heavy_tail_polymer_moments(tmp_path):
+    # the windowed difference-walk DP this replaced lost 1.5e-7 of its mass
+    # at N = 256 and exited 2
+    config = tmp_path / "heavy.json"
+    out_json = tmp_path / "heavy_out.json"
+    config.write_text(json.dumps({
+        "model": "polymer", "params": {"alpha": 1.5, "window": 2000, "beta_hat": 0.4},
+        "grid": [16, 64, 256], "samples": 0, "seed": 0,
+        "out_csv": str(tmp_path / "heavy.csv"), "out_json": str(out_json),
+    }))
+    assert cli.main(["run", "--config", str(config)]) == 0
+    rows = json.loads(out_json.read_text())["rows"]
+    trend, = [r for r in rows if r["quantity"] == "second_moment_gap_trend"]
+    assert trend["passed"]
+
+
 @pytest.mark.parametrize("model, module, oracle, params", [
     ("pinning", pinning, "continuum_second_moment",
      {"law": "alpha", "alpha": 0.75, "n_max": 2000, "beta_hat": 8, "h_hat": -4}),

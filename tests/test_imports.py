@@ -257,7 +257,6 @@ TEST_ONLY_PARAMETERS = frozenset({
     "polymer.polymer_partition.y",
     "polymer.polymer_partition.disorder",
     "polymer.polymer_partition.mass_tol",
-    "polymer.polymer_second_moment_exact.window",
     "simplex.dirichlet_quadrature.conditioned",
     "simplex.dirichlet_quadrature.order",
 })

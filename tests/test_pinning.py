@@ -274,9 +274,10 @@ def test_renewal_mass_matches_one_shot():
                          ids=["two-atom", "alpha-20000"])
 def test_unweighted_block_solve_on_signed_kernels(law):
     # the two full-length kernels second_moment_exact solves after d: -G, whose
-    # solution 1/G changes sign, and e^{2h+gamma} F.  Terms of 1/G that cancel
-    # to (near) zero keep no relative accuracy in any summation order, so the
-    # solve is held to 1e-13 of the solution's largest term
+    # solution 1/G changes sign, and -e^gamma/G, which is e^{2h+gamma} F past
+    # index 0.  Terms of 1/G that cancel to (near) zero keep no relative
+    # accuracy in any summation order, so the solve is held to 1e-13 of the
+    # solution's largest term
     n = 2000
     beta, h = scale_couplings(law, 1.0, 0.4, n)
     d = _one_shot_solve(math.exp(h) * law.probs, n)

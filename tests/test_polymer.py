@@ -10,7 +10,13 @@ import pytest
 from chaoslim import harness, polymer
 from chaoslim.chaos import Kernel, eval_multilinear
 from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER
-from chaoslim.errors import ConditioningError, DomainError, InputError, NumericError
+from chaoslim.errors import (
+    ConditioningError,
+    DomainError,
+    InputError,
+    NumericError,
+    ResourceError,
+)
 from chaoslim.polymer import (
     SpaceTimeField,
     StableDensity,
@@ -759,14 +765,13 @@ def test_second_moment_converges():
 
 def test_second_moment_converges_heavy_tail():
     # alpha < 2: collisions of the difference walk against the Dirichlet
-    # series with c_g from the stable-density L2 closed form; mass leaving
-    # the window is absorbed with collision-free weight 1
+    # series with c_g from the stable-density L2 closed form
     law = WalkLaw.heavy_tail(1.5, 0.0, window=3000)
     target = polymer_second_moment_continuum(law, 0.4)
     gaps = []
     for n in (50, 100, 200):
         beta_n = scale_beta(1.5, 0.4, n)
-        m2 = polymer_second_moment_exact(law, n, beta_n, window=30_000, mass_tol=1.0)
+        m2 = polymer_second_moment_exact(law, n, beta_n)
         gaps.append(abs(m2 / target - 1.0))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[-1] < 0.01
@@ -776,35 +781,85 @@ def test_second_moment_heavy_tail_skewed():
     law = WalkLaw.heavy_tail(1.4, 0.5, window=3000)
     target = polymer_second_moment_continuum(law, 0.4)
     beta_n = scale_beta(1.4, 0.4, 200)
-    m2 = polymer_second_moment_exact(law, 200, beta_n, window=30_000, mass_tol=1.0)
+    m2 = polymer_second_moment_exact(law, 200, beta_n)
     assert abs(m2 / target - 1.0) < 0.05
 
 
-def _direct_second_moment(law, n, beta):
-    """The difference-walk DP with one direct np.convolve a step."""
+def _direct_second_moment(law, n, beta, window):
+    """(E[Z^2], lost mass) by the difference-walk DP on [-window, window],
+    one direct np.convolve a step.  Mass a step moves out of the window is
+    absorbed with weight 1, as if it never collided again, and summed."""
     probs = np.zeros(int(law.offsets[-1] - law.offsets[0]) + 1)
     probs[law.offsets - law.offsets[0]] = law.probs
     diff = np.convolve(probs, probs[::-1])
-    window = max(polymer._half_width(law, n, 2), probs.size + 1)
     v = np.zeros(2 * window + 1)
     v[window] = 1.0
-    absorbed = 0.0
+    lost = 0.0
     for _ in range(n):
         full = np.convolve(v, diff)
         kept = full[probs.size - 1 : probs.size - 1 + v.size]
-        absorbed += float(full.sum() - kept.sum())
+        lost += float(full[: probs.size - 1].sum() + full[probs.size - 1 + v.size :].sum())
         v = kept
         v[window] *= math.exp(overlap_weight(beta))
-    return float(v.sum() + absorbed)
+    return float(v.sum() + lost), lost
 
 
 @pytest.mark.parametrize("n", [4, 16, 64])
 def test_second_moment_heavy_tail_matches_direct_convolution(n):
-    # these difference walks take the FFT path
+    # at its default window, 6.5 N^{1/alpha} spreads of V, the windowed DP
+    # this replaced lost 9.4e-7 of its mass at N = 16 and aborted.  Half the
+    # reach of V, 400 N, loses at most 2e-17 here
     law = WalkLaw.heavy_tail(1.5, 0.0, 200)
     beta = scale_beta(1.5, 1.0, n)
-    dp = polymer_second_moment_exact(law, n, beta, mass_tol=1e-2)
-    assert abs(dp / _direct_second_moment(law, n, beta) - 1.0) <= 1e-13
+    ref, lost = _direct_second_moment(law, n, beta, 200 * n)
+    assert lost < 1e-15
+    assert abs(polymer_second_moment_exact(law, n, beta) / ref - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 250, 2000])
+def test_second_moment_simple_walk_matches_direct_convolution(n):
+    # the window 2N holds every site V reaches, so the DP loses nothing
+    beta = scale_beta(2.0, 0.5, n)
+    ref, lost = _direct_second_moment(SIMPLE, n, beta, 2 * n)
+    assert lost == 0.0
+    assert abs(polymer_second_moment_exact(SIMPLE, n, beta) / ref - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("law", [SIMPLE, LAZY], ids=["simple", "lazy"])
+def test_meeting_mass_matches_pair_sums(law):
+    # P(V_n = 0) = sum_k q_n(k)^2, the pairs of paths that end together.
+    # One DFT bin count too few aliases P(V_n = +-M) into u(n): 1/8 at
+    # N = 2 for the simple walk, whose M would be 4
+    inc = np.zeros(int(law.offsets[-1] - law.offsets[0]) + 1)
+    inc[law.offsets - law.offsets[0]] = law.probs
+    q, pairs = np.ones(1), [1.0]
+    for _ in range(8):
+        q = np.convolve(q, inc)
+        pairs.append(float(q @ q))
+    for n in range(9):
+        np.testing.assert_allclose(polymer._meeting_mass(law, n), pairs[: n + 1],
+                                   rtol=1e-14, atol=1e-16)
+
+
+def test_meeting_mass_simple_walk_is_central_binomial():
+    # u(n) = C(2n, n) / 4^n, built by its ratio: gammaln is good to about
+    # 1e-11 here
+    n = np.arange(1, 2001)
+    ref = np.concatenate([[1.0], np.cumprod((2 * n - 1) / (2 * n))])
+    np.testing.assert_allclose(polymer._meeting_mass(SIMPLE, 2000), ref, rtol=0, atol=1e-13)
+
+
+def test_second_moment_above_the_bin_cap_raises_before_allocating():
+    # J N = 4000 * 20000 = 8e7 sites needs 2^27 bins, above the cap
+    law = WalkLaw.heavy_tail(1.5, 0.0, 2000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="size cap"):
+            polymer_second_moment_exact(law, 20000, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_second_moment_series_divergence_reported():
