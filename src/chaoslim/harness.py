@@ -311,6 +311,7 @@ def _disorder(params: dict) -> Atoms | StdGaussian:
 
 
 _PINNING_CHUNK = 2000  # samples a Generator draws for sample_pinning
+_PINNING_VALUES = 1 << 23  # the most disorder values sample_pinning holds at once
 
 
 def sample_pinning(
@@ -326,24 +327,28 @@ def sample_pinning(
     """Partition-function samples at the scaled couplings (beta_N, h_N); each
     chunk of _PINNING_CHUNK samples draws from its own spawned Generator.
 
-    One chunk's disorder omega is held at a time.  Its transfer costs one
-    (64 x min(N, n_max)) by (min(N, n_max) x chunk) matrix product per 64
-    steps plus N steps over in-block lags; besides omega it needs
-    O((min(N, n_max) + 64) * chunk) floats and at most 64 * min(N, n_max).
+    A chunk draws its disorder omega in row blocks of at most
+    _PINNING_VALUES values (67 MB), in order from its Generator, so omega
+    does not depend on the split.  A block's transfer costs one
+    (64 x min(N, n_max)) by (min(N, n_max) x rows) matrix product per 64
+    steps, or (64 + 2J) * 64 per row for an alpha law with n_max > N from
+    N of about 520, plus N steps over in-block lags; besides omega it needs
+    O((min(N, n_max) + 64) * rows) floats and at most 64 * min(N, n_max).
     """
     beta_n, h_n = pinning.scale_couplings(law, beta_hat, h_hat, n_steps)
     pinning._check_cap(n_steps)
     streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / _PINNING_CHUNK))
+    rows = max(1, _PINNING_VALUES // n_steps)
     out = np.empty(n_samples)
-    pos = 0
-    for ss in streams:
-        m = min(_PINNING_CHUNK, n_samples - pos)
+    for pos, ss in zip(range(0, n_samples, _PINNING_CHUNK), streams):
         rng = np.random.default_rng(ss)
-        omega = disorder.sample(rng, (m, n_steps))
-        out[pos : pos + m] = pinning.partition_function_batch(
-            law, omega, beta_n, h_n, mode, disorder
-        )
-        pos += m
+        end = min(pos + _PINNING_CHUNK, n_samples)
+        for r0 in range(pos, end, rows):
+            r1 = min(r0 + rows, end)
+            omega = disorder.sample(rng, (r1 - r0, n_steps))
+            out[r0:r1] = pinning.partition_function_batch(
+                law, omega, beta_n, h_n, mode, disorder
+            )
     return out
 
 
@@ -583,8 +588,11 @@ def pinning_alpha_reference(
     w(n) = beta_hat c_alpha W_n for n < M and w(M) = 1, and Z = x(M).  The
     empty site set gives K(M) = 1, the degree-0 term.  W_1..W_{M-1} are the
     first M - 1 cells of ``wiener.sample_noise_batch``, each N(0, 1/M).  A
-    finite lattice has a finite series, so nothing is truncated.  The same
-    solve on K^2 with weight (beta_hat c_alpha)^2 / M gives the exact grid
+    finite lattice has a finite series, so nothing is truncated.  K is a
+    power m^{-p} with p = 1 - alpha; at alpha = 3/4 the sum of exponentials
+    of ``pinning._renewal_solve`` needs J ~ 550 terms, so the solve keeps
+    the (64 x M) block Toeplitz up to M of about 2300, and 5,000 rows take
+    about 1 s at M = 2048.  The same solve on K^2 with weight (beta_hat c_alpha)^2 / M gives the exact grid
     E Z^2; at alpha = 3/4 the grid variance is 0.912 of the continuum value
     at M = 128, a deficit that falls like M^{-(2 alpha - 1)}.
     """

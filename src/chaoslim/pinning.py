@@ -119,6 +119,12 @@ class RenewalLaw:
 
 
 _BLOCK_STEPS = 64  # steps per block of the transfer; a larger buffer falls out of cache
+# a power-law kernel's lags past the block before, as a sum of exponentials:
+# trapezoid step and cut in u of m^{-p} = (1/Gamma(p)) int e^{pu - m e^u} du,
+# and the relative error the sum must keep on every lag it replaces
+_EXP_STEP = 0.25
+_EXP_CUT = 1e-14
+_EXP_TOL = 1e-13
 
 
 def _check_cap(n_steps: int) -> None:
@@ -126,6 +132,48 @@ def _check_cap(n_steps: int) -> None:
         raise InputError(f"N = {n_steps} must be >= 0")
     if n_steps > _N_CAP:
         raise ResourceError(f"N = {n_steps} exceeds the cap {_N_CAP}")
+
+
+def _power_exponentials(kernel: np.ndarray, reach: int):
+    """(near, decay, hist) of a sum of J exponentials, sum_k a_k e^{-s_k m},
+    that matches ``kernel[m]`` within _EXP_TOL relative on every lag
+    65..reach, or None if there is none or it costs more than the Toeplitz.
+
+    p and c of kernel[m] = c m^{-p} are read from lags 64 and ``reach``; the
+    trapezoid at step 1/4 on [log(_EXP_CUT)/p - log(reach), log(40/64)] of
+    c m^{-p} = (c/Gamma(p)) int e^{pu - m e^u} du gives J terms, about 105
+    at p = 7/4.  The returned arrays are near[j-1, k] = a_k e^{-s_k j},
+    decay[k] = e^{-64 s_k} and hist[k, i] = e^{-s_k (127 - i)}, i = 0..63.
+    The check against the kernel itself, not against the fitted power, is
+    what a folded tail atom, a changed lag or a power too steep for the step
+    fails; a fit steeper than m^{-4} is refused before it.  J accumulators
+    cost 64 + 2J per step, the Toeplitz's blocks reach / 2 on average, so a
+    longer sum is refused.  At p = 7/4 the sum is taken from N = 521 on;
+    measured at 200 rows, the two break even near N = 600.
+    """
+    b = _BLOCK_STEPS
+    if reach <= b or not (kernel[b] > 0 and kernel[reach] > 0):
+        return None
+    p = (math.log(kernel[b]) - math.log(kernel[reach])) / math.log(reach / b)
+    if not 0 < p <= 4:  # at step 1/4, m^{-4} is already 4.8e-13 off
+        return None
+    hi = math.log(40 / b)
+    terms = math.ceil((hi - math.log(_EXP_CUT) / p + math.log(reach)) / _EXP_STEP) + 1
+    if 2 * (b + 2 * terms) >= reach:
+        return None
+    u = hi - _EXP_STEP * np.arange(terms)
+    s = np.exp(u)
+    a = kernel[b] * b**p * _EXP_STEP / math.gamma(p) * np.exp(p * u)
+    near = a * np.exp(-np.outer(np.arange(1, b + 1), s))
+    # lag 64 i + j is near[j - 1] @ decay^i, so the sum on lags 65..reach is
+    # one (64 x J) by (J x reach/64) product
+    blocks = -(-reach // b) - 1
+    approx = (near @ np.exp(-b * np.outer(s, np.arange(1, blocks + 1)))).T.ravel()
+    k = kernel[b + 1 : reach + 1]
+    if not np.all(np.abs(approx[: k.size] - k) <= _EXP_TOL * k):
+        return None
+    hist = np.exp(-np.outer(s, np.arange(2 * b - 1, b - 1, -1)))
+    return near, np.exp(-b * s)[:, None], hist
 
 
 def _renewal_solve(
@@ -148,10 +196,20 @@ def _renewal_solve(
     the lower Toeplitz whose first column is x(0..63) itself.  So the single
     row costs two convolves per block and no per-step loop after the first.
 
+    With weights, n_max >= N and a kernel that ``_power_exponentials``
+    writes as a sum of J exponentials on lags 65..N (a pure power c m^{-p}
+    with p up to about 3, and N > 2 (64 + 2J)), the Toeplitz covers only
+    lags 1..127, the block before.  The history before that is J
+    accumulators H_k = sum_i e^{-s_k (n0 - i)} x(i), which decay by
+    e^{-64 s_k} and take in one block a step.  A block then costs
+    (64 + 2J) * 64 per row in place of min(N, n_max) * 64, and the far lags
+    hold K within 1e-13 relative, not to roundoff.
+
     One time-major buffer holds only the history the kernel reaches, slid
     to the front between blocks, so besides the caller's disorder the
     memory is O((min(N, n_max) + _BLOCK_STEPS) * n_rows) plus the
-    Toeplitz, at most _BLOCK_STEPS * min(N, n_max) floats.  Returns the
+    Toeplitz, at most _BLOCK_STEPS * min(N, n_max) floats; the sum of
+    exponentials takes J * (n_rows + 128) in its place.  Returns the
     last min(N, n_max) + 1 values x(N - min(N, n_max) .. N), one row per
     sample; with w = 1 it keeps and returns all of x(0..N).
     """
@@ -175,12 +233,19 @@ def _renewal_solve(
     rows = () if weights is None else (n_rows,)
     x = np.empty((min(n_steps, hist + _BLOCK_STEPS) + 1, *rows))
     w = np.ones((_BLOCK_STEPS, *rows))
+    exps = None
     if weights is not None:
-        # toeplitz[j - 1, c] = K(reach - 1 + j - c); a block whose far
+        if reach == n_steps:  # no sum of exponentials is 0 past n_max
+            exps = _power_exponentials(kernel, reach)
+        width = reach if exps is None else _BLOCK_STEPS
+        # toeplitz[j - 1, c] = K(width - 1 + j - c); a block whose far
         # history is p rows long takes the last p columns
         toeplitz = np.ascontiguousarray(
-            sliding_window_view(kpad[1 : reach + far], reach)[:, ::-1]
+            sliding_window_view(kpad[1 : width + far], width)[:, ::-1]
         )
+        if exps is not None:
+            exp_near, exp_decay, exp_hist = exps
+            acc = np.zeros((exp_decay.size, n_rows))
     x[0] = 1.0
     base = 0
     for n0 in range(0, n_steps, _BLOCK_STEPS):
@@ -201,7 +266,16 @@ def _renewal_solve(
                 continue
         else:
             w[: n1 - n0] = weights(n0, n1).T
-            np.matmul(toeplitz[:f, reach - p :], past, out=block)
+            # with a sum of exponentials the Toeplitz takes only the block
+            # before; the accumulators add the history before that, then
+            # take that block in: H <- e^{-64 s} H + hist @ x
+            past = past[-width:]
+            cols = slice(width - past.shape[0], None)
+            np.matmul(toeplitz[:f, cols], past, out=block)
+            if exps is not None:
+                block += exp_near[:f] @ acc
+                acc *= exp_decay
+                acc += exp_hist[:, cols] @ past
         for i, (coef, e), w_n in zip(range(n0 + 1 - base, n1 + 1 - base), steps, w):
             if weights is None:
                 x[i] = coef @ x[i + e - coef.size : i + e]
@@ -278,10 +352,13 @@ def partition_function_batch(
 
     Each 64-step block takes the history before it in one matrix product,
     (64 x min(N, n_max)) by (min(N, n_max) x samples), and then runs its
-    steps over their in-block lags only.  The site weights are computed
-    block by block inside the transfer, so besides ``omega`` the memory is
-    O((min(N, n_max) + 64) * samples) floats, plus at most 64 * min(N, n_max)
-    for the block Toeplitz of K.
+    steps over their in-block lags only.  An alpha law with n_max > N from
+    N of about 520 takes that history as J ~ 105 exponential accumulators
+    instead (see ``_renewal_solve``): 64 + 2J in place of min(N, n_max) per
+    step and row, within 1e-13 relative of K on the lags past 64.  The site
+    weights are computed block by block inside the transfer, so besides
+    ``omega`` the memory is O((min(N, n_max) + 64) * samples) floats, plus
+    at most 64 * min(N, n_max) for the block Toeplitz of K.
     """
     if mode not in ("free", "conditioned"):
         raise InputError(f"unknown mode {mode!r}")

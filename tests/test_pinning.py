@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import gammaln, logsumexp
 
-from chaoslim import harness, pinning
+from chaoslim import harness, pinning, wiener
 from chaoslim.chaos import eval_multilinear
 from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER, StdGaussian
 from chaoslim.errors import (
@@ -346,6 +346,132 @@ def test_sample_pinning_checks_cap_before_drawing():
 
     with pytest.raises(ResourceError):
         harness.sample_pinning(LAW_HALF, 1.0, 0.0, 300_000, 2, 0, "free", NoDraw())
+
+
+def test_sample_pinning_draws_omega_in_row_blocks(monkeypatch):
+    # a lowered limit splits the first 2000-row chunk into blocks of 300
+    # rows and a remainder; the Generator fills rows in order, so omega does
+    # not change.  The alpha law's matrix products sum in an order that
+    # OpenBLAS picks by the row count, so there the split moves Z by a few
+    # units of rounding
+    law = RenewalLaw.heavy_tail(0.75, 20000)
+    for disorder in (GAUSSIAN_DISORDER, RADEMACHER):
+        for lw, n in ((LAW_HALF, 300), (law, 700)):
+            whole = harness.sample_pinning(lw, 1.0, 0.4, n, 2100, 3, "free", disorder)
+            monkeypatch.setattr(harness, "_PINNING_VALUES", 300 * n + 5)
+            split = harness.sample_pinning(lw, 1.0, 0.4, n, 2100, 3, "free", disorder)
+            monkeypatch.undo()
+            if lw is LAW_HALF:
+                assert np.array_equal(split, whole)
+            else:
+                np.testing.assert_allclose(split, whole, rtol=1e-14, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the far history of a power-law kernel as a sum of exponentials
+# ---------------------------------------------------------------------------
+
+
+def _sum_on_far_lags(exps, reach):
+    """The sum of exponentials on lags 65..reach: lag 64 i + j is
+    near[j - 1] @ decay^i."""
+    near, decay, _ = exps
+    blocks = -(-reach // 64) - 1
+    return (near @ decay ** np.arange(1, blocks + 1)).T.ravel()[: reach - 64]
+
+
+def test_power_exponentials_match_the_kernel():
+    k = RenewalLaw.heavy_tail(0.75, 20000).probs
+    for reach, most_terms in ((2000, 105), (8000, 110)):
+        exps = pinning._power_exponentials(k, reach)
+        assert exps[1].size <= most_terms
+        np.testing.assert_allclose(_sum_on_far_lags(exps, reach), k[65 : reach + 1],
+                                   rtol=1e-14, atol=0)
+    # the folded tail atom at lag N, one changed lag, a power too steep for
+    # the step, and a law whose Toeplitz costs less keep the Toeplitz
+    assert pinning._power_exponentials(RenewalLaw.heavy_tail(0.55, 4000).probs, 4000) is None
+    bent = k.copy()
+    bent[1000] *= 1 + 1e-9
+    assert pinning._power_exponentials(bent, 2000) is None
+    steep = np.append(0.0, np.arange(1.0, 2001.0) ** -3.8)
+    assert pinning._power_exponentials(steep, 2000) is None
+    # a geometric law fits p = 234, whose weights would overflow
+    geometric = RenewalLaw.from_probabilities(0.5 ** np.arange(1, 1001) / (1 - 0.5**1000))
+    assert pinning._power_exponentials(geometric.probs, 1000) is None
+    omega = np.random.default_rng(1).standard_normal((2, 1000))
+    _assert_matches_one_shot(geometric, partition_function_batch(geometric, omega, 0.1, 0.0),
+                             _one_shot_partition_batch(geometric, omega, 0.1, 0.0,
+                                                       "conditioned", GAUSSIAN_DISORDER))
+    assert pinning._power_exponentials(k, 500) is None
+
+
+@pytest.mark.parametrize("disorder", [GAUSSIAN_DISORDER, RADEMACHER],
+                         ids=["gaussian", "rademacher"])
+@pytest.mark.parametrize("h_hat", [0.0, 0.4])
+def test_far_history_sum_matches_one_shot(disorder, h_hat):
+    # past N of about 600 the transfer takes lags past 127 as ~105
+    # exponentials; below it the Toeplitz.  The worst gap measured was 5.3e-15
+    law = RenewalLaw.heavy_tail(0.75, 20000)
+    rng = np.random.default_rng(13)
+    for n in (63, 64, 65, 127, 128, 129, 255, 2000, 8000):
+        omega = disorder.sample(rng, (5, n))
+        beta, h = scale_couplings(law, 1.0, h_hat, n)
+        z = _one_shot_solve(law.probs, n, pinning._site_weights(omega, beta, h, disorder))
+        refs = {"conditioned": z[:, n] / _one_shot_solve(law.probs, n)[n],
+                "free": z @ law.tail(n)[::-1]}
+        for mode, ref in refs.items():
+            got = partition_function_batch(law, omega, beta, h, mode, disorder)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0, err_msg=f"{n} {mode}")
+
+
+def test_other_kernels_keep_the_toeplitz(monkeypatch):
+    # with the tolerance below zero no sum passes the check, which forces the
+    # Toeplitz; a kernel that fails it by itself must give the same bits
+    law = RenewalLaw.heavy_tail(0.75, 20000)
+    bent = law.probs.copy()
+    bent[1000] *= 1 + 1e-9
+    bent_law = RenewalLaw(bent, "alpha", 0.75, law.tail_constant)
+    folded = RenewalLaw.heavy_tail(0.55, 4000)
+    omega = np.random.default_rng(5).standard_normal((6, 4000))
+    cases = [(law, omega[:, :2000]), (bent_law, omega[:, :2000]), (folded, omega)]
+    got = [partition_function_batch(lw, om, 0.05, 0.001, mode)
+           for lw, om in cases for mode in ("conditioned", "free")]
+    monkeypatch.setattr(pinning, "_EXP_TOL", -1.0)
+    toeplitz = [partition_function_batch(lw, om, 0.05, 0.001, mode)
+                for lw, om in cases for mode in ("conditioned", "free")]
+    assert not np.array_equal(got[0], toeplitz[0])  # the pure power takes the sum
+    for a, b in zip(got[2:], toeplitz[2:]):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mode", ["conditioned", "free"])
+def test_power_kernel_takes_the_sum(mode):
+    # the (64, 8000) Toeplitz is 4.1 MB on top of the 4.1 MB history buffer;
+    # the sum of exponentials holds under 0.2 MB in its place
+    law = RenewalLaw.heavy_tail(0.75, 20000)
+    omega = np.random.default_rng(2).standard_normal((64, 8000))
+    beta, h = scale_couplings(law, 1.0, 0.4, 8000)
+    tracemalloc.start()
+    try:
+        partition_function_batch(law, omega, beta, h, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (8001 * 64 + 64 * 8000 / 2) * 8
+
+
+@pytest.mark.parametrize("cells", [128, 2048, 2560])
+def test_alpha_reference_matches_one_shot(cells):
+    # the reference kernel (m/M)^{alpha - 1} is a power with p = 1/4, which
+    # takes J ~ 550 exponentials and the sum from M of about 2300 on.  Its
+    # weights are signed, so the gap is held to a multiple of max |Z|
+    rows = 100
+    w = c_alpha(0.75) * wiener.sample_noise_batch(cells, 9, rows)
+    w[:, -1] = 1.0
+    kernel = np.append(0.0, (np.arange(1, cells + 1) / cells) ** -0.25)
+    ref = _one_shot_solve(kernel, cells, w)[:, -1]
+    got = harness.pinning_alpha_reference(0.75, 1.0, cells=cells, n_samples=rows, seed=9)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("mode", ["conditioned", "free"])
