@@ -16,7 +16,7 @@ import numpy as np
 
 from . import harness, ising, tilting
 from .dists import Atoms
-from .errors import ChaoslimError, InputError, NumericError
+from .errors import ChaoslimError, InputError
 
 
 def _check_samples(args, least: int) -> None:
@@ -37,19 +37,14 @@ def _quiet_numerics():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _write_samples(args, fixed: dict, z: np.ndarray) -> int:
+def _write_samples(args, fixed: dict, z: np.ndarray, lower: str) -> int:
     """One CSV row per sample: the run's ``fixed`` columns, then Z and log Z.
 
     A sample that is not finite and positive (an underflow to 0, say) is a
-    NumericError, not a math domain error, and no file is written.
+    NumericError that names the model's coupling to ``lower``, not a math
+    domain error, and no file is written.
     """
-    bad = np.flatnonzero(~(np.isfinite(z) & (z > 0.0)))
-    if bad.size:
-        raise NumericError(
-            f"{bad.size} of {z.size} partition-function samples are not finite and "
-            f"positive (sample {bad[0]} is {float(z[bad[0]])!r}), so log Z is undefined; "
-            "lower beta_hat or N"
-        )
+    harness.positive_samples(z, lower)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(",".join([*fixed, "Z", "logZ"]) + "\n")
         for v in z:
@@ -69,7 +64,7 @@ def _cmd_pinning(args) -> int:
     with _quiet_numerics():
         z = harness.sample_pinning(harness.pinning_law(params), args.beta_hat, args.h_hat,
                                    args.N, args.samples, args.seed, args.mode)
-    return _write_samples(args, {"seed": args.seed, "N": args.N}, z)
+    return _write_samples(args, {"seed": args.seed, "N": args.N}, z, "beta_hat or N")
 
 
 def _cmd_polymer(args) -> int:
@@ -82,7 +77,8 @@ def _cmd_polymer(args) -> int:
             mass_tol=args.mass_tol,
         )
     return _write_samples(
-        args, {"seed": args.seed, "N": args.N, "mode": args.mode, "x": args.x}, z)
+        args, {"seed": args.seed, "N": args.N, "mode": args.mode, "x": args.x}, z,
+        "beta_hat or N")
 
 
 def _cmd_ising(args) -> int:
@@ -93,7 +89,7 @@ def _cmd_ising(args) -> int:
     )
     with _quiet_numerics():
         z = harness.sample_ising(profiles, args.samples, args.seed)
-    return _write_samples(args, {"seed": args.seed, "delta": args.delta}, z)
+    return _write_samples(args, {"seed": args.seed, "delta": args.delta}, z, "lam_hat")
 
 
 def _cmd_tilt(args) -> int:

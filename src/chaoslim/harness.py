@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import chaos, ising, pinning, polymer, tilting, wiener
 from .dists import GAUSSIAN_DISORDER, RADEMACHER, Atoms, StdGaussian
@@ -422,6 +421,17 @@ def sample_polymer(
     return out
 
 
+def positive_samples(z: np.ndarray, lower: str) -> np.ndarray:
+    """``z``, if every partition-function sample in it is finite and
+    positive; else a NumericError that names what to ``lower``."""
+    bad = np.flatnonzero(~(np.isfinite(z) & (z > 0.0)))
+    if bad.size:
+        raise NumericError(
+            f"{bad.size} of {z.size} partition-function samples are not finite and "
+            f"positive (sample {bad[0]} is {float(z[bad[0]])!r}); lower {lower}")
+    return z
+
+
 def sample_ising(
     profiles: ising.FieldProfiles,
     n_samples: int,
@@ -429,15 +439,15 @@ def sample_ising(
     disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
 ) -> np.ndarray:
     """Rescaled RFIM partition samples e^{-||lam||^2 d^{-1/4}/2} Z on the
-    lattice Omega cap (delta Z)^2."""
+    lattice Omega cap (delta Z)^2, by one batched transfer sweep.  At large
+    lam_hat the prefactor underflows to 0 and Z overflows: a NumericError."""
     system = ising.LatticeSpinSystem.from_domain(profiles.domain, profiles.delta)
     prefactor = ising.normalization_prefactor(profiles)
     lam, h = ising.scale_fields(profiles, system)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     omegas = disorder.sample(rng, (n_samples, system.n_sites))
-    return np.array(
-        [prefactor * ising.rfim_partition_xi(system, lam * om + h) for om in omegas]
-    )
+    return positive_samples(prefactor * ising._rfim_partition_batch(system, lam * omegas + h),
+                            f"lam_hat = {profiles.lam_hat!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +480,7 @@ def _pinning_study(config):
                     cdf, cdf_left = point_mass_cdf(drift)
                     ks = ks_statistic(np.log(z), cdf, cdf_left)
                 else:
+                    from scipy.special import ndtr
                     ks = ks_statistic(np.log(z), lambda t: ndtr((t - drift) / vol))
                 rows.append(ReportRow(n_steps, "ks_lognormal", ks, None, None, None, "mc-ci"))
         return rows

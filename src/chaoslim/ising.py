@@ -1,8 +1,10 @@
 """Desk-scale critical 2D Ising with + boundary, and its random-field
 perturbation.
 
-Everything is computed by exact enumeration over the 2^n interior spin
-configurations (n capped at 20), which is what makes the chaos-rewrite
+The random-field partition function Z goes by a column transfer over the
+system's bounding box, O(2^w) work a field per box position, w the box's
+shorter side.  Correlations go by exact enumeration over the 2^n interior
+spin configurations (n capped at 20), which is what makes the chaos-rewrite
 identity
 
     Z = prod_x cosh(xi_x) * sum_{I subset interior} E+[sigma^I] tanh(xi)^I
@@ -27,6 +29,7 @@ from .chaos import Kernel
 from .errors import InputError, ResourceError
 
 BETA_C = 0.5 * math.log(1.0 + math.sqrt(2.0))
+_BOND = math.exp(BETA_C), math.exp(-BETA_C)  # e^{beta_c s s'} for s s' = +1, -1
 
 _ENUM_CAP = 20
 _NEIGHBOR_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -201,17 +204,53 @@ def correlation(system: LatticeSpinSystem, sites) -> float:
     return float(system._all_correlations()[mask])
 
 
+def _rfim_partition_batch(system: LatticeSpinSystem, xi) -> np.ndarray:
+    """E+[exp(sum_x xi_x sigma_x)] for each row of ``xi``, shape (rows, n_sites).
+
+    One site-by-site column-transfer sweep over the system's bounding box,
+    in columns of w sites, w its shorter side: O(cols w 2^w) work a row.
+    The state holds, for each spin configuration of the frontier (the latest
+    site of each of the w rows; bit r for row r, 0 for +1), the Boltzmann
+    weight summed over the swept sites.  A box position off the interior is
+    a fixed + spin, and the box's sides couple to the + boundary.  An extra
+    row of zero field sums to the normaliser.  Each row is swept alone, so
+    its value does not depend on the rows beside it.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 2 or xi.shape[1] != system.n_sites:
+        raise InputError("xi must have one entry per interior site")
+    rows = xi.shape[0]
+    coords = np.array(system.interior) - np.min(system.interior, axis=0)
+    if np.ptp(coords[:, 0]) < np.ptp(coords[:, 1]):
+        coords = coords[:, ::-1]
+    cols, w = coords.max(axis=0) + 1
+    # the weights of spin + and spin - at each box position, column by column
+    up, down = np.ones((cols * w, rows + 1)), np.zeros((cols * w, rows + 1))
+    pos = coords[:, 0] * w + coords[:, 1]
+    down[pos] = 1.0
+    up[pos, :rows] = np.exp(xi).T
+    down[pos, :rows] = np.exp(-xi).T
+    state = np.zeros((1 << w, rows + 1))
+    state[0] = 1.0  # the column before the box is all +
+    for c in range(cols):
+        for r in range(w):
+            # the spin above (+ past the top side) from the lower r bits, and
+            # the + neighbours past the bottom and right sides
+            above = 1 - 2 * (np.arange(1 << r) >> (r - 1)) if r else np.ones(1)
+            field = BETA_C * (above + (r == w - 1) + (c == cols - 1))[:, None]
+            plus, minus = np.moveaxis(state.reshape(-1, 2, 1 << r, rows + 1), 1, 0)
+            state = np.stack(
+                ((plus * _BOND[0] + minus * _BOND[1]) * (np.exp(field) * up[c * w + r]),
+                 (plus * _BOND[1] + minus * _BOND[0]) * (np.exp(-field) * down[c * w + r])),
+                axis=1).reshape(1 << w, rows + 1)
+    while state.shape[0] > 1:  # a pairwise sum in a fixed order
+        state = state[: state.shape[0] // 2] + state[state.shape[0] // 2 :]
+    return state[0, :rows] / state[0, rows]
+
+
 def rfim_partition_xi(system: LatticeSpinSystem, xi) -> float:
     """E+[exp(sum_x xi_x sigma_x)] for a per-site field vector xi."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (system.n_sites,):
-        raise InputError("xi must have one entry per interior site")
-    weights = system._spin_table()
-    # prod_k e^{xi_k sigma_k} over all configurations, bit k = 0 <-> spin +1
-    factor = np.ones(1)
-    for v in xi:
-        factor = np.concatenate([factor * math.exp(v), factor * math.exp(-v)])
-    return float(weights @ factor / weights.sum())
+    return float(_rfim_partition_batch(system, np.asarray(xi, dtype=float)[None])[0])
 
 
 @dataclass(frozen=True)

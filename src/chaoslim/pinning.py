@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gammaln, zeta
 
 from . import simplex
 from .chaos import Kernel
@@ -94,6 +93,7 @@ class RenewalLaw:
             raise ResourceError(
                 f"n_max = {n_max} exceeds the cap {2 * _N_CAP}, twice the largest N"
             )
+        from scipy.special import zeta
         n = np.arange(1, n_max + 1, dtype=float)
         raw = n ** -(1.0 + alpha)
         raw[-1] += float(zeta(1.0 + alpha, n_max + 1))
@@ -490,6 +490,7 @@ def continuum_second_moment(
             return math.exp(2.0 * rho * h_hat + rho * rho * beta_hat * beta_hat)
         except OverflowError:
             raise NumericError("the continuum second moment overflows; lower beta_hat") from None
+    from scipy.special import gammaln
     alpha = law.alpha
     ca = c_alpha(alpha)
     x = (beta_hat * ca) ** 2

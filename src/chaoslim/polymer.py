@@ -447,24 +447,10 @@ def _partition_batch(
     return z[:, idx] / qy
 
 
-def polymer_partition(
-    law: WalkLaw,
-    omega: SpaceTimeField,
-    beta: float,
-    mode: str = "free",
-    y: int | None = None,
-    disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
-    mass_tol: float = 1e-8,
-) -> float:
-    """Space-time transfer recursion z_n(y) = sum_x z_{n-1}(x) p(y-x) w_n(y).
-
-    free sums z_N; point2point returns z_N(y); conditioned divides by q_N(y).
-    Walk probability mass driven outside the field's spatial window is
-    dropped and measured; the run aborts if it exceeds ``mass_tol``. This is
-    the one-row call of the batched transfer loop that ``sample_polymer``
-    runs over groups of samples: it gathers the field's values on the
-    walk's sublattice, the only sites the recursion reads.
-    """
+def _sublattice_block(law: WalkLaw, omega: SpaceTimeField) -> np.ndarray:
+    """The field's values on the walk's sublattice, the only sites the
+    transfer reads, as the one-row block (n_steps, 1, cols) of
+    ``_partition_batch``."""
     p, res = law.period, law.residue
     n_steps, width = omega.values.shape
     cols = -(-width // p)
@@ -472,8 +458,21 @@ def polymer_partition(
     padded[:, :width] = omega.values
     offs = (res * np.arange(1, n_steps + 1) - omega.k_lo) % p
     block = np.take_along_axis(padded, offs[:, None] + p * np.arange(cols), axis=1)
-    return float(_partition_batch(law, omega.k_lo, 1, width, [block[:, None, :]], beta,
-                                  mode, y, disorder, mass_tol)[0])
+    return block[:, None, :]
+
+
+def polymer_partition(law: WalkLaw, omega: SpaceTimeField, beta: float) -> float:
+    """Space-time transfer recursion z_n(y) = sum_x z_{n-1}(x) p(y-x) w_n(y),
+    summed over the endpoint y: the free partition function.
+
+    Gaussian disorder; walk probability mass driven outside the field's
+    spatial window is dropped and measured, and the run aborts if it exceeds
+    1e-8. This is the one-row call of the batched transfer loop that
+    ``sample_polymer`` runs over groups of samples.
+    """
+    width = omega.values.shape[1]
+    return float(_partition_batch(law, omega.k_lo, 1, width, [_sublattice_block(law, omega)],
+                                  beta)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
 
 from .errors import DomainError, InputError, NumericError
 
@@ -65,6 +64,7 @@ def dirichlet_closed_form(k: int, chi: float, conditioned: bool) -> float:
         raise InputError("k must be >= 0")
     if chi >= 1.0:
         raise DomainError(f"chi = {chi} >= 1: gap factors are not integrable")
+    from scipy.special import gammaln
     a = 1.0 - chi
     if conditioned:
         log_val = (k + 1) * gammaln(a) - gammaln((k + 1) * a)
@@ -82,6 +82,7 @@ def _rule_01(order: int, upper: float, lower: float):
     if upper == 0.0 and lower == 0.0:
         x, w = np.polynomial.legendre.leggauss(order)
     else:
+        from scipy.special import roots_jacobi
         x, w = roots_jacobi(order, upper, lower)
     u = (x + 1.0) / 2.0
     return u, w * 2.0 ** (-(1.0 + upper + lower))

@@ -547,6 +547,31 @@ def test_cli_overflowing_samples_print_only_the_error_line(tmp_path):
     assert not (tmp_path / "z.csv").exists()
 
 
+@pytest.mark.parametrize("lam_hat,sample", [("400", "nan"), ("35", "0.0")],
+                         ids=["overflow", "underflow"])
+@pytest.mark.parametrize("command", ["run", "ising"])
+def test_cli_ising_bad_samples_print_only_the_error_line(tmp_path, command, lam_hat, sample):
+    # at lam_hat 35 the prefactor underflows to 0; at 400 Z overflows too and
+    # the product is nan: neither is a passing study or a CSV of log Z
+    out = tmp_path / "z.csv"
+    if command == "run":
+        config = tmp_path / "ising.json"
+        config.write_text(json.dumps({"model": "ising", "params": {"lam_hat": float(lam_hat)},
+                                      "grid": [0.2], "samples": 10, "out_csv": str(out),
+                                      "out_json": str(tmp_path / "z.json")}))
+        argv = ["run", "--config", str(config)]
+    else:
+        argv = ["ising", "--delta", "0.2", "--lambda-hat-const", lam_hat, "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-m", "chaoslim.cli", *argv],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert f"is {sample})" in lines[0] and f"lam_hat = {float(lam_hat)}" in lines[0]
+    assert not out.exists()
+
+
 def test_cli_ising_cap_exits_before_building_sites(tmp_path):
     # 1e5 sites an axis: a product of 1e10 sites, checked against the cap unbuilt
     argv = ["ising", "--delta", "1e-5", "--out", str(tmp_path / "z.csv")]

@@ -253,10 +253,6 @@ TEST_ONLY_PARAMETERS = frozenset({
     "harness.pinning_alpha_reference.seed",
     "ising.f_omega_l2_ratio.mc_samples",
     "pinning.chaos_kernel.mode",
-    "polymer.polymer_partition.mode",
-    "polymer.polymer_partition.y",
-    "polymer.polymer_partition.disorder",
-    "polymer.polymer_partition.mass_tol",
     "simplex.dirichlet_quadrature.conditioned",
     "simplex.dirichlet_quadrature.order",
 })
@@ -286,7 +282,8 @@ def test_defaulted_parameters_are_set_outside_tests():
 
 def test_import_loads_no_heavy_scipy_subpackage():
     # each of these costs set-up time on every run; chaoslim imports them lazily, if at all
-    heavy = ("scipy.signal", "scipy.interpolate", "scipy.integrate", "scipy.stats")
+    heavy = ("scipy.signal", "scipy.interpolate", "scipy.integrate", "scipy.stats",
+             "scipy.special")
     probe = ("import sys, chaoslim, chaoslim.cli; "
              f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -22,6 +22,7 @@ from chaoslim.ising import (
     rfim_partition_xi,
     scale_fields,
     _f_omega_sq_batch,
+    _rfim_partition_batch,
 )
 
 ONE = LatticeSpinSystem.rectangle(1, 1)
@@ -69,6 +70,66 @@ def test_enumeration_cap():
 # ---------------------------------------------------------------------------
 # RFIM partition function and the chaos rewrite
 # ---------------------------------------------------------------------------
+
+
+def _rfim_partition_enum(system, xi):
+    """E+[exp(xi . sigma)] by enumeration: the spin table's Boltzmann weights
+    against prod_k e^{xi_k sigma_k} over all 2^n configurations."""
+    weights = system._spin_table()
+    # bit k = 0 <-> spin +1, as in the spin table
+    factor = np.ones(1)
+    for v in xi:
+        factor = np.concatenate([factor * math.exp(v), factor * math.exp(-v)])
+    return float(weights @ factor / weights.sum())
+
+
+def _shapes():
+    """Every rectangle within the cap, the shapes from_domain builds and
+    the 1 x k and k x 1 strips among them, and site sets that are not
+    rectangles: non-convex, holed, scattered."""
+    rects = {(a, b) for a in range(1, 21) for b in range(1, 21) if a * b <= 20}
+    shapes = {f"{a}x{b}": LatticeSpinSystem.rectangle(a, b) for a, b in sorted(rects)}
+    shapes["L"] = LatticeSpinSystem(((0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (0, 3)))
+    shapes["ring"] = LatticeSpinSystem(tuple((i, j) for i in range(3) for j in range(3)
+                                             if (i, j) != (1, 1)))
+    shapes["holed-5x4"] = LatticeSpinSystem(tuple((i, j) for i in range(5) for j in range(4)
+                                                  if (i, j) not in {(1, 1), (3, 2)}))
+    shapes["plus"] = LatticeSpinSystem(((1, 0), (0, 1), (1, 1), (2, 1), (1, 2)))
+    shapes["apart"] = LatticeSpinSystem(((0, 0), (3, 5), (2, 2), (7, 1), (-4, 3)))
+    shapes["comb"] = LatticeSpinSystem(tuple((i, j) for i in range(7) for j in range(3)
+                                             if j == 0 or i % 2 == 0))
+    return shapes
+
+
+SHAPES = _shapes()
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_transfer_matches_enumeration(name):
+    system = SHAPES[name]
+    rng = np.random.default_rng(len(name) * 7 + system.n_sites)
+    xi = np.concatenate([rng.uniform(-5.0, 5.0, (4, system.n_sites)),
+                         rng.normal(0.0, 0.5, (4, system.n_sites)),
+                         np.full((1, system.n_sites), 5.0), np.full((1, system.n_sites), -5.0)])
+    z = _rfim_partition_batch(system, xi)
+    ref = np.array([_rfim_partition_enum(system, row) for row in xi])
+    assert np.max(np.abs(z / ref - 1.0)) <= 1e-12
+
+
+def test_transfer_rejects_a_misshapen_field():
+    with pytest.raises(InputError):
+        _rfim_partition_batch(SQ22, np.zeros(4))
+    with pytest.raises(InputError):
+        _rfim_partition_batch(SQ22, np.zeros((2, 3)))
+
+
+def test_sample_ising_builds_no_spin_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the sampler built the 2^n spin table")
+
+    monkeypatch.setattr(LatticeSpinSystem, "_spin_table", refuse)
+    z = harness.sample_ising(FieldProfiles(1.0, 0.0, Rect.unit_square(), 0.2), 50, 3)
+    assert z.shape == (50,) and np.all(z > 0.0)
 
 
 def test_rfim_reference_normalization():

@@ -270,6 +270,15 @@ def test_scale_beta_values():
 # ---------------------------------------------------------------------------
 
 
+def _partition(law, field, beta, mode="free", y=None, disorder=GAUSSIAN_DISORDER,
+               mass_tol=1e-8):
+    """Z of one field in any mode, by the batched transfer that
+    ``sample_polymer`` runs, on the one-row block ``polymer_partition`` passes."""
+    return float(polymer._partition_batch(
+        law, field.k_lo, 1, field.values.shape[1], [polymer._sublattice_block(law, field)],
+        beta, mode, y, disorder, mass_tol)[0])
+
+
 def _brute_partition(law, field, beta, mode, y=None, disorder=GAUSSIAN_DISORDER):
     lam = disorder.log_mgf(beta)
     n = field.values.shape[0]
@@ -293,8 +302,8 @@ def _brute_partition(law, field, beta, mode, y=None, disorder=GAUSSIAN_DISORDER)
 
 def test_partition_zero_coupling():
     field = SpaceTimeField(np.zeros((12, 25)), -12)
-    assert polymer_partition(SIMPLE, field, 0.0, "free") == pytest.approx(1.0)
-    assert polymer_partition(SIMPLE, field, 0.0, "conditioned", 0) == pytest.approx(1.0)
+    assert polymer_partition(SIMPLE, field, 0.0) == pytest.approx(1.0)
+    assert _partition(SIMPLE, field, 0.0, "conditioned", 0) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("law", [SIMPLE, LAZY], ids=["simple", "window2"])
@@ -304,7 +313,7 @@ def test_partition_matches_path_enumeration(law, mode, y):
     n = 6 if law is SIMPLE else 4
     width = 2 * n * int(law.offsets[-1]) + 1
     field = SpaceTimeField(rng.standard_normal((n, width)), -(width // 2))
-    z = polymer_partition(law, field, 0.6, mode, y)
+    z = _partition(law, field, 0.6, mode, y)
     oracle = _brute_partition(law, field, 0.6, mode, y)
     assert z == pytest.approx(oracle, rel=1e-12)
 
@@ -314,9 +323,9 @@ def test_partition_free_decomposes_over_endpoints():
     n = 10
     field = SpaceTimeField(rng.standard_normal((n, 2 * n + 1)), -n)
     q = walk_pmf(SIMPLE, n)
-    free = polymer_partition(SIMPLE, field, 0.5, "free")
+    free = polymer_partition(SIMPLE, field, 0.5)
     total = sum(
-        polymer_partition(SIMPLE, field, 0.5, "conditioned", y) * q[y]
+        _partition(SIMPLE, field, 0.5, "conditioned", y) * q[y]
         for y in range(-n, n + 1)
         if q[y] > 0
     )
@@ -326,13 +335,13 @@ def test_partition_free_decomposes_over_endpoints():
 def test_partition_conditioning_error_off_lattice_endpoint():
     field = SpaceTimeField(np.zeros((4, 9)), -4)
     with pytest.raises(ConditioningError):
-        polymer_partition(SIMPLE, field, 0.1, "conditioned", 1)  # parity violation
+        _partition(SIMPLE, field, 0.1, "conditioned", 1)  # parity violation
 
 
 def test_partition_mass_loss_abort():
     field = SpaceTimeField(np.zeros((10, 3)), -1)  # window far too narrow
     with pytest.raises(NumericError):
-        polymer_partition(SIMPLE, field, 0.1, "free", mass_tol=1e-8)
+        polymer_partition(SIMPLE, field, 0.1)
 
 
 def test_partition_mass_tol_measures_walk_mass():
@@ -342,7 +351,7 @@ def test_partition_mass_tol_measures_walk_mass():
     values[:, [0, 2]] = -40.0
     field = SpaceTimeField(values, -1)
     with pytest.raises(NumericError, match="truncated walk mass 9.688e-01"):
-        polymer_partition(SIMPLE, field, 1.0, "free", mass_tol=1e-8)
+        polymer_partition(SIMPLE, field, 1.0)
 
 
 @pytest.mark.parametrize("excess,half,raises", [(-5e-10, 100, False), (5e-10, 38, True)],
@@ -355,9 +364,9 @@ def test_partition_mass_tol_ignores_the_law_mass_deficit(excess, half, raises):
     field = SpaceTimeField(np.zeros((100, 2 * half + 1)), -half)
     if raises:
         with pytest.raises(NumericError, match="truncated walk mass 5.025e-08"):
-            polymer_partition(law, field, 0.0, mass_tol=1e-8)
+            polymer_partition(law, field, 0.0)
     else:
-        z = polymer_partition(law, field, 0.0, mass_tol=1e-8)
+        z = polymer_partition(law, field, 0.0)
         assert z == pytest.approx((1.0 + excess) ** 100, rel=1e-14)
 
 
@@ -366,8 +375,7 @@ def test_normalization_exact_over_rademacher_disorder():
     total = 0.0
     for bits in itertools.product([-1.0, 1.0], repeat=n * width):
         field = SpaceTimeField(np.array(bits).reshape(n, width), -2)
-        total += polymer_partition(SIMPLE, field, 0.3, "free",
-                                   disorder=RADEMACHER)
+        total += _partition(SIMPLE, field, 0.3, disorder=RADEMACHER)
     assert total / 2 ** (n * width) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -401,7 +409,7 @@ def test_chaos_rewrite_identity_small_system():
         for (step, k) in lattice
     }
     via_chaos = eval_multilinear(kernel, zeta)
-    direct = polymer_partition(SIMPLE, field, beta, "conditioned", endpoint_k)
+    direct = _partition(SIMPLE, field, beta, "conditioned", endpoint_k)
     assert via_chaos == pytest.approx(direct, rel=1e-10)
 
 
@@ -514,12 +522,10 @@ def test_partition_reads_only_the_walk_sublattice(law, n_steps, k_lo, width, mod
     # a target site on the step-N sublattice, the one nearest the origin
     y = min((k for k in range(k_lo, k_lo + width) if (k - law.residue * n_steps) % law.period == 0),
             key=abs)
-    z = polymer_partition(law, SpaceTimeField(values.copy(), k_lo), 0.6, mode, y,
-                          mass_tol=1.0)
+    z = _partition(law, SpaceTimeField(values.copy(), k_lo), 0.6, mode, y, mass_tol=1.0)
     off = _off_lattice(law, n_steps, k_lo, width)
     values[off] = rng.uniform(3.0, 4.0, off.sum())
-    assert polymer_partition(law, SpaceTimeField(values, k_lo), 0.6, mode, y,
-                             mass_tol=1.0) == z
+    assert _partition(law, SpaceTimeField(values, k_lo), 0.6, mode, y, mass_tol=1.0) == z
 
 
 def test_partition_period_three_matches_path_enumeration():
@@ -527,7 +533,7 @@ def test_partition_period_three_matches_path_enumeration():
     lo, hi = polymer.reachable_window(THREE, n)
     field = SpaceTimeField(np.random.default_rng(8).standard_normal((n, hi - lo + 1)), lo)
     for mode, y in [("free", None), ("point2point", 3), ("conditioned", 0)]:
-        assert polymer_partition(THREE, field, 0.6, mode, y) == pytest.approx(
+        assert _partition(THREE, field, 0.6, mode, y) == pytest.approx(
             _brute_partition(THREE, field, 0.6, mode, y), rel=1e-12)
 
 
@@ -549,7 +555,7 @@ def test_partition_windows_narrower_than_the_jumps(law, width):
     fields = [SpaceTimeField(rng.standard_normal((7, width)), -(width // 2))
               for _ in range(6)]
     ref = [float(_reference_z(law, f, 0.4).sum()) for f in fields]
-    rows = [polymer_partition(law, f, 0.4, mass_tol=1.0) for f in fields]
+    rows = [_partition(law, f, 0.4, mass_tol=1.0) for f in fields]
     assert rows == pytest.approx(ref, rel=1e-12)
 
 
