@@ -7,7 +7,7 @@ wiener   white noise on [0, 1] and factorized Wiener-chaos series
 simplex  ordered-simplex gap integrals (closed form and quadrature oracle)
 pinning  disordered pinning model with exact DP oracles
 polymer  (long-range) directed polymer with exact DP oracles
-ising    critical 2D Ising / RFIM: Z by column transfer, correlations by enumeration
+ising    critical 2D Ising / RFIM: Z and correlations by one column transfer
 tilting  exponential tilting with verified quantitative bounds
 harness  seeded Monte Carlo studies, KS diagnostics, report emission
 """

@@ -1,17 +1,17 @@
 """Desk-scale critical 2D Ising with + boundary, and its random-field
 perturbation.
 
-The random-field partition function Z goes by a column transfer over the
-system's bounding box, O(2^w) work a field per box position, w the box's
-shorter side.  Correlations go by exact enumeration over the 2^n interior
-spin configurations (n capped at 20), which is what makes the chaos-rewrite
-identity
+One column transfer over the system's bounding box computes everything: the
+random-field partition function Z, and the spin correlations E+[sigma^I]
+that make the chaos-rewrite identity
 
     Z = prod_x cosh(xi_x) * sum_{I subset interior} E+[sigma^I] tanh(xi)^I
 
-an exact algebraic statement rather than a sampled one.  The inverse
-temperature is pinned at the critical point beta_c = log(1+sqrt(2))/2, and
-the random field has a constant strength lam_hat and bias h_hat.
+an exact algebraic statement rather than a sampled one.  Its frontier holds
+only interior spins, so it costs 2^(interior frontier spins) a box position.
+The inverse temperature is pinned at the critical point
+beta_c = log(1+sqrt(2))/2, and the random field has a constant strength
+lam_hat and bias h_hat.
 
 Continuum geometry (distances to the domain boundary, the singular product
 f_Omega and its L^2 growth ratios) is measured against the polygonal
@@ -20,6 +20,7 @@ boundary of the axis-aligned rectangle domain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ from .errors import InputError, ResourceError
 BETA_C = 0.5 * math.log(1.0 + math.sqrt(2.0))
 _BOND = math.exp(BETA_C), math.exp(-BETA_C)  # e^{beta_c s s'} for s s' = +1, -1
 
-_ENUM_CAP = 20
+_SWEEP_CAP = 1 << 20  # box positions x 2^(frontier spins): the transfer's work a row
 _NEIGHBOR_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
@@ -64,9 +65,33 @@ class Rect:
         )
 
 
-def _check_enum_cap(n_sites: int) -> None:
-    if n_sites > _ENUM_CAP:
-        raise ResourceError(f"{n_sites} interior spins exceed the enumeration cap {_ENUM_CAP}")
+def _check_sweep_cap(positions: int, frontier_spins: int) -> None:
+    """The transfer's work a row, box positions x 2^(frontier spins), must
+    stay within _SWEEP_CAP."""
+    if positions > _SWEEP_CAP:  # checked alone first, so the shift below stays small
+        raise ResourceError(
+            f"the bounding box has more positions than the transfer cap {_SWEEP_CAP}")
+    if positions << frontier_spins > _SWEEP_CAP:
+        raise ResourceError(f"{positions} box positions x 2^{frontier_spins} frontier states "
+                            f"exceed the transfer cap {_SWEEP_CAP}")
+
+
+def _sweep_box(interior) -> np.ndarray:
+    """The transfer's bounding box, columns along its longer side: entry
+    (c, r) is the index of the interior site at column c, row r, or -1 for
+    a fixed + spin.  A box past the transfer cap is a ResourceError."""
+    coords = np.array(interior)
+    coords -= coords.min(axis=0)
+    cols, w = (int(v) + 1 for v in coords.max(axis=0))
+    if cols < w:
+        coords, cols, w = coords[:, ::-1], w, cols
+    _check_sweep_cap(cols * w, 0)
+    index = np.full((cols, w), -1)
+    index[coords[:, 0], coords[:, 1]] = np.arange(len(coords))
+    # the frontier is the last w box positions swept
+    swept = np.concatenate([np.zeros(w, dtype=int), np.cumsum(index.ravel() >= 0)])
+    _check_sweep_cap(cols * w, int(np.max(swept[w:] - swept[:-w])))
+    return index
 
 
 def _axis_range(lo: float, hi: float, delta: float) -> range:
@@ -76,7 +101,7 @@ def _axis_range(lo: float, hi: float, delta: float) -> range:
         i0, i1 = math.floor(lo / delta), math.ceil(hi / delta)
     except OverflowError:  # an axis count beyond the float range
         raise ResourceError(
-            f"delta = {delta!r} gives more interior spins than the enumeration cap {_ENUM_CAP}"
+            f"delta = {delta!r} gives more box positions than the transfer cap {_SWEEP_CAP}"
         ) from None
     while i0 <= i1 and not lo < i0 * delta:
         i0 += 1
@@ -97,9 +122,8 @@ class LatticeSpinSystem:
             raise InputError("repeated interior sites")
         if not sites:
             raise InputError("interior must be non-empty")
-        _check_enum_cap(len(sites))
+        _sweep_box(sites)
         object.__setattr__(self, "interior", sites)
-        object.__setattr__(self, "_cache", {})
 
     @classmethod
     def rectangle(cls, width: int, height: int) -> "LatticeSpinSystem":
@@ -109,15 +133,17 @@ class LatticeSpinSystem:
     def from_domain(cls, domain: Rect, delta: float) -> "LatticeSpinSystem":
         """Interior sites of Omega cap (delta Z)^2, stored as integer coords.
 
-        The sites of a rectangle are a product of two axis ranges, so the
-        enumeration cap is checked on their sizes before any site is built.
+        The sites of a rectangle are a product of two axis ranges, and its
+        frontier holds the shorter one, so the transfer cap is checked on
+        their sizes before any site is built.
         """
         if delta <= 0:
             raise InputError("delta must be positive")
         xs = _axis_range(domain.x0, domain.x1, delta)
         ys = _axis_range(domain.y0, domain.y1, delta)
         # stop - start, not len(): len() of a range past 2^63 raises OverflowError
-        _check_enum_cap((xs.stop - xs.start) * (ys.stop - ys.start))
+        nx, ny = xs.stop - xs.start, ys.stop - ys.start
+        _check_sweep_cap(nx * ny, min(nx, ny))
         return cls(tuple((i, j) for i in xs for j in ys))
 
     @property
@@ -136,121 +162,77 @@ class LatticeSpinSystem:
                     hull.add((i + di, j + dj))
         return tuple(sorted(hull))
 
-    def _bonds_and_boundary_counts(self):
-        inner = {s: k for k, s in enumerate(self.interior)}
-        bonds = []
-        bcount = np.zeros(self.n_sites)
-        for (i, j), k in inner.items():
-            for di, dj in _NEIGHBOR_STEPS:
-                nb = (i + di, j + dj)
-                if nb in inner:
-                    if inner[nb] > k:
-                        bonds.append((k, inner[nb]))
-                else:
-                    bcount[k] += 1.0
-        return bonds, bcount
-
-    def _spin_table(self):
-        """Boltzmann weights of all 2^n configurations, cached.
-
-        spins[c, k] = +-1 with bit k of c equal to 0 mapping to +1, so that
-        prod_{k in I} spins[c, k] = (-1)^{popcount(c & I)} and correlations
-        for all subsets come out of one Walsh-Hadamard transform.
-        """
-        if "table" in self._cache:
-            return self._cache["table"]
-        n = self.n_sites
-        bonds, bcount = self._bonds_and_boundary_counts()
-        size = 1 << n
-        weights = np.empty(size)
-        chunk = min(size, 1 << 16)
-        bits = np.arange(n)
-        for start in range(0, size, chunk):
-            c = np.arange(start, min(start + chunk, size), dtype=np.int64)
-            s = 1.0 - 2.0 * ((c[:, None] >> bits) & 1)
-            energy = s @ bcount
-            for a, b in bonds:
-                energy += s[:, a] * s[:, b]
-            weights[start : start + c.size] = np.exp(BETA_C * energy)
-        self._cache["table"] = weights
-        return weights
-
-    def _all_correlations(self) -> np.ndarray:
-        """E+[sigma^I] for every subset mask I, via fast Walsh-Hadamard."""
-        if "corr" in self._cache:
-            return self._cache["corr"]
-        v = self._spin_table().copy()
-        h = 1
-        while h < v.size:
-            v = v.reshape(-1, 2 * h)
-            left = v[:, :h].copy()
-            v[:, :h] = left + v[:, h:]
-            v[:, h:] = left - v[:, h:]
-            v = v.ravel()
-            h *= 2
-        corr = v / v[0]
-        self._cache["corr"] = corr
-        return corr
-
 
 def correlation(system: LatticeSpinSystem, sites) -> float:
-    """E+[prod_{x in I} sigma_x] by exact enumeration; I = [] gives 1."""
-    sites = list(sites)
-    if not sites:
-        return 1.0
-    mask = 0
-    for s in sites:
-        mask |= 1 << system.site_index(s)
-    return float(system._all_correlations()[mask])
+    """E+[prod_{x in I} sigma_x], one transfer row; I = [] gives 1."""
+    down = np.ones((1, system.n_sites))
+    down[0, [system.site_index(s) for s in sites]] = -1.0
+    return float(_rfim_partition_batch(system, np.ones_like(down), down)[0])
 
 
-def _rfim_partition_batch(system: LatticeSpinSystem, xi) -> np.ndarray:
-    """E+[exp(sum_x xi_x sigma_x)] for each row of ``xi``, shape (rows, n_sites).
+@functools.lru_cache(maxsize=None)
+def _site_factors(spin: bool, left: int, above: int, sides: int):
+    """The new site's bond to the spin left of it, e^{beta_c s t} of shape
+    (s, t, 1, 1, 1), and its field from the spin above it and ``sides`` +
+    neighbours past the box's bottom and right sides, e^{beta_c s (a + sides)}
+    of shape (s, a, 1, 1), to broadcast over state views.  Each spin is +-1
+    where flagged and + alone where not."""
+    bond = np.array([[_BOND[0], _BOND[1]], [_BOND[1], _BOND[0]]])[: 1 + spin, : 1 + left]
+    field = BETA_C * (np.array([1, -1][: 1 + above]) + sides)
+    field = np.exp(np.array([field, -field][: 1 + spin]))
+    return bond[..., None, None, None], field[..., None, None]
+
+
+def _rfim_partition_batch(system: LatticeSpinSystem, up, down) -> np.ndarray:
+    """E+[prod_x u_x(sigma_x)] for each row of the per-site weights ``up``
+    (u_x(+1)) and ``down`` (u_x(-1)), shapes (rows, n_sites).  Weights
+    e^{+-xi} give E+[exp(xi . sigma)]; 1, and -1 on the sites of I, give
+    E+[sigma^I].
 
     One site-by-site column-transfer sweep over the system's bounding box,
-    in columns of w sites, w its shorter side: O(cols w 2^w) work a row.
-    The state holds, for each spin configuration of the frontier (the latest
-    site of each of the w rows; bit r for row r, 0 for +1), the Boltzmann
-    weight summed over the swept sites.  A box position off the interior is
-    a fixed + spin, and the box's sides couple to the + boundary.  An extra
-    row of zero field sums to the normaliser.  Each row is swept alone, so
-    its value does not depend on the rows beside it.
+    in columns of w sites, w its shorter side.  The state holds, for each
+    spin configuration of the frontier (the latest site of each of the w
+    rows), the Boltzmann weight summed over the swept sites.  Row r takes one
+    bit of the state index while its frontier site is an interior spin and
+    none while it is a fixed + spin, so a box position costs 2^(interior
+    frontier spins).  The box's sides couple to the + boundary.  An extra row
+    of unit weights sums to the normaliser.  Each row is swept alone, so its
+    value does not depend on the rows beside it.
     """
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 2 or xi.shape[1] != system.n_sites:
-        raise InputError("xi must have one entry per interior site")
-    rows = xi.shape[0]
-    coords = np.array(system.interior) - np.min(system.interior, axis=0)
-    if np.ptp(coords[:, 0]) < np.ptp(coords[:, 1]):
-        coords = coords[:, ::-1]
-    cols, w = coords.max(axis=0) + 1
-    # the weights of spin + and spin - at each box position, column by column
-    up, down = np.ones((cols * w, rows + 1)), np.zeros((cols * w, rows + 1))
-    pos = coords[:, 0] * w + coords[:, 1]
-    down[pos] = 1.0
-    up[pos, :rows] = np.exp(xi).T
-    down[pos, :rows] = np.exp(-xi).T
-    state = np.zeros((1 << w, rows + 1))
-    state[0] = 1.0  # the column before the box is all +
-    for c in range(cols):
-        for r in range(w):
-            # the spin above (+ past the top side) from the lower r bits, and
-            # the + neighbours past the bottom and right sides
-            above = 1 - 2 * (np.arange(1 << r) >> (r - 1)) if r else np.ones(1)
-            field = BETA_C * (above + (r == w - 1) + (c == cols - 1))[:, None]
-            plus, minus = np.moveaxis(state.reshape(-1, 2, 1 << r, rows + 1), 1, 0)
-            state = np.stack(
-                ((plus * _BOND[0] + minus * _BOND[1]) * (np.exp(field) * up[c * w + r]),
-                 (plus * _BOND[1] + minus * _BOND[0]) * (np.exp(-field) * down[c * w + r])),
-                axis=1).reshape(1 << w, rows + 1)
+    up, down = (np.asarray(a, dtype=float) for a in (up, down))
+    if up.ndim != 2 or up.shape != down.shape or up.shape[1] != system.n_sites:
+        raise InputError("the weights must have one entry per interior site")
+    ones = np.ones((1, system.n_sites))
+    # weights[k] = (u_k(+1), u_k(-1)), one column a row and the normaliser last
+    weights = np.stack([np.vstack([up, ones]).T, np.vstack([down, ones]).T], axis=1)
+    weights = weights[:, :, None, None]
+    index = _sweep_box(system.interior)
+    cols, w = index.shape
+    bits = [0] * w  # the state bits of each row, its highest for row w - 1
+    state = np.ones((1, weights.shape[-1]))  # the column before the box is all +
+    for c, column in enumerate(index.tolist()):
+        for r, k in enumerate(column):
+            # the state index is (rows r + 1.., row r, rows ..r - 1); the spin
+            # above is the highest bit of rows ..r - 1, or + (past the top
+            # side, or a fixed + spin)
+            above = r > 0 and bits[r - 1]
+            view = state.reshape(-1, 1, 1 << bits[r], 1 << above, (1 << sum(bits[:r])) >> above,
+                                 weights.shape[-1])
+            bond, field = _site_factors(k >= 0, bits[r], above, (r == w - 1) + (c == cols - 1))
+            terms = view * bond
+            state = terms[:, :, 0] + terms[:, :, 1] if bits[r] else terms[:, :, 0]  # sum over t
+            state = state * (field * weights[k] if k >= 0 else field)
+            bits[r] = int(k >= 0)
+    state = state.reshape(-1, weights.shape[-1])
     while state.shape[0] > 1:  # a pairwise sum in a fixed order
         state = state[: state.shape[0] // 2] + state[state.shape[0] // 2 :]
-    return state[0, :rows] / state[0, rows]
+    return state[0, :-1] / state[0, -1]
 
 
 def rfim_partition_xi(system: LatticeSpinSystem, xi) -> float:
     """E+[exp(sum_x xi_x sigma_x)] for a per-site field vector xi."""
-    return float(_rfim_partition_batch(system, np.asarray(xi, dtype=float)[None])[0])
+    xi = np.asarray(xi, dtype=float)[None]
+    return float(_rfim_partition_batch(system, np.exp(xi), np.exp(-xi))[0])
 
 
 @dataclass(frozen=True)
@@ -292,7 +274,9 @@ def chaos_rewrite(system: LatticeSpinSystem, xi) -> tuple[float, Kernel]:
     n = system.n_sites
     if n > 12:
         raise ResourceError("exhaustive chaos kernel is limited to 12 interior spins")
-    corr = system._all_correlations()
+    # row m carries -1 on the sites of the subset with bitmask m
+    down = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    corr = _rfim_partition_batch(system, np.ones_like(down), down)
     entries = {}
     for mask in range(1 << n):
         sites = tuple(k for k in range(n) if mask >> k & 1)

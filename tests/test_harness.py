@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from chaoslim import cli, dists, harness, pinning, polymer
+from chaoslim import cli, dists, harness, ising, pinning, polymer
 from chaoslim.errors import InputError
 from chaoslim.harness import (
     ComparisonReport,
@@ -198,7 +198,11 @@ def test_ising_study_runs():
         grid=(1.0 / 3.0,), samples=50, seed=2,
     )
     report = run_convergence_study(cfg)
-    assert any(r.quantity == "mean_rescaled_Z" for r in report.rows)
+    row = next(r for r in report.rows if r.quantity == "mean_rescaled_Z")
+    profiles = ising.FieldProfiles(1.0, 0.0, ising.Rect.unit_square(), 1.0 / 3.0)
+    assert row.oracle == harness._ising_mean(profiles, dists.GAUSSIAN_DISORDER)
+    assert row.gap == abs(row.value - row.oracle)
+    assert row.passed == (row.gap <= 3 * row.se) and row.tolerance == "3 s.e. (calibration)"
 
 
 def test_pinning_study_zero_coupling_degenerate_target():
@@ -469,8 +473,8 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
     (["run"], None, {"model": "pinning", "grid": [2, 4], "samples": 0,
                      "params": {"law": "alpha", "alpha": 0.75, "n_max": 100, "beta_hat": 30}},
      "not summable"),
-    (["ising", "--delta", "1e-300"], None, None, "enumeration cap"),
-    (["ising", "--delta", "1e-320"], None, None, "enumeration cap"),
+    (["ising", "--delta", "1e-300"], None, None, "transfer cap"),
+    (["ising", "--delta", "1e-320"], None, None, "transfer cap"),
     (["run"], None, {"model": "wiener", "grid": [8], "samples": 2,
                      "params": {"diagnostic": "cameron_martin", "lam_hat": 0}}, "lam_hat"),
     (["run"], None, {"model": "wiener", "grid": [8], "samples": 2,
@@ -579,7 +583,7 @@ def test_cli_ising_cap_exits_before_building_sites(tmp_path):
     result = subprocess.run([sys.executable, "-m", "chaoslim.cli", *argv],
                             capture_output=True, text=True, env=env, timeout=10)
     assert result.returncode == 2
-    assert result.stderr.startswith("error: ") and "enumeration cap" in result.stderr
+    assert result.stderr.startswith("error: ") and "transfer cap" in result.stderr
     assert not (tmp_path / "z.csv").exists()
 
 

@@ -1,5 +1,6 @@
 """Tests for the desk-scale critical Ising / RFIM machinery."""
 
+import functools
 import itertools
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from chaoslim import harness
 from chaoslim.chaos import eval_multilinear
+from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER
 from chaoslim.errors import InputError, ResourceError
 from chaoslim.ising import (
     BETA_C,
@@ -31,7 +33,7 @@ SQ33 = LatticeSpinSystem.rectangle(3, 3)
 
 
 # ---------------------------------------------------------------------------
-# correlations by enumeration
+# correlations
 # ---------------------------------------------------------------------------
 
 
@@ -62,9 +64,17 @@ def test_pair_correlation_symmetry():
     assert correlation(SQ22, [(0, 0)]) == pytest.approx(correlation(SQ22, [(1, 1)]), rel=1e-12)
 
 
-def test_enumeration_cap():
-    with pytest.raises(ResourceError):
-        LatticeSpinSystem.rectangle(5, 5)
+def test_transfer_cap():
+    # box positions x 2^(frontier spins): 25 x 2^5 builds, 13 x 13 x 2^13 > 2^20 does not
+    assert LatticeSpinSystem.rectangle(5, 5).n_sites == 25
+    assert LatticeSpinSystem.from_domain(Rect.unit_square(), 1 / 6).n_sites == 25
+    with pytest.raises(ResourceError, match="transfer cap"):
+        LatticeSpinSystem.rectangle(13, 13)
+    with pytest.raises(ResourceError, match="transfer cap"):
+        LatticeSpinSystem.from_domain(Rect.unit_square(), 1 / 14)
+    # two sites far apart: a box of 2^21 positions, though its frontier holds one spin
+    with pytest.raises(ResourceError, match="transfer cap"):
+        LatticeSpinSystem(((0, 0), (1 << 21, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -72,21 +82,62 @@ def test_enumeration_cap():
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _spin_table(system):
+    """Boltzmann weights of all 2^n configurations c, spin k being -1 where
+    bit k of c is set, so that prod_{k in I} spin_k is (-1)^{popcount(c & I)}
+    and all correlations come out of one Walsh-Hadamard transform."""
+    inner = {s: k for k, s in enumerate(system.interior)}
+    n = system.n_sites
+    bonds, bcount = [], np.zeros(n)
+    for (i, j), k in inner.items():
+        for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if nb not in inner:
+                bcount[k] += 1.0
+            elif inner[nb] > k:
+                bonds.append((k, inner[nb]))
+    weights = np.empty(1 << n)
+    chunk = min(1 << n, 1 << 16)
+    for start in range(0, 1 << n, chunk):
+        c = np.arange(start, start + chunk)
+        s = 1.0 - 2.0 * ((c[:, None] >> np.arange(n)) & 1)
+        energy = s @ bcount
+        for a, b in bonds:
+            energy += s[:, a] * s[:, b]
+        weights[start : start + chunk] = np.exp(BETA_C * energy)
+    return weights
+
+
 def _rfim_partition_enum(system, xi):
     """E+[exp(xi . sigma)] by enumeration: the spin table's Boltzmann weights
     against prod_k e^{xi_k sigma_k} over all 2^n configurations."""
-    weights = system._spin_table()
-    # bit k = 0 <-> spin +1, as in the spin table
+    weights = _spin_table(system)
     factor = np.ones(1)
     for v in xi:
         factor = np.concatenate([factor * math.exp(v), factor * math.exp(-v)])
     return float(weights @ factor / weights.sum())
 
 
+def _correlations_enum(system):
+    """E+[sigma^I] for every subset bitmask I: the spin table's fast
+    Walsh-Hadamard transform over its total weight."""
+    v = _spin_table(system).copy()
+    h = 1
+    while h < v.size:
+        v = v.reshape(-1, 2 * h)
+        left = v[:, :h].copy()
+        v[:, :h] = left + v[:, h:]
+        v[:, h:] = left - v[:, h:]
+        v = v.ravel()
+        h *= 2
+    return v / v[0]
+
+
 def _shapes():
-    """Every rectangle within the cap, the shapes from_domain builds and
-    the 1 x k and k x 1 strips among them, and site sets that are not
-    rectangles: non-convex, holed, scattered."""
+    """Every rectangle of at most 20 spins, the reach of the enumeration
+    oracle (the shapes from_domain builds and the 1 x k and k x 1 strips
+    among them), and site sets that are not rectangles: non-convex, holed,
+    scattered, diagonal."""
     rects = {(a, b) for a in range(1, 21) for b in range(1, 21) if a * b <= 20}
     shapes = {f"{a}x{b}": LatticeSpinSystem.rectangle(a, b) for a, b in sorted(rects)}
     shapes["L"] = LatticeSpinSystem(((0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (0, 3)))
@@ -98,6 +149,8 @@ def _shapes():
     shapes["apart"] = LatticeSpinSystem(((0, 0), (3, 5), (2, 2), (7, 1), (-4, 3)))
     shapes["comb"] = LatticeSpinSystem(tuple((i, j) for i in range(7) for j in range(3)
                                              if j == 0 or i % 2 == 0))
+    # a 16 x 16 box whose frontier holds at most two interior spins
+    shapes["diagonal"] = LatticeSpinSystem(tuple((k, k) for k in range(16)))
     return shapes
 
 
@@ -111,25 +164,33 @@ def test_transfer_matches_enumeration(name):
     xi = np.concatenate([rng.uniform(-5.0, 5.0, (4, system.n_sites)),
                          rng.normal(0.0, 0.5, (4, system.n_sites)),
                          np.full((1, system.n_sites), 5.0), np.full((1, system.n_sites), -5.0)])
-    z = _rfim_partition_batch(system, xi)
+    z = _rfim_partition_batch(system, np.exp(xi), np.exp(-xi))
     ref = np.array([_rfim_partition_enum(system, row) for row in xi])
     assert np.max(np.abs(z / ref - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_transfer_correlations_match_enumeration(name):
+    # every subset through chaos_rewrite up to 12 spins; every singleton and
+    # pair through correlation beyond
+    system = SHAPES[name]
+    n = system.n_sites
+    ref = _correlations_enum(system)
+    if n <= 12:
+        kernel = chaos_rewrite(system, np.zeros(n))[1]
+        corr = {m: kernel.entries.get(tuple(k for k in range(n) if m >> k & 1), 0.0)
+                for m in range(1 << n)}
+    else:
+        corr = {(1 << a) | (1 << b): correlation(system, [system.interior[a], system.interior[b]])
+                for a in range(n) for b in range(a, n)}
+    assert max(abs(c - ref[m]) for m, c in corr.items()) <= 1e-12
+
+
 def test_transfer_rejects_a_misshapen_field():
-    with pytest.raises(InputError):
-        _rfim_partition_batch(SQ22, np.zeros(4))
-    with pytest.raises(InputError):
-        _rfim_partition_batch(SQ22, np.zeros((2, 3)))
-
-
-def test_sample_ising_builds_no_spin_table(monkeypatch):
-    def refuse(self):
-        raise AssertionError("the sampler built the 2^n spin table")
-
-    monkeypatch.setattr(LatticeSpinSystem, "_spin_table", refuse)
-    z = harness.sample_ising(FieldProfiles(1.0, 0.0, Rect.unit_square(), 0.2), 50, 3)
-    assert z.shape == (50,) and np.all(z > 0.0)
+    for up, down in ((np.ones(4), np.ones(4)), (np.ones((2, 3)), np.ones((2, 3))),
+                     (np.ones((2, 4)), np.ones((1, 4)))):
+        with pytest.raises(InputError):
+            _rfim_partition_batch(SQ22, up, down)
 
 
 def test_rfim_reference_normalization():
@@ -266,6 +327,26 @@ def test_rescaled_partition_mean_approaches_one():
         logs.append(abs(log_mean))
     assert logs[0] > logs[1] > logs[2]
     assert logs[-1] < 0.5
+
+
+@pytest.mark.parametrize("h_hat", [0.0, 0.7, -1.3])
+def test_ising_mean_matches_enumeration(h_hat):
+    # Gaussian disorder: prefactor e^{n lam^2/2} E+[e^{h sum sigma}], which is
+    # prefactor e^{n lam^2/2} at h_hat = 0; Rademacher disorder: the mean of
+    # the enumerated Z over all 2^n sign vectors
+    for delta in (1 / 3, 1 / 4):
+        profiles = FieldProfiles(1.3, h_hat, Rect.unit_square(), delta)
+        system = LatticeSpinSystem.from_domain(profiles.domain, delta)
+        n = system.n_sites
+        lam, h = scale_fields(profiles, system)
+        prefactor = normalization_prefactor(profiles)
+        gaussian = prefactor * math.exp(0.5 * n * lam[0] ** 2) * _rfim_partition_enum(system, h)
+        assert harness._ising_mean(profiles, GAUSSIAN_DISORDER) == pytest.approx(
+            gaussian, rel=1e-12, abs=0.0)
+        signs = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+        exact = prefactor * np.mean([_rfim_partition_enum(system, lam * w + h) for w in signs])
+        assert harness._ising_mean(profiles, RADEMACHER) == pytest.approx(
+            exact, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
