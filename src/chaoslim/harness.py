@@ -310,7 +310,7 @@ def _disorder(params: dict) -> Atoms | StdGaussian:
 
 
 _PINNING_CHUNK = 2000  # samples a Generator draws for sample_pinning
-_PINNING_VALUES = 1 << 23  # the most disorder values sample_pinning holds at once
+_PINNING_HISTORY = 1 << 23  # the most history values one pinning transfer holds
 
 
 def sample_pinning(
@@ -323,31 +323,31 @@ def sample_pinning(
     mode: str = "conditioned",
     disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
 ) -> np.ndarray:
-    """Partition-function samples at the scaled couplings (beta_N, h_N); each
-    chunk of _PINNING_CHUNK samples draws from its own spawned Generator.
+    """Partition-function samples at the scaled couplings (beta_N, h_N).
 
-    A chunk draws its disorder omega in row blocks of at most
-    _PINNING_VALUES values (67 MB), in order from its Generator, so omega
-    does not depend on the split.  A block's transfer costs one
-    (64 x min(N, n_max)) by (min(N, n_max) x rows) matrix product per 64
-    steps, or (64 + 2J) * 64 per row for an alpha law with n_max > N from
-    N of about 520, plus N steps over in-block lags; besides omega it needs
-    O((min(N, n_max) + 64) * rows) floats and at most 64 * min(N, n_max).
+    Each chunk of _PINNING_CHUNK samples draws from its own spawned
+    Generator and goes through one transfer call, which draws its disorder
+    a 64-step block at a time, time-major: omega_n of every sample of the
+    chunk, then omega_{n+1}.  So no (samples, N) omega is built; the memory
+    is the transfer's, (min(N, n_max) + 65) * rows floats of history plus
+    64 * rows for the block and at most 64 * min(N, n_max) for the Toeplitz.
+    Where the history would pass _PINNING_HISTORY values (67 MB), at
+    min(N, n_max) above 4129, the chunk has fewer rows.  A block costs one
+    (64 x min(N, n_max)) by (min(N, n_max) x rows) matrix product, or
+    (64 + 2J) * 64 per row for an alpha law with n_max > N from N of about
+    520, plus 64 steps over in-block lags.
     """
     beta_n, h_n = pinning.scale_couplings(law, beta_hat, h_hat, n_steps)
     pinning._check_cap(n_steps)
-    streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / _PINNING_CHUNK))
-    rows = max(1, _PINNING_VALUES // n_steps)
+    chunk = min(_PINNING_CHUNK, max(1, _PINNING_HISTORY // (min(n_steps, law.n_max) + 65)))
+    streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / chunk))
     out = np.empty(n_samples)
-    for pos, ss in zip(range(0, n_samples, _PINNING_CHUNK), streams):
+    for pos, ss in zip(range(0, n_samples, chunk), streams):
         rng = np.random.default_rng(ss)
-        end = min(pos + _PINNING_CHUNK, n_samples)
-        for r0 in range(pos, end, rows):
-            r1 = min(r0 + rows, end)
-            omega = disorder.sample(rng, (r1 - r0, n_steps))
-            out[r0:r1] = pinning.partition_function_batch(
-                law, omega, beta_n, h_n, mode, disorder
-            )
+        rows = min(chunk, n_samples - pos)
+        out[pos : pos + rows] = pinning.partition_function_batch(
+            law, lambda n0, block: np.copyto(block, disorder.sample(rng, block.shape)),
+            rows, n_steps, beta_n, h_n, mode, disorder)
     return out
 
 
@@ -439,14 +439,22 @@ def sample_ising(
     disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
 ) -> np.ndarray:
     """Rescaled RFIM partition samples e^{-||lam||^2 d^{-1/4}/2} Z on the
-    lattice Omega cap (delta Z)^2, by one batched transfer sweep.  At large
+    lattice Omega cap (delta Z)^2, by batched transfer sweeps.  A sweep's
+    state holds 2^(frontier spins) values a row, so the rows go in chunks
+    whose states hold at most the transfer cap, 2^20 values, together; each
+    row is swept alone, so the chunks do not change its bytes.  At large
     lam_hat the prefactor underflows to 0 and Z overflows: a NumericError."""
     system = ising.LatticeSpinSystem.from_domain(profiles.domain, profiles.delta)
     prefactor = ising.normalization_prefactor(profiles)
     lam, h = ising.scale_fields(profiles, system)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     xi = lam * disorder.sample(rng, (n_samples, system.n_sites)) + h
-    z = prefactor * ising._rfim_partition_batch(system, np.exp(xi), np.exp(-xi))
+    rows = max(1, ising._SWEEP_CAP >> system._frontier_spins)
+    z = np.empty(n_samples)
+    for r0 in range(0, n_samples, rows):
+        x = xi[r0 : r0 + rows]
+        z[r0 : r0 + rows] = ising._rfim_partition_batch(system, np.exp(x), np.exp(-x))
+    z *= prefactor
     return positive_samples(z, f"lam_hat = {profiles.lam_hat!r}")
 
 
@@ -629,7 +637,7 @@ def pinning_alpha_reference(
     w = beta_hat * pinning.c_alpha(alpha) * wiener.sample_noise_batch(cells, seed, n_samples)
     w[:, -1] = 1.0
     kernel = np.append(0.0, (np.arange(1, cells + 1) / cells) ** (alpha - 1.0))
-    return pinning._renewal_solve(kernel, cells, lambda n0, n1: w[:, n0:n1], n_samples)[:, -1]
+    return pinning._renewal_solve(kernel, cells, lambda n0, n1: w.T[n0:n1], n_samples)[:, -1]
 
 
 def _flat_kernel(n: int) -> chaos.Kernel:

@@ -76,10 +76,11 @@ def _check_sweep_cap(positions: int, frontier_spins: int) -> None:
                             f"exceed the transfer cap {_SWEEP_CAP}")
 
 
-def _sweep_box(interior) -> np.ndarray:
-    """The transfer's bounding box, columns along its longer side: entry
-    (c, r) is the index of the interior site at column c, row r, or -1 for
-    a fixed + spin.  A box past the transfer cap is a ResourceError."""
+def _sweep_box(interior) -> tuple[np.ndarray, int]:
+    """The transfer's bounding box, columns along its longer side, and the
+    most interior spins its frontier holds.  Entry (c, r) of the box is the
+    index of the interior site at column c, row r, or -1 for a fixed + spin.
+    A box past the transfer cap is a ResourceError."""
     coords = np.array(interior)
     coords -= coords.min(axis=0)
     cols, w = (int(v) + 1 for v in coords.max(axis=0))
@@ -90,8 +91,10 @@ def _sweep_box(interior) -> np.ndarray:
     index[coords[:, 0], coords[:, 1]] = np.arange(len(coords))
     # the frontier is the last w box positions swept
     swept = np.concatenate([np.zeros(w, dtype=int), np.cumsum(index.ravel() >= 0)])
-    _check_sweep_cap(cols * w, int(np.max(swept[w:] - swept[:-w])))
-    return index
+    spins = int(np.max(swept[w:] - swept[:-w]))
+    _check_sweep_cap(cols * w, spins)
+    index.setflags(write=False)
+    return index, spins
 
 
 def _axis_range(lo: float, hi: float, delta: float) -> range:
@@ -122,8 +125,12 @@ class LatticeSpinSystem:
             raise InputError("repeated interior sites")
         if not sites:
             raise InputError("interior must be non-empty")
-        _sweep_box(sites)
+        # the sweep's box and frontier size are attributes, not fields, so
+        # equality and hashing see the sites alone
+        box, spins = _sweep_box(sites)
         object.__setattr__(self, "interior", sites)
+        object.__setattr__(self, "_box", box)
+        object.__setattr__(self, "_frontier_spins", spins)
 
     @classmethod
     def rectangle(cls, width: int, height: int) -> "LatticeSpinSystem":
@@ -206,7 +213,7 @@ def _rfim_partition_batch(system: LatticeSpinSystem, up, down) -> np.ndarray:
     # weights[k] = (u_k(+1), u_k(-1)), one column a row and the normaliser last
     weights = np.stack([np.vstack([up, ones]).T, np.vstack([down, ones]).T], axis=1)
     weights = weights[:, :, None, None]
-    index = _sweep_box(system.interior)
+    index = system._box
     cols, w = index.shape
     bits = [0] * w  # the state bits of each row, its highest for row w - 1
     state = np.ones((1, weights.shape[-1]))  # the column before the box is all +

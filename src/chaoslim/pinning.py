@@ -40,6 +40,27 @@ def c_alpha(alpha: float) -> float:
     return alpha * math.sin(math.pi * alpha) / math.pi
 
 
+# B_2, B_4, ..., B_16: the Bernoulli numbers of the Euler-Maclaurin tail
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+
+
+def _hurwitz_zeta(s: float, a: float) -> float:
+    """sum_{k >= 0} (a + k)^{-s} for s > 1, a >= 1: 16 terms, then the
+    Euler-Maclaurin tail at b = a + 16,
+    b^{1-s}/(s-1) + b^{-s}/2 + sum_j B_2j/(2j)! s(s+1)..(s+2j-2) b^{-s-2j+1}.
+    It matches scipy.special.zeta within 1e-15 relative for s = 1 + alpha,
+    alpha in [0.51, 0.99], and keeps scipy.special out of the law's set-up."""
+    b = a + 16
+    terms = [(a + k) ** -s for k in range(16)] + [b ** (1 - s) / (s - 1), 0.5 * b**-s]
+    rise, fact, power = s, 2.0, b ** (-s - 1)
+    for j, bernoulli in enumerate(_BERNOULLI, 1):
+        terms.append(bernoulli / fact * rise * power)
+        rise *= (s + 2 * j - 1) * (s + 2 * j)
+        fact *= (2 * j + 1) * (2 * j + 2)
+        power /= b * b
+    return math.fsum(terms)
+
+
 @dataclass(frozen=True)
 class RenewalLaw:
     """Inter-arrival law K(n) = P(tau_1 = n), n = 1..n_max, summing to 1.
@@ -93,11 +114,10 @@ class RenewalLaw:
             raise ResourceError(
                 f"n_max = {n_max} exceeds the cap {2 * _N_CAP}, twice the largest N"
             )
-        from scipy.special import zeta
         n = np.arange(1, n_max + 1, dtype=float)
         raw = n ** -(1.0 + alpha)
-        raw[-1] += float(zeta(1.0 + alpha, n_max + 1))
-        c = 1.0 / float(zeta(1.0 + alpha, 1.0))
+        raw[-1] += _hurwitz_zeta(1.0 + alpha, n_max + 1.0)
+        c = 1.0 / _hurwitz_zeta(1.0 + alpha, 1.0)
         k = np.concatenate([[0.0], c * raw])
         return cls(k, "alpha", alpha=alpha, tail_constant=c)
 
@@ -183,7 +203,9 @@ def _renewal_solve(
 
     ``kernel`` is [0, K(1), ..., K(n_max)] with any constant site weight
     folded in.  ``weights(n0, n1)`` returns w(n0+1..n1) for ``n_rows``
-    samples, one row each; None solves one row with w = 1.
+    samples as a time-major (n1 - n0, n_rows) block, one column a sample;
+    it is called once a block, in time order.  None solves one row with
+    w = 1.
 
     The steps run in blocks of _BLOCK_STEPS.  The lags of a block's steps
     that reach back before the block (its far history) enter all of them at
@@ -206,9 +228,9 @@ def _renewal_solve(
     hold K within 1e-13 relative, not to roundoff.
 
     One time-major buffer holds only the history the kernel reaches, slid
-    to the front between blocks, so besides the caller's disorder the
-    memory is O((min(N, n_max) + _BLOCK_STEPS) * n_rows) plus the
-    Toeplitz, at most _BLOCK_STEPS * min(N, n_max) floats; the sum of
+    to the front between blocks, so besides the blocks ``weights`` returns
+    the memory is (min(N, n_max) + _BLOCK_STEPS + 1) * n_rows floats plus
+    the Toeplitz, at most _BLOCK_STEPS * min(N, n_max); the sum of
     exponentials takes J * (n_rows + 128) in its place.  Returns the
     last min(N, n_max) + 1 values x(N - min(N, n_max) .. N), one row per
     sample; with w = 1 it keeps and returns all of x(0..N).
@@ -232,7 +254,6 @@ def _renewal_solve(
     # writes contiguous memory
     rows = () if weights is None else (n_rows,)
     x = np.empty((min(n_steps, hist + _BLOCK_STEPS) + 1, *rows))
-    w = np.ones((_BLOCK_STEPS, *rows))
     exps = None
     if weights is not None:
         if reach == n_steps:  # no sum of exponentials is 0 past n_max
@@ -263,24 +284,23 @@ def _renewal_solve(
             block[:] = np.convolve(past, kpad[1 : p + f], "valid")
             if n0:  # (I - T_K)^{-1} times the far term; with w = 1 base stays 0
                 x[n0 + 1 : n1 + 1] = np.convolve(block, x[: n1 - n0])[: n1 - n0]
-                continue
-        else:
-            w[: n1 - n0] = weights(n0, n1).T
-            # with a sum of exponentials the Toeplitz takes only the block
-            # before; the accumulators add the history before that, then
-            # take that block in: H <- e^{-64 s} H + hist @ x
-            past = past[-width:]
-            cols = slice(width - past.shape[0], None)
-            np.matmul(toeplitz[:f, cols], past, out=block)
-            if exps is not None:
-                block += exp_near[:f] @ acc
-                acc *= exp_decay
-                acc += exp_hist[:, cols] @ past
-        for i, (coef, e), w_n in zip(range(n0 + 1 - base, n1 + 1 - base), steps, w):
-            if weights is None:
-                x[i] = coef @ x[i + e - coef.size : i + e]
             else:
-                np.multiply(coef @ x[i + e - coef.size : i + e], w_n, out=x[i])
+                for i, (coef, e) in zip(range(1, n1 + 1), steps):
+                    x[i] = coef @ x[i + e - coef.size : i + e]
+            continue
+        w = weights(n0, n1)
+        # with a sum of exponentials the Toeplitz takes only the block
+        # before; the accumulators add the history before that, then take
+        # that block in: H <- e^{-64 s} H + hist @ x
+        past = past[-width:]
+        cols = slice(width - past.shape[0], None)
+        np.matmul(toeplitz[:f, cols], past, out=block)
+        if exps is not None:
+            block += exp_near[:f] @ acc
+            acc *= exp_decay
+            acc += exp_hist[:, cols] @ past
+        for i, (coef, e), w_n in zip(range(n0 + 1 - base, n1 + 1 - base), steps, w):
+            np.multiply(coef @ x[i + e - coef.size : i + e], w_n, out=x[i])
     return x[n_steps - hist - base : n_steps + 1 - base].T
 
 
@@ -324,7 +344,17 @@ def scale_couplings(law: RenewalLaw, beta_hat: float, h_hat: float, n_steps: int
 def _site_weights(
     omega: np.ndarray, beta: float, h: float, disorder: Atoms | StdGaussian
 ) -> np.ndarray:
-    return np.exp(beta * omega - disorder.log_mgf(beta) + h)
+    """e^{beta omega - Lambda(beta) + h}, written over ``omega``."""
+    omega *= beta
+    omega -= disorder.log_mgf(beta)
+    omega += h
+    return np.exp(omega, out=omega)
+
+
+def _array_omega(omega: np.ndarray):
+    """The block form ``partition_function_batch`` reads of a fixed
+    (samples, N) disorder array."""
+    return lambda n0, out: np.copyto(out, omega[:, n0 : n0 + out.shape[0]].T)
 
 
 def partition_function(
@@ -336,48 +366,58 @@ def partition_function(
     conditioned mode returns z(N)/u(N), free mode sums z(n) P(tau_1 > N-n).
     """
     omega = np.asarray(omega, dtype=float)
-    out = partition_function_batch(law, omega[None, :], beta, h, mode)
+    if omega.ndim != 1:
+        raise InputError(f"omega must be 1-D, one value a site, not of shape {omega.shape}")
+    out = partition_function_batch(law, _array_omega(omega[None]), 1, omega.size, beta, h, mode)
     return float(out[0])
 
 
 def partition_function_batch(
     law: RenewalLaw,
-    omega: np.ndarray,
+    omega,
+    n_samples: int,
+    n_steps: int,
     beta: float,
     h: float,
     mode: str = "conditioned",
     disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
 ) -> np.ndarray:
-    """Vectorized transfer recursion over rows of ``omega`` (one per sample).
+    """Vectorized transfer recursion over ``n_samples`` disorder rows of
+    N = ``n_steps`` sites.
+
+    The disorder comes in time blocks: ``omega(n0, out)`` writes
+    omega_{n0+1..n0+k} of every sample into the time-major (k, n_samples)
+    block ``out``, once for each 64-step block, in time order.  The blocks
+    share one (64, n_samples) buffer, which then holds the site weights, so
+    no (samples, N) array need exist; ``_array_omega`` reads a fixed one.
 
     Each 64-step block takes the history before it in one matrix product,
     (64 x min(N, n_max)) by (min(N, n_max) x samples), and then runs its
     steps over their in-block lags only.  An alpha law with n_max > N from
     N of about 520 takes that history as J ~ 105 exponential accumulators
     instead (see ``_renewal_solve``): 64 + 2J in place of min(N, n_max) per
-    step and row, within 1e-13 relative of K on the lags past 64.  The site
-    weights are computed block by block inside the transfer, so besides
-    ``omega`` the memory is O((min(N, n_max) + 64) * samples) floats, plus
-    at most 64 * min(N, n_max) for the block Toeplitz of K.
+    step and row, within 1e-13 relative of K on the lags past 64.  The
+    memory is (min(N, n_max) + 65) * samples floats of history plus
+    64 * samples for the block buffer, and at most 64 * min(N, n_max) for
+    the block Toeplitz of K.
     """
     if mode not in ("free", "conditioned"):
         raise InputError(f"unknown mode {mode!r}")
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim != 2:
-        raise InputError(f"omega must be 2-D (samples, N), not of shape {omega.shape}")
-    n_samples, n_steps = omega.shape
     _check_cap(n_steps)
-    z = _renewal_solve(
-        law.probs,
-        n_steps,
-        lambda n0, n1: _site_weights(omega[:, n0:n1], beta, h, disorder),
-        n_samples,
-    )
-    if mode == "conditioned":
-        u = renewal_mass(law, n_steps)
-        if u[n_steps] <= 0.0:
+    if mode == "conditioned":  # before the transfer, so that their buffers never meet
+        u_n = renewal_mass(law, n_steps)[n_steps]
+        if u_n <= 0.0:
             raise ConditioningError(f"u({n_steps}) = 0: cannot condition")
-        return z[:, -1] / u[n_steps]
+    buf = np.empty((_BLOCK_STEPS, n_samples))
+
+    def weights(n0, n1):
+        block = buf[: n1 - n0]
+        omega(n0, block)
+        return _site_weights(block, beta, h, disorder)
+
+    z = _renewal_solve(law.probs, n_steps, weights, n_samples)
+    if mode == "conditioned":
+        return z[:, -1] / u_n
     # P(tau_1 > j) = 0 for j >= n_max, so the returned window holds every term
     return z @ law.tail(z.shape[1] - 1)[::-1]
 

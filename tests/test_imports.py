@@ -290,3 +290,13 @@ def test_import_loads_no_heavy_scipy_subpackage():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=env, timeout=60, check=True)
     assert result.stdout.split() == []
+
+
+def test_heavy_tail_law_loads_no_scipy_special():
+    # the alpha law's set-up sums its Hurwitz zeta itself
+    probe = ("import sys; from chaoslim.pinning import RenewalLaw; "
+             "RenewalLaw.heavy_tail(0.75, 20000); print('scipy.special' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, timeout=60, check=True)
+    assert result.stdout.split() == ["False"]

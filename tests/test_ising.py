@@ -1,8 +1,10 @@
 """Tests for the desk-scale critical Ising / RFIM machinery."""
 
+import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +282,36 @@ def test_sample_ising_matches_per_sample_rfim_partition():
     lam, h = scale_fields(profiles, system)
     reference = [prefactor * rfim_partition_xi(system, lam * om + h) for om in omegas]
     assert z.tolist() == reference
+
+
+def test_sample_ising_sweeps_rows_in_bounded_chunks():
+    # at delta = 1/12 the frontier holds 11 spins, so a sweep of 2^20 state
+    # values takes 512 rows and 520 samples go in two; in one sweep of 1000
+    # samples the peak was 87 MB
+    profiles = FieldProfiles(1.0, 0.2, Rect.unit_square(), 1 / 12)
+    tracemalloc.start()
+    try:
+        z = harness.sample_ising(profiles, 520, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * (1 << 20)
+    system = LatticeSpinSystem.from_domain(profiles.domain, profiles.delta)
+    lam, h = scale_fields(profiles, system)
+    xi = lam * np.random.default_rng(np.random.SeedSequence(4)).standard_normal(
+        (520, system.n_sites)) + h
+    one_sweep = normalization_prefactor(profiles) * _rfim_partition_batch(
+        system, np.exp(xi), np.exp(-xi))
+    assert z.tobytes() == one_sweep.tobytes()
+
+
+def test_sweep_box_is_not_a_field():
+    # the system keeps its box for the sweep; equality and hashing see the sites alone
+    a = LatticeSpinSystem(((1, 0), (0, 0), (0, 1)))
+    b = LatticeSpinSystem(((0, 0), (0, 1), (1, 0)))
+    assert a == b and hash(a) == hash(b)
+    assert [f.name for f in dataclasses.fields(a)] == ["interior"]
+    assert a._box.tolist() == [[0, 1], [2, -1]] and a._frontier_spins == 2
 
 
 def test_scale_fields_powers():

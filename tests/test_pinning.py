@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, zeta
 
 from chaoslim import harness, pinning, wiener
 from chaoslim.chaos import eval_multilinear
@@ -37,9 +37,21 @@ from chaoslim.simplex import dirichlet_closed_form
 LAW_HALF = RenewalLaw.from_probabilities([0.5, 0.5])
 
 
+def _batch(law, omega, *args):
+    """``partition_function_batch`` on a fixed (samples, N) omega array."""
+    return partition_function_batch(law, pinning._array_omega(omega), *omega.shape, *args)
+
+
 # ---------------------------------------------------------------------------
 # renewal mass and scalings
 # ---------------------------------------------------------------------------
+
+
+def test_hurwitz_zeta_matches_scipy():
+    for alpha in np.linspace(0.51, 0.99, 13):
+        for a in (1, 2, 3, 16, 17, 100, 2001, 4001, 20001, 123457, 200001):
+            ref = zeta(1.0 + alpha, a)
+            assert abs(pinning._hurwitz_zeta(1.0 + alpha, float(a)) - ref) <= 1e-15 * ref
 
 
 def test_renewal_mass_hand_recursion():
@@ -193,7 +205,7 @@ def test_martingale_normalization_exact():
     # checked by exhaustive enumeration of Rademacher disorder
     omega = np.array(list(itertools.product([-1.0, 1.0], repeat=8)))
     for mode in ("conditioned", "free"):
-        z = partition_function_batch(LAW_HALF, omega, 0.4, 0.0, mode, RADEMACHER)
+        z = _batch(LAW_HALF, omega, 0.4, 0.0, mode, RADEMACHER)
         assert z.mean() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -213,7 +225,7 @@ def _one_shot_solve(kernel, n_steps, weights=None):
 
 def _one_shot_partition_batch(law, omega, beta, h, mode, disorder):
     n = omega.shape[1]
-    z = _one_shot_solve(law.probs, n, pinning._site_weights(omega, beta, h, disorder))
+    z = _one_shot_solve(law.probs, n, pinning._site_weights(omega.copy(), beta, h, disorder))
     if mode == "conditioned":
         return z[:, n] / _one_shot_solve(law.probs, n)[n]
     return z @ law.tail(n)[::-1]
@@ -252,10 +264,10 @@ def test_blocked_transfer_matches_one_shot(law, disorder):
         omega = disorder.sample(rng, (7, n))
         beta, h = 1.0 / math.sqrt(max(n, 1)), 0.4 / max(n, 1)
         for mode in ("conditioned", "free"):
-            z = partition_function_batch(law, omega, beta, h, mode, disorder)
+            z = _batch(law, omega, beta, h, mode, disorder)
             ref = _one_shot_partition_batch(law, omega, beta, h, mode, disorder)
             _assert_matches_one_shot(law, z, ref, (n, mode))
-    assert np.array_equal(partition_function_batch(law, np.zeros((3, 0)), 0.5, 0.1, "free"),
+    assert np.array_equal(_batch(law, np.zeros((3, 0)), 0.5, 0.1, "free"),
                           np.ones(3))
 
 
@@ -298,7 +310,7 @@ def test_partition_batch_memory_is_bounded(mode):
     beta, h = scale_couplings(LAW_HALF, 1.0, 0.4, 8000)
     tracemalloc.start()
     try:
-        partition_function_batch(LAW_HALF, omega, beta, h, mode)
+        _batch(LAW_HALF, omega, beta, h, mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -310,7 +322,7 @@ def test_partition_batch_memory_is_bounded(mode):
     beta, h = scale_couplings(law, 1.0, 0.4, 2000)
     tracemalloc.start()
     try:
-        partition_function_batch(law, omega, beta, h, mode)
+        _batch(law, omega, beta, h, mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -319,24 +331,54 @@ def test_partition_batch_memory_is_bounded(mode):
 
 
 def test_sample_pinning_memory_is_bounded():
-    # one (256, 8000) omega is 16.4 MB; with the full arrays the peak was 49 MB
-    tracemalloc.start()
-    try:
-        harness.sample_pinning(LAW_HALF, 1.0, 0.0, 8000, 256, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.3 * 256 * 8000 * 8
+    # the transfer draws omega a 64-step block at a time, so it holds the
+    # history, min(N, n_max) + 65 rows, the block buffer and the block a draw
+    # returns, 64 rows each, and no (256, N) omega: at N = 8000 that was 16.4 MB
+    harness.sample_pinning(LAW_HALF, 1.0, 0.0, 100, 4, seed=1)  # first-call caches
+    rows, peaks = 256, {}
+    for law, n in ((LAW_HALF, 2000), (LAW_HALF, 8000), (LAW_HALF, 16000),
+                   (RenewalLaw.heavy_tail(0.75, 20000), 2000)):
+        tracemalloc.start()
+        try:
+            harness.sample_pinning(law, 1.0, 0.0, n, rows, seed=1)
+            peaks[law.n_max, n] = peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * rows * (min(n, law.n_max) + 64) * 8, (law.n_max, n)
+    assert peaks[2, 16000] <= 1.1 * peaks[2, 2000]
+
+
+def test_sample_pinning_caps_chunk_rows_by_the_history(monkeypatch):
+    # a transfer holds min(N, n_max) + 65 history rows a sample, 67 for the
+    # two-atom law; past _PINNING_HISTORY values a chunk takes fewer samples,
+    # still in one transfer call
+    calls = []
+    batch = pinning.partition_function_batch
+
+    def counted(law, omega, rows, *args):
+        calls.append(rows)
+        return batch(law, omega, rows, *args)
+
+    monkeypatch.setattr(pinning, "partition_function_batch", counted)
+    monkeypatch.setattr(harness, "_PINNING_HISTORY", 67 * 300 + 66)
+    harness.sample_pinning(LAW_HALF, 1.0, 0.0, 100, 700, 0)
+    assert calls == [300, 300, 100]
 
 
 def test_partition_batch_bad_input():
     with pytest.raises(InputError):
-        partition_function_batch(LAW_HALF, np.zeros(10), 0.1, 0.0)
+        partition_function(LAW_HALF, np.zeros((1, 10)), 0.1, 0.0)
     with pytest.raises(InputError):
         renewal_mass(LAW_HALF, -1)
+
+    def no_draw(n0, out):
+        raise AssertionError("disorder read")
+
     for mode in ("conditioned", "free"):
         with pytest.raises(ResourceError):
-            partition_function_batch(LAW_HALF, np.zeros((1, pinning._N_CAP + 1)), 0.1, 0.0, mode)
+            partition_function_batch(LAW_HALF, no_draw, 1, pinning._N_CAP + 1, 0.1, 0.0, mode)
+    with pytest.raises(InputError):
+        partition_function_batch(LAW_HALF, no_draw, 1, 10, 0.1, 0.0, "quenched")
 
 
 def test_sample_pinning_checks_cap_before_drawing():
@@ -348,23 +390,26 @@ def test_sample_pinning_checks_cap_before_drawing():
         harness.sample_pinning(LAW_HALF, 1.0, 0.0, 300_000, 2, 0, "free", NoDraw())
 
 
-def test_sample_pinning_draws_omega_in_row_blocks(monkeypatch):
-    # a lowered limit splits the first 2000-row chunk into blocks of 300
-    # rows and a remainder; the Generator fills rows in order, so omega does
-    # not change.  The alpha law's matrix products sum in an order that
-    # OpenBLAS picks by the row count, so there the split moves Z by a few
-    # units of rounding
-    law = RenewalLaw.heavy_tail(0.75, 20000)
-    for disorder in (GAUSSIAN_DISORDER, RADEMACHER):
-        for lw, n in ((LAW_HALF, 300), (law, 700)):
-            whole = harness.sample_pinning(lw, 1.0, 0.4, n, 2100, 3, "free", disorder)
-            monkeypatch.setattr(harness, "_PINNING_VALUES", 300 * n + 5)
-            split = harness.sample_pinning(lw, 1.0, 0.4, n, 2100, 3, "free", disorder)
-            monkeypatch.undo()
-            if lw is LAW_HALF:
-                assert np.array_equal(split, whole)
-            else:
-                np.testing.assert_allclose(split, whole, rtol=1e-14, atol=0)
+@pytest.mark.parametrize("mode", ["conditioned", "free"])
+@pytest.mark.parametrize("disorder", [GAUSSIAN_DISORDER, RADEMACHER],
+                         ids=["gaussian", "rademacher"])
+def test_sample_pinning_streams_time_major_blocks(disorder, mode):
+    # 2100 samples cross the 2000-sample chunk boundary.  Each chunk's
+    # transfer draws its omega a 64-step block at a time, time-major, from
+    # the chunk's Generator, so the whole time-major omega drawn at once gives
+    # the same samples.  The alpha law's matrix products may sum in another
+    # order, so there they are held to a few units of rounding
+    for law, n in ((LAW_HALF, 300), (RenewalLaw.heavy_tail(0.75, 20000), 700)):
+        got = harness.sample_pinning(law, 1.0, 0.4, n, 2100, 3, mode, disorder)
+        beta, h = scale_couplings(law, 1.0, 0.4, n)
+        ref = np.concatenate([
+            _batch(law, disorder.sample(np.random.default_rng(ss), (n, rows)).T,
+                   beta, h, mode, disorder)
+            for ss, rows in zip(np.random.SeedSequence(3).spawn(2), (2000, 100))])
+        if law is LAW_HALF:
+            assert np.array_equal(got, ref)
+        else:
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +445,7 @@ def test_power_exponentials_match_the_kernel():
     geometric = RenewalLaw.from_probabilities(0.5 ** np.arange(1, 1001) / (1 - 0.5**1000))
     assert pinning._power_exponentials(geometric.probs, 1000) is None
     omega = np.random.default_rng(1).standard_normal((2, 1000))
-    _assert_matches_one_shot(geometric, partition_function_batch(geometric, omega, 0.1, 0.0),
+    _assert_matches_one_shot(geometric, _batch(geometric, omega, 0.1, 0.0),
                              _one_shot_partition_batch(geometric, omega, 0.1, 0.0,
                                                        "conditioned", GAUSSIAN_DISORDER))
 
@@ -416,11 +461,11 @@ def test_far_history_sum_matches_one_shot(disorder, h_hat):
     for n in (63, 64, 65, 127, 128, 129, 255, 2000, 8000):
         omega = disorder.sample(rng, (5, n))
         beta, h = scale_couplings(law, 1.0, h_hat, n)
-        z = _one_shot_solve(law.probs, n, pinning._site_weights(omega, beta, h, disorder))
+        z = _one_shot_solve(law.probs, n, pinning._site_weights(omega.copy(), beta, h, disorder))
         refs = {"conditioned": z[:, n] / _one_shot_solve(law.probs, n)[n],
                 "free": z @ law.tail(n)[::-1]}
         for mode, ref in refs.items():
-            got = partition_function_batch(law, omega, beta, h, mode, disorder)
+            got = _batch(law, omega, beta, h, mode, disorder)
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0, err_msg=f"{n} {mode}")
 
 
@@ -434,10 +479,10 @@ def test_other_kernels_keep_the_toeplitz(monkeypatch):
     folded = RenewalLaw.heavy_tail(0.55, 4000)
     omega = np.random.default_rng(5).standard_normal((6, 4000))
     cases = [(law, omega[:, :2000]), (bent_law, omega[:, :2000]), (folded, omega)]
-    got = [partition_function_batch(lw, om, 0.05, 0.001, mode)
+    got = [_batch(lw, om, 0.05, 0.001, mode)
            for lw, om in cases for mode in ("conditioned", "free")]
     monkeypatch.setattr(pinning, "_EXP_TOL", -1.0)
-    toeplitz = [partition_function_batch(lw, om, 0.05, 0.001, mode)
+    toeplitz = [_batch(lw, om, 0.05, 0.001, mode)
                 for lw, om in cases for mode in ("conditioned", "free")]
     assert not np.array_equal(got[0], toeplitz[0])  # the pure power takes the sum
     for a, b in zip(got[2:], toeplitz[2:]):
@@ -453,7 +498,7 @@ def test_power_kernel_takes_the_sum(mode):
     beta, h = scale_couplings(law, 1.0, 0.4, 8000)
     tracemalloc.start()
     try:
-        partition_function_batch(law, omega, beta, h, mode)
+        _batch(law, omega, beta, h, mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
