@@ -52,6 +52,11 @@ def ks_statistic(samples, cdf, cdf_left=None) -> float:
     return float(max(np.max(up - f_right), np.max(f_left - low), 0.0))
 
 
+def _normal_cdf(x) -> list[float]:
+    """The standard normal cdf Phi(x) = erfc(-x / sqrt 2) / 2 at each x."""
+    return [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x]
+
+
 def point_mass_cdf(a: float):
     """(cdf, cdf_left) pair of the Dirac mass at ``a``."""
     return (lambda x: (np.asarray(x) >= a).astype(float),
@@ -328,9 +333,10 @@ def sample_pinning(
     Each chunk of _PINNING_CHUNK samples draws from its own spawned
     Generator and goes through one transfer call, which draws its disorder
     a 64-step block at a time, time-major: omega_n of every sample of the
-    chunk, then omega_{n+1}.  So no (samples, N) omega is built; the memory
-    is the transfer's, (min(N, n_max) + 65) * rows floats of history plus
-    64 * rows for the block and at most 64 * min(N, n_max) for the Toeplitz.
+    chunk, then omega_{n+1}, a Gaussian block straight into the transfer's
+    buffer.  So no (samples, N) omega is built; the memory is the
+    transfer's, (min(N, n_max) + 65) * rows floats of history plus 64 * rows
+    for the block and at most 64 * min(N, n_max) for the Toeplitz.
     Where the history would pass _PINNING_HISTORY values (67 MB), at
     min(N, n_max) above 4129, the chunk has fewer rows.  A block costs one
     (64 x min(N, n_max)) by (min(N, n_max) x rows) matrix product, or
@@ -345,9 +351,15 @@ def sample_pinning(
     for pos, ss in zip(range(0, n_samples, chunk), streams):
         rng = np.random.default_rng(ss)
         rows = min(chunk, n_samples - pos)
+
+        def draw(n0, block, rng=rng):
+            if isinstance(disorder, StdGaussian):  # in place: the values of sample(), no copy
+                rng.standard_normal(out=block)
+            else:
+                np.copyto(block, disorder.sample(rng, block.shape))
+
         out[pos : pos + rows] = pinning.partition_function_batch(
-            law, lambda n0, block: np.copyto(block, disorder.sample(rng, block.shape)),
-            rows, n_steps, beta_n, h_n, mode, disorder)
+            law, draw, rows, n_steps, beta_n, h_n, mode, disorder)
     return out
 
 
@@ -500,8 +512,7 @@ def _pinning_study(config):
                     cdf, cdf_left = point_mass_cdf(drift)
                     ks = ks_statistic(np.log(z), cdf, cdf_left)
                 else:
-                    from scipy.special import ndtr
-                    ks = ks_statistic(np.log(z), lambda t: ndtr((t - drift) / vol))
+                    ks = ks_statistic(np.log(z), lambda t: _normal_cdf((t - drift) / vol))
                 rows.append(ReportRow(n_steps, "ks_lognormal", ks, None, None, None, "mc-ci"))
         return rows
 

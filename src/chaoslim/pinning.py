@@ -530,7 +530,6 @@ def continuum_second_moment(
             return math.exp(2.0 * rho * h_hat + rho * rho * beta_hat * beta_hat)
         except OverflowError:
             raise NumericError("the continuum second moment overflows; lower beta_hat") from None
-    from scipy.special import gammaln
     alpha = law.alpha
     ca = c_alpha(alpha)
     x = (beta_hat * ca) ** 2
@@ -554,11 +553,11 @@ def continuum_second_moment(
             # the free trailing stretch has f_a f_b Gamma(d alpha + 1) in their place.
             # Without a bias only degree 0 is read.
             if y or not gap:
-                log_c.append((d + 1) * gammaln(alpha) - gammaln((d + 1) * alpha))
-                gap.append(pair_sum(log_c, gammaln((d + 2) * alpha - 1.0)))
+                log_c.append((d + 1) * math.lgamma(alpha) - math.lgamma((d + 1) * alpha))
+                gap.append(pair_sum(log_c, math.lgamma((d + 2) * alpha - 1.0)))
                 if not conditioned:
-                    log_f.append(d * gammaln(alpha) - gammaln(d * alpha + 1.0))
-                    trail.append(pair_sum(log_f, gammaln(d * alpha + 1.0)))
+                    log_f.append(d * math.lgamma(alpha) - math.lgamma(d * alpha + 1.0))
+                    trail.append(pair_sum(log_f, math.lgamma(d * alpha + 1.0)))
             term = 0.0
             # degree j in x and m = d - j in y; a zero x or y keeps only its degree 0
             for j in range(0 if y else d, (d if x else 0) + 1):
@@ -569,7 +568,7 @@ def continuum_second_moment(
                                else (gap if conditioned else trail)[m])
                 r = j + 1 if conditioned else j
                 term += x**j * y**m * math.exp(math.log(max(rows[j][m], 5e-324))
-                                               - gammaln((m + 2 * r) * alpha - r + shift))
+                                               - math.lgamma((m + 2 * r) * alpha - r + shift))
             yield term
 
     with np.errstate(over="ignore"):  # an overflowed coefficient ends the sum as not finite

@@ -41,6 +41,11 @@ def test_ks_null_distribution_scale():
     assert ks < 1.63 / math.sqrt(10_000)
 
 
+def test_normal_cdf_matches_ndtr():
+    x = np.linspace(-8.0, 8.0, 16001)
+    assert np.max(np.abs(np.array(harness._normal_cdf(x)) - ndtr(x))) <= 1e-15
+
+
 def test_ks_constant_samples_vs_continuous_target():
     ks = ks_statistic(np.zeros(500), lambda t: ndtr(t))
     assert ks >= 0.5

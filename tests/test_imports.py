@@ -2,13 +2,16 @@
 imports a name it never uses, no private helper of the package is left
 without a reader, no public name, method or field beyond a shrinking list is
 read by tests alone, no defaulted parameter beyond another is set by tests
-alone, and importing chaoslim loads no heavy scipy subpackage."""
+alone, and a study of any model loads no scipy module."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from chaoslim import harness
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -253,8 +256,6 @@ TEST_ONLY_PARAMETERS = frozenset({
     "harness.pinning_alpha_reference.seed",
     "ising.f_omega_l2_ratio.mc_samples",
     "pinning.chaos_kernel.mode",
-    "simplex.dirichlet_quadrature.conditioned",
-    "simplex.dirichlet_quadrature.order",
 })
 
 
@@ -280,23 +281,31 @@ def test_defaulted_parameters_are_set_outside_tests():
         f"{sorted(TEST_ONLY_PARAMETERS - unset)}")
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
-    # each of these costs set-up time on every run; chaoslim imports them lazily, if at all
-    heavy = ("scipy.signal", "scipy.interpolate", "scipy.integrate", "scipy.stats",
-             "scipy.special")
-    probe = ("import sys, chaoslim, chaoslim.cli; "
-             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            env=env, timeout=60, check=True)
-    assert result.stdout.split() == []
+# a small study of each model; the finite-mean pinning one has samples, so
+# that its lognormal KS row runs
+SMALL_STUDIES = (
+    ("pinning", {"law": "alpha", "alpha": 0.75}, [50, 100], 0),
+    ("pinning", {"law": "finite_mean", "probs": [0.5, 0.5]}, [50, 100], 100),
+    ("polymer", {"alpha": 1.5, "beta_hat": 0.5, "mass_tol": 0.5}, [20], 4),
+    ("ising", {"lam_hat": 1.0, "h_hat": 0.5}, [0.5], 20),
+    ("wiener", {"diagnostic": "cameron_martin", "rho": 0.8, "lam_hat": 1.0, "h_hat": 0.5},
+     [8], 50),
+    ("lindeberg", {}, [16], 100),
+    ("tilt", {"values": [-1.0, 1.0], "probs": [0.499, 0.501]}, [], 0),
+)
 
 
-def test_heavy_tail_law_loads_no_scipy_special():
-    # the alpha law's set-up sums its Hurwitz zeta itself
-    probe = ("import sys; from chaoslim.pinning import RenewalLaw; "
-             "RenewalLaw.heavy_tail(0.75, 20000); print('scipy.special' in sys.modules)")
+def test_studies_load_no_scipy():
+    # chaoslim sums its own Gamma functions, zeta and normal cdf: scipy is a test oracle only
+    assert {model for model, *_ in SMALL_STUDIES} == set(harness._STUDIES)
+    probe = ("import json, sys\n"
+             "import chaoslim.cli\n"
+             "from chaoslim.harness import ExperimentConfig, run_convergence_study\n"
+             "rows = [row.quantity for study in json.loads(sys.argv[1])\n"
+             "        for row in run_convergence_study(ExperimentConfig(*study, 0)).rows]\n"
+             "print(rows.count('ks_lognormal'), *(m for m in sys.modules if m.startswith('scipy')))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            env=env, timeout=60, check=True)
-    assert result.stdout.split() == ["False"]
+    result = subprocess.run([sys.executable, "-c", probe, json.dumps(SMALL_STUDIES)],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["2"]

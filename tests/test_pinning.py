@@ -33,6 +33,7 @@ from chaoslim.pinning import (
     second_moment_exact,
 )
 from chaoslim.simplex import dirichlet_closed_form
+from oracles import SCIPY_GAMMA_MATH, value_or_error
 
 LAW_HALF = RenewalLaw.from_probabilities([0.5, 0.5])
 
@@ -778,6 +779,31 @@ def test_continuum_second_moment_alpha_bias_is_square_of_dirichlet_series(h_hat,
             for k in range(200))
     val = continuum_second_moment(RenewalLaw.heavy_tail(alpha, 2), 0.0, h_hat, mode)
     assert val == pytest.approx(z * z, rel=1e-13)
+
+
+@pytest.mark.parametrize("mode", ["conditioned", "free"])
+def test_continuum_second_moment_matches_scipy_gammaln(mode, monkeypatch):
+    # the alpha series takes its log-Gammas from math.lgamma; with scipy's
+    # gammaln in its place it is summed as before, term for term.  A series
+    # that was not summable (alpha = 0.55, bhat = 2, h_hat = 0.4 conditioned,
+    # and bhat = 20, 30) still fails with the same error after as many terms
+    grid = [(alpha, bhat, h_hat) for alpha in (0.55, 0.6, 0.7, 0.75, 0.9)
+            for bhat in (0.5, 1.0, 2.0) for h_hat in (0.0, 0.4, -0.3)]
+    grid += [(0.75, 20.0, 0.0), (0.75, 30.0, 0.0)]
+
+    def outcomes():
+        return [value_or_error(continuum_second_moment, RenewalLaw.heavy_tail(alpha, 2),
+                                bhat, h_hat, mode) for alpha, bhat, h_hat in grid]
+
+    values = outcomes()
+    monkeypatch.setattr(pinning, "math", SCIPY_GAMMA_MATH)
+    refs = outcomes()
+    for point, value, ref in zip(grid, values, refs):
+        if isinstance(ref, str):
+            assert value == ref, point
+        else:
+            assert abs(value / ref - 1.0) <= 1e-13, point
+    assert sum(isinstance(ref, str) for ref in refs) == (3 if mode == "conditioned" else 2)
 
 
 @pytest.mark.parametrize("mode", ["conditioned", "free"])

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chaoslim import harness, polymer
+from chaoslim import harness, polymer, simplex
 from chaoslim.chaos import Kernel, eval_multilinear
 from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER
 from chaoslim.errors import (
@@ -29,6 +29,7 @@ from chaoslim.polymer import (
     scale_beta,
     walk_pmf,
 )
+from oracles import SCIPY_GAMMA_MATH, value_or_error
 
 SIMPLE = WalkLaw.simple_symmetric()
 LAZY = WalkLaw([-2, -1, 0, 1, 2], [0.1, 0.2, 0.4, 0.2, 0.1])
@@ -756,6 +757,29 @@ def test_second_moment_continuum_values():
     g = StableDensity(2.0, sigma2=1.0)
     assert polymer_second_moment_continuum(SIMPLE, 0.0) == 1.0
     assert g.l2_norm_sq() == pytest.approx(0.28209, abs=1e-5)
+
+
+def test_second_moment_continuum_matches_scipy_gammaln(monkeypatch):
+    # the series' simplex integrals take their log-Gammas from math.lgamma;
+    # with scipy's gammaln in its place the series is summed as before.  A
+    # series that was not summable (alpha = 1.2 at bhat = 2, and bhat = 40)
+    # still fails with the same error after as many terms
+    laws = [WalkLaw.heavy_tail(alpha, 0.0, 2000) for alpha in (1.2, 1.5, 1.8)] + [SIMPLE]
+
+    def outcomes():
+        return [value_or_error(polymer_second_moment_continuum, law, bhat)
+                for law in laws for bhat in (0.5, 1.0, 2.0, 40.0)]
+
+    with np.errstate(over="ignore"):
+        values = outcomes()
+        monkeypatch.setattr(simplex, "math", SCIPY_GAMMA_MATH)
+        refs = outcomes()
+    for value, ref in zip(values, refs):
+        if isinstance(ref, str):
+            assert value == ref
+        else:
+            assert abs(value / ref - 1.0) <= 1e-13
+    assert sum(isinstance(ref, str) for ref in refs) == 5
 
 
 def test_second_moment_converges():

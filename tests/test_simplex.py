@@ -4,11 +4,10 @@ import math
 
 import pytest
 
+from chaoslim import simplex
 from chaoslim.errors import DomainError
-from chaoslim.simplex import (
-    dirichlet_closed_form,
-    dirichlet_quadrature,
-)
+from chaoslim.simplex import dirichlet_closed_form
+from oracles import SCIPY_GAMMA_MATH, dirichlet_quadrature
 
 
 def test_pinned_exact_values():
@@ -33,6 +32,16 @@ def test_quadrature_other_exponent():
     closed = dirichlet_closed_form(3, 0.75, conditioned=True)
     quad = dirichlet_quadrature(3, 0.75, conditioned=True, order=64)
     assert abs(quad / closed - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("conditioned", [True, False])
+def test_closed_form_matches_scipy_gammaln(conditioned, monkeypatch):
+    points = [(k, chi) for k in range(41) for chi in (-0.5, 0.0, 0.1, 0.25, 0.5, 0.75, 0.9)]
+    values = [dirichlet_closed_form(k, chi, conditioned) for k, chi in points]
+    monkeypatch.setattr(simplex, "math", SCIPY_GAMMA_MATH)
+    for (k, chi), value in zip(points, values):
+        ref = dirichlet_closed_form(k, chi, conditioned)
+        assert abs(value / ref - 1.0) <= 1e-13, (k, chi)
 
 
 def test_free_variant_small_cases():
