@@ -281,6 +281,28 @@ def test_defaulted_parameters_are_set_outside_tests():
         f"{sorted(TEST_ONLY_PARAMETERS - unset)}")
 
 
+def test_import_loads_no_heavy_scipy_subpackage():
+    # each of these costs set-up time on every run; chaoslim imports none of them
+    heavy = ("scipy.signal", "scipy.interpolate", "scipy.integrate", "scipy.stats",
+             "scipy.special")
+    probe = ("import sys, chaoslim, chaoslim.cli; "
+             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, timeout=60, check=True)
+    assert result.stdout.split() == []
+
+
+def test_heavy_tail_law_loads_no_scipy_special():
+    # the alpha law's set-up sums its Hurwitz zeta itself
+    probe = ("import sys; from chaoslim.pinning import RenewalLaw; "
+             "RenewalLaw.heavy_tail(0.75, 20000); print('scipy.special' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, timeout=60, check=True)
+    assert result.stdout.split() == ["False"]
+
+
 # a small study of each model; the finite-mean pinning one has samples, so
 # that its lognormal KS row runs
 SMALL_STUDIES = (
