@@ -5,9 +5,9 @@ coefficients psi(I); the associated polynomial is
 
     Psi(x) = sum_I psi(I) * prod_{i in I} x_i,   with x^emptyset = 1.
 
-The module provides evaluation, the squared-coefficient mass C_Psi, the
-maximal variable influence, degree truncation, truncated-moment extraction,
-and the computable Lindeberg-type distance bound for zero-mean inputs.
+The module provides the squared-coefficient mass C_Psi, the maximal variable
+influence, degree truncation, truncated-moment extraction, and the
+computable Lindeberg-type distance bound for zero-mean inputs.
 
 Conventions: the empty-set entry is stored like any other coefficient but is
 excluded from ``c_psi`` and ``max_influence``, which describe the
@@ -52,19 +52,6 @@ class Kernel:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def eval_multilinear(kernel: Kernel, values: Mapping[int, float]) -> float:
-    """Evaluate Psi(x) = sum_I psi(I) prod_{i in I} x_i at the given point."""
-    total = 0.0
-    for index_set, coef in kernel.entries.items():
-        term = coef
-        for i in index_set:
-            if i not in values:
-                raise InputError(f"no value supplied for site {i}")
-            term *= values[i]
-        total += term
-    return total
 
 
 def c_psi(kernel: Kernel) -> float:

@@ -461,7 +461,7 @@ def sample_ising(
     lam, h = ising.scale_fields(profiles, system)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     xi = lam * disorder.sample(rng, (n_samples, system.n_sites)) + h
-    rows = max(1, ising._SWEEP_CAP >> system._frontier_spins)
+    rows = max(1, ising._SWEEP_CAP >> system.frontier_spins)
     z = np.empty(n_samples)
     for r0 in range(0, n_samples, rows):
         x = xi[r0 : r0 + rows]

@@ -22,7 +22,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import simplex
-from .chaos import Kernel
 from .dists import GAUSSIAN_DISORDER, Atoms, StdGaussian, overlap_weight
 from .errors import (
     ConditioningError,
@@ -319,14 +318,6 @@ def _check_tail_range(law: RenewalLaw, n_steps: int) -> None:
         )
 
 
-def a_n_scale(law: RenewalLaw, n_steps: int) -> float:
-    """The variance normalization a_N: 1/sqrt(N), or L/N^{alpha-1/2}."""
-    if law.regime == "finite_mean":
-        return 1.0 / math.sqrt(n_steps)
-    _check_tail_range(law, n_steps)
-    return law.tail_constant / n_steps ** (law.alpha - 0.5)
-
-
 def scale_couplings(law: RenewalLaw, beta_hat: float, h_hat: float, n_steps: int):
     """(beta_N, h_N) for the law's regime."""
     if n_steps < 1:
@@ -420,37 +411,6 @@ def partition_function_batch(
         return z[:, -1] / u_n
     # P(tau_1 > j) = 0 for j >= n_max, so the returned window holds every term
     return z @ law.tail(z.shape[1] - 1)[::-1]
-
-
-def chaos_kernel(law: RenewalLaw, n_steps: int, mode: str = "conditioned") -> Kernel:
-    """Exhaustive polynomial-chaos kernel over sites {1..N}.
-
-    psi(I) = a_N^{|I|} P(I subset tau | N in tau) (or unconditioned in free
-    mode); with zeta_n = (e^{beta omega_n - Lambda + h} - 1)/a_N the expansion
-    1 + sum_I psi(I) zeta^I reproduces the partition function exactly.
-    Exponential in N; intended for N <= ~14.
-    """
-    if n_steps > 16:
-        raise ResourceError("exhaustive chaos kernel is limited to N <= 16")
-    u = renewal_mass(law, n_steps)
-    tail = law.tail(n_steps)
-    a = a_n_scale(law, n_steps)
-    entries = {(): 1.0}
-    for mask in range(1, 1 << n_steps):
-        sites = tuple(i + 1 for i in range(n_steps) if mask >> i & 1)
-        prob = 1.0
-        prev = 0
-        for s in sites:
-            prob *= u[s - prev]
-            prev = s
-        if mode == "conditioned":
-            prob *= u[n_steps - sites[-1]] / u[n_steps]
-        elif mode == "free":
-            pass  # P(I subset tau) is just the gap product
-        else:
-            raise InputError(f"unknown mode {mode!r}")
-        entries[sites] = prob * a ** len(sites)
-    return Kernel(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -535,7 +535,8 @@ def polymer_second_moment_continuum(law: WalkLaw, beta_hat: float) -> float:
     vanish."""
     density = law.stable_density()
     chi = 1.0 / density.alpha
-    x = law.period * beta_hat * beta_hat * density.l2_norm_sq()
+    # a Python float, whose powers overflow as an OverflowError
+    x = float(law.period * beta_hat * beta_hat * density.l2_norm_sq())
     return simplex.sum_series(
         x**k * simplex.dirichlet_closed_form(k, chi, False) for k in itertools.count()
     )

@@ -10,7 +10,6 @@ from chaoslim.chaos import (
     Kernel,
     TruncatedMoments,
     c_psi,
-    eval_multilinear,
     lindeberg_bound,
     max_influence,
     truncate,
@@ -18,6 +17,7 @@ from chaoslim.chaos import (
 )
 from chaoslim.dists import Atoms, StdGaussian
 from chaoslim.errors import InputError, PreconditionError
+from oracles import eval_multilinear
 
 index_sets = st.frozensets(st.integers(0, 7), max_size=4).map(lambda s: tuple(sorted(s)))
 coefs = st.floats(-10, 10, allow_nan=False).filter(lambda c: c != 0.0)

@@ -211,10 +211,9 @@ def test_no_orphaned_private_names():
     assert not orphans, "private names nothing reads:\n" + "\n".join(orphans)
 
 
-# Public names, methods and fields that only tests other than the acceptance
-# tests read.  Each must come to feed a study, move into tests/ as an oracle,
-# or be deleted, and then leave this list: the list only shrinks.  A
-# module-level name counts as read when its bare name is read anywhere; a
+# Public names, methods and fields that only tests read.  Each must come to
+# feed a study, move into tests/ as an oracle, or be deleted, and then leave
+# this list: the list only shrinks.  A module-level name counts as read when its bare name is read anywhere; a
 # method or an annotated class field only when it is read as an attribute
 # ``x.name`` or named in a string, so a name shared with another attribute
 # still hides it.
@@ -225,7 +224,7 @@ TEST_ONLY_PUBLIC_NAMES = frozenset({
 
 def test_public_names_have_readers_outside_tests():
     package = sorted((ROOT / "src" / "chaoslim").glob("*.py"))
-    readers = [*package, *(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    readers = [*package, *(ROOT / "bench").glob("*.py")]
     sources = [path.read_text(encoding="utf-8") for path in readers]
     read = set().union(*map(references, sources))
     read_as_attribute = set().union(*map(attribute_references, sources))
@@ -238,7 +237,7 @@ def test_public_names_have_readers_outside_tests():
                 if not short.startswith("_") and short not in seen:
                     unread.add(f"{path.stem}.{name}")
     assert not unread - TEST_ONLY_PUBLIC_NAMES, (
-        "public names and methods no module, benchmark or acceptance test reads: "
+        "public names and methods no module or benchmark reads: "
         f"{sorted(unread - TEST_ONLY_PUBLIC_NAMES)}")
     assert not TEST_ONLY_PUBLIC_NAMES - unread, (
         "listed names that now have a reader or are gone; drop them from the list: "
@@ -246,22 +245,19 @@ def test_public_names_have_readers_outside_tests():
 
 
 # Defaulted parameters of public functions and methods that no call in the
-# package, the benchmark or the acceptance tests sets to anything but their
-# default.  Each is a test oracle's switch or waits on a ROADMAP item; the
+# package or the benchmark sets to anything but their default.  Each is a test oracle's switch or waits on a ROADMAP item; the
 # list only shrinks.  A call counts by the name it calls, so a function that
 # shares its name with another is seen through that one's calls too.
 TEST_ONLY_PARAMETERS = frozenset({
     "harness.pinning_alpha_reference.cells",
     "harness.pinning_alpha_reference.n_samples",
     "harness.pinning_alpha_reference.seed",
-    "ising.f_omega_l2_ratio.mc_samples",
-    "pinning.chaos_kernel.mode",
 })
 
 
 def test_defaulted_parameters_are_set_outside_tests():
     package = sorted((ROOT / "src" / "chaoslim").glob("*.py"))
-    readers = [*package, *(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    readers = [*package, *(ROOT / "bench").glob("*.py")]
     by_name = {}
     for path in readers:
         for name, found in calls(path.read_text(encoding="utf-8")).items():
@@ -274,7 +270,7 @@ def test_defaulted_parameters_are_set_outside_tests():
              if not any(passes(call, positional, param, default)
                         for call in by_name.get(name.rpartition(".")[2], ()))}
     assert not unset - TEST_ONLY_PARAMETERS, (
-        "defaulted parameters no module, benchmark or acceptance test sets: "
+        "defaulted parameters no module or benchmark sets: "
         f"{sorted(unset - TEST_ONLY_PARAMETERS)}")
     assert not TEST_ONLY_PARAMETERS - unset, (
         "listed parameters that are now set or gone; drop them from the list: "

@@ -1,16 +1,14 @@
 """Tests for the desk-scale critical Ising / RFIM machinery."""
 
-import dataclasses
 import functools
-import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from chaoslim import harness
-from chaoslim.chaos import eval_multilinear
 from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER
 from chaoslim.errors import InputError, ResourceError
 from chaoslim.ising import (
@@ -18,20 +16,30 @@ from chaoslim.ising import (
     FieldProfiles,
     LatticeSpinSystem,
     Rect,
-    chaos_rewrite,
-    correlation,
-    f_omega_l2_ratio,
-    gks_decoupling_check,
     normalization_prefactor,
     rfim_partition_xi,
     scale_fields,
-    _f_omega_sq_batch,
     _rfim_partition_batch,
 )
+from oracles import (
+    chaos_rewrite,
+    correlation,
+    eval_multilinear,
+    f_omega_l2_ratio,
+    f_omega_sq_batch,
+    gks_decoupling_check,
+    sample_interior,
+)
 
-ONE = LatticeSpinSystem.rectangle(1, 1)
-SQ22 = LatticeSpinSystem.rectangle(2, 2)
-SQ33 = LatticeSpinSystem.rectangle(3, 3)
+
+def rect(width, height):
+    """The width x height block of sites with a corner at the origin."""
+    return LatticeSpinSystem(range(width), range(height))
+
+
+ONE = rect(1, 1)
+SQ22 = rect(2, 2)
+SQ33 = rect(3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -67,16 +75,39 @@ def test_pair_correlation_symmetry():
 
 
 def test_transfer_cap():
-    # box positions x 2^(frontier spins): 25 x 2^5 builds, 13 x 13 x 2^13 > 2^20 does not
-    assert LatticeSpinSystem.rectangle(5, 5).n_sites == 25
+    # sites x 2^(frontier spins): 25 x 2^5 builds, 13 x 13 x 2^13 > 2^20 does not
+    assert rect(5, 5).n_sites == 25
     assert LatticeSpinSystem.from_domain(Rect.unit_square(), 1 / 6).n_sites == 25
     with pytest.raises(ResourceError, match="transfer cap"):
-        LatticeSpinSystem.rectangle(13, 13)
+        rect(13, 13)
     with pytest.raises(ResourceError, match="transfer cap"):
         LatticeSpinSystem.from_domain(Rect.unit_square(), 1 / 14)
-    # two sites far apart: a box of 2^21 positions, though its frontier holds one spin
-    with pytest.raises(ResourceError, match="transfer cap"):
-        LatticeSpinSystem(((0, 0), (1 << 21, 0)))
+    # a strip of 2^21 sites, though its frontier holds one spin: refused on
+    # its sites alone
+    with pytest.raises(ResourceError, match="more sites than the transfer cap"):
+        rect(1, 1 << 21)
+
+
+def test_system_is_two_axis_ranges():
+    system = LatticeSpinSystem.from_domain(Rect(-0.5, 0.25, 1.0, 1.0), 0.25)
+    assert (system.xs, system.ys) == (range(-1, 4), range(2, 4))
+    assert system == LatticeSpinSystem(range(-1, 4), range(2, 4))
+    assert hash(system) == hash(LatticeSpinSystem(range(-1, 4), range(2, 4)))
+    # the weight order: sorted sites, x-major
+    assert system.interior == tuple(sorted(system.interior))
+    assert system.interior[:3] == ((-1, 2), (-1, 3), (0, 2))
+    assert (system.n_sites, system.frontier_spins) == (10, 2)
+    # a benchmark tracer keeps weak references to systems
+    assert weakref.ref(system)() is system
+
+
+@pytest.mark.parametrize("xs, ys", [
+    (range(0, 6, 2), range(3)), (range(3), range(3, 0, -1)), ((0, 1, 2), range(3)),
+    (range(3), [0, 1]), (range(3), range(0)), (range(2, 1), range(3)),
+], ids=["step-2", "step-minus-1", "tuple", "list", "empty", "reversed"])
+def test_system_rejects_what_is_not_two_ranges(xs, ys):
+    with pytest.raises(InputError):
+        LatticeSpinSystem(xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -135,28 +166,10 @@ def _correlations_enum(system):
     return v / v[0]
 
 
-def _shapes():
-    """Every rectangle of at most 20 spins, the reach of the enumeration
-    oracle (the shapes from_domain builds and the 1 x k and k x 1 strips
-    among them), and site sets that are not rectangles: non-convex, holed,
-    scattered, diagonal."""
-    rects = {(a, b) for a in range(1, 21) for b in range(1, 21) if a * b <= 20}
-    shapes = {f"{a}x{b}": LatticeSpinSystem.rectangle(a, b) for a, b in sorted(rects)}
-    shapes["L"] = LatticeSpinSystem(((0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (0, 3)))
-    shapes["ring"] = LatticeSpinSystem(tuple((i, j) for i in range(3) for j in range(3)
-                                             if (i, j) != (1, 1)))
-    shapes["holed-5x4"] = LatticeSpinSystem(tuple((i, j) for i in range(5) for j in range(4)
-                                                  if (i, j) not in {(1, 1), (3, 2)}))
-    shapes["plus"] = LatticeSpinSystem(((1, 0), (0, 1), (1, 1), (2, 1), (1, 2)))
-    shapes["apart"] = LatticeSpinSystem(((0, 0), (3, 5), (2, 2), (7, 1), (-4, 3)))
-    shapes["comb"] = LatticeSpinSystem(tuple((i, j) for i in range(7) for j in range(3)
-                                             if j == 0 or i % 2 == 0))
-    # a 16 x 16 box whose frontier holds at most two interior spins
-    shapes["diagonal"] = LatticeSpinSystem(tuple((k, k) for k in range(16)))
-    return shapes
-
-
-SHAPES = _shapes()
+# every rectangle of at most 20 spins, the reach of the enumeration oracle,
+# in both orientations: the shapes from_domain builds, and the 1 x k and
+# k x 1 strips among them
+SHAPES = {f"{a}x{b}": rect(a, b) for a in range(1, 21) for b in range(1, 21) if a * b <= 20}
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
@@ -205,36 +218,14 @@ def test_rfim_single_site_closed_form():
     assert val == pytest.approx(math.cosh(xi) + math.sinh(xi) * math.tanh(4 * BETA_C), rel=1e-14)
 
 
-def test_rfim_matches_direct_enumeration_on_l_shape():
-    # the L shape has no symmetry that reverses the site order, so a
-    # bit-order slip between the spin table and the field would show here
-    sites = [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (0, 3)]
-    system = LatticeSpinSystem(tuple(sites))
-    xi = np.random.default_rng(3).normal(0.0, 0.8, len(sites))
-    index = {s: k for k, s in enumerate(system.interior)}
-    num = den = 0.0
-    for spins in itertools.product([1.0, -1.0], repeat=len(sites)):
-        energy = 0.0
-        for (i, j), k in index.items():
-            for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-                if nb not in index:
-                    energy += spins[k]  # + boundary neighbour
-                elif index[nb] > k:
-                    energy += spins[k] * spins[index[nb]]
-        boltzmann = math.exp(BETA_C * energy)
-        num += boltzmann * math.exp(float(np.dot(xi, spins)))
-        den += boltzmann
-    assert rfim_partition_xi(system, xi) == pytest.approx(num / den, rel=1e-12)
-
-
 def test_rfim_symmetric_site_swap_invariance():
     # (0,0) and (1,1) are equivalent under the square's symmetry, so swapping
     # their disorder values leaves the partition function unchanged
     profiles = FieldProfiles(1.0, 0.3, Rect.unit_square(), 0.5)
     rng = np.random.default_rng(1)
     omega = rng.standard_normal(4)
-    idx_a = SQ22.site_index((0, 0))
-    idx_b = SQ22.site_index((1, 1))
+    idx_a = SQ22.interior.index((0, 0))
+    idx_b = SQ22.interior.index((1, 1))
     swapped = omega.copy()
     swapped[[idx_a, idx_b]] = swapped[[idx_b, idx_a]]
     lam, h = scale_fields(profiles, SQ22)
@@ -305,23 +296,14 @@ def test_sample_ising_sweeps_rows_in_bounded_chunks():
     assert z.tobytes() == one_sweep.tobytes()
 
 
-def test_sweep_box_is_not_a_field():
-    # the system keeps its box for the sweep; equality and hashing see the sites alone
-    a = LatticeSpinSystem(((1, 0), (0, 0), (0, 1)))
-    b = LatticeSpinSystem(((0, 0), (0, 1), (1, 0)))
-    assert a == b and hash(a) == hash(b)
-    assert [f.name for f in dataclasses.fields(a)] == ["interior"]
-    assert a._box.tolist() == [[0, 1], [2, -1]] and a._frontier_spins == 2
-
-
 def test_scale_fields_powers():
     profiles = FieldProfiles(2.0, 3.0, Rect.unit_square(), 1.0)
-    system = LatticeSpinSystem.rectangle(2, 2)
+    system = rect(2, 2)
     lam, h = scale_fields(profiles, system)
     assert np.allclose(lam, 2.0)
     assert np.allclose(h, 3.0)
     profiles256 = FieldProfiles(1.0, 1.0, Rect.unit_square(), 1.0 / 256)
-    system256 = LatticeSpinSystem(((10, 10),))
+    system256 = LatticeSpinSystem(range(10, 11), range(10, 11))
     lam, h = scale_fields(profiles256, system256)
     assert lam[0] == pytest.approx(2.0**-7)
     assert h[0] == pytest.approx(2.0**-15)
@@ -332,7 +314,8 @@ def test_normalization_prefactor_values():
     assert normalization_prefactor(FieldProfiles(1.0, 0.0, Rect.unit_square(), 1.0 / 16)) == pytest.approx(math.exp(-1.0), rel=1e-12)
     # a constant lam_hat needs no quadrature: the prefactor is exp(-lam_hat^2 |Omega| delta^{-1/4} / 2)
     domain = Rect(-0.5, 0.25, 1.0, 1.0)
-    exact = math.exp(-0.5 * 1.3**2 * domain.area * 0.2 ** (-0.25))
+    area = (domain.x1 - domain.x0) * (domain.y1 - domain.y0)
+    exact = math.exp(-0.5 * 1.3**2 * area * 0.2 ** (-0.25))
     assert normalization_prefactor(FieldProfiles(1.3, 0.7, domain, 0.2)) == pytest.approx(
         exact, rel=1e-14, abs=0.0)
 
@@ -393,7 +376,7 @@ def test_gks_single_subdomain_equality():
 
 
 def test_gks_two_singletons_2x3():
-    system = LatticeSpinSystem.rectangle(2, 3)
+    system = rect(2, 3)
     lhs, rhs, holds = gks_decoupling_check(system, [([(0, 0)], (0, 0)), ([(1, 2)], (1, 2))])
     assert holds
     assert 0.0 <= lhs <= rhs
@@ -420,7 +403,7 @@ def test_gks_overlap_rejected():
 
 def f_omega(points, domain):
     """f_Omega of one point tuple, from the batched square."""
-    return math.sqrt(float(_f_omega_sq_batch(np.array(points, dtype=float)[None], domain)[0]))
+    return math.sqrt(float(f_omega_sq_batch(np.array(points, dtype=float)[None], domain)[0]))
 
 
 def test_f_omega_center_point():
@@ -461,7 +444,7 @@ def test_f_omega_matches_scalar_loop(domain):
     rng = np.random.default_rng(8)
     for n in range(1, 6):
         for _ in range(40):
-            pts = domain.sample_interior(rng, n)
+            pts = sample_interior(domain, rng, n)
             assert abs(f_omega(pts, domain) / _f_omega_reference(pts, domain) - 1.0) <= 1e-14
 
 

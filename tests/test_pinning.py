@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from scipy.special import gammaln, logsumexp, zeta
 
 from chaoslim import harness, pinning, wiener
-from chaoslim.chaos import eval_multilinear
 from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER, StdGaussian
 from chaoslim.errors import (
     ConditioningError,
@@ -21,9 +20,7 @@ from chaoslim.errors import (
 )
 from chaoslim.pinning import (
     RenewalLaw,
-    a_n_scale,
     c_alpha,
-    chaos_kernel,
     continuum_second_moment,
     lognormal_limit_law,
     partition_function,
@@ -33,7 +30,13 @@ from chaoslim.pinning import (
     second_moment_exact,
 )
 from chaoslim.simplex import dirichlet_closed_form
-from oracles import SCIPY_GAMMA_MATH, value_or_error
+from oracles import (
+    SCIPY_GAMMA_MATH,
+    a_n_scale,
+    chaos_kernel,
+    eval_multilinear,
+    value_or_error,
+)
 
 LAW_HALF = RenewalLaw.from_probabilities([0.5, 0.5])
 
@@ -97,7 +100,7 @@ def test_heavy_tail_rejects_use_beyond_tail_range():
     with pytest.raises(InputError):
         scale_couplings(law, 1.0, 0.0, 200)
     with pytest.raises(InputError):
-        a_n_scale(law, 101)
+        scale_couplings(law, 1.0, 0.0, 101)
     scale_couplings(law, 1.0, 0.0, 100)  # boundary is allowed
 
 

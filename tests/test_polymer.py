@@ -3,12 +3,13 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from chaoslim import harness, polymer, simplex
-from chaoslim.chaos import Kernel, eval_multilinear
+from chaoslim.chaos import Kernel
 from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER
 from chaoslim.errors import (
     ConditioningError,
@@ -29,7 +30,7 @@ from chaoslim.polymer import (
     scale_beta,
     walk_pmf,
 )
-from oracles import SCIPY_GAMMA_MATH, value_or_error
+from oracles import SCIPY_GAMMA_MATH, eval_multilinear, value_or_error
 
 SIMPLE = WalkLaw.simple_symmetric()
 LAZY = WalkLaw([-2, -1, 0, 1, 2], [0.1, 0.2, 0.4, 0.2, 0.1])
@@ -780,6 +781,17 @@ def test_second_moment_continuum_matches_scipy_gammaln(monkeypatch):
         else:
             assert abs(value / ref - 1.0) <= 1e-13
     assert sum(isinstance(ref, str) for ref in refs) == 5
+
+
+def test_unsummable_series_fails_without_numpy_warnings():
+    # the series' powers overflow as Python floats, so no numpy warning comes
+    # first and the error quotes a plain float
+    config = harness.ExperimentConfig("polymer", {"alpha": 1.5, "beta_hat": 40}, [50], 0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="not summable") as err:
+            harness.run_convergence_study(config)
+    assert "np.float64" not in str(err.value)
 
 
 def test_second_moment_converges():
