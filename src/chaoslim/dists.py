@@ -2,7 +2,8 @@
 
 Everything here is either an exact finite atom list or a closed-form law, so
 that expectations used in bounds and oracles are exact finite sums.  Both
-law types serve as Lindeberg inputs and as model disorder alike.
+law types serve as Lindeberg inputs and as model disorder alike, and
+``fill(rng, out)`` draws either into a caller's array, in C order.
 """
 
 from __future__ import annotations
@@ -77,8 +78,9 @@ class Atoms:
         amax = a.max()
         return float(amax + np.log(np.exp(a - amax).sum()))
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        return rng.choice(self.values, size=size, p=self.probs / self.probs.sum())
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        np.copyto(out, rng.choice(self.values, size=out.shape, p=self.probs / self.probs.sum()))
+        return out
 
 
 RADEMACHER = Atoms(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
@@ -110,8 +112,8 @@ class StdGaussian:
     def log_mgf(self, t: float) -> float:
         return 0.5 * t * t
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        return rng.standard_normal(size)
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        return rng.standard_normal(out=out)
 
 
 # the default disorder law of every model; a law's Lambda(t) is its log_mgf

@@ -333,7 +333,7 @@ def sample_pinning(
     Each chunk of _PINNING_CHUNK samples draws from its own spawned
     Generator and goes through one transfer call, which draws its disorder
     a 64-step block at a time, time-major: omega_n of every sample of the
-    chunk, then omega_{n+1}, a Gaussian block straight into the transfer's
+    chunk, then omega_{n+1}, each block filled straight into the transfer's
     buffer.  So no (samples, N) omega is built; the memory is the
     transfer's, (min(N, n_max) + 65) * rows floats of history plus 64 * rows
     for the block and at most 64 * min(N, n_max) for the Toeplitz.
@@ -351,32 +351,10 @@ def sample_pinning(
     for pos, ss in zip(range(0, n_samples, chunk), streams):
         rng = np.random.default_rng(ss)
         rows = min(chunk, n_samples - pos)
-
-        def draw(n0, block, rng=rng):
-            if isinstance(disorder, StdGaussian):  # in place: the values of sample(), no copy
-                rng.standard_normal(out=block)
-            else:
-                np.copyto(block, disorder.sample(rng, block.shape))
-
         out[pos : pos + rows] = pinning.partition_function_batch(
-            law, draw, rows, n_steps, beta_n, h_n, mode, disorder)
+            law, lambda n0, block, rng=rng: disorder.fill(rng, block), rows, n_steps,
+            beta_n, h_n, mode, disorder)
     return out
-
-
-_FIELD_BLOCK_CELLS = 1 << 20  # disorder values per time block of a sample group
-
-
-def _field_blocks(rngs, n_steps: int, cols: int, disorder: Atoms | StdGaussian):
-    """Fields of one sample group, one Generator each, as time blocks of
-    shape (steps, samples, cols) drawn into one reused buffer: ``cols``
-    values a step, one for each site of the walk's sublattice in the window."""
-    steps = max(1, _FIELD_BLOCK_CELLS // (len(rngs) * cols))
-    buf = np.empty((min(steps, n_steps), len(rngs), cols))
-    for n0 in range(0, n_steps, steps):
-        c = min(steps, n_steps - n0)
-        for i, rng in enumerate(rngs):
-            buf[:c, i] = disorder.sample(rng, (c, cols))
-        yield buf[:c]
 
 
 def _polymer_target(law: polymer.WalkLaw, n_steps: int, x: float) -> int:
@@ -406,29 +384,38 @@ def sample_polymer(
     a step, of which a step whose sublattice has one site fewer leaves the
     last unused. Sample i draws its field from the i-th Generator spawned from
     ``SeedSequence(seed)``. Groups of samples go through one batched
-    transfer loop, each group drawing its fields in time blocks of at most
-    _FIELD_BLOCK_CELLS values into one reused buffer, so no sample's whole
-    (n_steps, width) field is held at once. A full block splits its cells
-    about evenly between samples and steps: many samples a step keep the
-    per-step overhead of the loop small, many steps a draw keep the
-    per-call overhead of the Generators small. The blocks split the same
-    stream of draws, so the samples do not depend on the grouping.
+    transfer loop, which takes their fields in time blocks of at most
+    polymer._FIELD_BLOCK_CELLS values; each sample fills its own contiguous
+    part of a block straight from its own Generator, so no sample's whole
+    (n_steps, width) field is held at once.
+    A full block splits its cells about evenly between samples and steps:
+    many samples a step keep the per-step overhead of the loop small, many
+    steps a draw keep the per-call overhead of the Generators small. Each
+    sample reads its own stream in time order, so the samples do not
+    depend on the grouping.
     """
     beta_n = polymer.scale_beta(law.alpha, beta_hat, n_steps)
     half = polymer._half_width(law, n_steps)
     lo, hi = polymer.reachable_window(law, n_steps)
     k_lo, k_hi = max(lo, -half), min(hi, half)
+    target = x * n_steps ** (1.0 / law.alpha)
+    if mode != "free" and not k_lo - 0.5 <= target <= k_hi + 0.5:
+        raise InputError(f"x = {x!r} puts the target x N^(1/alpha) = {target:.6g} "
+                         f"outside the field window [{k_lo}, {k_hi}]")
     y = None if mode == "free" else _polymer_target(law, n_steps, x)
     width = k_hi - k_lo + 1
-    cols = -(-width // law.period)
-    group = max(1, math.isqrt(_FIELD_BLOCK_CELLS // cols))
+    group = max(1, math.isqrt(polymer._FIELD_BLOCK_CELLS // -(-width // law.period)))
     streams = np.random.SeedSequence(seed).spawn(n_samples)
     out = np.empty(n_samples)
     for s0 in range(0, n_samples, group):
         rngs = [np.random.default_rng(ss) for ss in streams[s0 : s0 + group]]
-        fields = _field_blocks(rngs, n_steps, cols, disorder)
+
+        def draw(n0, block, rngs=rngs):
+            for rng, field in zip(rngs, block):
+                disorder.fill(rng, field)
+
         out[s0 : s0 + len(rngs)] = polymer._partition_batch(
-            law, k_lo, len(rngs), width, fields, beta_n, mode, y, disorder, mass_tol
+            law, k_lo, len(rngs), width, n_steps, draw, beta_n, mode, y, disorder, mass_tol
         )
     return out
 
@@ -460,7 +447,7 @@ def sample_ising(
     prefactor = ising.normalization_prefactor(profiles)
     lam, h = ising.scale_fields(profiles, system)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    xi = lam * disorder.sample(rng, (n_samples, system.n_sites)) + h
+    xi = lam * disorder.fill(rng, np.empty((n_samples, system.n_sites))) + h
     rows = max(1, ising._SWEEP_CAP >> system.frontier_spins)
     z = np.empty(n_samples)
     for r0 in range(0, n_samples, rows):
@@ -648,7 +635,7 @@ def pinning_alpha_reference(
     w = beta_hat * pinning.c_alpha(alpha) * wiener.sample_noise_batch(cells, seed, n_samples)
     w[:, -1] = 1.0
     kernel = np.append(0.0, (np.arange(1, cells + 1) / cells) ** (alpha - 1.0))
-    return pinning._renewal_solve(kernel, cells, lambda n0, n1: w.T[n0:n1], n_samples)[:, -1]
+    return pinning._renewal_solve(kernel, cells, pinning._array_omega(w), n_samples)[:, -1]
 
 
 def _flat_kernel(n: int) -> chaos.Kernel:
@@ -695,9 +682,14 @@ def lindeberg_audit(config: ExperimentConfig) -> ComparisonReport:
         kernel = _flat_kernel(n)
         bound = chaos.lindeberg_bound(kernel, 1, moments, c_f=1.0)
 
+        # zeta row-summed in chunks of at most 2^20 values: the draws of one
+        # (samples, n) matrix, which took 2.4 GB at 100,000 x 1024
         rng = np.random.default_rng(ss)
-        z_samples = zeta_law.sample(rng, (config.samples, n)).sum(axis=1) / math.sqrt(n)
-        g_samples = GAUSSIAN_DISORDER.sample(rng, config.samples)
+        rows = max(1, (1 << 20) // n)
+        z_samples = np.concatenate([
+            zeta_law.fill(rng, np.empty((min(rows, config.samples - r0), n))).sum(axis=1)
+            for r0 in range(0, config.samples, rows)]) / math.sqrt(n)
+        g_samples = GAUSSIAN_DISORDER.fill(rng, np.empty(config.samples))
         fz = smooth_test_function(z_samples)
         fg = smooth_test_function(g_samples)
         d_hat = float(fz.mean() - fg.mean())

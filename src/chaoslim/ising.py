@@ -201,11 +201,7 @@ def scale_fields(profiles: FieldProfiles, system: LatticeSpinSystem):
 
 
 def normalization_prefactor(profiles: FieldProfiles) -> float:
-    """exp(-lam_hat^2 |Omega| delta^{-1/4} / 2), with |Omega| counted as the
-    nx * ny cells of side about delta that tile the domain."""
-    d, dom = profiles.delta, profiles.domain
-    nx = max(1, round((dom.x1 - dom.x0) / d))
-    ny = max(1, round((dom.y1 - dom.y0) / d))
-    cell = ((dom.x1 - dom.x0) / nx) * ((dom.y1 - dom.y0) / ny)
-    norm_sq = profiles.lam_hat**2 * nx * ny * cell
+    """exp(-lam_hat^2 |Omega| delta^{-1/4} / 2), |Omega| the domain's area."""
+    dom = profiles.domain
+    norm_sq = profiles.lam_hat**2 * ((dom.x1 - dom.x0) * (dom.y1 - dom.y0))
     return math.exp(-0.5 * norm_sq * profiles.delta ** (-0.25))

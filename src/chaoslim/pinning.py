@@ -201,10 +201,10 @@ def _renewal_solve(
     """x(0) = 1, x(n) = w(n) sum_{m=1}^{min(n, n_max)} kernel[m] x(n-m).
 
     ``kernel`` is [0, K(1), ..., K(n_max)] with any constant site weight
-    folded in.  ``weights(n0, n1)`` returns w(n0+1..n1) for ``n_rows``
-    samples as a time-major (n1 - n0, n_rows) block, one column a sample;
-    it is called once a block, in time order.  None solves one row with
-    w = 1.
+    folded in.  ``weights(n0, out)`` writes w(n0+1..n0+k) for ``n_rows``
+    samples into the solve's own time-major (k, n_rows) block buffer
+    ``out``, one column a sample, once a block, in time order.  None solves
+    one row with w = 1.
 
     The steps run in blocks of _BLOCK_STEPS.  The lags of a block's steps
     that reach back before the block (its far history) enter all of them at
@@ -227,11 +227,11 @@ def _renewal_solve(
     hold K within 1e-13 relative, not to roundoff.
 
     One time-major buffer holds only the history the kernel reaches, slid
-    to the front between blocks, so besides the blocks ``weights`` returns
-    the memory is (min(N, n_max) + _BLOCK_STEPS + 1) * n_rows floats plus
-    the Toeplitz, at most _BLOCK_STEPS * min(N, n_max); the sum of
-    exponentials takes J * (n_rows + 128) in its place.  Returns the
-    last min(N, n_max) + 1 values x(N - min(N, n_max) .. N), one row per
+    to the front between blocks, and one more holds the block's weights, so
+    the memory is (min(N, n_max) + 2 * _BLOCK_STEPS + 1) * n_rows floats
+    plus the Toeplitz, at most _BLOCK_STEPS * min(N, n_max); the sum of
+    exponentials takes J * (n_rows + 128) in its place.  Returns the last
+    min(N, n_max) + 1 values x(N - min(N, n_max) .. N), one row per
     sample; with w = 1 it keeps and returns all of x(0..N).
     """
     n_max = kernel.size - 1
@@ -266,6 +266,7 @@ def _renewal_solve(
         if exps is not None:
             exp_near, exp_decay, exp_hist = exps
             acc = np.zeros((exp_decay.size, n_rows))
+        buf = np.empty((_BLOCK_STEPS, n_rows))
     x[0] = 1.0
     base = 0
     for n0 in range(0, n_steps, _BLOCK_STEPS):
@@ -287,7 +288,8 @@ def _renewal_solve(
                 for i, (coef, e) in zip(range(1, n1 + 1), steps):
                     x[i] = coef @ x[i + e - coef.size : i + e]
             continue
-        w = weights(n0, n1)
+        w = buf[: n1 - n0]
+        weights(n0, w)
         # with a sum of exponentials the Toeplitz takes only the block
         # before; the accumulators add the history before that, then take
         # that block in: H <- e^{-64 s} H + hist @ x
@@ -378,9 +380,9 @@ def partition_function_batch(
 
     The disorder comes in time blocks: ``omega(n0, out)`` writes
     omega_{n0+1..n0+k} of every sample into the time-major (k, n_samples)
-    block ``out``, once for each 64-step block, in time order.  The blocks
-    share one (64, n_samples) buffer, which then holds the site weights, so
-    no (samples, N) array need exist; ``_array_omega`` reads a fixed one.
+    block ``out`` of the transfer's own, once a block, in time order; the
+    site weights then overwrite it.  So no (samples, N) array need exist;
+    ``_array_omega`` reads a fixed one.
 
     Each 64-step block takes the history before it in one matrix product,
     (64 x min(N, n_max)) by (min(N, n_max) x samples), and then runs its
@@ -399,12 +401,10 @@ def partition_function_batch(
         u_n = renewal_mass(law, n_steps)[n_steps]
         if u_n <= 0.0:
             raise ConditioningError(f"u({n_steps}) = 0: cannot condition")
-    buf = np.empty((_BLOCK_STEPS, n_samples))
 
-    def weights(n0, n1):
-        block = buf[: n1 - n0]
-        omega(n0, block)
-        return _site_weights(block, beta, h, disorder)
+    def weights(n0, out):
+        omega(n0, out)
+        _site_weights(out, beta, h, disorder)
 
     z = _renewal_solve(law.probs, n_steps, weights, n_samples)
     if mode == "conditioned":

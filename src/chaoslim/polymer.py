@@ -36,6 +36,7 @@ _SUPPORT_CAP = 50_000_000
 _INVERSION_CELLS = 1 << 20  # (point, node) cells per row block of the inversion: 8 MB a temporary
 _INVERSION_NODES_CAP = 1 << 20  # most quadrature nodes one inversion may use
 _GRADED_PANELS = 30  # panels halving toward t = 0, which absorb the t^alpha cusp
+_FIELD_BLOCK_CELLS = 1 << 20  # disorder values per time block of a batched transfer
 
 
 @dataclass(frozen=True)
@@ -368,25 +369,26 @@ def _partition_batch(
     k_lo: int,
     rows: int,
     width: int,
-    blocks,
+    n_steps: int,
+    omega,
     beta: float,
     mode: str = "free",
     y: int | None = None,
     disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
     mass_tol: float = 1e-8,
 ) -> np.ndarray:
-    """Partition functions of ``rows`` disorder fields on the spatial window
-    [k_lo, k_lo + width).
+    """Partition functions of ``rows`` disorder fields of N = ``n_steps``
+    steps on the spatial window [k_lo, k_lo + width).
 
     A law of period p and residue r reaches at step n only the sites
-    k = r n (mod p), so a field holds values only there. ``blocks`` yields
-    consecutive time blocks of the fields as arrays of shape
-    (steps, rows, ceil(width / p)): at the block's j-th step, step n,
-    entry [j, s, i] is omega(n, k_lo + off_n + i p) of field s, where
+    k = r n (mod p), so a field holds values only there. ``omega(n0, out)``
+    writes steps n0+1..n0+k of every field into the transfer's own
+    sample-major (rows, k, ceil(width / p)) block buffer ``out``, of at most
+    _FIELD_BLOCK_CELLS values, once a block, in time order: entry [s, j, i]
+    is omega(n0+1+j, k_lo + off_n + i p) of field s, where
     off_n = (r n - k_lo) mod p. A step whose sublattice has one site fewer
-    leaves its last entry unused. Each block is overwritten with the
-    weights e^{beta omega - Lambda(beta)}, so a caller may hand the same
-    buffer back for the next block.
+    leaves its last entry unused. The weights e^{beta omega - Lambda(beta)}
+    then overwrite the block.
 
     All rows advance together, one step at a time, through the transfer
     recursion z_n(y) = sum_x z_{n-1}(x) p(y-x) w_n(y). The rows lie end to
@@ -407,24 +409,29 @@ def _partition_batch(
         raise InputError(f"mode {mode!r} needs a target site y")
     if k_lo > 0 or k_lo + width <= 0:
         raise InputError("field window must contain the origin")
+    if not mass_tol >= 0.0:
+        raise InputError(f"mass_tol = {mass_tol!r} must be >= 0")
     lam = disorder.log_mgf(beta)
     inc = _dense(law)
     stride = width + max(-inc.lo, inc.lo + inc.probs.size - 1)  # a row and its gap
     flat = np.zeros((rows + 1) * stride)  # row `rows` is the bare walk
     flat[-k_lo::stride] = 1.0
     p, res = law.period, law.residue
-    n_steps = 0
-    for block in blocks:
+    cols = -(-width // p)
+    steps = max(1, _FIELD_BLOCK_CELLS // (rows * cols))
+    buf = np.empty((rows, min(steps, n_steps), cols))
+    for n0 in range(0, n_steps, steps):
+        block = buf[:, : min(steps, n_steps - n0)]
+        omega(n0, block)
         block *= beta
         block -= lam
         np.exp(block, out=block)
-        for w in block:
-            n_steps += 1
+        for n, w in enumerate(block.swapaxes(0, 1), n0 + 1):
             # entry k of row r lands at flat index r * stride + k - inc.lo
             flat = np.convolve(flat, inc.probs)[-inc.lo : -inc.lo + flat.size]
             z = flat.reshape(rows + 1, stride)
             z[:, width:] = 0.0
-            sites = z[:rows, (res * n_steps - k_lo) % p : width : p]
+            sites = z[:rows, (res * n - k_lo) % p : width : p]
             sites *= w[:, : sites.shape[1]]
     z = flat.reshape(rows + 1, stride)[:, :width]
     lost = float(inc.probs.sum()) ** n_steps - float(z[rows].sum())
@@ -447,18 +454,18 @@ def _partition_batch(
     return z[:, idx] / qy
 
 
-def _sublattice_block(law: WalkLaw, omega: SpaceTimeField) -> np.ndarray:
-    """The field's values on the walk's sublattice, the only sites the
-    transfer reads, as the one-row block (n_steps, 1, cols) of
-    ``_partition_batch``."""
+def _sublattice_source(law: WalkLaw, omega: SpaceTimeField):
+    """The block source ``_partition_batch`` reads of the one field
+    ``omega``: its values on the walk's sublattice, the only sites the
+    transfer reads."""
     p, res = law.period, law.residue
     n_steps, width = omega.values.shape
     cols = -(-width // p)
     padded = np.zeros((n_steps, cols * p))
     padded[:, :width] = omega.values
     offs = (res * np.arange(1, n_steps + 1) - omega.k_lo) % p
-    block = np.take_along_axis(padded, offs[:, None] + p * np.arange(cols), axis=1)
-    return block[:, None, :]
+    block = np.take_along_axis(padded, offs[:, None] + p * np.arange(cols), axis=1)[None]
+    return lambda n0, out: np.copyto(out, block[:, n0 : n0 + out.shape[1]])
 
 
 def polymer_partition(law: WalkLaw, omega: SpaceTimeField, beta: float) -> float:
@@ -470,9 +477,9 @@ def polymer_partition(law: WalkLaw, omega: SpaceTimeField, beta: float) -> float
     1e-8. This is the one-row call of the batched transfer loop that
     ``sample_polymer`` runs over groups of samples.
     """
-    width = omega.values.shape[1]
-    return float(_partition_batch(law, omega.k_lo, 1, width, [_sublattice_block(law, omega)],
-                                  beta)[0])
+    n_steps, width = omega.values.shape
+    return float(_partition_batch(law, omega.k_lo, 1, width, n_steps,
+                                  _sublattice_source(law, omega), beta)[0])
 
 
 # ---------------------------------------------------------------------------

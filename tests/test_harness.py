@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +317,27 @@ def test_lindeberg_audit_rademacher_vs_gaussian():
     assert verdicts[0].oracle > verdicts[1].oracle  # the bound shrinks with n
 
 
+def test_lindeberg_audit_draws_zeta_in_bounded_chunks():
+    # 3000 x 1024 zeta values come in chunks of 1024 rows (2^20 values):
+    # the chunk and rng.choice's temporaries, under 5 * 8 MB, in place of
+    # the whole matrix and its temporaries, 74 MB.  The chunks split the
+    # same stream of draws, so the distance is the one-matrix distance
+    cfg = ExperimentConfig(model="lindeberg", params={"M": math.inf}, grid=(1024,),
+                           samples=3000, seed=5)
+    tracemalloc.start()
+    try:
+        report = lindeberg_audit(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * 2**20
+    rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
+    zeta = dists.RADEMACHER.fill(rng, np.empty((3000, 1024))).sum(axis=1) / 32.0
+    xi = dists.GAUSSIAN_DISORDER.fill(rng, np.empty(3000))
+    d = abs(float(smooth_test_function(zeta).mean() - smooth_test_function(xi).mean()))
+    assert report.rows[0].quantity == "mc_distance" and report.rows[0].value == d
+
+
 def test_lindeberg_audit_identical_families_ci_contains_zero():
     rng = np.random.default_rng(0)
     a = smooth_test_function(rng.standard_normal(50_000))
@@ -461,6 +483,13 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
       "--mass-tol", "nan"], None, None, "--mass-tol"),
     (["polymer", "--mode", "point2point", "--x", "nan", "--N", "16", "--samples", "2"],
      None, None, "--x"),
+    (["polymer", "--N", "16", "--samples", "2", "--mass-tol", "-1"], None, None,
+     "mass_tol = -1.0 must be >= 0"),
+    (["run"], None, {"model": "polymer", "grid": [16], "samples": 2,
+                     "params": {"mass_tol": -1}}, "mass_tol = -1.0 must be >= 0"),
+    # the target x N^(1/2) = 4e300 is named as a float, not as a 301-digit int
+    (["polymer", "--mode", "point2point", "--x", "1e300", "--N", "16", "--samples", "2"],
+     None, None, "x = 1e+300 puts the target x N^(1/alpha) = 4e+300 outside"),
     (["ising", "--delta", "nan"], None, None, "--delta"),
     (["pinning", "--N", "10", "--beta-hat", "inf"], None, None, "--beta-hat"),
     (["run"], None, dict(_TILT_STUDY, out_csv=7), "out_csv"),
@@ -498,7 +527,9 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
         "config_grid_int_beyond_float", "pinning_n_max_above_cap", "polymer_window_above_cap",
         "config_lam_hat_nan", "config_lam_hat_inf", "config_h_hat_nan", "config_mass_tol_nan",
         "config_alpha_pinning_h_hat_nan", "config_x_inf", "config_lindeberg_m_minus_inf",
-        "config_probs_nan", "polymer_mass_tol_nan", "polymer_x_nan", "ising_delta_nan",
+        "config_probs_nan", "polymer_mass_tol_nan", "polymer_x_nan",
+        "polymer_mass_tol_negative", "config_mass_tol_negative", "polymer_x_beyond_window",
+        "ising_delta_nan",
         "pinning_beta_hat_inf", "config_out_csv_int", "config_out_json_list",
         "config_out_json_missing_dir", "pinning_out_missing_dir", "tilt_out_missing_dir",
         "config_second_moment_overflows", "config_second_moment_overflows_further",

@@ -265,7 +265,7 @@ def _assert_matches_one_shot(law, got, ref, context=None):
 def test_blocked_transfer_matches_one_shot(law, disorder):
     rng = np.random.default_rng(11)
     for n in (0, 1, 2, 63, 64, 65, 129, 1000, 2000):
-        omega = disorder.sample(rng, (7, n))
+        omega = disorder.fill(rng, np.empty((7, n)))
         beta, h = 1.0 / math.sqrt(max(n, 1)), 0.4 / max(n, 1)
         for mode in ("conditioned", "free"):
             z = _batch(law, omega, beta, h, mode, disorder)
@@ -273,6 +273,23 @@ def test_blocked_transfer_matches_one_shot(law, disorder):
             _assert_matches_one_shot(law, z, ref, (n, mode))
     assert np.array_equal(_batch(law, np.zeros((3, 0)), 0.5, 0.1, "free"),
                           np.ones(3))
+
+
+def test_renewal_solve_hands_its_source_one_block_buffer():
+    # the solve owns one (64, rows) buffer and hands the source its first
+    # k rows, once a block, in time order; the source fills it and returns
+    # nothing
+    w = np.random.default_rng(3).uniform(0.5, 1.5, (3, 150))
+    calls = []
+
+    def source(n0, out):
+        calls.append((n0, out.shape, out.__array_interface__["data"][0]))
+        np.copyto(out, w[:, n0 : n0 + out.shape[0]].T)
+
+    x = pinning._renewal_solve(LAW_HALF.probs, 150, source, 3)
+    assert [c[:2] for c in calls] == [(0, (64, 3)), (64, (64, 3)), (128, (22, 3))]
+    assert len({c[2] for c in calls}) == 1
+    assert np.array_equal(x, _one_shot_solve(LAW_HALF.probs, 150, w)[:, -3:])
 
 
 def test_renewal_mass_matches_one_shot():
@@ -336,8 +353,8 @@ def test_partition_batch_memory_is_bounded(mode):
 
 def test_sample_pinning_memory_is_bounded():
     # the transfer draws omega a 64-step block at a time, so it holds the
-    # history, min(N, n_max) + 65 rows, the block buffer and the block a draw
-    # returns, 64 rows each, and no (256, N) omega: at N = 8000 that was 16.4 MB
+    # history, min(N, n_max) + 65 rows, and the 64-row block buffer the draw
+    # fills, and no (256, N) omega: at N = 8000 that was 16.4 MB
     harness.sample_pinning(LAW_HALF, 1.0, 0.0, 100, 4, seed=1)  # first-call caches
     rows, peaks = 256, {}
     for law, n in ((LAW_HALF, 2000), (LAW_HALF, 8000), (LAW_HALF, 16000),
@@ -387,7 +404,7 @@ def test_partition_batch_bad_input():
 
 def test_sample_pinning_checks_cap_before_drawing():
     class NoDraw(StdGaussian):
-        def sample(self, rng, size):
+        def fill(self, rng, out):
             raise AssertionError("disorder drawn")
 
     with pytest.raises(ResourceError):
@@ -407,7 +424,7 @@ def test_sample_pinning_streams_time_major_blocks(disorder, mode):
         got = harness.sample_pinning(law, 1.0, 0.4, n, 2100, 3, mode, disorder)
         beta, h = scale_couplings(law, 1.0, 0.4, n)
         ref = np.concatenate([
-            _batch(law, disorder.sample(np.random.default_rng(ss), (n, rows)).T,
+            _batch(law, disorder.fill(np.random.default_rng(ss), np.empty((n, rows))).T,
                    beta, h, mode, disorder)
             for ss, rows in zip(np.random.SeedSequence(3).spawn(2), (2000, 100))])
         if law is LAW_HALF:
@@ -463,7 +480,7 @@ def test_far_history_sum_matches_one_shot(disorder, h_hat):
     law = RenewalLaw.heavy_tail(0.75, 20000)
     rng = np.random.default_rng(13)
     for n in (63, 64, 65, 127, 128, 129, 255, 2000, 8000):
-        omega = disorder.sample(rng, (5, n))
+        omega = disorder.fill(rng, np.empty((5, n)))
         beta, h = scale_couplings(law, 1.0, h_hat, n)
         z = _one_shot_solve(law.probs, n, pinning._site_weights(omega.copy(), beta, h, disorder))
         refs = {"conditioned": z[:, n] / _one_shot_solve(law.probs, n)[n],

@@ -275,10 +275,10 @@ def test_scale_beta_values():
 def _partition(law, field, beta, mode="free", y=None, disorder=GAUSSIAN_DISORDER,
                mass_tol=1e-8):
     """Z of one field in any mode, by the batched transfer that
-    ``sample_polymer`` runs, on the one-row block ``polymer_partition`` passes."""
+    ``sample_polymer`` runs, on the one-row source ``polymer_partition`` passes."""
     return float(polymer._partition_batch(
-        law, field.k_lo, 1, field.values.shape[1], [polymer._sublattice_block(law, field)],
-        beta, mode, y, disorder, mass_tol)[0])
+        law, field.k_lo, 1, field.values.shape[1], field.values.shape[0],
+        polymer._sublattice_source(law, field), beta, mode, y, disorder, mass_tol)[0])
 
 
 def _brute_partition(law, field, beta, mode, y=None, disorder=GAUSSIAN_DISORDER):
@@ -473,7 +473,7 @@ def _reference_samples(law, beta_hat, n_steps, n_samples, seed, mode, x, disorde
     out = []
     for ss in np.random.SeedSequence(seed).spawn(n_samples):
         rng = np.random.default_rng(ss)
-        values = disorder.sample(rng, (n_steps, -(-width // law.period)))
+        values = disorder.fill(rng, np.empty((n_steps, -(-width // law.period))))
         field = SpaceTimeField(_embed(law, values, k_lo, width, junk), k_lo)
         z = _reference_z(law, field, beta, disorder)
         if mode == "free":
@@ -497,7 +497,7 @@ def test_sample_polymer_bit_identical_to_per_sample_loop(monkeypatch, mode, x, d
     # 396 = 6 * 66 values a block give groups of isqrt(6) = 2 samples and
     # 3-step blocks, and 6-step blocks for the last sample, so both splits
     # are crossed
-    monkeypatch.setattr(harness, "_FIELD_BLOCK_CELLS", 396)
+    monkeypatch.setattr(polymer, "_FIELD_BLOCK_CELLS", 396)
     z = harness.sample_polymer(SIMPLE, 0.7, 100, 5, 3, mode, x, disorder)
     assert np.array_equal(z, _reference_samples(SIMPLE, 0.7, 100, 5, 3, mode, x, disorder))
 
@@ -507,10 +507,34 @@ def test_sample_polymer_period_three_matches_per_sample_loop(monkeypatch, mode, 
     # the 100-site window [-59, 40] at N = 40 holds ceil(100 / 3) = 34 values a
     # step; 306 = 9 * 34 values a block give groups of 3 samples and 3-step
     # blocks, and 9-step blocks for the last sample
-    monkeypatch.setattr(harness, "_FIELD_BLOCK_CELLS", 306)
+    monkeypatch.setattr(polymer, "_FIELD_BLOCK_CELLS", 306)
     z = harness.sample_polymer(THREE, 0.7, 40, 4, 5, mode, x)
     ref = _reference_samples(THREE, 0.7, 40, 4, 5, mode, x, GAUSSIAN_DISORDER)
     assert np.array_equal(z, ref)
+
+
+def test_partition_batch_calls_its_source_block_by_block(monkeypatch):
+    # 3 fields of 17 steps on a 131-site window hold 66 sublattice values a
+    # step; 396 = 2 * 3 * 66 values a block give 2-step blocks, so the
+    # transfer calls its source ceil(17 / 2) = 9 times, the last for 1 step,
+    # each time with the same buffer of the transfer's own
+    monkeypatch.setattr(polymer, "_FIELD_BLOCK_CELLS", 396)
+    n, k_lo, width = 17, -65, 131
+    values = np.random.default_rng(4).standard_normal((3, n, 66))
+    calls = []
+
+    def source(n0, out):
+        calls.append((n0, out.shape, out.__array_interface__["data"][0]))
+        np.copyto(out, values[:, n0 : n0 + out.shape[1]])
+
+    z = polymer._partition_batch(SIMPLE, k_lo, 3, width, n, source, 0.6, mass_tol=1.0)
+    assert [c[:2] for c in calls] == [(n0, (3, 2, 66)) for n0 in range(0, 16, 2)] + [
+        (16, (3, 1, 66))]
+    assert len({c[2] for c in calls}) == 1
+    assert all(math.prod(c[1]) <= 396 for c in calls)
+    fields = [SpaceTimeField(_embed(SIMPLE, v, k_lo, width, np.zeros((n, width))), k_lo)
+              for v in values]
+    assert np.array_equal(z, [_partition(SIMPLE, f, 0.6, mass_tol=1.0) for f in fields])
 
 
 @pytest.mark.parametrize("mode", ["free", "point2point", "conditioned"])
