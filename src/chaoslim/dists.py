@@ -79,8 +79,14 @@ class Atoms:
         return float(amax + np.log(np.exp(a - amax).sum()))
 
     def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        np.copyto(out, rng.choice(self.values, size=out.shape, p=self.probs / self.probs.sum()))
-        return out
+        """The draws of ``rng.choice(values, out.shape, p=probs)``: a uniform
+        each, inverted through the cdf, without choice's uniform and value
+        arrays; ``out`` holds the uniforms, then the values."""
+        cdf = np.cumsum(self.probs / self.probs.sum())
+        cdf /= cdf[-1]
+        idx = cdf.searchsorted(rng.random(out=out), side="right")
+        # mode="raise" would gather into a temporary before writing out
+        return np.take(self.values, idx, out=out, mode="clip")
 
 
 RADEMACHER = Atoms(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -316,6 +317,54 @@ def _disorder(params: dict) -> Atoms | StdGaussian:
 
 _PINNING_CHUNK = 2000  # samples a Generator draws for sample_pinning
 _PINNING_HISTORY = 1 << 23  # the most history values one pinning transfer holds
+_POOL = None  # the disorder-draw worker pool, built on first use
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pool():
+    """The thread pool the disorder draws run on, one worker a CPU.  numpy
+    fills an array without the GIL, so draws on the workers overlap each
+    other and the transfer.  A worker calls only ``fill`` and numpy, so no
+    traced function runs off the main thread."""
+    global _POOL
+    if _POOL is None:
+        # imported here: the module costs 13 ms, which a run without samples skips
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="chaoslim-draw")
+    return _POOL
+
+
+def _prefetched(fill, n_steps: int):
+    """A block source for ``partition_function_batch`` that ``fill``s each
+    block on the pool while the transfer runs the block before.
+
+    The first call fills its block itself.  Every call then has the pool
+    fill the next block, min(k, N - n0 - k) steps, into one spare buffer,
+    and the next call waits for it and copies it in; so the same blocks are
+    drawn in the same order, and nothing past step N."""
+    spare, pending = None, None
+
+    def source(n0, out):
+        nonlocal spare, pending
+        k = out.shape[0]
+        if pending is None:
+            fill(out)
+            spare = np.empty_like(out)
+        else:
+            pending.result()
+            np.copyto(out, spare[:k])
+        ahead = min(k, n_steps - n0 - k)
+        pending = _pool().submit(fill, spare[:ahead]) if ahead > 0 else None
+
+    return source
 
 
 def sample_pinning(
@@ -333,10 +382,13 @@ def sample_pinning(
     Each chunk of _PINNING_CHUNK samples draws from its own spawned
     Generator and goes through one transfer call, which draws its disorder
     a 64-step block at a time, time-major: omega_n of every sample of the
-    chunk, then omega_{n+1}, each block filled straight into the transfer's
-    buffer.  So no (samples, N) omega is built; the memory is the
-    transfer's, (min(N, n_max) + 65) * rows floats of history plus 64 * rows
-    for the block and at most 64 * min(N, n_max) for the Toeplitz.
+    chunk, then omega_{n+1}.  So no (samples, N) omega is built; the memory
+    is the transfer's, (min(N, n_max) + 65) * rows floats of history plus
+    64 * rows for the block and as much for the next, and at most
+    64 * min(N, n_max) for the Toeplitz.  A worker thread draws block k + 1
+    while the transfer runs block k (see ``_prefetched``); one Generator
+    still draws the same blocks in the same order, so the samples do not
+    depend on the number of cores.
     Where the history would pass _PINNING_HISTORY values (67 MB), at
     min(N, n_max) above 4129, the chunk has fewer rows.  A block costs one
     (64 x min(N, n_max)) by (min(N, n_max) x rows) matrix product, or
@@ -349,12 +401,21 @@ def sample_pinning(
     streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / chunk))
     out = np.empty(n_samples)
     for pos, ss in zip(range(0, n_samples, chunk), streams):
-        rng = np.random.default_rng(ss)
+        source = _prefetched(partial(disorder.fill, np.random.default_rng(ss)), n_steps)
         rows = min(chunk, n_samples - pos)
         out[pos : pos + rows] = pinning.partition_function_batch(
-            law, lambda n0, block, rng=rng: disorder.fill(rng, block), rows, n_steps,
-            beta_n, h_n, mode, disorder)
+            law, source, rows, n_steps, beta_n, h_n, mode, disorder)
     return out
+
+
+def _fill_weights(disorder, rngs, block, beta: float, lam: float) -> None:
+    """Fill sample i of ``block`` from ``rngs[i]``, then turn the block into
+    the weights e^{beta omega - lam} in place."""
+    for rng, field in zip(rngs, block):
+        disorder.fill(rng, field)
+    block *= beta
+    block -= lam
+    np.exp(block, out=block)
 
 
 def _polymer_target(law: polymer.WalkLaw, n_steps: int, x: float) -> int:
@@ -384,15 +445,18 @@ def sample_polymer(
     a step, of which a step whose sublattice has one site fewer leaves the
     last unused. Sample i draws its field from the i-th Generator spawned from
     ``SeedSequence(seed)``. Groups of samples go through one batched
-    transfer loop, which takes their fields in time blocks of at most
+    transfer loop, which takes their weights in time blocks of at most
     polymer._FIELD_BLOCK_CELLS values; each sample fills its own contiguous
     part of a block straight from its own Generator, so no sample's whole
     (n_steps, width) field is held at once.
     A full block splits its cells about evenly between samples and steps:
     many samples a step keep the per-step overhead of the loop small, many
-    steps a draw keep the per-call overhead of the Generators small. Each
-    sample reads its own stream in time order, so the samples do not
-    depend on the grouping.
+    steps a draw keep the per-call overhead of the Generators small. The
+    samples of a block split into one contiguous range a worker thread,
+    and each worker fills its range and turns it into weights
+    e^{beta_N omega - Lambda(beta_N)} in place. Each sample reads its own
+    stream in time order, with the same elementwise arithmetic, so the
+    samples depend on neither the grouping nor the number of cores.
     """
     beta_n = polymer.scale_beta(law.alpha, beta_hat, n_steps)
     half = polymer._half_width(law, n_steps)
@@ -405,18 +469,23 @@ def sample_polymer(
     y = None if mode == "free" else _polymer_target(law, n_steps, x)
     width = k_hi - k_lo + 1
     group = max(1, math.isqrt(polymer._FIELD_BLOCK_CELLS // -(-width // law.period)))
+    lam = disorder.log_mgf(beta_n)
     streams = np.random.SeedSequence(seed).spawn(n_samples)
     out = np.empty(n_samples)
     for s0 in range(0, n_samples, group):
         rngs = [np.random.default_rng(ss) for ss in streams[s0 : s0 + group]]
+        parts = min(_cpu_count(), len(rngs))
+        ranges = [(len(rngs) * j // parts, len(rngs) * (j + 1) // parts) for j in range(parts)]
 
-        def draw(n0, block, rngs=rngs):
-            for rng, field in zip(rngs, block):
-                disorder.fill(rng, field)
+        def weights(n0, block, rngs=rngs, ranges=ranges):
+            tasks = [_pool().submit(_fill_weights, disorder, rngs[a:b], block[a:b], beta_n, lam)
+                     for a, b in ranges]
+            for err in [t.exception() for t in tasks]:  # waits for every worker first
+                if err is not None:
+                    raise err
 
         out[s0 : s0 + len(rngs)] = polymer._partition_batch(
-            law, k_lo, len(rngs), width, n_steps, draw, beta_n, mode, y, disorder, mass_tol
-        )
+            law, k_lo, len(rngs), width, n_steps, weights, mode, y, mass_tol)
     return out
 
 

@@ -370,25 +370,24 @@ def _partition_batch(
     rows: int,
     width: int,
     n_steps: int,
-    omega,
-    beta: float,
+    weights,
     mode: str = "free",
     y: int | None = None,
-    disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
     mass_tol: float = 1e-8,
 ) -> np.ndarray:
     """Partition functions of ``rows`` disorder fields of N = ``n_steps``
     steps on the spatial window [k_lo, k_lo + width).
 
     A law of period p and residue r reaches at step n only the sites
-    k = r n (mod p), so a field holds values only there. ``omega(n0, out)``
-    writes steps n0+1..n0+k of every field into the transfer's own
-    sample-major (rows, k, ceil(width / p)) block buffer ``out``, of at most
-    _FIELD_BLOCK_CELLS values, once a block, in time order: entry [s, j, i]
-    is omega(n0+1+j, k_lo + off_n + i p) of field s, where
-    off_n = (r n - k_lo) mod p. A step whose sublattice has one site fewer
-    leaves its last entry unused. The weights e^{beta omega - Lambda(beta)}
-    then overwrite the block.
+    k = r n (mod p), so a field holds values only there. ``weights(n0, out)``
+    writes the site weights of steps n0+1..n0+k of every field into the
+    transfer's own sample-major (rows, k, ceil(width / p)) block buffer
+    ``out``, of at most _FIELD_BLOCK_CELLS values, once a block, in time
+    order: entry [s, j, i] is the weight, e^{beta omega - Lambda(beta)} for
+    a sampled field, of site k_lo + off_n + i p at step n = n0+1+j of field
+    s, where off_n = (r n - k_lo) mod p. A step whose sublattice has one
+    site fewer leaves its last entry unused. The transfer reads the block
+    and may then overwrite it.
 
     All rows advance together, one step at a time, through the transfer
     recursion z_n(y) = sum_x z_{n-1}(x) p(y-x) w_n(y). The rows lie end to
@@ -411,7 +410,6 @@ def _partition_batch(
         raise InputError("field window must contain the origin")
     if not mass_tol >= 0.0:
         raise InputError(f"mass_tol = {mass_tol!r} must be >= 0")
-    lam = disorder.log_mgf(beta)
     inc = _dense(law)
     stride = width + max(-inc.lo, inc.lo + inc.probs.size - 1)  # a row and its gap
     flat = np.zeros((rows + 1) * stride)  # row `rows` is the bare walk
@@ -422,10 +420,7 @@ def _partition_batch(
     buf = np.empty((rows, min(steps, n_steps), cols))
     for n0 in range(0, n_steps, steps):
         block = buf[:, : min(steps, n_steps - n0)]
-        omega(n0, block)
-        block *= beta
-        block -= lam
-        np.exp(block, out=block)
+        weights(n0, block)
         for n, w in enumerate(block.swapaxes(0, 1), n0 + 1):
             # entry k of row r lands at flat index r * stride + k - inc.lo
             flat = np.convolve(flat, inc.probs)[-inc.lo : -inc.lo + flat.size]
@@ -454,10 +449,10 @@ def _partition_batch(
     return z[:, idx] / qy
 
 
-def _sublattice_source(law: WalkLaw, omega: SpaceTimeField):
+def _sublattice_source(law: WalkLaw, omega: SpaceTimeField, beta: float):
     """The block source ``_partition_batch`` reads of the one field
-    ``omega``: its values on the walk's sublattice, the only sites the
-    transfer reads."""
+    ``omega``: its Gaussian weights e^{beta omega - beta^2 / 2} on the walk's
+    sublattice, the only sites the transfer reads."""
     p, res = law.period, law.residue
     n_steps, width = omega.values.shape
     cols = -(-width // p)
@@ -465,6 +460,9 @@ def _sublattice_source(law: WalkLaw, omega: SpaceTimeField):
     padded[:, :width] = omega.values
     offs = (res * np.arange(1, n_steps + 1) - omega.k_lo) % p
     block = np.take_along_axis(padded, offs[:, None] + p * np.arange(cols), axis=1)[None]
+    block *= beta
+    block -= GAUSSIAN_DISORDER.log_mgf(beta)
+    np.exp(block, out=block)
     return lambda n0, out: np.copyto(out, block[:, n0 : n0 + out.shape[1]])
 
 
@@ -479,7 +477,7 @@ def polymer_partition(law: WalkLaw, omega: SpaceTimeField, beta: float) -> float
     """
     n_steps, width = omega.values.shape
     return float(_partition_batch(law, omega.k_lo, 1, width, n_steps,
-                                  _sublattice_source(law, omega), beta)[0])
+                                  _sublattice_source(law, omega, beta))[0])
 
 
 # ---------------------------------------------------------------------------

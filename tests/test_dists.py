@@ -48,3 +48,17 @@ def test_atoms_log_mgf_matches_high_precision():
                 ref = mpmath.log(sum(mpmath.mpf(float(p)) * mpmath.exp(t * mpmath.mpf(float(v)))
                                      for v, p in zip(law.values, law.probs)))
             assert abs(law.log_mgf(t) - ref) <= 1e-15 * abs(ref), (law, t)
+
+
+@pytest.mark.parametrize("law", [RADEMACHER, Atoms([-1.0, 2.0, 0.5], [0.2, 0.3, 0.5]),
+                                 Atoms([0.0, 1.0, 3.0, 7.0], [0.1, 0.0, 0.6, 0.3])],
+                         ids=["rademacher", "three-atom", "zero-prob-atom"])
+@pytest.mark.parametrize("shape", [(1,), (7,), (13, 5), (4, 3, 17)])
+def test_atoms_fill_draws_what_rng_choice_draws(law, shape):
+    # the draws rng.choice made before fill inverted the cdf itself
+    for seed in range(3):
+        ref = np.random.default_rng(seed).choice(law.values, size=shape,
+                                                 p=law.probs / law.probs.sum())
+        out = np.empty(shape)
+        assert law.fill(np.random.default_rng(seed), out) is out
+        assert np.array_equal(out, ref)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from scipy.special import ndtr
 
 from chaoslim import cli, dists, harness, ising, pinning, polymer
-from chaoslim.errors import InputError
+from chaoslim.errors import InputError, NumericError
 from chaoslim.harness import (
     ComparisonReport,
     ExperimentConfig,
@@ -319,9 +320,10 @@ def test_lindeberg_audit_rademacher_vs_gaussian():
 
 def test_lindeberg_audit_draws_zeta_in_bounded_chunks():
     # 3000 x 1024 zeta values come in chunks of 1024 rows (2^20 values):
-    # the chunk and rng.choice's temporaries, under 5 * 8 MB, in place of
-    # the whole matrix and its temporaries, 74 MB.  The chunks split the
-    # same stream of draws, so the distance is the one-matrix distance
+    # the chunk and the fill's int64 atom indices, 2 * 8 MB, under 3 * 8 MB,
+    # in place of the whole matrix and its temporaries, 74 MB.  The chunks
+    # split the same stream of draws, so the distance is the one-matrix
+    # distance
     cfg = ExperimentConfig(model="lindeberg", params={"M": math.inf}, grid=(1024,),
                            samples=3000, seed=5)
     tracemalloc.start()
@@ -330,7 +332,7 @@ def test_lindeberg_audit_draws_zeta_in_bounded_chunks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 8 * 2**20
+    assert peak < 3 * 8 * 2**20
     rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
     zeta = dists.RADEMACHER.fill(rng, np.empty((3000, 1024))).sum(axis=1) / 32.0
     xi = dists.GAUSSIAN_DISORDER.fill(rng, np.empty(3000))
@@ -361,6 +363,118 @@ def test_lindeberg_audit_heavy_tailed_finite_m():
     bound_rows = [r for r in report.rows if r.quantity == "bound_vs_ci"]
     assert bound_rows[0].oracle is not None and math.isfinite(bound_rows[0].oracle)
     assert bound_rows[0].passed
+
+
+# ---------------------------------------------------------------------------
+# disorder draws on the worker pool
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """Call with a worker count to rebuild the draw pool at that size for
+    the rest of the test, whose threads then switch every 10 us; the pools
+    built are shut down after it."""
+    pools = []
+    interval = sys.getswitchinterval()
+
+    def build(workers):
+        monkeypatch.setattr(harness, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(harness, "_POOL", None)
+        pools.append(harness._pool())
+        sys.setswitchinterval(1e-5)
+
+    try:
+        yield build
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in pools:
+            pool.shutdown()
+
+
+DISORDERS = pytest.mark.parametrize("disorder", [dists.GAUSSIAN_DISORDER, dists.RADEMACHER],
+                                    ids=["gaussian", "rademacher"])
+POLYMER_MODES = [("free", 0.0), ("point2point", 0.3), ("conditioned", -0.2)]
+
+
+@DISORDERS
+@pytest.mark.parametrize("mode,x", POLYMER_MODES, ids=[m for m, _ in POLYMER_MODES])
+@pytest.mark.parametrize("cells", [396, 4620], ids=["groups-of-2", "10-step-blocks"])
+def test_sample_polymer_does_not_depend_on_the_worker_count(monkeypatch, pool_of, cells,
+                                                            mode, x, disorder):
+    # at N = 100 a field holds 66 sublattice values a step: 396 values a
+    # block give groups of 2 samples in 3-step blocks, 4620 one group of 7
+    # in 10-step blocks, which 3 workers split 2 + 2 + 3
+    monkeypatch.setattr(polymer, "_FIELD_BLOCK_CELLS", cells)
+    law = polymer.WalkLaw.simple_symmetric()
+    ref = harness.sample_polymer(law, 0.7, 100, 7, 3, mode, x, disorder)
+    for workers in (1, 3):
+        pool_of(workers)
+        assert np.array_equal(harness.sample_polymer(law, 0.7, 100, 7, 3, mode, x, disorder),
+                              ref), workers
+
+
+@DISORDERS
+@pytest.mark.parametrize("mode", ["conditioned", "free"])
+def test_sample_pinning_does_not_depend_on_the_worker_count(pool_of, mode, disorder):
+    # 2100 samples cross the 2000-sample chunk; N = 300 ends in a 44-step
+    # block and N = 40 has one block, which nothing draws ahead
+    laws = [(pinning.RenewalLaw.from_probabilities([0.5, 0.5]), 300),
+            (pinning.RenewalLaw.from_probabilities([0.5, 0.5]), 40),
+            (pinning.RenewalLaw.heavy_tail(0.75, 20000), 700)]
+    refs = [harness.sample_pinning(law, 1.0, 0.4, n, 2100, 3, mode, disorder)
+            for law, n in laws]
+    for workers in (1, 3):
+        pool_of(workers)
+        for (law, n), ref in zip(laws, refs):
+            got = harness.sample_pinning(law, 1.0, 0.4, n, 2100, 3, mode, disorder)
+            assert np.array_equal(got, ref), (workers, law.n_max, n)
+
+
+def test_sample_pinning_draws_each_block_once_in_time_order():
+    # the first block on the caller's thread, each later one ahead on the
+    # pool, and nothing past step N: 300 = 4 * 64 + 44
+    drawn = []
+
+    class Counted(dists.StdGaussian):
+        def fill(self, rng, out):
+            drawn.append(out.shape)
+            return super().fill(rng, out)
+
+    renewal = pinning.RenewalLaw.from_probabilities([0.5, 0.5])
+    harness.sample_pinning(renewal, 1.0, 0.0, 300, 30, 1, disorder=Counted())
+    assert drawn == [(64, 30)] * 4 + [(44, 30)]
+
+
+class _FailsOnWorkers(dists.StdGaussian):
+    """A Gaussian law whose draws off the main thread raise, and which keeps
+    the errors it raised."""
+
+    def __init__(self):
+        self.raised = []
+
+    def fill(self, rng, out):
+        if threading.current_thread() is threading.main_thread():
+            return super().fill(rng, out)
+        self.raised.append(NumericError("drawn on a worker"))
+        raise self.raised[-1]
+
+
+def test_a_worker_error_reaches_the_caller():
+    law = polymer.WalkLaw.simple_symmetric()
+    renewal = pinning.RenewalLaw.from_probabilities([0.5, 0.5])
+    before = (harness.sample_polymer(law, 0.5, 60, 5, 1),
+              harness.sample_pinning(renewal, 1.0, 0.0, 200, 30, 1))
+    for sample in (lambda d: harness.sample_polymer(law, 0.5, 60, 5, 1, disorder=d),
+                   lambda d: harness.sample_pinning(renewal, 1.0, 0.0, 200, 30, 1,
+                                                    disorder=d)):
+        failing = _FailsOnWorkers()
+        with pytest.raises(NumericError) as err:
+            sample(failing)
+        assert any(err.value is raised for raised in failing.raised)
+    after = (harness.sample_polymer(law, 0.5, 60, 5, 1),
+             harness.sample_pinning(renewal, 1.0, 0.0, 200, 30, 1))
+    assert all(map(np.array_equal, before, after))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 imports a name it never uses, no private helper of the package is left
 without a reader, no public name, method or field beyond a shrinking list is
 read by tests alone, no defaulted parameter beyond another is set by tests
-alone, and a study of any model loads no scipy module."""
+alone, a study of any model loads no scipy module, and importing the
+package builds no worker pool."""
 
 import ast
 import json
@@ -283,6 +284,16 @@ def test_import_loads_no_heavy_scipy_subpackage():
              "scipy.special")
     probe = ("import sys, chaoslim, chaoslim.cli; "
              f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, timeout=60, check=True)
+    assert result.stdout.split() == []
+
+
+def test_import_loads_no_worker_pool_module():
+    # the samplers' draw pool imports concurrent.futures (13 ms) when first built
+    probe = ("import sys, chaoslim, chaoslim.cli; "
+             "print(*(m for m in sys.modules if m.startswith('concurrent')))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=env, timeout=60, check=True)

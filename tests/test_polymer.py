@@ -272,13 +272,29 @@ def test_scale_beta_values():
 # ---------------------------------------------------------------------------
 
 
+def _weight_source(law, field, beta, disorder=GAUSSIAN_DISORDER):
+    """The weights e^{beta omega - Lambda(beta)} of one field on the walk's
+    sublattice: the Gaussian ones ``polymer_partition`` passes, times
+    e^{beta^2 / 2 - Lambda(beta)} for another disorder law."""
+    source = polymer._sublattice_source(law, field, beta)
+    if disorder is GAUSSIAN_DISORDER:
+        return source
+    factor = math.exp(GAUSSIAN_DISORDER.log_mgf(beta) - disorder.log_mgf(beta))
+
+    def weights(n0, out):
+        source(n0, out)
+        out *= factor
+
+    return weights
+
+
 def _partition(law, field, beta, mode="free", y=None, disorder=GAUSSIAN_DISORDER,
                mass_tol=1e-8):
     """Z of one field in any mode, by the batched transfer that
     ``sample_polymer`` runs, on the one-row source ``polymer_partition`` passes."""
     return float(polymer._partition_batch(
         law, field.k_lo, 1, field.values.shape[1], field.values.shape[0],
-        polymer._sublattice_source(law, field), beta, mode, y, disorder, mass_tol)[0])
+        _weight_source(law, field, beta, disorder), mode, y, mass_tol)[0])
 
 
 def _brute_partition(law, field, beta, mode, y=None, disorder=GAUSSIAN_DISORDER):
@@ -521,13 +537,14 @@ def test_partition_batch_calls_its_source_block_by_block(monkeypatch):
     monkeypatch.setattr(polymer, "_FIELD_BLOCK_CELLS", 396)
     n, k_lo, width = 17, -65, 131
     values = np.random.default_rng(4).standard_normal((3, n, 66))
+    weights = np.exp(0.6 * values - GAUSSIAN_DISORDER.log_mgf(0.6))
     calls = []
 
     def source(n0, out):
         calls.append((n0, out.shape, out.__array_interface__["data"][0]))
-        np.copyto(out, values[:, n0 : n0 + out.shape[1]])
+        np.copyto(out, weights[:, n0 : n0 + out.shape[1]])
 
-    z = polymer._partition_batch(SIMPLE, k_lo, 3, width, n, source, 0.6, mass_tol=1.0)
+    z = polymer._partition_batch(SIMPLE, k_lo, 3, width, n, source, mass_tol=1.0)
     assert [c[:2] for c in calls] == [(n0, (3, 2, 66)) for n0 in range(0, 16, 2)] + [
         (16, (3, 1, 66))]
     assert len({c[2] for c in calls}) == 1
