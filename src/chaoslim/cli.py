@@ -1,5 +1,6 @@
-"""Command-line entry point: ``chaoslim <model> [flags]`` and
-``chaoslim run --config file.json``.
+"""Command-line entry point: ``chaoslim {pinning,polymer,ising} [flags]``
+writes partition-function samples to CSV, and ``chaoslim run --config
+file.json`` runs a study of any model, ``tilt`` included.
 
 Data goes to CSV, verdicts to JSON; the exit code is 0 only when every
 asserted criterion in the run passes.
@@ -8,20 +9,20 @@ asserted criterion in the run passes.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 import numpy as np
 
-from . import harness, ising, tilting
-from .dists import Atoms
+from . import harness, ising
 from .errors import ChaoslimError, InputError
 
 
-def _check_samples(args, least: int) -> None:
+def _check_counts(args, least: int) -> None:
     if args.samples < least:
         raise InputError(f"--samples must be >= {least}, got {args.samples}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _floats(text: str, flag: str) -> list[float]:
@@ -56,7 +57,7 @@ def _write_samples(args, fixed: dict, z: np.ndarray, lower: str) -> int:
 
 
 def _cmd_pinning(args) -> int:
-    _check_samples(args, 2)
+    _check_counts(args, 2)
     if args.alpha is None:
         params = {"probs": _floats(args.probs, "--probs")}
     else:
@@ -68,7 +69,7 @@ def _cmd_pinning(args) -> int:
 
 
 def _cmd_polymer(args) -> int:
-    _check_samples(args, 2)
+    _check_counts(args, 2)
     law = harness.polymer_law({"alpha": args.alpha, "gamma": args.gamma,
                                "window": args.window})
     with _quiet_numerics():
@@ -82,7 +83,7 @@ def _cmd_polymer(args) -> int:
 
 
 def _cmd_ising(args) -> int:
-    _check_samples(args, 1)
+    _check_counts(args, 1)
     domain = ising.Rect(0.0, 0.0, args.width, args.height)
     profiles = ising.FieldProfiles(
         args.lambda_hat_const, args.h_hat_const, domain, args.delta
@@ -90,50 +91,6 @@ def _cmd_ising(args) -> int:
     with _quiet_numerics():
         z = harness.sample_ising(profiles, args.samples, args.seed)
     return _write_samples(args, {"seed": args.seed, "delta": args.delta}, z, "lam_hat")
-
-
-def _cmd_tilt(args) -> int:
-    try:
-        with open(args.atoms, "r", encoding="utf-8") as fh:
-            lines = list(fh)
-    except OSError as err:
-        raise InputError(f"cannot read atoms file: {err}") from None
-    values, probs = [], []
-    for number, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#") or line.lower().startswith("value"):
-            continue
-        try:
-            v, p = (float(x) for x in line.split(","))
-        except ValueError:
-            raise InputError(
-                f"{args.atoms} line {number}: expected value,prob, got {line!r}") from None
-        values.append(v)
-        probs.append(p)
-    atoms = Atoms(np.array(values), np.array(probs))
-    p_list = tuple(_floats(args.p, "--p"))
-    result = tilting.tilt_zero_mean(atoms, args.interval)
-    bounds = tilting.verify_tilt_bounds(result, atoms, p_list)
-    payload = {
-        "interval": result.interval,
-        "A": result.a_level,
-        "epsilon": result.epsilon,
-        "lambda": result.lam,
-        "log_normalizer": result.log_normalizer,
-        "density": result.density.tolist(),
-        "tilted_values": result.tilted.values.tolist(),
-        "tilted_probs": result.tilted.probs.tolist(),
-        "bounds": [
-            {"name": name, "p": p_exp, "lhs": lhs, "rhs": rhs, "holds": ok}
-            for name, p_exp, lhs, rhs, ok in bounds.rows
-        ],
-        "all_bounds_hold": bounds.all_hold,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    print(f"tilt: lambda = {result.lam:.12g}, all bounds hold: {bounds.all_hold}")
-    return 0 if bounds.all_hold else 1
 
 
 def _cmd_run(args) -> int:
@@ -198,15 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="ising.csv")
     p.set_defaults(func=_cmd_ising)
-
-    p = sub.add_parser("tilt", help="exponentially tilt an atom law to zero mean")
-    p.add_argument("--atoms", required=True, help="CSV of value,prob rows")
-    p.add_argument("--interval", choices=["two-sided", "one-sided"],
-                   default="two-sided")
-    p.add_argument("--p", default="2,0.5,-1",
-                   help="density-moment exponents to verify")
-    p.add_argument("--out", default="tilt_report.json")
-    p.set_defaults(func=_cmd_tilt)
 
     p = sub.add_parser("run", help="run a convergence study from a JSON config")
     p.add_argument("--config", required=True)

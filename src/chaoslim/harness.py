@@ -163,6 +163,8 @@ class ExperimentConfig:
             diffs = np.diff(np.asarray(grid, dtype=float))
             if not (np.all(diffs > 0) or np.all(diffs < 0)):
                 raise InputError("grid must be strictly monotone")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         # 0 samples gives exact rows only; 1 sample gives a nan standard error
         least = 2 if self.model in _SAMPLE_ONLY else 0
         if self.samples < least or self.samples == 1:
@@ -184,10 +186,14 @@ class ExperimentConfig:
             raise InputError(f"cannot read config {path}: {err}") from None
         if not isinstance(raw, dict) or "model" not in raw:
             raise InputError(f"config {path} must be a JSON object with a \"model\" key")
-        try:
-            samples, seed = int(raw.get("samples", 0)), int(raw.get("seed", 0))
-        except (TypeError, ValueError):
-            raise InputError(f"config {path}: samples and seed must be integers") from None
+        counts = []
+        for key in ("samples", "seed"):
+            value = raw.get(key, 0)
+            if not (isinstance(value, numbers.Integral)
+                    or isinstance(value, float) and value.is_integer()):
+                raise InputError(f"config {path}: {key} must be an integer, got {value!r}")
+            counts.append(int(value))
+        samples, seed = counts
         for key in ("out_csv", "out_json"):
             if not isinstance(raw.get(key), (str, type(None))):
                 raise InputError(f"config {path}: {key} must be a path or null, got {raw[key]!r}")
@@ -543,6 +549,18 @@ def _ising_mean(profiles: ising.FieldProfiles, disorder: Atoms | StdGaussian) ->
 # ---------------------------------------------------------------------------
 
 
+def _mean_row(grid_value, quantity: str, z: np.ndarray, oracle=None) -> ReportRow:
+    """The sample mean of ``z`` with its standard error; given the exact
+    mean ``oracle``, judged to lie within 3 s.e. of it."""
+    mean = float(z.mean())
+    se = float(z.std(ddof=1) / math.sqrt(z.size))
+    if oracle is None:
+        return ReportRow(grid_value, quantity, mean, se, None, None, "mc-ci")
+    gap = abs(mean - oracle)
+    return ReportRow(grid_value, quantity, mean, se, oracle, gap, "mc-ci",
+                     gap <= 3 * se, "3 s.e. (calibration)")
+
+
 def _pinning_study(config):
     params = config.params
     law = pinning_law(params)
@@ -560,8 +578,7 @@ def _pinning_study(config):
         if config.samples > 0:
             z = sample_pinning(law, beta_hat, h_hat, n_steps, config.samples,
                                stream_seed, mode, disorder)
-            se = float(z.std(ddof=1) / math.sqrt(z.size))
-            rows.append(ReportRow(n_steps, "mean_Z", float(z.mean()), se, None, None, "mc-ci"))
+            rows.append(_mean_row(n_steps, "mean_Z", z))
             if law.regime == "finite_mean":
                 drift, vol = pinning.lognormal_limit_law(law, beta_hat, h_hat)
                 if vol == 0.0:
@@ -598,10 +615,7 @@ def _polymer_study(config):
                                mode, x, disorder, mass_tol=mass_tol)
             mean_z = (polymer.walk_pmf(law, n_steps)[_polymer_target(law, n_steps, x)]
                       if mode == "point2point" else 1.0)
-            se = float(z.std(ddof=1) / math.sqrt(z.size))
-            gap = abs(float(z.mean()) - mean_z)
-            rows.append(ReportRow(n_steps, "mean_Z", float(z.mean()), se, mean_z, gap,
-                                  "mc-ci", gap <= 3 * se, "3 s.e. (calibration)"))
+            rows.append(_mean_row(n_steps, "mean_Z", z, mean_z))
         return rows
 
     return point
@@ -622,12 +636,8 @@ def _ising_study(config):
     def point(delta, stream_seed) -> list[ReportRow]:
         profiles = ising.FieldProfiles(lam_hat, h_hat, domain, float(delta))
         z = sample_ising(profiles, config.samples, stream_seed, disorder)
-        mean_z = _ising_mean(profiles, disorder)
-        se = float(z.std(ddof=1) / math.sqrt(z.size))
-        gap = abs(float(z.mean()) - mean_z)
         return [
-            ReportRow(delta, "mean_rescaled_Z", float(z.mean()), se, mean_z, gap, "mc-ci",
-                      gap <= 3 * se, "3 s.e. (calibration)"),
+            _mean_row(delta, "mean_rescaled_Z", z, _ising_mean(profiles, disorder)),
             ReportRow(delta, "var_rescaled_Z", float(z.var(ddof=1)), None, None, None, "mc-ci"),
         ]
 
@@ -777,9 +787,30 @@ def lindeberg_audit(config: ExperimentConfig) -> ComparisonReport:
     return report
 
 
+def _ks_settles(ks, samples: int) -> bool:
+    """KS values along the grid that all sit within the noise floor of each
+    other show no trend to judge; otherwise they must not rise beyond it."""
+    noise = 1.0 / math.sqrt(samples)
+    return max(ks) - min(ks) <= 2.0 * noise or trend_nonincreasing(ks, [noise] * len(ks))
+
+
+# the quantity whose rows a trend row judges ->
+# (trend row, the column it judges, rule(values, samples), tolerance); the
+# trend row sits at the last grid value with the last judged value, and takes
+# the provenance of the rows it judges
+_TRENDS = {
+    "second_moment": ("second_moment_gap_trend", "gap",
+                      lambda gaps, samples: trend_nonincreasing(gaps),
+                      "nonincreasing (calibration)"),
+    "ks_lognormal": ("ks_trend", "value", _ks_settles,
+                     "spread <= 2/sqrt(samples) or nonincreasing within 1/sqrt(samples)"),
+}
+
+
 def _grid_report(study, config: ExperimentConfig) -> ComparisonReport:
     """Set up ``study`` once, run the ``point(grid_value, stream_seed)`` it
-    returns at each grid point, in grid order, and attach trend verdicts."""
+    returns at each grid point, in grid order, and add the trend row of each
+    ``_TRENDS`` quantity that has at least two rows."""
     point = study(config)
     report = ComparisonReport(config.model)
     child_seeds = [int(s.generate_state(1)[0]) for s in
@@ -787,23 +818,14 @@ def _grid_report(study, config: ExperimentConfig) -> ComparisonReport:
     for grid_value, stream_seed in zip(config.grid, child_seeds):
         report.rows.extend(point(grid_value, stream_seed))
 
-    gaps = [(r.grid_value, r.gap) for r in report.rows
-            if r.quantity == "second_moment" and r.gap is not None]
-    if len(gaps) >= 2:
-        ok = trend_nonincreasing([g for _, g in gaps])
-        report.rows.append(ReportRow(gaps[-1][0], "second_moment_gap_trend",
-                                     gaps[-1][1], None, None, None, "dp-exact",
-                                     ok, "nonincreasing (calibration)"))
-    ks_rows = [(r.grid_value, r.value) for r in report.rows if r.quantity == "ks_lognormal"]
-    if len(ks_rows) >= 2:
-        ks = [v for _, v in ks_rows]
-        noise = 1.0 / math.sqrt(config.samples)
-        # values that all sit within the noise floor of each other show no trend to judge
-        ok = max(ks) - min(ks) <= 2.0 * noise or trend_nonincreasing(ks, [noise] * len(ks))
-        report.rows.append(ReportRow(ks_rows[-1][0], "ks_trend", ks_rows[-1][1],
-                                     None, None, None, "mc-ci", ok,
-                                     "spread <= 2/sqrt(samples) or nonincreasing "
-                                     "within 1/sqrt(samples)"))
+    for quantity, (name, column, rule, tolerance) in _TRENDS.items():
+        judged = [r for r in report.rows if r.quantity == quantity]
+        if len(judged) >= 2:
+            values = [getattr(r, column) for r in judged]
+            last = judged[-1]
+            report.rows.append(ReportRow(last.grid_value, name, values[-1], None, None, None,
+                                         last.provenance, rule(values, config.samples),
+                                         tolerance))
     return report
 
 

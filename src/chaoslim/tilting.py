@@ -58,7 +58,6 @@ class TiltResult:
     a_level: float
     epsilon: float
     lam: float
-    log_normalizer: float
     density: np.ndarray
     tilted: Atoms
     source: Atoms
@@ -160,7 +159,6 @@ def tilt_zero_mean(dist: Atoms, interval: str = "two-sided") -> TiltResult:
         a_level=a_level,
         epsilon=eps,
         lam=lam,
-        log_normalizer=log_f_norm,
         density=density_out,
         tilted=tilted,
         source=dist,
@@ -177,7 +175,6 @@ def tilt_zero_mean(dist: Atoms, interval: str = "two-sided") -> TiltResult:
 @dataclass(frozen=True)
 class BoundReport:
     rows: tuple
-    all_hold: bool
 
 
 def verify_tilt_bounds(result: TiltResult, dist: Atoms, p_list=(2.0, 0.5, -1.0)) -> BoundReport:
@@ -217,4 +214,4 @@ def verify_tilt_bounds(result: TiltResult, dist: Atoms, p_list=(2.0, 0.5, -1.0))
     lam_cap = 1.0 / (27.0 * a_level)
     rows.append(("tilt_size", None, abs(result.lam), lam_cap, abs(result.lam) <= lam_cap))
 
-    return BoundReport(tuple(rows), all(r[-1] for r in rows))
+    return BoundReport(tuple(rows))
