@@ -19,8 +19,9 @@ from .errors import ChaoslimError, InputError
 
 
 def _check_counts(args, least: int) -> None:
-    if args.samples < least:
-        raise InputError(f"--samples must be >= {least}, got {args.samples}")
+    if not least <= args.samples <= harness.MAX_SAMPLES:
+        raise InputError(f"--samples must lie in [{least}, {harness.MAX_SAMPLES}], "
+                         f"got {args.samples}")
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
 
@@ -46,12 +47,11 @@ def _write_samples(args, fixed: dict, z: np.ndarray, lower: str) -> int:
     domain error, and no file is written.
     """
     harness.positive_samples(z, lower)
+    prefix = "".join((repr(float(v)) if isinstance(v, float) else str(v)) + ","
+                     for v in fixed.values())
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(",".join([*fixed, "Z", "logZ"]) + "\n")
-        for v in z:
-            row = (*fixed.values(), v, math.log(v))
-            fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
+        fh.writelines(f"{prefix}{v!r},{math.log(v)!r}\n" for v in z.tolist())
     print(f"{args.command}: wrote {z.size} samples to {args.out} (mean Z = {z.mean():.6f})")
     return 0
 

@@ -125,6 +125,10 @@ def trend_nonincreasing(values, noises=None) -> bool:
 # ---------------------------------------------------------------------------
 
 _SAMPLE_ONLY = ("ising", "wiener", "lindeberg")  # models whose every row needs samples
+# the most samples a study grid point or a sampler command draws, checked
+# before any seed is spawned or array allocated: ten times the largest
+# shipped study
+MAX_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -170,6 +174,8 @@ class ExperimentConfig:
         if self.samples < least or self.samples == 1:
             allowed = ">= 2" if least else "0 or >= 2"
             raise InputError(f"{self.model} studies need samples {allowed}, got {self.samples}")
+        if self.samples > MAX_SAMPLES:
+            raise InputError(f"samples must be <= {MAX_SAMPLES}, got {self.samples}")
         # finite-mean pinning samples feed the ks_lognormal and ks_trend rows
         if (self.model == "pinning" and self.params.get("law", "finite_mean") == "finite_mean"
                 and 0 < self.samples < 100):
@@ -389,21 +395,29 @@ def sample_pinning(
     Generator and goes through one transfer call, which draws its disorder
     a 64-step block at a time, time-major: omega_n of every sample of the
     chunk, then omega_{n+1}.  So no (samples, N) omega is built; the memory
-    is the transfer's, (min(N, n_max) + 65) * rows floats of history plus
-    64 * rows for the block and as much for the next, and at most
-    64 * min(N, n_max) for the Toeplitz.  A worker thread draws block k + 1
-    while the transfer runs block k (see ``_prefetched``); one Generator
-    still draws the same blocks in the same order, so the samples do not
-    depend on the number of cores.
-    Where the history would pass _PINNING_HISTORY values (67 MB), at
-    min(N, n_max) above 4129, the chunk has fewer rows.  A block costs one
-    (64 x min(N, n_max)) by (min(N, n_max) x rows) matrix product, or
-    (64 + 2J) * 64 per row for an alpha law with n_max > N from N of about
-    520, plus 64 steps over in-block lags.
+    is the transfer's, hist + 65 rows a sample of history and block by
+    ``pinning._far_history``, plus 64 * rows for the block and as much for
+    the next, and at most 64 * min(N, n_max) for the Toeplitz.  A worker
+    thread draws block k + 1 while the transfer runs block k (see
+    ``_prefetched``); one Generator still draws the same blocks in the same
+    order, so the samples do not depend on the number of cores.
+    Where those rows would pass _PINNING_HISTORY values (67 MB), the chunk
+    has fewer samples.  Only the Toeplitz holds that much, min(N, n_max) + 65
+    rows, above min(N, n_max) = 4129; it costs one (64 x min(N, n_max)) by
+    (min(N, n_max) x rows) matrix product a block.  An alpha law with
+    n_max >= N takes the sum of exponentials from N of about 520 on, which
+    holds 129 rows and (64 + 2J) * 64 per row a block, so its chunks keep
+    _PINNING_CHUNK samples at any N.  Either way a block adds 64 steps over
+    in-block lags.
     """
     beta_n, h_n = pinning.scale_couplings(law, beta_hat, h_hat, n_steps)
     pinning._check_cap(n_steps)
-    chunk = min(_PINNING_CHUNK, max(1, _PINNING_HISTORY // (min(n_steps, law.n_max) + 65)))
+    # the Toeplitz's rows bound those of either path, so only where they
+    # would cap a chunk does the sum of exponentials need fitting
+    rows = min(n_steps, law.n_max) + 65
+    if rows * _PINNING_CHUNK > _PINNING_HISTORY:
+        rows = pinning._far_history(law.probs, n_steps)[0] + 65
+    chunk = min(_PINNING_CHUNK, max(1, _PINNING_HISTORY // rows))
     streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / chunk))
     out = np.empty(n_samples)
     for pos, ss in zip(range(0, n_samples, chunk), streams):
@@ -704,8 +718,10 @@ def pinning_alpha_reference(
     finite lattice has a finite series, so nothing is truncated.  K is a
     power m^{-p} with p = 1 - alpha; at alpha = 3/4 the sum of exponentials
     of ``pinning._renewal_solve`` needs J ~ 550 terms, so the solve keeps
-    the (64 x M) block Toeplitz up to M of about 2300, and 5,000 rows take
-    about 1 s at M = 2048.  The same solve on K^2 with weight (beta_hat c_alpha)^2 / M gives the exact grid
+    the (64 x M) block Toeplitz and M + 65 history rows a sample up to M of
+    about 2300, and 5,000 rows take about 1 s at M = 2048.  Past it the
+    solve holds 129 rows a sample and J accumulators.  It returns x(M)
+    alone.  The same solve on K^2 with weight (beta_hat c_alpha)^2 / M gives the exact grid
     E Z^2; at alpha = 3/4 the grid variance is 0.912 of the continuum value
     at M = 128, a deficit that falls like M^{-(2 alpha - 1)}.
     """
@@ -714,7 +730,7 @@ def pinning_alpha_reference(
     w = beta_hat * pinning.c_alpha(alpha) * wiener.sample_noise_batch(cells, seed, n_samples)
     w[:, -1] = 1.0
     kernel = np.append(0.0, (np.arange(1, cells + 1) / cells) ** (alpha - 1.0))
-    return pinning._renewal_solve(kernel, cells, pinning._array_omega(w), n_samples)[:, -1]
+    return pinning._renewal_solve(kernel, cells, pinning._array_omega(w), n_samples)
 
 
 def _flat_kernel(n: int) -> chaos.Kernel:

@@ -195,8 +195,22 @@ def _power_exponentials(kernel: np.ndarray, reach: int):
     return near, np.exp(-b * s)[:, None], hist
 
 
+def _far_history(kernel: np.ndarray, n_steps: int):
+    """(hist, exps) of a weighted transfer over ``n_steps`` steps: the rows
+    before a block that it keeps a sample, and the sum of exponentials that
+    takes the lags past the block before, or None.
+
+    The sum is tried only where n_max >= N, since no sum of exponentials is
+    0 past n_max.  With it a block reads only the _BLOCK_STEPS rows before
+    it; without it, the min(N, n_max) rows the kernel reaches.  The transfer
+    holds hist + _BLOCK_STEPS + 1 rows a sample, history and block."""
+    reach = min(n_steps, kernel.size - 1)
+    exps = _power_exponentials(kernel, reach) if reach == n_steps else None
+    return (reach if exps is None else _BLOCK_STEPS), exps
+
+
 def _renewal_solve(
-    kernel: np.ndarray, n_steps: int, weights=None, n_rows: int = 0
+    kernel: np.ndarray, n_steps: int, weights=None, n_rows: int = 0, ends=None
 ) -> np.ndarray:
     """x(0) = 1, x(n) = w(n) sum_{m=1}^{min(n, n_max)} kernel[m] x(n-m).
 
@@ -204,7 +218,9 @@ def _renewal_solve(
     folded in.  ``weights(n0, out)`` writes w(n0+1..n0+k) for ``n_rows``
     samples into the solve's own time-major (k, n_rows) block buffer
     ``out``, one column a sample, once a block, in time order.  None solves
-    one row with w = 1.
+    one row with w = 1 and returns all of x(0..N).  With weights it returns
+    x(N), one value a sample, or, given ``ends`` = e(0..N), the end sum
+    sum_n e(n) x(n), which each block adds to as it is solved.
 
     The steps run in blocks of _BLOCK_STEPS.  The lags of a block's steps
     that reach back before the block (its far history) enter all of them at
@@ -226,17 +242,16 @@ def _renewal_solve(
     (64 + 2J) * 64 per row in place of min(N, n_max) * 64, and the far lags
     hold K within 1e-13 relative, not to roundoff.
 
-    One time-major buffer holds only the history the kernel reaches, slid
-    to the front between blocks, and one more holds the block's weights, so
-    the memory is (min(N, n_max) + 2 * _BLOCK_STEPS + 1) * n_rows floats
-    plus the Toeplitz, at most _BLOCK_STEPS * min(N, n_max); the sum of
-    exponentials takes J * (n_rows + 128) in its place.  Returns the last
-    min(N, n_max) + 1 values x(N - min(N, n_max) .. N), one row per
-    sample; with w = 1 it keeps and returns all of x(0..N).
+    One time-major buffer holds the hist + 65 rows of ``_far_history``, the
+    history slid to the front between blocks, and one more holds the
+    block's weights.  So the memory is (min(N, n_max) + 2 * _BLOCK_STEPS + 1)
+    * n_rows floats plus the Toeplitz, at most _BLOCK_STEPS * min(N, n_max);
+    the sum of exponentials keeps (3 * _BLOCK_STEPS + 1) * n_rows floats,
+    whatever N, plus J * (n_rows + 128) for the accumulators.
     """
     n_max = kernel.size - 1
-    hist = n_steps if weights is None else min(n_steps, n_max)
     reach = min(n_steps, n_max)  # the most far-history rows a block reads
+    hist, exps = (n_steps, None) if weights is None else _far_history(kernel, n_steps)
     far = min(_BLOCK_STEPS, n_max)  # the most steps of a block they reach
     # kpad[m] = K(m), zero past n_max, so that every block reads whole
     # windows; kernel[0] is never read
@@ -253,10 +268,7 @@ def _renewal_solve(
     # writes contiguous memory
     rows = () if weights is None else (n_rows,)
     x = np.empty((min(n_steps, hist + _BLOCK_STEPS) + 1, *rows))
-    exps = None
     if weights is not None:
-        if reach == n_steps:  # no sum of exponentials is 0 past n_max
-            exps = _power_exponentials(kernel, reach)
         width = reach if exps is None else _BLOCK_STEPS
         # toeplitz[j - 1, c] = K(width - 1 + j - c); a block whose far
         # history is p rows long takes the last p columns
@@ -267,6 +279,8 @@ def _renewal_solve(
             exp_near, exp_decay, exp_hist = exps
             acc = np.zeros((exp_decay.size, n_rows))
         buf = np.empty((_BLOCK_STEPS, n_rows))
+        if ends is not None:
+            total = np.full(n_rows, ends[0])  # e(0) x(0)
     x[0] = 1.0
     base = 0
     for n0 in range(0, n_steps, _BLOCK_STEPS):
@@ -274,9 +288,9 @@ def _renewal_solve(
         if n1 - base >= x.shape[0]:  # slide x(n0 - hist .. n0) to the front
             x[: hist + 1] = x[n0 - hist - base : n0 + 1 - base]
             base = n0 - hist
-        # the far history x(max(0, n0 + 1 - n_max) .. n0) and the rows of
-        # the steps it reaches
-        past = x[max(0, n0 + 1 - n_max) - base : n0 + 1 - base]
+        # the far history x(max(0, n0 + 1 - n_max) .. n0), as far as the
+        # buffer keeps it, and the rows of the steps it reaches
+        past = x[max(base, n0 + 1 - n_max) - base : n0 + 1 - base]
         p = past.shape[0]
         f = min(n1 - n0, far)
         block = x[n0 + 1 - base : n0 + 1 + f - base]
@@ -302,7 +316,11 @@ def _renewal_solve(
             acc += exp_hist[:, cols] @ past
         for i, (coef, e), w_n in zip(range(n0 + 1 - base, n1 + 1 - base), steps, w):
             np.multiply(coef @ x[i + e - coef.size : i + e], w_n, out=x[i])
-    return x[n_steps - hist - base : n_steps + 1 - base].T
+        if ends is not None and ends[n0 + 1 : n1 + 1].any():
+            total += ends[n0 + 1 : n1 + 1] @ x[n0 + 1 - base : n1 + 1 - base]
+    if weights is None:
+        return x
+    return x[n_steps - base] if ends is None else total
 
 
 def renewal_mass(law: RenewalLaw, n_points: int) -> np.ndarray:
@@ -390,9 +408,12 @@ def partition_function_batch(
     N of about 520 takes that history as J ~ 105 exponential accumulators
     instead (see ``_renewal_solve``): 64 + 2J in place of min(N, n_max) per
     step and row, within 1e-13 relative of K on the lags past 64.  The
-    memory is (min(N, n_max) + 65) * samples floats of history plus
-    64 * samples for the block buffer, and at most 64 * min(N, n_max) for
-    the block Toeplitz of K.
+    transfer returns x(N), divided here by u(N) when conditioned, or the
+    free sum of x(n) P(tau_1 > N - n), which it adds up block by block.  So
+    it holds only the history its blocks read, hist + 65 rows a sample by
+    ``_far_history``: min(N, n_max) + 65 on the Toeplitz, with at most
+    64 * min(N, n_max) for the block Toeplitz of K, and 129 with the sum of
+    exponentials, whatever N.  The block buffer adds 64 * samples.
     """
     if mode not in ("free", "conditioned"):
         raise InputError(f"unknown mode {mode!r}")
@@ -406,11 +427,11 @@ def partition_function_batch(
         omega(n0, out)
         _site_weights(out, beta, h, disorder)
 
-    z = _renewal_solve(law.probs, n_steps, weights, n_samples)
     if mode == "conditioned":
-        return z[:, -1] / u_n
-    # P(tau_1 > j) = 0 for j >= n_max, so the returned window holds every term
-    return z @ law.tail(z.shape[1] - 1)[::-1]
+        return _renewal_solve(law.probs, n_steps, weights, n_samples) / u_n
+    # a free path ends at n with P(tau_1 > N - n), 0 for the n before N - n_max + 1
+    ends = law.tail(n_steps)[::-1].copy()
+    return _renewal_solve(law.probs, n_steps, weights, n_samples, ends)
 
 
 # ---------------------------------------------------------------------------

@@ -770,6 +770,39 @@ def test_cli_bad_counts_exit_code(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+_HUGE = str(10**30)  # a sample count that no array of numpy can hold
+
+
+@pytest.mark.parametrize("argv", [
+    ["pinning", "--N", "10", "--samples", _HUGE],
+    ["polymer", "--N", "10", "--samples", _HUGE],
+    ["ising", "--delta", "0.25", "--samples", _HUGE],
+    ["pinning", "--N", "10", "--samples", str(harness.MAX_SAMPLES + 1)],
+    ["run", "pinning"], ["run", "polymer"], ["run", "ising"],
+], ids=["pinning", "polymer", "ising", "pinning_one_over", "run_pinning", "run_polymer",
+        "run_ising"])
+def test_sample_count_above_the_bound_exits_before_drawing(tmp_path, capsys, monkeypatch,
+                                                           argv):
+    # the count is checked before any seed is spawned or array allocated
+    def refuse(*args, **kwargs):
+        raise AssertionError("seeds spawned")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    out = tmp_path / "z.csv"
+    if argv[0] == "run":
+        params, grid = _STUDY_BASES[argv[1]]
+        config = tmp_path / "study.json"
+        # json writes the int out in digits
+        config.write_text(json.dumps({"model": argv[1], "params": params, "grid": grid,
+                                      "samples": 10**30, "seed": 0, "out_csv": str(out)}))
+        argv = ["run", "--config", str(config)]
+    else:
+        argv = argv + ["--out", str(out)]
+    assert cli.main(argv) == 2
+    assert str(harness.MAX_SAMPLES) in capsys.readouterr().err
+    assert not out.exists()
+
+
 _STUDY_BASES = {
     "pinning": ({"law": "alpha", "alpha": 0.75, "n_max": 100}, [50]),
     "polymer": ({"alpha": 2.0, "beta_hat": 0.5}, [50]),

@@ -263,8 +263,11 @@ def _assert_matches_one_shot(law, got, ref, context=None):
                          ids=["gaussian", "rademacher"])
 @pytest.mark.parametrize("law", _STREAM_LAWS.values(), ids=_STREAM_LAWS.keys())
 def test_blocked_transfer_matches_one_shot(law, disorder):
+    # free mode sums x(n) P(tau_1 > N - n) block by block inside the
+    # transfer.  The alpha-20000 law takes the sum of exponentials from N of
+    # about 520 on, whose buffer keeps only the 129 rows its blocks read
     rng = np.random.default_rng(11)
-    for n in (0, 1, 2, 63, 64, 65, 129, 1000, 2000):
+    for n in (0, 1, 2, 63, 64, 65, 129, 700, 1000, 2000) + (8000,) * (law.n_max >= 8000):
         omega = disorder.fill(rng, np.empty((7, n)))
         beta, h = 1.0 / math.sqrt(max(n, 1)), 0.4 / max(n, 1)
         for mode in ("conditioned", "free"):
@@ -278,7 +281,7 @@ def test_blocked_transfer_matches_one_shot(law, disorder):
 def test_renewal_solve_hands_its_source_one_block_buffer():
     # the solve owns one (64, rows) buffer and hands the source its first
     # k rows, once a block, in time order; the source fills it and returns
-    # nothing
+    # nothing.  The solve returns x(N), one value a row
     w = np.random.default_rng(3).uniform(0.5, 1.5, (3, 150))
     calls = []
 
@@ -289,7 +292,7 @@ def test_renewal_solve_hands_its_source_one_block_buffer():
     x = pinning._renewal_solve(LAW_HALF.probs, 150, source, 3)
     assert [c[:2] for c in calls] == [(0, (64, 3)), (64, (64, 3)), (128, (22, 3))]
     assert len({c[2] for c in calls}) == 1
-    assert np.array_equal(x, _one_shot_solve(LAW_HALF.probs, 150, w)[:, -3:])
+    assert np.array_equal(x, _one_shot_solve(LAW_HALF.probs, 150, w)[:, -1])
 
 
 def test_renewal_mass_matches_one_shot():
@@ -336,8 +339,9 @@ def test_partition_batch_memory_is_bounded(mode):
     finally:
         tracemalloc.stop()
     assert peak < 2e6
-    # a long kernel: the transfer holds the (64, reach) block Toeplitz and a
-    # buffer of reach + 64 history rows, reach = min(N, n_max) = 2000
+    # a long kernel: the transfer holds at most the (64, reach) block
+    # Toeplitz and a buffer of reach + 65 history rows, reach = min(N, n_max)
+    # = 2000; the sum of exponentials this law takes at N = 2000 holds 129
     law = RenewalLaw.heavy_tail(0.75, 20000)
     omega = np.random.default_rng(2).standard_normal((256, 2000))
     beta, h = scale_couplings(law, 1.0, 0.4, 2000)
@@ -353,12 +357,16 @@ def test_partition_batch_memory_is_bounded(mode):
 
 def test_sample_pinning_memory_is_bounded():
     # the transfer draws omega a 64-step block at a time, so it holds the
-    # history, min(N, n_max) + 65 rows, and the 64-row block buffer the draw
-    # fills, and no (256, N) omega: at N = 8000 that was 16.4 MB
+    # history, at most min(N, n_max) + 65 rows, and the 64-row block buffer
+    # the draw fills, and no (256, N) omega: at N = 8000 that was 16.4 MB.
+    # The alpha law takes the sum of exponentials at both sizes, which holds
+    # 129 rows whatever N; it held 5.1 MB at N = 2000 and 17.4 MB at 8000
+    # with the whole min(N, n_max) + 65 rows
     harness.sample_pinning(LAW_HALF, 1.0, 0.0, 100, 4, seed=1)  # first-call caches
+    alpha = RenewalLaw.heavy_tail(0.75, 20000)
     rows, peaks = 256, {}
     for law, n in ((LAW_HALF, 2000), (LAW_HALF, 8000), (LAW_HALF, 16000),
-                   (RenewalLaw.heavy_tail(0.75, 20000), 2000)):
+                   (alpha, 2000), (alpha, 8000)):
         tracemalloc.start()
         try:
             harness.sample_pinning(law, 1.0, 0.0, n, rows, seed=1)
@@ -367,12 +375,13 @@ def test_sample_pinning_memory_is_bounded():
             tracemalloc.stop()
         assert peak < 4 * rows * (min(n, law.n_max) + 64) * 8, (law.n_max, n)
     assert peaks[2, 16000] <= 1.1 * peaks[2, 2000]
+    assert peaks[20000, 8000] <= 1.1 * peaks[20000, 2000]
 
 
 def test_sample_pinning_caps_chunk_rows_by_the_history(monkeypatch):
-    # a transfer holds min(N, n_max) + 65 history rows a sample, 67 for the
-    # two-atom law; past _PINNING_HISTORY values a chunk takes fewer samples,
-    # still in one transfer call
+    # a transfer holds min(N, n_max) + 65 history rows a sample on the
+    # Toeplitz, 67 for the two-atom law; past _PINNING_HISTORY values a chunk
+    # takes fewer samples, still in one transfer call
     calls = []
     batch = pinning.partition_function_batch
 
@@ -381,9 +390,21 @@ def test_sample_pinning_caps_chunk_rows_by_the_history(monkeypatch):
         return batch(law, omega, rows, *args)
 
     monkeypatch.setattr(pinning, "partition_function_batch", counted)
-    monkeypatch.setattr(harness, "_PINNING_HISTORY", 67 * 300 + 66)
-    harness.sample_pinning(LAW_HALF, 1.0, 0.0, 100, 700, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_PINNING_HISTORY", 67 * 300 + 66)
+        harness.sample_pinning(LAW_HALF, 1.0, 0.0, 100, 700, 0)
     assert calls == [300, 300, 100]
+    # the alpha law takes the sum of exponentials from N of about 520 on and
+    # holds 129 rows at any N, so the cap of 67 MB never binds; the 8065
+    # rows of the Toeplitz would have capped a chunk at 1040 samples at N = 8000
+    alpha = RenewalLaw.heavy_tail(0.75, 20000)
+    assert pinning._far_history(alpha.probs, 8000)[0] + 65 == 129
+    assert harness._PINNING_HISTORY // 129 >= harness._PINNING_CHUNK
+    calls.clear()
+    monkeypatch.setattr(harness, "_PINNING_HISTORY", 129 * 300)
+    harness.sample_pinning(alpha, 1.0, 0.0, 700, 700, 0)
+    harness.sample_pinning(alpha, 1.0, 0.0, 400, 200, 0)  # the Toeplitz: 465 rows
+    assert calls == [300, 300, 100, 83, 83, 34]
 
 
 def test_partition_batch_bad_input():
@@ -512,8 +533,9 @@ def test_other_kernels_keep_the_toeplitz(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["conditioned", "free"])
 def test_power_kernel_takes_the_sum(mode):
-    # the (64, 8000) Toeplitz is 4.1 MB on top of the 4.1 MB history buffer;
-    # with the sum of exponentials in its place the peak was 4.6 MB
+    # the (64, 8000) Toeplitz is 4.1 MB on top of the 4.1 MB history buffer
+    # of all 8001 rows; the sum of exponentials takes the Toeplitz's place
+    # and holds 129 rows, and the peak was 0.53 MB (0.59 MB free)
     law = RenewalLaw.heavy_tail(0.75, 20000)
     omega = np.random.default_rng(2).standard_normal((64, 8000))
     beta, h = scale_couplings(law, 1.0, 0.4, 8000)
@@ -523,7 +545,7 @@ def test_power_kernel_takes_the_sum(mode):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (8001 * 64 + 64 * 8000 / 2) * 8
+    assert peak < 8001 * 64 * 8 / 4
 
 
 @pytest.mark.parametrize("cells", [128, 2048, 2560])
