@@ -395,12 +395,13 @@ def sample_pinning(
     Generator and goes through one transfer call, which draws its disorder
     a 64-step block at a time, time-major: omega_n of every sample of the
     chunk, then omega_{n+1}.  So no (samples, N) omega is built; the memory
-    is the transfer's, hist + 65 rows a sample of history and block by
-    ``pinning._far_history``, plus 64 * rows for the block and as much for
-    the next, and at most 64 * min(N, n_max) for the Toeplitz.  A worker
-    thread draws block k + 1 while the transfer runs block k (see
-    ``_prefetched``); one Generator still draws the same blocks in the same
-    order, so the samples do not depend on the number of cores.
+    is the transfer's: the rows a sample of history and block that
+    ``pinning._far_history`` gives, which also size the chunk, 64 * rows for
+    the block and as much for the next, and at most 64 * min(N, n_max) for
+    the Toeplitz.  A worker thread draws block k + 1 while the transfer
+    runs block k (see ``_prefetched``); one Generator still draws the same
+    blocks in the same order, so the samples do not depend on the number of
+    cores.
     Where those rows would pass _PINNING_HISTORY values (67 MB), the chunk
     has fewer samples.  Only the Toeplitz holds that much, min(N, n_max) + 65
     rows, above min(N, n_max) = 4129; it costs one (64 x min(N, n_max)) by
@@ -412,11 +413,7 @@ def sample_pinning(
     """
     beta_n, h_n = pinning.scale_couplings(law, beta_hat, h_hat, n_steps)
     pinning._check_cap(n_steps)
-    # the Toeplitz's rows bound those of either path, so only where they
-    # would cap a chunk does the sum of exponentials need fitting
-    rows = min(n_steps, law.n_max) + 65
-    if rows * _PINNING_CHUNK > _PINNING_HISTORY:
-        rows = pinning._far_history(law.probs, n_steps)[0] + 65
+    rows = pinning._far_history(law.probs, n_steps)[0]
     chunk = min(_PINNING_CHUNK, max(1, _PINNING_HISTORY // rows))
     streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / chunk))
     out = np.empty(n_samples)

@@ -196,17 +196,18 @@ def _power_exponentials(kernel: np.ndarray, reach: int):
 
 
 def _far_history(kernel: np.ndarray, n_steps: int):
-    """(hist, exps) of a weighted transfer over ``n_steps`` steps: the rows
-    before a block that it keeps a sample, and the sum of exponentials that
-    takes the lags past the block before, or None.
+    """(rows, exps) of a weighted transfer over ``n_steps`` steps: the rows a
+    sample of history and block it holds at most, and the sum of
+    exponentials that takes the lags past the block before, or None.
 
     The sum is tried only where n_max >= N, since no sum of exponentials is
     0 past n_max.  With it a block reads only the _BLOCK_STEPS rows before
     it; without it, the min(N, n_max) rows the kernel reaches.  The transfer
-    holds hist + _BLOCK_STEPS + 1 rows a sample, history and block."""
+    holds those and the _BLOCK_STEPS + 1 rows up to the block's end: 129
+    rows with the sum, min(N, n_max) + 65 on the Toeplitz."""
     reach = min(n_steps, kernel.size - 1)
     exps = _power_exponentials(kernel, reach) if reach == n_steps else None
-    return (reach if exps is None else _BLOCK_STEPS), exps
+    return (reach if exps is None else _BLOCK_STEPS) + _BLOCK_STEPS + 1, exps
 
 
 def _renewal_solve(
@@ -219,8 +220,9 @@ def _renewal_solve(
     samples into the solve's own time-major (k, n_rows) block buffer
     ``out``, one column a sample, once a block, in time order.  None solves
     one row with w = 1 and returns all of x(0..N).  With weights it returns
-    x(N), one value a sample, or, given ``ends`` = e(0..N), the end sum
-    sum_n e(n) x(n), which each block adds to as it is solved.
+    the end sum sum_n e(n) x(n), one value a sample, which each block adds
+    to as it is solved.  ``ends`` holds e(n) for the last ``ends.size`` n up
+    to N, and e = 0 before them; the default [1] gives x(N).
 
     The steps run in blocks of _BLOCK_STEPS.  The lags of a block's steps
     that reach back before the block (its far history) enter all of them at
@@ -242,16 +244,17 @@ def _renewal_solve(
     (64 + 2J) * 64 per row in place of min(N, n_max) * 64, and the far lags
     hold K within 1e-13 relative, not to roundoff.
 
-    One time-major buffer holds the hist + 65 rows of ``_far_history``, the
-    history slid to the front between blocks, and one more holds the
-    block's weights.  So the memory is (min(N, n_max) + 2 * _BLOCK_STEPS + 1)
+    One time-major buffer holds the rows of ``_far_history``, the history
+    slid to the front between blocks, and one more holds the block's
+    weights.  So the memory is (min(N, n_max) + 2 * _BLOCK_STEPS + 1)
     * n_rows floats plus the Toeplitz, at most _BLOCK_STEPS * min(N, n_max);
     the sum of exponentials keeps (3 * _BLOCK_STEPS + 1) * n_rows floats,
     whatever N, plus J * (n_rows + 128) for the accumulators.
     """
     n_max = kernel.size - 1
     reach = min(n_steps, n_max)  # the most far-history rows a block reads
-    hist, exps = (n_steps, None) if weights is None else _far_history(kernel, n_steps)
+    held, exps = (n_steps + 1, None) if weights is None else _far_history(kernel, n_steps)
+    hist = held - _BLOCK_STEPS - 1  # the rows before a block that the buffer keeps
     far = min(_BLOCK_STEPS, n_max)  # the most steps of a block they reach
     # kpad[m] = K(m), zero past n_max, so that every block reads whole
     # windows; kernel[0] is never read
@@ -267,7 +270,7 @@ def _renewal_solve(
     # buffer row i holds x(base + i); time-major, so every step reads and
     # writes contiguous memory
     rows = () if weights is None else (n_rows,)
-    x = np.empty((min(n_steps, hist + _BLOCK_STEPS) + 1, *rows))
+    x = np.empty((min(n_steps + 1, held), *rows))
     if weights is not None:
         width = reach if exps is None else _BLOCK_STEPS
         # toeplitz[j - 1, c] = K(width - 1 + j - c); a block whose far
@@ -279,8 +282,10 @@ def _renewal_solve(
             exp_near, exp_decay, exp_hist = exps
             acc = np.zeros((exp_decay.size, n_rows))
         buf = np.empty((_BLOCK_STEPS, n_rows))
-        if ends is not None:
-            total = np.full(n_rows, ends[0])  # e(0) x(0)
+        if ends is None:
+            ends = np.ones(1)
+        first = n_steps + 1 - ends.size  # the n of ends[0]
+        total = np.full(n_rows, ends[0] if first == 0 else 0.0)  # e(0) x(0)
     x[0] = 1.0
     base = 0
     for n0 in range(0, n_steps, _BLOCK_STEPS):
@@ -316,11 +321,10 @@ def _renewal_solve(
             acc += exp_hist[:, cols] @ past
         for i, (coef, e), w_n in zip(range(n0 + 1 - base, n1 + 1 - base), steps, w):
             np.multiply(coef @ x[i + e - coef.size : i + e], w_n, out=x[i])
-        if ends is not None and ends[n0 + 1 : n1 + 1].any():
-            total += ends[n0 + 1 : n1 + 1] @ x[n0 + 1 - base : n1 + 1 - base]
-    if weights is None:
-        return x
-    return x[n_steps - base] if ends is None else total
+        lo = max(n0 + 1, first)
+        if lo <= n1:
+            total += ends[lo - first : n1 + 1 - first] @ x[lo - base : n1 + 1 - base]
+    return x if weights is None else total
 
 
 def renewal_mass(law: RenewalLaw, n_points: int) -> np.ndarray:
@@ -410,8 +414,8 @@ def partition_function_batch(
     step and row, within 1e-13 relative of K on the lags past 64.  The
     transfer returns x(N), divided here by u(N) when conditioned, or the
     free sum of x(n) P(tau_1 > N - n), which it adds up block by block.  So
-    it holds only the history its blocks read, hist + 65 rows a sample by
-    ``_far_history``: min(N, n_max) + 65 on the Toeplitz, with at most
+    it holds only the history its blocks read, the rows ``_far_history``
+    gives a sample: min(N, n_max) + 65 on the Toeplitz, with at most
     64 * min(N, n_max) for the block Toeplitz of K, and 129 with the sum of
     exponentials, whatever N.  The block buffer adds 64 * samples.
     """
@@ -429,8 +433,8 @@ def partition_function_batch(
 
     if mode == "conditioned":
         return _renewal_solve(law.probs, n_steps, weights, n_samples) / u_n
-    # a free path ends at n with P(tau_1 > N - n), 0 for the n before N - n_max + 1
-    ends = law.tail(n_steps)[::-1].copy()
+    # a free path ends at n with P(tau_1 > N - n), which is 0 for n <= N - n_max
+    ends = law.tail(min(n_steps, law.n_max))[::-1].copy()
     return _renewal_solve(law.probs, n_steps, weights, n_samples, ends)
 
 

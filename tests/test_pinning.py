@@ -398,7 +398,7 @@ def test_sample_pinning_caps_chunk_rows_by_the_history(monkeypatch):
     # holds 129 rows at any N, so the cap of 67 MB never binds; the 8065
     # rows of the Toeplitz would have capped a chunk at 1040 samples at N = 8000
     alpha = RenewalLaw.heavy_tail(0.75, 20000)
-    assert pinning._far_history(alpha.probs, 8000)[0] + 65 == 129
+    assert pinning._far_history(alpha.probs, 8000)[0] == 129
     assert harness._PINNING_HISTORY // 129 >= harness._PINNING_CHUNK
     calls.clear()
     monkeypatch.setattr(harness, "_PINNING_HISTORY", 129 * 300)
@@ -560,6 +560,7 @@ def test_alpha_reference_matches_one_shot(cells):
     ref = _one_shot_solve(kernel, cells, w)[:, -1]
     got = harness.pinning_alpha_reference(0.75, 1.0, cells=cells, n_samples=rows, seed=9)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert got.base is None  # x(M) alone, not a view that keeps the transfer's buffer
 
 
 @pytest.mark.parametrize("mode", ["conditioned", "free"])
