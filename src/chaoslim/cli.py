@@ -9,6 +9,7 @@ asserted criterion in the run passes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -105,7 +106,12 @@ def _cmd_run(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Parsing leaves it unchanged, so one build serves every ``main`` call of
+    a process; importing this module builds nothing."""
     parser = argparse.ArgumentParser(
         prog="chaoslim",
         description="Scaling-limit experiments for disordered pinning, "

@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -227,6 +227,11 @@ class ReportRow:
     tolerance: str | None = None
 
 
+# the report's columns: the CSV header, and the keys of each JSON row
+_COLUMNS = ("grid_value", "quantity", "value", "se", "oracle", "gap", "provenance",
+            "passed", "tolerance")
+
+
 @dataclass
 class ComparisonReport:
     model: str
@@ -237,22 +242,18 @@ class ComparisonReport:
         return all(r.passed is not False for r in self.rows)
 
     def to_csv(self, path) -> None:
-        cols = ["grid_value", "quantity", "value", "se", "oracle", "gap",
-                "provenance", "passed", "tolerance"]
+        lines = [",".join(_COLUMNS)]
+        lines += [",".join("" if (v := getattr(r, c)) is None else str(v) for c in _COLUMNS)
+                  for r in self.rows]
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + "\n")
-            for r in self.rows:
-                rec = asdict(r)
-                fh.write(",".join("" if rec[c] is None else str(rec[c]) for c in cols) + "\n")
+            fh.write("\n".join(lines) + "\n")
 
     def to_json(self, path) -> None:
+        rows = [{c: getattr(r, c) for c in _COLUMNS} for r in self.rows]
+        text = json.dumps({"model": self.model, "passed": self.passed, "rows": rows},
+                          indent=2, default=float)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"model": self.model, "passed": self.passed,
-                 "rows": [asdict(r) for r in self.rows]},
-                fh, indent=2, default=float,
-            )
-            fh.write("\n")
+            fh.write(text + "\n")
 
     def emit(self, out_csv=None, out_json=None) -> None:
         if out_csv:
@@ -406,7 +407,7 @@ def sample_pinning(
     has fewer samples.  Only the Toeplitz holds that much, min(N, n_max) + 65
     rows, above min(N, n_max) = 4129; it costs one (64 x min(N, n_max)) by
     (min(N, n_max) x rows) matrix product a block.  An alpha law with
-    n_max >= N takes the sum of exponentials from N of about 520 on, which
+    n_max >= N takes the sum of exponentials from N of about 285 on, which
     holds 129 rows and (64 + 2J) * 64 per row a block, so its chunks keep
     _PINNING_CHUNK samples at any N.  Either way a block adds 64 steps over
     in-block lags.
@@ -461,7 +462,7 @@ def sample_polymer(
     k = r n (mod p), so a field holds values only there: ceil(width / p)
     a step, of which a step whose sublattice has one site fewer leaves the
     last unused. Sample i draws its field from the i-th Generator spawned from
-    ``SeedSequence(seed)``. Groups of samples go through one batched
+    ``SeedSequence(seed)``, whose seeds are spawned a group at a time. Groups of samples go through one batched
     transfer loop, which takes their weights in time blocks of at most
     polymer._FIELD_BLOCK_CELLS values; each sample fills its own contiguous
     part of a block straight from its own Generator, so no sample's whole
@@ -487,10 +488,12 @@ def sample_polymer(
     width = k_hi - k_lo + 1
     group = max(1, math.isqrt(polymer._FIELD_BLOCK_CELLS // -(-width // law.period)))
     lam = disorder.log_mgf(beta_n)
-    streams = np.random.SeedSequence(seed).spawn(n_samples)
+    # spawn keys run on across calls, so one spawn a group gives the same
+    # children as one up front, without all n_samples seeds at once
+    parent = np.random.SeedSequence(seed)
     out = np.empty(n_samples)
     for s0 in range(0, n_samples, group):
-        rngs = [np.random.default_rng(ss) for ss in streams[s0 : s0 + group]]
+        rngs = [np.random.default_rng(ss) for ss in parent.spawn(min(group, n_samples - s0))]
         parts = min(_cpu_count(), len(rngs))
         ranges = [(len(rngs) * j // parts, len(rngs) * (j + 1) // parts) for j in range(parts)]
 
@@ -714,10 +717,10 @@ def pinning_alpha_reference(
     first M - 1 cells of ``wiener.sample_noise_batch``, each N(0, 1/M).  A
     finite lattice has a finite series, so nothing is truncated.  K is a
     power m^{-p} with p = 1 - alpha; at alpha = 3/4 the sum of exponentials
-    of ``pinning._renewal_solve`` needs J ~ 550 terms, so the solve keeps
-    the (64 x M) block Toeplitz and M + 65 history rows a sample up to M of
-    about 2300, and 5,000 rows take about 1 s at M = 2048.  Past it the
-    solve holds 129 rows a sample and J accumulators.  It returns x(M)
+    of ``pinning._renewal_solve`` needs J = 39 to 48 terms from M = 285 to
+    2560, so the solve keeps the (64 x M) block Toeplitz and M + 65 history
+    rows a sample only below M = 285.  From there it holds 129 rows a sample
+    and J accumulators, and 5,000 rows take about 0.9 s at M = 2048.  It returns x(M)
     alone.  The same solve on K^2 with weight (beta_hat c_alpha)^2 / M gives the exact grid
     E Z^2; at alpha = 3/4 the grid variance is 0.912 of the continuum value
     at M = 128, a deficit that falls like M^{-(2 alpha - 1)}.

@@ -144,6 +144,11 @@ _BLOCK_STEPS = 64  # steps per block of the transfer; a larger buffer falls out 
 _EXP_STEP = 0.25
 _EXP_CUT = 1e-14
 _EXP_TOL = 1e-13
+# terms with s_k * reach below _EXP_SLOW differ on lags up to reach only by a
+# smooth function of s_k, so they merge into _EXP_NODES terms at Chebyshev
+# nodes in s (at 5 nodes the kernel (m/M)^{-1/4} misses _EXP_TOL)
+_EXP_SLOW = 0.05
+_EXP_NODES = 6
 
 
 def _check_cap(n_steps: int) -> None:
@@ -160,15 +165,17 @@ def _power_exponentials(kernel: np.ndarray, reach: int):
 
     p and c of kernel[m] = c m^{-p} are read from lags 64 and ``reach``; the
     trapezoid at step 1/4 on [log(_EXP_CUT)/p - log(reach), log(40/64)] of
-    c m^{-p} = (c/Gamma(p)) int e^{pu - m e^u} du gives J terms, about 105
-    at p = 7/4.  The returned arrays are near[j-1, k] = a_k e^{-s_k j},
-    decay[k] = e^{-64 s_k} and hist[k, i] = e^{-s_k (127 - i)}, i = 0..63.
+    c m^{-p} = (c/Gamma(p)) int e^{pu - m e^u} du gives 104 terms at p = 7/4
+    and reach 2000.  The 63 of them with s_k * reach < _EXP_SLOW merge into
+    _EXP_NODES, so J = 47.  The returned arrays are near[j-1, k] =
+    a_k e^{-s_k j}, decay[k] = e^{-64 s_k} and hist[k, i] = e^{-s_k (127 - i)},
+    i = 0..63.
     The check against the kernel itself, not against the fitted power, is
     what a folded tail atom, a changed lag or a power too steep for the step
     fails; a fit steeper than m^{-4} is refused before it.  J accumulators
     cost 64 + 2J per step, the Toeplitz's blocks reach / 2 on average, so a
-    longer sum is refused.  At p = 7/4 the sum is taken from N = 521 on;
-    measured at 200 rows, the two break even near N = 600.
+    longer sum is refused.  At p = 7/4 the sum is taken from N = 285 on;
+    measured at 200 rows, the two break even near N = 300.
     """
     b = _BLOCK_STEPS
     if reach <= b or not (kernel[b] > 0 and kernel[reach] > 0):
@@ -178,11 +185,25 @@ def _power_exponentials(kernel: np.ndarray, reach: int):
         return None
     hi = math.log(40 / b)
     terms = math.ceil((hi - math.log(_EXP_CUT) / p + math.log(reach)) / _EXP_STEP) + 1
-    if 2 * (b + 2 * terms) >= reach:
-        return None
     u = hi - _EXP_STEP * np.arange(terms)
     s = np.exp(u)
     a = kernel[b] * b**p * _EXP_STEP / math.gamma(p) * np.exp(p * u)
+    slow = s * reach < _EXP_SLOW
+    if np.count_nonzero(slow) > _EXP_NODES:
+        # the slow terms sum a_k e^{-s_k m}, and on [s_lo, s_hi] e^{-s m} is
+        # its interpolant through the nodes t_j, sum_j L_j(s) e^{-t_j m}, to
+        # within 2 (m (s_hi - s_lo) / 4)^6 / 6!, under 1.1e-14 on these lags;
+        # so the nodes take the weights sum_k a_k L_j(s_k)
+        lo, up = s[slow][[-1, 0]]
+        t = (up + lo) / 2 + (up - lo) / 2 * np.cos(
+            (2 * np.arange(_EXP_NODES) + 1) * np.pi / (2 * _EXP_NODES))
+        gaps = s[slow] - t[:, None]
+        lagrange = [np.prod(np.delete(gaps, j, 0), axis=0) / np.prod(np.delete(t[j] - t, j))
+                    for j in range(_EXP_NODES)]
+        a = np.append(a[~slow], np.array(lagrange) @ a[slow])
+        s = np.append(s[~slow], t)
+    if 2 * (b + 2 * s.size) >= reach:
+        return None
     near = a * np.exp(-np.outer(np.arange(1, b + 1), s))
     # lag 64 i + j is near[j - 1] @ decay^i, so the sum on lags 65..reach is
     # one (64 x J) by (J x reach/64) product
@@ -291,7 +312,12 @@ def _renewal_solve(
     for n0 in range(0, n_steps, _BLOCK_STEPS):
         n1 = min(n0 + _BLOCK_STEPS, n_steps)
         if n1 - base >= x.shape[0]:  # slide x(n0 - hist .. n0) to the front
-            x[: hist + 1] = x[n0 - hist - base : n0 + 1 - base]
+            # in runs no longer than the shift, none of which overlaps its
+            # source, so that numpy copies no temporary of the whole history
+            shift = n0 - hist - base
+            for r in range(0, hist + 1, shift):
+                k = min(shift, hist + 1 - r)
+                x[r : r + k] = x[r + shift : r + shift + k]
             base = n0 - hist
         # the far history x(max(0, n0 + 1 - n_max) .. n0), as far as the
         # buffer keeps it, and the rows of the steps it reaches
@@ -409,7 +435,7 @@ def partition_function_batch(
     Each 64-step block takes the history before it in one matrix product,
     (64 x min(N, n_max)) by (min(N, n_max) x samples), and then runs its
     steps over their in-block lags only.  An alpha law with n_max > N from
-    N of about 520 takes that history as J ~ 105 exponential accumulators
+    N of about 285 takes that history as J ~ 50 exponential accumulators
     instead (see ``_renewal_solve``): 64 + 2J in place of min(N, n_max) per
     step and row, within 1e-13 relative of K on the lags past 64.  The
     transfer returns x(N), divided here by u(N) when conditioned, or the

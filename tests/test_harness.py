@@ -440,6 +440,24 @@ def test_sample_polymer_does_not_depend_on_the_worker_count(monkeypatch, pool_of
                               ref), workers
 
 
+def test_sample_polymer_spawns_seeds_a_group_at_a_time(monkeypatch):
+    # 396 values a block give groups of 2 samples at N = 100, so 7 samples
+    # run in 4 groups; no spawn may ask for the seeds of more than one
+    asked = []
+
+    class Recording(np.random.SeedSequence):
+        def spawn(self, n_children):
+            asked.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(polymer, "_FIELD_BLOCK_CELLS", 396)
+    law = polymer.WalkLaw.simple_symmetric()
+    ref = harness.sample_polymer(law, 0.7, 100, 7, 3)
+    monkeypatch.setattr(np.random, "SeedSequence", Recording)
+    assert np.array_equal(harness.sample_polymer(law, 0.7, 100, 7, 3), ref)
+    assert asked == [2, 2, 2, 1]
+
+
 @DISORDERS
 @pytest.mark.parametrize("mode", ["conditioned", "free"])
 def test_sample_pinning_does_not_depend_on_the_worker_count(pool_of, mode, disorder):
@@ -518,6 +536,21 @@ def test_cli_pinning_csv(tmp_path):
     assert len(lines) == 26
     z = float(lines[1].split(",")[2])
     assert z > 0
+
+
+def test_cli_parser_is_built_once_and_carries_nothing_between_calls(tmp_path):
+    # main shares one parser: a run with --alpha must leave no alpha behind
+    # for a later run that omits it
+    argv = ["pinning", "--N", "60", "--samples", "25", "--seed", "4", "--out"]
+    cli.build_parser.cache_clear()
+    assert cli.main(argv + [str(tmp_path / "first.csv")]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(argv[:1] + ["--alpha", "0.6"] + argv[1:]
+                    + [str(tmp_path / "alpha.csv")]) == 0
+    assert cli.main(argv + [str(tmp_path / "again.csv")]) == 0
+    first = (tmp_path / "first.csv").read_bytes()
+    assert (tmp_path / "again.csv").read_bytes() == first
+    assert (tmp_path / "alpha.csv").read_bytes() != first
 
 
 def test_cli_polymer_csv(tmp_path):

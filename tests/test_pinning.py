@@ -265,7 +265,7 @@ def _assert_matches_one_shot(law, got, ref, context=None):
 def test_blocked_transfer_matches_one_shot(law, disorder):
     # free mode sums x(n) P(tau_1 > N - n) block by block inside the
     # transfer.  The alpha-20000 law takes the sum of exponentials from N of
-    # about 520 on, whose buffer keeps only the 129 rows its blocks read
+    # about 285 on, whose buffer keeps only the 129 rows its blocks read
     rng = np.random.default_rng(11)
     for n in (0, 1, 2, 63, 64, 65, 129, 700, 1000, 2000) + (8000,) * (law.n_max >= 8000):
         omega = disorder.fill(rng, np.empty((7, n)))
@@ -339,20 +339,24 @@ def test_partition_batch_memory_is_bounded(mode):
     finally:
         tracemalloc.stop()
     assert peak < 2e6
-    # a long kernel: the transfer holds at most the (64, reach) block
-    # Toeplitz and a buffer of reach + 65 history rows, reach = min(N, n_max)
-    # = 2000; the sum of exponentials this law takes at N = 2000 holds 129
+    # a long kernel on the Toeplitz holds at most the (64, reach) block
+    # Toeplitz and reach + 65 history rows, reach = min(N, n_max), as n_max =
+    # 1500 < N does; the n_max = 20000 law takes the sum of exponentials at
+    # N = 2000 and holds 129 rows.  Before the history slid in runs, numpy
+    # copied the whole history on each slide, and the Toeplitz peaked at 1.8
+    # times the bound
     law = RenewalLaw.heavy_tail(0.75, 20000)
     omega = np.random.default_rng(2).standard_normal((256, 2000))
     beta, h = scale_couplings(law, 1.0, 0.4, 2000)
-    tracemalloc.start()
-    try:
-        _batch(law, omega, beta, h, mode)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    reach, rows = 2000, 256
-    assert peak < 1.5 * (64 * reach + (reach + 64) * rows) * 8
+    for law, reach, held in ((RenewalLaw.heavy_tail(0.75, 1500), 1500, 1565), (law, 2000, 129)):
+        assert pinning._far_history(law.probs, 2000)[0] == held
+        tracemalloc.start()
+        try:
+            _batch(law, omega, beta, h, mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (64 * reach + (reach + 64) * 256) * 8, (reach, peak)
 
 
 def test_sample_pinning_memory_is_bounded():
@@ -394,7 +398,7 @@ def test_sample_pinning_caps_chunk_rows_by_the_history(monkeypatch):
         patch.setattr(harness, "_PINNING_HISTORY", 67 * 300 + 66)
         harness.sample_pinning(LAW_HALF, 1.0, 0.0, 100, 700, 0)
     assert calls == [300, 300, 100]
-    # the alpha law takes the sum of exponentials from N of about 520 on and
+    # the alpha law takes the sum of exponentials from N of about 285 on and
     # holds 129 rows at any N, so the cap of 67 MB never binds; the 8065
     # rows of the Toeplitz would have capped a chunk at 1040 samples at N = 8000
     alpha = RenewalLaw.heavy_tail(0.75, 20000)
@@ -403,8 +407,8 @@ def test_sample_pinning_caps_chunk_rows_by_the_history(monkeypatch):
     calls.clear()
     monkeypatch.setattr(harness, "_PINNING_HISTORY", 129 * 300)
     harness.sample_pinning(alpha, 1.0, 0.0, 700, 700, 0)
-    harness.sample_pinning(alpha, 1.0, 0.0, 400, 200, 0)  # the Toeplitz: 465 rows
-    assert calls == [300, 300, 100, 83, 83, 34]
+    harness.sample_pinning(alpha, 1.0, 0.0, 250, 200, 0)  # the Toeplitz: 315 rows
+    assert calls == [300, 300, 100, 122, 78]
 
 
 def test_partition_batch_bad_input():
@@ -469,7 +473,9 @@ def _sum_on_far_lags(exps, reach):
 
 def test_power_exponentials_match_the_kernel():
     k = RenewalLaw.heavy_tail(0.75, 20000).probs
-    for reach, most_terms in ((2000, 105), (8000, 110)):
+    # the slow end of the trapezoid merges into 6 terms: J = 47 and 53, not
+    # the trapezoid's 104 and 109
+    for reach, most_terms in ((2000, 47), (8000, 53)):
         exps = pinning._power_exponentials(k, reach)
         assert exps[1].size <= most_terms
         np.testing.assert_allclose(_sum_on_far_lags(exps, reach), k[65 : reach + 1],
@@ -482,7 +488,7 @@ def test_power_exponentials_match_the_kernel():
     assert pinning._power_exponentials(bent, 2000) is None
     steep = np.append(0.0, np.arange(1.0, 2001.0) ** -3.8)
     assert pinning._power_exponentials(steep, 2000) is None
-    assert pinning._power_exponentials(k, 500) is None
+    assert pinning._power_exponentials(k, 284) is None
     # a geometric law fits p = 234, whose weights would overflow
     geometric = RenewalLaw.from_probabilities(0.5 ** np.arange(1, 1001) / (1 - 0.5**1000))
     assert pinning._power_exponentials(geometric.probs, 1000) is None
@@ -496,8 +502,8 @@ def test_power_exponentials_match_the_kernel():
                          ids=["gaussian", "rademacher"])
 @pytest.mark.parametrize("h_hat", [0.0, 0.4])
 def test_far_history_sum_matches_one_shot(disorder, h_hat):
-    # from N of about 520 the transfer takes lags past 127 as ~105
-    # exponentials; below it the Toeplitz.  The worst gap measured was 5.3e-15
+    # from N of about 285 the transfer takes lags past 127 as ~50
+    # exponentials; below it the Toeplitz.  The worst gap measured was 6.8e-15
     law = RenewalLaw.heavy_tail(0.75, 20000)
     rng = np.random.default_rng(13)
     for n in (63, 64, 65, 127, 128, 129, 255, 2000, 8000):
@@ -551,7 +557,7 @@ def test_power_kernel_takes_the_sum(mode):
 @pytest.mark.parametrize("cells", [128, 2048, 2560])
 def test_alpha_reference_matches_one_shot(cells):
     # the reference kernel (m/M)^{alpha - 1} is a power with p = 1/4, which
-    # takes J ~ 550 exponentials and the sum from M of about 2300 on.  Its
+    # takes J ~ 48 exponentials and the sum from M = 285 on.  Its
     # weights are signed, so the gap is held to a multiple of max |Z|
     rows = 100
     w = c_alpha(0.75) * wiener.sample_noise_batch(cells, 9, rows)
