@@ -91,7 +91,7 @@ def _cmd_ising(args) -> int:
     )
     with _quiet_numerics():
         z = harness.sample_ising(profiles, args.samples, args.seed)
-    return _write_samples(args, {"seed": args.seed, "delta": args.delta}, z, "lam_hat")
+    return _write_samples(args, {"seed": args.seed, "delta": args.delta}, z, "lam_hat or h_hat")
 
 
 def _cmd_run(args) -> int:

@@ -543,7 +543,7 @@ def sample_ising(
         x = xi[r0 : r0 + rows]
         z[r0 : r0 + rows] = ising._rfim_partition_batch(system, np.exp(x), np.exp(-x))
     z *= prefactor
-    return positive_samples(z, f"lam_hat = {profiles.lam_hat!r}")
+    return positive_samples(z, f"lam_hat = {profiles.lam_hat!r} or h_hat = {profiles.h_hat!r}")
 
 
 def _ising_mean(profiles: ising.FieldProfiles, disorder: Atoms | StdGaussian) -> float:
@@ -858,7 +858,7 @@ def _tilt_report(config: ExperimentConfig) -> ComparisonReport:
     report.rows.append(ReportRow(0.0, "tilted_mean", result.tilted.mean(), None, 0.0,
                                  abs(result.tilted.mean()), "formula-exact",
                                  abs(result.tilted.mean()) <= 1e-10, "1e-10"))
-    for row in bounds.rows:
+    for row in bounds:
         name, p_exp, lhs, rhs, ok = row
         label = name if p_exp is None else f"{name}[p={p_exp}]"
         report.rows.append(ReportRow(0.0, label, lhs, None, rhs, rhs - lhs,

@@ -7,9 +7,9 @@ site energies beta*omega_n - Lambda(beta) + h at its renewal times:
     Z = E[ exp( sum_{n<=N} (beta omega_n - Lambda(beta) + h) 1_{n in tau} ) ]
 
 free, or conditioned on {N in tau}.  Everything discrete here is exact:
-the transfer recursion, the renewal mass function, and the pair-renewal
-second moment, O(N^2) by factorizing over meeting points, which the
-polymer's second moment shares.
+the transfer recursion, the renewal mass function, and the second moment
+as its chaos sum, one O(N^2) renewal solve over the meeting points of a
+pair of chains, which the polymer's second moment shares.
 """
 
 from __future__ import annotations
@@ -469,15 +469,20 @@ def partition_function_batch(
 # ---------------------------------------------------------------------------
 
 
-def _pair_renewal(meeting: np.ndarray, n_steps: int, gamma: float) -> np.ndarray:
-    """A(0..N), the mass of pairs of chains that meet at n with every meeting
-    weighted by e^gamma, for the meeting mass G = ``meeting``, G(0) = 1.
-
-    The first-meeting law is K = 1 - 1/G, 1/G the renewal solve with kernel
-    -G; A = 1/(1 - e^gamma K) is the solve with kernel -e^gamma/G, whose
-    index 0 the solve never reads.
-    """
-    return _renewal_solve(-math.exp(gamma) * _renewal_solve(-meeting, n_steps), n_steps)
+def _chaos_second_moment(meeting, n_steps: int, gamma: float, ends) -> float:
+    """E[Z^2] = sum_{n<=N} R(n) e(N - n) for a pair of chains with meeting
+    mass G = ``meeting``, G(0) = 1, and end weights e = ``ends``.  Each
+    meeting carries a centred weight of variance s = e^gamma - 1, so degree
+    k of the chaos has squared mass (s (G - delta_0))^{*k}, and R, their sum
+    over k, is one renewal solve on the nonnegative kernel s G."""
+    try:
+        kernel = math.expm1(gamma) * meeting
+    except OverflowError:
+        raise NumericError(f"e^gamma = inf at gamma = {gamma!r}; lower beta_hat or N") from None
+    m2 = float(_renewal_solve(kernel, n_steps) @ ends[::-1])
+    if not math.isfinite(m2):
+        raise NumericError(f"E[Z^2] = {m2!r} is not finite; lower beta_hat or N")
+    return m2
 
 
 def second_moment_exact(
@@ -488,35 +493,33 @@ def second_moment_exact(
     mode: str = "conditioned",
     disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
 ) -> float:
-    """E[Z^2] over the disorder, exactly, by one pair-renewal solve.
+    """E[Z^2] over the disorder, exactly, as the pair of chains' chaos sum.
 
     Averaging the disorder leaves site weights e^{2h + gamma} where both
     renewal chains visit and e^h where exactly one does.  With
-    d = 1/(1 - e^h K) the chains meet with mass G = d^2 at gamma = 0, and
-    ``_pair_renewal`` weights every meeting.  Conditioned mode returns
-    A(N)/u(N)^2.  In free mode t1 = d * (1 - K)/(1 - x), the running sum of
-    (1 - e^{-h}) d + e^{-h} delta_0, ends each chain, and g = t1^2 is the
-    free pair mass at gamma = 0; the moment is
-    (1 - e^{-gamma}) (A * g)(N) + e^{-gamma} g(N), one dot product.
-    The three solves are O(N^2), in 64-step blocks of two convolves each.
+    d = 1/(1 - e^h K) the chains meet with mass G = d^2 at gamma = 0.
+    Conditioned mode ends the pair with G/u(N)^2.  In free mode
+    t1 = d * (1 - K)/(1 - x), the running sum of (1 - e^{-h}) d
+    + e^{-h} delta_0, ends each chain, and g = t1^2 the pair.  The solves,
+    for d, u(N) when conditioned and the chaos sum, are O(N^2), in 64-step
+    blocks of two convolves each.
     """
     if mode not in ("free", "conditioned"):
         raise InputError(f"unknown mode {mode!r}")
     _check_cap(n_steps)
     gamma = overlap_weight(beta, disorder)
     d = _renewal_solve(math.exp(h) * law.probs, n_steps)
-    a = _pair_renewal(d * d, n_steps, gamma)
     if mode == "conditioned":
-        u = renewal_mass(law, n_steps)
-        if u[n_steps] <= 0.0:
+        u_n = renewal_mass(law, n_steps)[n_steps]
+        if u_n <= 0.0:
             raise ConditioningError(f"u({n_steps}) = 0: cannot condition")
-        m2 = float(a[n_steps] / u[n_steps] ** 2)
+        ends = d * d / (u_n * u_n)
     else:
-        g = (math.exp(-h) - math.expm1(-h) * np.cumsum(d)) ** 2
-        m2 = float(-math.expm1(-gamma) * (a @ g[::-1]) + math.exp(-gamma) * g[n_steps])
-    if not math.isfinite(m2):
-        raise NumericError(f"E[Z^2] = {m2!r} is not finite; lower beta_hat or N")
-    return m2
+        try:
+            ends = (math.exp(-h) - math.expm1(-h) * np.cumsum(d)) ** 2
+        except OverflowError:
+            raise NumericError(f"e^-h overflows at h = {h!r}; lower |h_hat|") from None
+    return _chaos_second_moment(d * d, n_steps, gamma, ends)
 
 
 def continuum_second_moment(
@@ -538,9 +541,13 @@ def continuum_second_moment(
     if law.regime == "finite_mean":
         rho = 1.0 / law.mean()
         try:
-            return math.exp(2.0 * rho * h_hat + rho * rho * beta_hat * beta_hat)
+            m2 = math.exp(2.0 * rho * h_hat + rho * rho * beta_hat * beta_hat)
         except OverflowError:
-            raise NumericError("the continuum second moment overflows; lower beta_hat") from None
+            raise NumericError("the continuum second moment overflows; "
+                               "lower beta_hat or h_hat") from None
+        if m2 == 0.0:
+            raise NumericError("the continuum second moment underflows to 0; raise h_hat")
+        return m2
     alpha = law.alpha
     ca = c_alpha(alpha)
     x = (beta_hat * ca) ** 2
@@ -583,7 +590,7 @@ def continuum_second_moment(
             yield term
 
     with np.errstate(over="ignore"):  # an overflowed coefficient ends the sum as not finite
-        return simplex.sum_series(terms())
+        return simplex.sum_series(terms(), "beta_hat or |h_hat|")
 
 
 def lognormal_limit_law(law: RenewalLaw, beta_hat: float, h_hat: float):

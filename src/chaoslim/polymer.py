@@ -30,7 +30,7 @@ from .errors import (
     NumericError,
     ResourceError,
 )
-from .pinning import _check_cap, _pair_renewal
+from .pinning import _chaos_second_moment, _check_cap
 
 _SUPPORT_CAP = 50_000_000
 _INVERSION_CELLS = 1 << 20  # (point, node) cells per row block of the inversion: 8 MB a temporary
@@ -519,17 +519,12 @@ def polymer_second_moment_exact(
     """E[Z_free^2] = E[exp(gamma L_N)] exactly, L_N = #{1 <= n <= N : V_n = 0}
     the zeros of the difference walk V = S - S'.
 
-    They form a renewal of mass u = ``_meeting_mass``, so the pair-renewal
-    solve gives A(n) = E[e^{gamma L_n}; V_n = 0], and a walk that ends free
-    gives E[e^{gamma L_N}] = (1 - e^{-gamma}) sum_{n<=N} A(n) + e^{-gamma}.
+    They form a renewal of mass u = ``_meeting_mass``, and a walk that ends
+    free ends the pair with weight 1, so E[e^{gamma L_N}] is the chaos sum
+    sum_{n<=N} R(n) of ``_chaos_second_moment``: one renewal solve.
     """
     u = _meeting_mass(law, n_steps)
-    gamma = overlap_weight(beta, disorder)
-    m2 = float(-math.expm1(-gamma) * _pair_renewal(u, n_steps, gamma).sum()
-               + math.exp(-gamma))
-    if not math.isfinite(m2):
-        raise NumericError(f"E[Z^2] = {m2!r} is not finite; lower beta_hat or N")
-    return m2
+    return _chaos_second_moment(u, n_steps, overlap_weight(beta, disorder), np.ones(n_steps + 1))
 
 
 def polymer_second_moment_continuum(law: WalkLaw, beta_hat: float) -> float:
@@ -543,5 +538,6 @@ def polymer_second_moment_continuum(law: WalkLaw, beta_hat: float) -> float:
     # a Python float, whose powers overflow as an OverflowError
     x = float(law.period * beta_hat * beta_hat * density.l2_norm_sq())
     return simplex.sum_series(
-        x**k * simplex.dirichlet_closed_form(k, chi, False) for k in itertools.count()
+        (x**k * simplex.dirichlet_closed_form(k, chi, False) for k in itertools.count()),
+        "beta_hat",
     )

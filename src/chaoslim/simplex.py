@@ -27,13 +27,13 @@ _SERIES_TERMS = 400  # the most terms sum_series takes before it gives up
 _SERIES_RTOL = 1e-17  # below half an ulp of the sum, so the term adds nothing
 
 
-def sum_series(terms) -> float:
+def sum_series(terms, lower: str) -> float:
     """Sum ``terms`` (an iterable over degrees 0, 1, ...) until they vanish.
 
     Stops at the first term after degree 0 that is at most 1e-17 of the
     running sum, which no longer changes it.  A sum that is not finite, a
-    term that overflows, or 400 terms without stopping is a NumericError:
-    the series is not summable in floating point.
+    term that overflows, or 400 terms without stopping is a NumericError
+    that names the couplings to ``lower``: the series is not summable.
     """
     total, k = 0.0, -1
     try:
@@ -47,7 +47,7 @@ def sum_series(terms) -> float:
         pass
     raise NumericError(
         f"continuum series not summable: partial sum {total!r} after {k + 1} terms; "
-        "lower beta_hat"
+        f"lower {lower}"
     )
 
 

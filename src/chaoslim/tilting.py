@@ -163,22 +163,18 @@ def tilt_zero_mean(dist: Atoms, interval: str = "two-sided") -> TiltResult:
         tilted=tilted,
         source=dist,
     )
-    report = verify_tilt_bounds(result, dist, p_list=(2.0,))
+    rows = verify_tilt_bounds(result, dist, p_list=(2.0,))
     # the improved quadratic bound is a consequence of the one-sided
     # hypothesis only; the remaining rows are guaranteed for this construction
-    guaranteed = [r for r in report.rows if r[0] != "second_moment_improved"]
+    guaranteed = [r for r in rows if r[0] != "second_moment_improved"]
     if not all(r[-1] for r in guaranteed):
-        raise NumericError(f"a theorem-guaranteed tilt bound failed: {report.rows}")
+        raise NumericError(f"a theorem-guaranteed tilt bound failed: {rows}")
     return result
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    rows: tuple
-
-
-def verify_tilt_bounds(result: TiltResult, dist: Atoms, p_list=(2.0, 0.5, -1.0)) -> BoundReport:
-    """Exactly evaluate both sides of the quantitative tilting bounds.
+def verify_tilt_bounds(result: TiltResult, dist: Atoms, p_list=(2.0, 0.5, -1.0)) -> tuple:
+    """Exactly evaluate both sides of the quantitative tilting bounds: a
+    tuple of rows (name, p, lhs, rhs, holds).
 
     Rows: ("density_moment", p) for E[f(X)^p] <= 1 + C_p E[X]^2 with
     C_p = 4 e^{|p|} / (A eps); "second_moment" for
@@ -214,4 +210,4 @@ def verify_tilt_bounds(result: TiltResult, dist: Atoms, p_list=(2.0, 0.5, -1.0))
     lam_cap = 1.0 / (27.0 * a_level)
     rows.append(("tilt_size", None, abs(result.lam), lam_cap, abs(result.lam) <= lam_cap))
 
-    return BoundReport(tuple(rows))
+    return tuple(rows)

@@ -264,8 +264,8 @@ def test_criterion_09_tilting():
     lam_ok = abs(result.lam - lam_exact) < 1e-10
     mean_ok = abs(result.tilted.mean()) < 1e-12
     bounds = tilting.verify_tilt_bounds(result, dist, p_list=(-1.0, 0.5, 2.0))
-    names = {row[0] for row in bounds.rows}
-    all_hold = all(ok for *_, ok in bounds.rows)
+    names = {row[0] for row in bounds}
+    all_hold = all(ok for *_, ok in bounds)
     four_ok = all_hold and names == {
         "density_moment", "second_moment", "second_moment_improved", "tilt_size"}
     try:

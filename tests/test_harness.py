@@ -681,6 +681,23 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
     (["run"], '{"model": "polymer", "grid": [16], "samples": 1e400}', "samples"),
     (["run"], {"model": "polymer", "grid": [16], "samples": 2.7}, "samples"),
     (["run"], {"model": "polymer", "grid": [16], "samples": 2, "seed": 2.5}, "seed"),
+    # e^gamma - 1 overflows at N = 1 (gamma = 900), as does e^-h of the free end
+    # at h = -1e4, though there the oracle underflows first
+    (["run"], {"model": "pinning", "params": {"beta_hat": 30}, "grid": [1, 2], "samples": 0,
+               "seed": 0}, "e^gamma = inf at gamma = 900.0; lower beta_hat or N"),
+    (["run"], {"model": "pinning", "params": {"h_hat": -1e6, "mode": "free"},
+               "grid": [100, 200], "samples": 0}, "underflows to 0; raise h_hat"),
+    (["run"], {"model": "pinning", "params": {"h_hat": -2000}, "grid": [100, 200],
+               "samples": 0}, "underflows to 0; raise h_hat"),
+    (["run"], {"model": "pinning", "params": {"h_hat": -2000, "mode": "free"},
+               "grid": [100, 200], "samples": 0}, "underflows to 0; raise h_hat"),
+    (["run"], {"model": "pinning", "params": {"h_hat": 2000}, "grid": [100, 200],
+               "samples": 0}, "continuum second moment overflows; lower beta_hat or h_hat"),
+    (["ising", "--delta", "0.5", "--samples", "2", "--h-hat-const", "1e300"], None,
+     "lower lam_hat = 1.0 or h_hat = 1e+300"),
+    (["run"], {"model": "pinning", "grid": [2, 4], "samples": 0,
+               "params": {"law": "alpha", "alpha": 0.75, "n_max": 100, "h_hat": -1e4}},
+     "terms; lower beta_hat or |h_hat|"),
 ], ids=["probs_not_a_number", "config_missing", "config_not_json", "config_no_model",
         "config_samples_not_int",
         "config_grid_not_numbers", "config_grid_not_a_list", "config_param_not_a_number",
@@ -704,7 +721,11 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
         "config_wiener_lam_hat_negative", "config_wiener_series_overflows",
         "config_tilt_past_threshold", "config_seed_negative", "pinning_seed_negative",
         "polymer_seed_negative", "ising_seed_negative", "config_samples_beyond_float",
-        "config_samples_fractional", "config_seed_fractional"])
+        "config_samples_fractional", "config_seed_fractional",
+        "config_second_moment_overflows_at_n1", "config_free_h_hat_minus_1e6",
+        "config_oracle_underflows", "config_oracle_underflows_free",
+        "config_oracle_overflows_by_bias",
+        "ising_h_hat_overflows", "config_alpha_series_bias_not_summable"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, config, message):
     out = tmp_path / "out"
     if argv[0] == "run":

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import gammaln, logsumexp, zeta
 
-from chaoslim import harness, pinning, wiener
+from chaoslim import harness, pinning, polymer, wiener
 from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER, StdGaussian
 from chaoslim.errors import (
     ConditioningError,
@@ -309,9 +309,9 @@ def test_renewal_mass_matches_one_shot():
 @pytest.mark.parametrize("law", [LAW_HALF, RenewalLaw.heavy_tail(0.75, 20000)],
                          ids=["two-atom", "alpha-20000"])
 def test_unweighted_block_solve_on_signed_kernels(law):
-    # the two full-length kernels second_moment_exact solves after d: -G, whose
-    # solution 1/G changes sign, and -e^gamma/G, which is e^{2h+gamma} F past
-    # index 0.  Terms of 1/G that cancel to (near) zero keep no relative
+    # the solve on signed kernels: -G, whose solution 1/G changes sign, and
+    # -e^gamma/G, which is e^{2h+gamma} F past index 0, F the first-meeting
+    # law.  Terms of 1/G that cancel to (near) zero keep no relative
     # accuracy in any summation order, so the solve is held to 1e-13 of the
     # solution's largest term
     n = 2000
@@ -783,6 +783,57 @@ def test_second_moment_matches_longdouble(mode):
         assert abs(np.longdouble(got) / ref - 1) < 2e-11, (n, beta_hat, h_hat)
 
 
+@pytest.mark.parametrize("mode", ["conditioned", "free"])
+@pytest.mark.parametrize("law", [LAW_HALF, RenewalLaw.heavy_tail(0.75, 20000)],
+                         ids=["two-atom", "alpha-20000"])
+def test_second_moment_is_the_chaos_sum(law, mode):
+    # E Z^2 = sum_I psi(I)^2 sigma^{2|I|} with zeta_n of variance
+    # sigma^2 = (e^gamma - 1)/a_N^2, the squared-coefficient mass of the
+    # chaos expansion, summed over every site set I of {1..N}
+    for n in range(1, 13):
+        beta_n, h_n = scale_couplings(law, 1.0, 0.0, n)
+        sigma2 = math.expm1(GAUSSIAN_DISORDER.log_mgf(2 * beta_n)
+                            - 2 * GAUSSIAN_DISORDER.log_mgf(beta_n)) / a_n_scale(law, n) ** 2
+        chaos = math.fsum(psi * psi * sigma2 ** len(sites)
+                          for sites, psi in chaos_kernel(law, n, mode).entries.items())
+        assert second_moment_exact(law, n, beta_n, h_n, mode) == pytest.approx(
+            chaos, rel=1e-12), n
+
+
+def test_second_moment_solves_each_recursion_once(monkeypatch):
+    # d and the chaos sum, and u(N) when conditioned; the polymer solves only
+    # the chaos sum of its meeting mass
+    calls = []
+    solve = pinning._renewal_solve
+
+    def counted(kernel, *args, **kw):
+        calls.append(kernel)
+        return solve(kernel, *args, **kw)
+
+    monkeypatch.setattr(pinning, "_renewal_solve", counted)
+    counts = {}
+    for mode in ("conditioned", "free"):
+        calls.clear()
+        second_moment_exact(LAW_HALF, 100, 0.1, 0.01, mode)
+        counts[mode] = len(calls)
+        assert all(np.all(kernel[1:] >= 0) for kernel in calls), mode
+    calls.clear()
+    polymer.polymer_second_moment_exact(polymer.WalkLaw.simple_symmetric(), 100, 0.1)
+    counts["polymer"] = len(calls)
+    assert counts == {"conditioned": 3, "free": 2, "polymer": 1}
+
+
+def test_second_moment_numeric_limits_are_numeric_errors():
+    # e^gamma - 1 overflows at gamma = 900, and the free end's e^-h at h = -1e4,
+    # which a study does not reach: its continuum oracle fails first
+    with pytest.raises(NumericError, match="= inf at gamma = 900.0; lower beta_hat or N"):
+        second_moment_exact(LAW_HALF, 1, 30.0, 0.0)
+    with pytest.raises(NumericError, match="= inf at gamma = 900.0; lower beta_hat or N"):
+        polymer.polymer_second_moment_exact(polymer.WalkLaw.simple_symmetric(), 4, 30.0)
+    with pytest.raises(NumericError, match="e\\^-h overflows"):
+        second_moment_exact(LAW_HALF, 100, 0.1, -1e4, "free")
+
+
 def test_second_moment_no_disorder_squares_mean():
     for mode in ("conditioned", "free"):
         m2 = second_moment_exact(LAW_HALF, 30, 0.0, 0.12, mode)
@@ -860,6 +911,9 @@ def test_continuum_second_moment_not_summable_is_numeric_error(mode):
     law = RenewalLaw.heavy_tail(0.75, 2)
     with pytest.raises(NumericError, match="not summable"):
         continuum_second_moment(law, 30.0, 0.0, mode)
+    # the bias alone: the message names it with beta_hat
+    with pytest.raises(NumericError, match="not summable.*lower beta_hat or \\|h_hat\\|"):
+        continuum_second_moment(RenewalLaw.heavy_tail(0.75, 100), 1.0, -1e4, mode)
     with pytest.raises(NumericError, match="overflows"):
         continuum_second_moment(LAW_HALF, 40.0, 0.0, mode)
 

@@ -60,22 +60,22 @@ def test_hypothesis_violation_raises():
 
 def test_all_four_bounds_on_two_point_example():
     res = tilt_zero_mean(TWO_POINT, "two-sided")
-    report = verify_tilt_bounds(res, TWO_POINT, p_list=(-1.0, 0.5, 2.0))
-    assert all(ok for *_, ok in report.rows)
-    names = [row[0] for row in report.rows]
+    rows = verify_tilt_bounds(res, TWO_POINT, p_list=(-1.0, 0.5, 2.0))
+    assert all(ok for *_, ok in rows)
+    names = [row[0] for row in rows]
     assert names.count("density_moment") == 3
     assert "second_moment" in names
     assert "second_moment_improved" in names
     assert "tilt_size" in names
     # |lam| <= 1/(27 A) with lots of room on this example
-    lam_row = [r for r in report.rows if r[0] == "tilt_size"][0]
+    lam_row = [r for r in rows if r[0] == "tilt_size"][0]
     assert lam_row[2] <= 0.0021 and lam_row[3] == pytest.approx(1.0 / 27.0)
 
 
 def test_density_moment_p0_trivial():
     res = tilt_zero_mean(TWO_POINT)
-    report = verify_tilt_bounds(res, TWO_POINT, p_list=(0.0,))
-    row = report.rows[0]
+    rows = verify_tilt_bounds(res, TWO_POINT, p_list=(0.0,))
+    row = rows[0]
     assert row[2] == pytest.approx(1.0, abs=1e-12)
     assert row[4]
 
@@ -84,7 +84,7 @@ def test_negative_mean_law_flips():
     law = Atoms([-1.0, 1.0], [0.501, 0.499])
     res = tilt_zero_mean(law, "two-sided")
     assert abs(res.tilted.mean()) <= 1e-12
-    assert all(ok for *_, ok in verify_tilt_bounds(res, law).rows)
+    assert all(ok for *_, ok in verify_tilt_bounds(res, law))
 
 
 def test_one_sided_hypothesis_is_never_met_nondegenerately():
@@ -132,7 +132,7 @@ def test_tilt_normalization_property(magnitudes, seed, mean_shift):
         return
     assert float(res.density @ law.probs) == pytest.approx(1.0, abs=1e-12)
     assert abs(res.tilted.mean()) <= 1e-10
-    report = verify_tilt_bounds(res, law)
-    for row in report.rows:
+    rows = verify_tilt_bounds(res, law)
+    for row in rows:
         if row[0] != "second_moment_improved":
             assert row[-1], row
