@@ -50,9 +50,6 @@ class Kernel:
             clean[_canonical(index_set)] = c
         object.__setattr__(self, "entries", MappingProxyType(clean))
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def c_psi(kernel: Kernel) -> float:
     """Sum of squared coefficients over non-empty index sets.

@@ -133,3 +133,14 @@ def overlap_weight(beta: float, disorder: Atoms | StdGaussian = GAUSSIAN_DISORDE
     if not math.isfinite(lam2):
         raise DomainError("Lambda(2 beta) must be finite")
     return lam2 - 2.0 * disorder.log_mgf(beta)
+
+
+def site_weights(out: np.ndarray, beta: float, disorder: Atoms | StdGaussian,
+                 h: float = 0.0) -> np.ndarray:
+    """The site weights e^{beta x - Lambda(beta) + h} of every transfer,
+    written over the disorder values x in ``out``."""
+    out *= beta
+    out -= disorder.log_mgf(beta)
+    if h:
+        out += h
+    return np.exp(out, out=out)

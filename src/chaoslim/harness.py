@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from . import chaos, ising, pinning, polymer, tilting, wiener
-from .dists import GAUSSIAN_DISORDER, RADEMACHER, Atoms, StdGaussian
+from .dists import GAUSSIAN_DISORDER, RADEMACHER, Atoms, StdGaussian, site_weights
 from .errors import InputError, NumericError
 
 KS_TWO_SAMPLE_C05 = 1.3581  # Smirnov 5% coefficient
@@ -404,13 +404,8 @@ def sample_pinning(
     blocks in the same order, so the samples do not depend on the number of
     cores.
     Where those rows would pass _PINNING_HISTORY values (67 MB), the chunk
-    has fewer samples.  Only the Toeplitz holds that much, min(N, n_max) + 65
-    rows, above min(N, n_max) = 4129; it costs one (64 x min(N, n_max)) by
-    (min(N, n_max) x rows) matrix product a block.  An alpha law with
-    n_max >= N takes the sum of exponentials from N of about 285 on, which
-    holds 129 rows and (64 + 2J) * 64 per row a block, so its chunks keep
-    _PINNING_CHUNK samples at any N.  Either way a block adds 64 steps over
-    in-block lags.
+    has fewer samples; ``pinning._renewal_solve`` gives the rows, and where
+    they pass it.
     """
     beta_n, h_n = pinning.scale_couplings(law, beta_hat, h_hat, n_steps)
     pinning._check_cap(n_steps)
@@ -426,14 +421,12 @@ def sample_pinning(
     return out
 
 
-def _fill_weights(disorder, rngs, block, beta: float, lam: float) -> None:
+def _fill_weights(disorder, rngs, block, beta: float) -> None:
     """Fill sample i of ``block`` from ``rngs[i]``, then turn the block into
-    the weights e^{beta omega - lam} in place."""
+    its site weights in place."""
     for rng, field in zip(rngs, block):
         disorder.fill(rng, field)
-    block *= beta
-    block -= lam
-    np.exp(block, out=block)
+    site_weights(block, beta, disorder)
 
 
 def _polymer_target(law: polymer.WalkLaw, n_steps: int, x: float) -> int:
@@ -487,7 +480,6 @@ def sample_polymer(
     y = None if mode == "free" else _polymer_target(law, n_steps, x)
     width = k_hi - k_lo + 1
     group = max(1, math.isqrt(polymer._FIELD_BLOCK_CELLS // -(-width // law.period)))
-    lam = disorder.log_mgf(beta_n)
     # spawn keys run on across calls, so one spawn a group gives the same
     # children as one up front, without all n_samples seeds at once
     parent = np.random.SeedSequence(seed)
@@ -498,7 +490,7 @@ def sample_polymer(
         ranges = [(len(rngs) * j // parts, len(rngs) * (j + 1) // parts) for j in range(parts)]
 
         def weights(n0, block, rngs=rngs, ranges=ranges):
-            tasks = [_pool().submit(_fill_weights, disorder, rngs[a:b], block[a:b], beta_n, lam)
+            tasks = [_pool().submit(_fill_weights, disorder, rngs[a:b], block[a:b], beta_n)
                      for a, b in ranges]
             for err in [t.exception() for t in tasks]:  # waits for every worker first
                 if err is not None:
@@ -718,12 +710,12 @@ def pinning_alpha_reference(
     finite lattice has a finite series, so nothing is truncated.  K is a
     power m^{-p} with p = 1 - alpha; at alpha = 3/4 the sum of exponentials
     of ``pinning._renewal_solve`` needs J = 39 to 48 terms from M = 285 to
-    2560, so the solve keeps the (64 x M) block Toeplitz and M + 65 history
-    rows a sample only below M = 285.  From there it holds 129 rows a sample
-    and J accumulators, and 5,000 rows take about 0.9 s at M = 2048.  It returns x(M)
-    alone.  The same solve on K^2 with weight (beta_hat c_alpha)^2 / M gives the exact grid
-    E Z^2; at alpha = 3/4 the grid variance is 0.912 of the continuum value
-    at M = 128, a deficit that falls like M^{-(2 alpha - 1)}.
+    2560, so from there the solve holds the rows and J accumulators that its
+    docstring sizes, and 5,000 rows take about 0.9 s at M = 2048.  It returns
+    x(M) alone.  The same recursion on K^2 with w(n) = (beta_hat c_alpha)^2 / M
+    for n < M gives the exact grid E Z^2; at alpha = 3/4 the grid variance
+    is 0.912 of the continuum value at M = 128, a deficit that falls like
+    M^{-(2 alpha - 1)}.
     """
     if beta_hat <= 0:
         raise InputError("beta_hat must be positive")

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import simplex
-from .dists import GAUSSIAN_DISORDER, Atoms, StdGaussian, overlap_weight
+from .dists import GAUSSIAN_DISORDER, Atoms, StdGaussian, overlap_weight, site_weights
 from .errors import (
     ConditioningError,
     DomainError,
@@ -174,8 +174,8 @@ def _power_exponentials(kernel: np.ndarray, reach: int):
     what a folded tail atom, a changed lag or a power too steep for the step
     fails; a fit steeper than m^{-4} is refused before it.  J accumulators
     cost 64 + 2J per step, the Toeplitz's blocks reach / 2 on average, so a
-    longer sum is refused.  At p = 7/4 the sum is taken from N = 285 on;
-    measured at 200 rows, the two break even near N = 300.
+    longer sum is refused (the N from which an alpha law takes the sum is in
+    ``_renewal_solve``); measured at 200 rows, the two break even near N = 300.
     """
     b = _BLOCK_STEPS
     if reach <= b or not (kernel[b] > 0 and kernel[reach] > 0):
@@ -224,58 +224,88 @@ def _far_history(kernel: np.ndarray, n_steps: int):
     The sum is tried only where n_max >= N, since no sum of exponentials is
     0 past n_max.  With it a block reads only the _BLOCK_STEPS rows before
     it; without it, the min(N, n_max) rows the kernel reaches.  The transfer
-    holds those and the _BLOCK_STEPS + 1 rows up to the block's end: 129
-    rows with the sum, min(N, n_max) + 65 on the Toeplitz."""
+    holds those and the _BLOCK_STEPS + 1 rows up to the block's end (sizes
+    in ``_renewal_solve``)."""
     reach = min(n_steps, kernel.size - 1)
     exps = _power_exponentials(kernel, reach) if reach == n_steps else None
     return (reach if exps is None else _BLOCK_STEPS) + _BLOCK_STEPS + 1, exps
 
 
+def _renewal_series(kernel: np.ndarray, n_steps: int) -> np.ndarray:
+    """x(0..N) of x(0) = 1, x(n) = sum_{m=1}^{min(n, n_max)} kernel[m] x(n-m),
+    the weighted transfer with w = 1: the power series 1/(1 - K(z)),
+    K(z) = sum_m kernel[m] z^m, to degree N.
+
+    The first _BLOCK_STEPS steps are one dot each.  A later 64-step block
+    takes the lags that reach back before it (its far term y) in one
+    ``np.convolve`` window, then solves (I - T_K) x = y, T_K the strictly
+    lower Toeplitz of K; the inverse is the lower Toeplitz whose first
+    column is x(0..63) itself.  So a block costs two convolves and no
+    per-step loop, and the whole series O(N min(N, n_max)).
+    """
+    n_max = kernel.size - 1
+    far = min(_BLOCK_STEPS, n_max)  # the most steps of a block the far term reaches
+    # kpad[m] = K(m), zero past n_max, so that every block reads whole windows
+    kpad = np.concatenate([kernel, np.zeros(_BLOCK_STEPS)])
+    x = np.empty(n_steps + 1)
+    x[0] = 1.0
+    for n in range(1, min(n_steps, _BLOCK_STEPS) + 1):
+        m = min(n, n_max)
+        x[n] = kernel[m:0:-1] @ x[n - m : n]
+    for n0 in range(_BLOCK_STEPS, n_steps, _BLOCK_STEPS):
+        n1 = min(n0 + _BLOCK_STEPS, n_steps)
+        past = x[max(0, n0 + 1 - n_max) : n0 + 1]
+        f = min(n1 - n0, far)
+        block = x[n0 + 1 : n0 + 1 + f]
+        block[:] = np.convolve(past, kpad[1 : past.size + f], "valid")
+        x[n0 + 1 : n1 + 1] = np.convolve(block, x[: n1 - n0])[: n1 - n0]
+    return x
+
+
 def _renewal_solve(
-    kernel: np.ndarray, n_steps: int, weights=None, n_rows: int = 0, ends=None
+    kernel: np.ndarray, n_steps: int, weights, n_rows: int, ends=None
 ) -> np.ndarray:
-    """x(0) = 1, x(n) = w(n) sum_{m=1}^{min(n, n_max)} kernel[m] x(n-m).
+    """The end sums sum_n e(n) x(n), one a sample, of the weighted transfer
+    x(0) = 1, x(n) = w(n) sum_{m=1}^{min(n, n_max)} kernel[m] x(n-m).
 
     ``kernel`` is [0, K(1), ..., K(n_max)] with any constant site weight
     folded in.  ``weights(n0, out)`` writes w(n0+1..n0+k) for ``n_rows``
     samples into the solve's own time-major (k, n_rows) block buffer
-    ``out``, one column a sample, once a block, in time order.  None solves
-    one row with w = 1 and returns all of x(0..N).  With weights it returns
-    the end sum sum_n e(n) x(n), one value a sample, which each block adds
-    to as it is solved.  ``ends`` holds e(n) for the last ``ends.size`` n up
-    to N, and e = 0 before them; the default [1] gives x(N).
+    ``out``, one column a sample, once a block, in time order.  Each block
+    adds to the end sums as it is solved.  ``ends`` holds e(n) for the last
+    ``ends.size`` n up to N, and e = 0 before them; the default [1] gives
+    x(N).
 
     The steps run in blocks of _BLOCK_STEPS.  The lags of a block's steps
     that reach back before the block (its far history) enter all of them at
-    once: one (block x min(N, n_max)) Toeplitz of K times the history rows,
-    or one ``np.convolve`` window for the single row.  Each step then adds
-    only its in-block lags.  So the far history costs one matrix product
-    per block instead of one matrix-vector product per step.  With w = 1
-    only the first block steps: a later block solves (I - T_K) x = y for
-    its far term y, T_K the strictly lower Toeplitz of K, and the inverse is
-    the lower Toeplitz whose first column is x(0..63) itself.  So the single
-    row costs two convolves per block and no per-step loop after the first.
+    once: one (block x min(N, n_max)) Toeplitz of K times the history rows.
+    Each step then adds only its in-block lags.  So the far history costs
+    one matrix product per block instead of one matrix-vector product per
+    step.
 
-    With weights, n_max >= N and a kernel that ``_power_exponentials``
-    writes as a sum of J exponentials on lags 65..N (a pure power c m^{-p}
-    with p up to about 3, and N > 2 (64 + 2J)), the Toeplitz covers only
-    lags 1..127, the block before.  The history before that is J
-    accumulators H_k = sum_i e^{-s_k (n0 - i)} x(i), which decay by
-    e^{-64 s_k} and take in one block a step.  A block then costs
-    (64 + 2J) * 64 per row in place of min(N, n_max) * 64, and the far lags
-    hold K within 1e-13 relative, not to roundoff.
+    With n_max >= N and a kernel that ``_power_exponentials`` writes as a
+    sum of J exponentials on lags 65..N (a pure power c m^{-p} with p up to
+    about 3, and N > 2 (64 + 2J)), the Toeplitz covers only lags 1..127,
+    the block before.  The history before that is J accumulators
+    H_k = sum_i e^{-s_k (n0 - i)} x(i), which decay by e^{-64 s_k} and take
+    in one block a step.  A block then costs (64 + 2J) * 64 per row in
+    place of min(N, n_max) * 64, and the far lags hold K within 1e-13
+    relative, not to roundoff.  An alpha law (p = 1 + alpha, J ~ 50 at
+    alpha = 3/4) takes the sum from N of about 285 on.
 
     One time-major buffer holds the rows of ``_far_history``, the history
     slid to the front between blocks, and one more holds the block's
-    weights.  So the memory is (min(N, n_max) + 2 * _BLOCK_STEPS + 1)
-    * n_rows floats plus the Toeplitz, at most _BLOCK_STEPS * min(N, n_max);
-    the sum of exponentials keeps (3 * _BLOCK_STEPS + 1) * n_rows floats,
-    whatever N, plus J * (n_rows + 128) for the accumulators.
+    weights.  On the Toeplitz that is min(N, n_max) + 65 rows a sample,
+    plus the Toeplitz itself, at most _BLOCK_STEPS * min(N, n_max) floats;
+    with the sum of exponentials it is 129 rows a sample, whatever N, plus
+    J * (n_rows + 128) floats for the accumulators.  The block buffer adds
+    _BLOCK_STEPS rows.  ``harness.sample_pinning`` holds at most 4194
+    history rows a sample in its 2000-sample chunks, so only the Toeplitz
+    past min(N, n_max) = 4129 shrinks them.
     """
     n_max = kernel.size - 1
-    reach = min(n_steps, n_max)  # the most far-history rows a block reads
-    held, exps = (n_steps + 1, None) if weights is None else _far_history(kernel, n_steps)
-    hist = held - _BLOCK_STEPS - 1  # the rows before a block that the buffer keeps
+    held, exps = _far_history(kernel, n_steps)
+    hist = held - _BLOCK_STEPS - 1  # the far-history rows a block reads, and the buffer keeps
     far = min(_BLOCK_STEPS, n_max)  # the most steps of a block they reach
     # kpad[m] = K(m), zero past n_max, so that every block reads whole
     # windows; kernel[0] is never read
@@ -290,23 +320,18 @@ def _renewal_solve(
              for j in range(1, _BLOCK_STEPS + 1)]
     # buffer row i holds x(base + i); time-major, so every step reads and
     # writes contiguous memory
-    rows = () if weights is None else (n_rows,)
-    x = np.empty((min(n_steps + 1, held), *rows))
-    if weights is not None:
-        width = reach if exps is None else _BLOCK_STEPS
-        # toeplitz[j - 1, c] = K(width - 1 + j - c); a block whose far
-        # history is p rows long takes the last p columns
-        toeplitz = np.ascontiguousarray(
-            sliding_window_view(kpad[1 : width + far], width)[:, ::-1]
-        )
-        if exps is not None:
-            exp_near, exp_decay, exp_hist = exps
-            acc = np.zeros((exp_decay.size, n_rows))
-        buf = np.empty((_BLOCK_STEPS, n_rows))
-        if ends is None:
-            ends = np.ones(1)
-        first = n_steps + 1 - ends.size  # the n of ends[0]
-        total = np.full(n_rows, ends[0] if first == 0 else 0.0)  # e(0) x(0)
+    x = np.empty((min(n_steps + 1, held), n_rows))
+    # toeplitz[j - 1, c] = K(hist - 1 + j - c); a block whose far
+    # history is p rows long takes the last p columns
+    toeplitz = np.ascontiguousarray(sliding_window_view(kpad[1 : hist + far], hist)[:, ::-1])
+    if exps is not None:
+        exp_near, exp_decay, exp_hist = exps
+        acc = np.zeros((exp_decay.size, n_rows))
+    buf = np.empty((_BLOCK_STEPS, n_rows))
+    if ends is None:
+        ends = np.ones(1)
+    first = n_steps + 1 - ends.size  # the n of ends[0]
+    total = np.full(n_rows, ends[0] if first == 0 else 0.0)  # e(0) x(0)
     x[0] = 1.0
     base = 0
     for n0 in range(0, n_steps, _BLOCK_STEPS):
@@ -319,27 +344,17 @@ def _renewal_solve(
                 k = min(shift, hist + 1 - r)
                 x[r : r + k] = x[r + shift : r + shift + k]
             base = n0 - hist
-        # the far history x(max(0, n0 + 1 - n_max) .. n0), as far as the
-        # buffer keeps it, and the rows of the steps it reaches
-        past = x[max(base, n0 + 1 - n_max) - base : n0 + 1 - base]
-        p = past.shape[0]
+        # the far history x(max(0, n0 + 1 - hist) .. n0) and the rows of
+        # the steps it reaches
+        past = x[max(base, n0 + 1 - hist) - base : n0 + 1 - base]
         f = min(n1 - n0, far)
         block = x[n0 + 1 - base : n0 + 1 + f - base]
-        if weights is None:
-            block[:] = np.convolve(past, kpad[1 : p + f], "valid")
-            if n0:  # (I - T_K)^{-1} times the far term; with w = 1 base stays 0
-                x[n0 + 1 : n1 + 1] = np.convolve(block, x[: n1 - n0])[: n1 - n0]
-            else:
-                for i, (coef, e) in zip(range(1, n1 + 1), steps):
-                    x[i] = coef @ x[i + e - coef.size : i + e]
-            continue
         w = buf[: n1 - n0]
         weights(n0, w)
         # with a sum of exponentials the Toeplitz takes only the block
         # before; the accumulators add the history before that, then take
         # that block in: H <- e^{-64 s} H + hist @ x
-        past = past[-width:]
-        cols = slice(width - past.shape[0], None)
+        cols = slice(hist - past.shape[0], None)
         np.matmul(toeplitz[:f, cols], past, out=block)
         if exps is not None:
             block += exp_near[:f] @ acc
@@ -350,14 +365,14 @@ def _renewal_solve(
         lo = max(n0 + 1, first)
         if lo <= n1:
             total += ends[lo - first : n1 + 1 - first] @ x[lo - base : n1 + 1 - base]
-    return x if weights is None else total
+    return total
 
 
 def renewal_mass(law: RenewalLaw, n_points: int) -> np.ndarray:
-    """u(n) = P(n in tau) for n = 0..n_points, by convolution recursion:
+    """u(n) = P(n in tau) for n = 0..n_points, the series 1/(1 - K):
     64 steps, then two convolves per 64-step block."""
     _check_cap(n_points)
-    return _renewal_solve(law.probs, n_points)
+    return _renewal_series(law.probs, n_points)
 
 
 def _check_tail_range(law: RenewalLaw, n_steps: int) -> None:
@@ -380,16 +395,6 @@ def scale_couplings(law: RenewalLaw, beta_hat: float, h_hat: float, n_steps: int
         beta_hat * lam / n_steps ** (law.alpha - 0.5),
         h_hat * lam / n_steps**law.alpha,
     )
-
-
-def _site_weights(
-    omega: np.ndarray, beta: float, h: float, disorder: Atoms | StdGaussian
-) -> np.ndarray:
-    """e^{beta omega - Lambda(beta) + h}, written over ``omega``."""
-    omega *= beta
-    omega -= disorder.log_mgf(beta)
-    omega += h
-    return np.exp(omega, out=omega)
 
 
 def _array_omega(omega: np.ndarray):
@@ -433,17 +438,12 @@ def partition_function_batch(
     ``_array_omega`` reads a fixed one.
 
     Each 64-step block takes the history before it in one matrix product,
-    (64 x min(N, n_max)) by (min(N, n_max) x samples), and then runs its
-    steps over their in-block lags only.  An alpha law with n_max > N from
-    N of about 285 takes that history as J ~ 50 exponential accumulators
-    instead (see ``_renewal_solve``): 64 + 2J in place of min(N, n_max) per
-    step and row, within 1e-13 relative of K on the lags past 64.  The
-    transfer returns x(N), divided here by u(N) when conditioned, or the
-    free sum of x(n) P(tau_1 > N - n), which it adds up block by block.  So
-    it holds only the history its blocks read, the rows ``_far_history``
-    gives a sample: min(N, n_max) + 65 on the Toeplitz, with at most
-    64 * min(N, n_max) for the block Toeplitz of K, and 129 with the sum of
-    exponentials, whatever N.  The block buffer adds 64 * samples.
+    (64 x min(N, n_max)) by (min(N, n_max) x samples), or, for an alpha law
+    with n_max > N, as a sum of exponential accumulators, and then runs its
+    steps over their in-block lags only (see ``_renewal_solve``, which also
+    gives the sizes).  The transfer returns x(N), divided here by u(N) when
+    conditioned, or the free sum of x(n) P(tau_1 > N - n), which it adds up
+    block by block.  So it holds only the history its blocks read.
     """
     if mode not in ("free", "conditioned"):
         raise InputError(f"unknown mode {mode!r}")
@@ -455,7 +455,7 @@ def partition_function_batch(
 
     def weights(n0, out):
         omega(n0, out)
-        _site_weights(out, beta, h, disorder)
+        site_weights(out, beta, disorder, h)
 
     if mode == "conditioned":
         return _renewal_solve(law.probs, n_steps, weights, n_samples) / u_n
@@ -479,7 +479,7 @@ def _chaos_second_moment(meeting, n_steps: int, gamma: float, ends) -> float:
         kernel = math.expm1(gamma) * meeting
     except OverflowError:
         raise NumericError(f"e^gamma = inf at gamma = {gamma!r}; lower beta_hat or N") from None
-    m2 = float(_renewal_solve(kernel, n_steps) @ ends[::-1])
+    m2 = float(_renewal_series(kernel, n_steps) @ ends[::-1])
     if not math.isfinite(m2):
         raise NumericError(f"E[Z^2] = {m2!r} is not finite; lower beta_hat or N")
     return m2
@@ -498,27 +498,25 @@ def second_moment_exact(
     Averaging the disorder leaves site weights e^{2h + gamma} where both
     renewal chains visit and e^h where exactly one does.  With
     d = 1/(1 - e^h K) the chains meet with mass G = d^2 at gamma = 0.
-    Conditioned mode ends the pair with G/u(N)^2.  In free mode
-    t1 = d * (1 - K)/(1 - x), the running sum of (1 - e^{-h}) d
-    + e^{-h} delta_0, ends each chain, and g = t1^2 the pair.  The solves,
-    for d, u(N) when conditioned and the chaos sum, are O(N^2), in 64-step
-    blocks of two convolves each.
+    Conditioned mode ends the pair with G/u(N)^2.  In free mode a chain
+    ends free at n with t1(n) = sum_m d(m) P(tau_1 > n - m), a convolution
+    of positive terms that keeps its relative accuracy at any bias, and
+    the pair with g = t1^2.  The series solves, for d, u(N) when
+    conditioned and the chaos sum, are O(N^2), in 64-step blocks of two
+    convolves each.
     """
     if mode not in ("free", "conditioned"):
         raise InputError(f"unknown mode {mode!r}")
     _check_cap(n_steps)
     gamma = overlap_weight(beta, disorder)
-    d = _renewal_solve(math.exp(h) * law.probs, n_steps)
+    d = _renewal_series(math.exp(h) * law.probs, n_steps)
     if mode == "conditioned":
         u_n = renewal_mass(law, n_steps)[n_steps]
         if u_n <= 0.0:
             raise ConditioningError(f"u({n_steps}) = 0: cannot condition")
         ends = d * d / (u_n * u_n)
     else:
-        try:
-            ends = (math.exp(-h) - math.expm1(-h) * np.cumsum(d)) ** 2
-        except OverflowError:
-            raise NumericError(f"e^-h overflows at h = {h!r}; lower |h_hat|") from None
+        ends = np.convolve(d, law.tail(min(n_steps, law.n_max)))[: n_steps + 1] ** 2
     return _chaos_second_moment(d * d, n_steps, gamma, ends)
 
 

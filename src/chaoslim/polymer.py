@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from . import simplex
-from .dists import GAUSSIAN_DISORDER, Atoms, StdGaussian, overlap_weight
+from .dists import GAUSSIAN_DISORDER, Atoms, StdGaussian, overlap_weight, site_weights
 from .errors import (
     ConditioningError,
     DomainError,
@@ -460,9 +460,7 @@ def _sublattice_source(law: WalkLaw, omega: SpaceTimeField, beta: float):
     padded[:, :width] = omega.values
     offs = (res * np.arange(1, n_steps + 1) - omega.k_lo) % p
     block = np.take_along_axis(padded, offs[:, None] + p * np.arange(cols), axis=1)[None]
-    block *= beta
-    block -= GAUSSIAN_DISORDER.log_mgf(beta)
-    np.exp(block, out=block)
+    site_weights(block, beta, GAUSSIAN_DISORDER)
     return lambda n0, out: np.copyto(out, block[:, n0 : n0 + out.shape[1]])
 
 

@@ -29,23 +29,17 @@ _NORM_TOL = 1e-12
 
 
 def choose_a_level(dist: Atoms, one_sided: bool = False) -> float:
-    """Smallest atom magnitude A with E[X^2 1_{|X|>A}] <= E[X^2]/4.
+    """Least atom A = m > 0 with E[X^2 1_{m>A}] <= E[X^2 1_{m>=0}]/4 for
+    m = |X|, that is E[X^2 1_{|X|>A}] <= E[X^2]/4.
 
     With ``one_sided`` (for X with E[X] >= 0, after a sign flip otherwise)
-    the condition is E[X^2 1_{X>A}] <= E[X^2 1_{X>=0}]/4 instead.
+    m = X: the condition is E[X^2 1_{X>A}] <= E[X^2 1_{X>=0}]/4.
     """
     v, p = dist.values, dist.probs
-    if one_sided:
-        pos = v >= 0
-        budget = 0.25 * float((v[pos] ** 2) @ p[pos])
-        candidates = np.unique(v[(v > 0)])
-        tail = lambda a: float((v[v > a] ** 2) @ p[v > a])
-    else:
-        budget = 0.25 * dist.second_moment()
-        candidates = np.unique(np.abs(v[v != 0]))
-        tail = lambda a: float((v[np.abs(v) > a] ** 2) @ p[np.abs(v) > a])
-    for a in candidates:
-        if tail(float(a)) <= budget:
+    m = v if one_sided else np.abs(v)
+    budget = 0.25 * float((v[m >= 0] ** 2) @ p[m >= 0])
+    for a in np.unique(m[m > 0]):
+        if float((v[m > a] ** 2) @ p[m > a]) <= budget:
             return float(a)
     raise InputError("no positive atom magnitude satisfies the tail condition")
 

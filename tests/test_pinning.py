@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from scipy.special import gammaln, logsumexp, zeta
 
 from chaoslim import harness, pinning, polymer, wiener
-from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER, StdGaussian
+from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER, StdGaussian, site_weights
 from chaoslim.errors import (
     ConditioningError,
     DomainError,
@@ -229,7 +229,7 @@ def _one_shot_solve(kernel, n_steps, weights=None):
 
 def _one_shot_partition_batch(law, omega, beta, h, mode, disorder):
     n = omega.shape[1]
-    z = _one_shot_solve(law.probs, n, pinning._site_weights(omega.copy(), beta, h, disorder))
+    z = _one_shot_solve(law.probs, n, site_weights(omega.copy(), beta, disorder, h))
     if mode == "conditioned":
         return z[:, n] / _one_shot_solve(law.probs, n)[n]
     return z @ law.tail(n)[::-1]
@@ -322,7 +322,7 @@ def test_unweighted_block_solve_on_signed_kernels(law):
     gamma = GAUSSIAN_DISORDER.log_mgf(2 * beta) - 2 * GAUSSIAN_DISORDER.log_mgf(beta)
     for kernel in (-d * d, math.exp(2 * h + gamma) * f):
         ref = _one_shot_solve(kernel, n)
-        np.testing.assert_allclose(pinning._renewal_solve(kernel, n), ref, rtol=1e-13,
+        np.testing.assert_allclose(pinning._renewal_series(kernel, n), ref, rtol=1e-13,
                                    atol=1e-13 * np.abs(ref).max())
 
 
@@ -509,7 +509,7 @@ def test_far_history_sum_matches_one_shot(disorder, h_hat):
     for n in (63, 64, 65, 127, 128, 129, 255, 2000, 8000):
         omega = disorder.fill(rng, np.empty((5, n)))
         beta, h = scale_couplings(law, 1.0, h_hat, n)
-        z = _one_shot_solve(law.probs, n, pinning._site_weights(omega.copy(), beta, h, disorder))
+        z = _one_shot_solve(law.probs, n, site_weights(omega.copy(), beta, disorder, h))
         refs = {"conditioned": z[:, n] / _one_shot_solve(law.probs, n)[n],
                 "free": z @ law.tail(n)[::-1]}
         for mode, ref in refs.items():
@@ -714,12 +714,12 @@ def _second_moment_f_loop(law, n, beta, h, mode, disorder=GAUSSIAN_DISORDER):
     by the deconvolution loop that the series inverse 1/G replaced."""
     gamma = disorder.log_mgf(2 * beta) - 2 * disorder.log_mgf(beta)
     e2h = math.exp(2 * h)
-    d = pinning._renewal_solve(math.exp(h) * law.probs, n)
+    d = pinning._renewal_series(math.exp(h) * law.probs, n)
     big_g = d * d
     f = np.zeros(n + 1)
     for k in range(1, n + 1):
         f[k] = big_g[k] / e2h - (f[1:k] @ big_g[k - 1 : 0 : -1] if k > 1 else 0.0)
-    a = pinning._renewal_solve(e2h * math.exp(gamma) * f, n)
+    a = pinning._renewal_series(e2h * math.exp(gamma) * f, n)
     if mode == "conditioned":
         return a[n] / renewal_mass(law, n)[n] ** 2
     t1 = np.convolve(d, law.tail(n))[: n + 1]
@@ -802,15 +802,20 @@ def test_second_moment_is_the_chaos_sum(law, mode):
 
 def test_second_moment_solves_each_recursion_once(monkeypatch):
     # d and the chaos sum, and u(N) when conditioned; the polymer solves only
-    # the chaos sum of its meeting mass
+    # the chaos sum of its meeting mass.  All are series solves: the exact
+    # layer never runs the weighted transfer
     calls = []
-    solve = pinning._renewal_solve
+    series = pinning._renewal_series
 
-    def counted(kernel, *args, **kw):
+    def counted(kernel, n_steps):
         calls.append(kernel)
-        return solve(kernel, *args, **kw)
+        return series(kernel, n_steps)
 
-    monkeypatch.setattr(pinning, "_renewal_solve", counted)
+    def refused(*args, **kw):
+        raise AssertionError("the weighted transfer ran in an exact second moment")
+
+    monkeypatch.setattr(pinning, "_renewal_series", counted)
+    monkeypatch.setattr(pinning, "_renewal_solve", refused)
     counts = {}
     for mode in ("conditioned", "free"):
         calls.clear()
@@ -824,14 +829,29 @@ def test_second_moment_solves_each_recursion_once(monkeypatch):
 
 
 def test_second_moment_numeric_limits_are_numeric_errors():
-    # e^gamma - 1 overflows at gamma = 900, and the free end's e^-h at h = -1e4,
-    # which a study does not reach: its continuum oracle fails first
+    # e^gamma - 1 overflows at gamma = 900.  At h = -1e4 the free end is
+    # exact: e^h = 0, so no chain renews and Z = P(tau_1 > 100) = 0
     with pytest.raises(NumericError, match="= inf at gamma = 900.0; lower beta_hat or N"):
         second_moment_exact(LAW_HALF, 1, 30.0, 0.0)
     with pytest.raises(NumericError, match="= inf at gamma = 900.0; lower beta_hat or N"):
         polymer.polymer_second_moment_exact(polymer.WalkLaw.simple_symmetric(), 4, 30.0)
-    with pytest.raises(NumericError, match="e\\^-h overflows"):
-        second_moment_exact(LAW_HALF, 100, 0.1, -1e4, "free")
+    assert second_moment_exact(LAW_HALF, 100, 0.1, -1e4, "free") == 0.0
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("h_hat", [-20.0, -50.0, -200.0])
+@pytest.mark.parametrize("law,n", [
+    (LAW_HALF, 100),
+    (RenewalLaw.from_probabilities([0.1, 0.2, 0.3, 0.25, 0.15]), 300),
+], ids=["two-atom-100", "five-atom-300"])
+def test_free_second_moment_at_negative_bias(law, n, h_hat):
+    # a chain ends free through sum_m d(m) P(tau_1 > n - m), a sum of
+    # positive terms, which keeps its relative accuracy as the bias falls
+    beta_n, h_n = scale_couplings(law, 1.0, h_hat, n)
+    ref = _second_moment_longdouble(law, n, beta_n, h_n, "free")
+    got = second_moment_exact(law, n, beta_n, h_n, "free")
+    assert abs(np.longdouble(got) / ref - 1) < 1e-12, got
 
 
 def test_second_moment_no_disorder_squares_mean():
