@@ -429,13 +429,6 @@ def _fill_weights(disorder, rngs, block, beta: float) -> None:
     site_weights(block, beta, disorder)
 
 
-def _polymer_target(law: polymer.WalkLaw, n_steps: int, x: float) -> int:
-    """The endpoint y of a point-to-point or conditioned polymer: x N^{1/alpha}
-    rounded, then moved down onto the sites the walk reaches at step N."""
-    y = int(round(x * n_steps ** (1.0 / law.alpha)))
-    return y - (y - law.residue * n_steps) % law.period
-
-
 def sample_polymer(
     law: polymer.WalkLaw,
     beta_hat: float,
@@ -447,9 +440,9 @@ def sample_polymer(
     disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
     mass_tol: float = 1e-8,
 ) -> np.ndarray:
-    """Free / point-to-point / conditioned polymer partition samples, on a
-    field over the reachable sites within 6.5 N^{1/alpha} walk spreads of
-    the origin.
+    """Free / point-to-point / conditioned polymer partition samples: the
+    transfer's row sums or entries at y over the norm, with the window, y
+    and norm of ``polymer.field_window``.
 
     A walk of period p and residue r visits at step n only the sites
     k = r n (mod p), so a field holds values only there: ceil(width / p)
@@ -470,15 +463,7 @@ def sample_polymer(
     samples depend on neither the grouping nor the number of cores.
     """
     beta_n = polymer.scale_beta(law.alpha, beta_hat, n_steps)
-    half = polymer._half_width(law, n_steps)
-    lo, hi = polymer.reachable_window(law, n_steps)
-    k_lo, k_hi = max(lo, -half), min(hi, half)
-    target = x * n_steps ** (1.0 / law.alpha)
-    if mode != "free" and not k_lo - 0.5 <= target <= k_hi + 0.5:
-        raise InputError(f"x = {x!r} puts the target x N^(1/alpha) = {target:.6g} "
-                         f"outside the field window [{k_lo}, {k_hi}]")
-    y = None if mode == "free" else _polymer_target(law, n_steps, x)
-    width = k_hi - k_lo + 1
+    k_lo, width, y, norm = polymer.field_window(law, n_steps, mode, x)
     group = max(1, math.isqrt(polymer._FIELD_BLOCK_CELLS // -(-width // law.period)))
     # spawn keys run on across calls, so one spawn a group gives the same
     # children as one up front, without all n_samples seeds at once
@@ -497,7 +482,7 @@ def sample_polymer(
                     raise err
 
         out[s0 : s0 + len(rngs)] = polymer._partition_batch(
-            law, k_lo, len(rngs), width, n_steps, weights, mode, y, mass_tol)
+            law, k_lo, len(rngs), width, n_steps, weights, y, mass_tol) / norm
     return out
 
 
@@ -521,18 +506,18 @@ def sample_ising(
     """Rescaled RFIM partition samples e^{-||lam||^2 d^{-1/4}/2} Z on the
     lattice Omega cap (delta Z)^2, by batched transfer sweeps.  A sweep's
     state holds 2^(frontier spins) values a row, so the rows go in chunks
-    whose states hold at most the transfer cap, 2^20 values, together; each
-    row is swept alone, so the chunks do not change its bytes.  At large
-    lam_hat the prefactor underflows to 0 and Z overflows: a NumericError."""
+    whose states hold at most the transfer cap, 2^20 values, together; a
+    chunk draws its xi from the one Generator in turn, and each row is swept
+    alone, so the chunks do not change its bytes.  At large lam_hat the
+    prefactor underflows to 0 and Z overflows: a NumericError."""
     system = ising.LatticeSpinSystem.from_domain(profiles.domain, profiles.delta)
     prefactor = ising.normalization_prefactor(profiles)
     lam, h = ising.scale_fields(profiles, system)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    xi = lam * disorder.fill(rng, np.empty((n_samples, system.n_sites))) + h
     rows = max(1, ising._SWEEP_CAP >> system.frontier_spins)
     z = np.empty(n_samples)
     for r0 in range(0, n_samples, rows):
-        x = xi[r0 : r0 + rows]
+        x = lam * disorder.fill(rng, np.empty((min(rows, n_samples - r0), system.n_sites))) + h
         z[r0 : r0 + rows] = ising._rfim_partition_batch(system, np.exp(x), np.exp(-x))
     z *= prefactor
     return positive_samples(z, f"lam_hat = {profiles.lam_hat!r} or h_hat = {profiles.h_hat!r}")
@@ -601,7 +586,7 @@ def _pinning_study(config):
 def _polymer_study(config):
     """Rows per N: ``second_moment``, the exact free-mode E[Z^2] in every
     mode, and with samples ``mean_Z`` against E Z: q_N(y) point-to-point,
-    1 otherwise."""
+    at the y of ``polymer.field_window``, 1 otherwise."""
     params = config.params
     law = polymer_law(params)
     disorder = _disorder(params)
@@ -619,7 +604,7 @@ def _polymer_study(config):
         if config.samples > 0:
             z = sample_polymer(law, beta_hat, n_steps, config.samples, stream_seed,
                                mode, x, disorder, mass_tol=mass_tol)
-            mean_z = (polymer.walk_pmf(law, n_steps)[_polymer_target(law, n_steps, x)]
+            mean_z = (polymer.walk_pmf(law, n_steps)[polymer.field_window(law, n_steps, mode, x)[2]]
                       if mode == "point2point" else 1.0)
             rows.append(_mean_row(n_steps, "mean_Z", z, mean_z))
         return rows

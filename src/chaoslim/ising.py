@@ -201,7 +201,11 @@ def scale_fields(profiles: FieldProfiles, system: LatticeSpinSystem):
 
 
 def normalization_prefactor(profiles: FieldProfiles) -> float:
-    """exp(-lam_hat^2 |Omega| delta^{-1/4} / 2), |Omega| the domain's area."""
+    """exp(-lam_hat^2 |Omega| delta^{-1/4} / 2), |Omega| the domain's area;
+    0.0 where lam_hat^2 overflows."""
     dom = profiles.domain
-    norm_sq = profiles.lam_hat**2 * ((dom.x1 - dom.x0) * (dom.y1 - dom.y0))
+    try:
+        norm_sq = profiles.lam_hat**2 * ((dom.x1 - dom.x0) * (dom.y1 - dom.y0))
+    except OverflowError:
+        return 0.0
     return math.exp(-0.5 * norm_sq * profiles.delta ** (-0.25))

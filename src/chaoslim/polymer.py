@@ -66,7 +66,6 @@ class WalkLaw:
         p.setflags(write=False)
         object.__setattr__(self, "offsets", off)
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "_pmf_cache", {})
 
     @classmethod
     def simple_symmetric(cls) -> "WalkLaw":
@@ -162,21 +161,15 @@ def walk_pmf(law: WalkLaw, n: int) -> Pmf:
     """q_n(k) = P(S_n = k): exact n-fold convolution (binary squaring)."""
     if n < 0:
         raise InputError("n must be >= 0")
-    cache = law._pmf_cache
-    if n in cache:
-        return cache[n]
     if n == 0:
-        out = Pmf(0, np.array([1.0]))
-    elif n == 1:
-        out = _dense(law)
-    else:
-        half = walk_pmf(law, n // 2)
-        out = Pmf(2 * half.lo, _convolve(half.probs, half.probs))
-        if n % 2:
-            inc = _dense(law)
-            out = Pmf(out.lo + inc.lo, _convolve(out.probs, inc.probs))
-    if len(cache) < 64:
-        cache[n] = out
+        return Pmf(0, np.array([1.0]))
+    if n == 1:
+        return _dense(law)
+    half = walk_pmf(law, n // 2)
+    out = Pmf(2 * half.lo, _convolve(half.probs, half.probs))
+    if n % 2:
+        inc = _dense(law)
+        out = Pmf(out.lo + inc.lo, _convolve(out.probs, inc.probs))
     return out
 
 
@@ -349,10 +342,6 @@ class SpaceTimeField:
         object.__setattr__(self, "values", v)
 
 
-def reachable_window(law: WalkLaw, n_steps: int) -> tuple[int, int]:
-    return int(law.offsets[0]) * n_steps, int(law.offsets[-1]) * n_steps
-
-
 def _half_width(law: WalkLaw, n_steps: int) -> int:
     """Default spatial half-width 6.5 N^{1/alpha} s of a field window, where
     s is the spread of the walk: sigma for alpha = 2, C^{1/alpha} for
@@ -364,6 +353,35 @@ def _half_width(law: WalkLaw, n_steps: int) -> int:
     return int(math.ceil(6.5 * n_steps ** (1.0 / law.alpha) * spread))
 
 
+def field_window(law: WalkLaw, n_steps: int, mode: str = "free", x: float = 0.0):
+    """(k_lo, width, y, norm) of a polymer of N = ``n_steps`` steps: its field
+    window [k_lo, k_lo + width), the sites the walk reaches within
+    ``_half_width`` of the origin, and how its path ends. Free, y is None;
+    else y is x N^{1/alpha} rounded, then moved down onto the sites the walk
+    reaches at step N. The norm is q_N(y) conditioned, 1 otherwise."""
+    if mode not in ("free", "point2point", "conditioned"):
+        raise InputError(f"unknown mode {mode!r}")
+    half = _half_width(law, n_steps)
+    k_lo = max(int(law.offsets[0]) * n_steps, -half)
+    k_hi = min(int(law.offsets[-1]) * n_steps, half)
+    y, norm = None, 1.0
+    if mode != "free":
+        target = x * n_steps ** (1.0 / law.alpha)
+        if not k_lo - 0.5 <= target <= k_hi + 0.5:
+            raise InputError(f"x = {x!r} puts the target x N^(1/alpha) = {target:.6g} "
+                             f"outside the field window [{k_lo}, {k_hi}]")
+        y = int(round(target))
+        y -= (y - law.residue * n_steps) % law.period
+        if not k_lo <= y <= k_hi:
+            raise InputError(f"x = {x!r} puts the endpoint y = {y} outside the field "
+                             f"window [{k_lo}, {k_hi}]")
+    if mode == "conditioned":
+        norm = walk_pmf(law, n_steps)[y]
+        if norm <= 0.0:
+            raise ConditioningError(f"q_{n_steps}({y}) = 0: cannot condition")
+    return k_lo, k_hi - k_lo + 1, y, norm
+
+
 def _partition_batch(
     law: WalkLaw,
     k_lo: int,
@@ -371,12 +389,13 @@ def _partition_batch(
     width: int,
     n_steps: int,
     weights,
-    mode: str = "free",
     y: int | None = None,
     mass_tol: float = 1e-8,
 ) -> np.ndarray:
     """Partition functions of ``rows`` disorder fields of N = ``n_steps``
-    steps on the spatial window [k_lo, k_lo + width).
+    steps on the spatial window [k_lo, k_lo + width): each row's sum over
+    the window, or with a site ``y`` its entry there, unnormalized.
+    ``field_window`` picks the window, y and the norm a caller divides by.
 
     A law of period p and residue r reaches at step n only the sites
     k = r n (mod p), so a field holds values only there. ``weights(n0, out)``
@@ -399,13 +418,8 @@ def _partition_batch(
     dropped walk probability mass is measured once, on a
     unit-weight row carried through the same loop, against the mass
     (sum p)^n the walk carries without a window; the call aborts if the
-    loss exceeds ``mass_tol``. Returns one partition function per row, in
-    the given mode.
+    loss exceeds ``mass_tol``.
     """
-    if mode not in ("free", "point2point", "conditioned"):
-        raise InputError(f"unknown mode {mode!r}")
-    if mode != "free" and y is None:
-        raise InputError(f"mode {mode!r} needs a target site y")
     if k_lo > 0 or k_lo + width <= 0:
         raise InputError("field window must contain the origin")
     if not mass_tol >= 0.0:
@@ -435,18 +449,9 @@ def _partition_batch(
             f"truncated walk mass {lost:.3e} exceeds mass_tol={mass_tol:.1e}; "
             "widen the disorder field window"
         )
-    z = z[:rows]
-    if mode == "free":
-        return z.sum(axis=1)
-    idx = int(y) - k_lo
-    if not 0 <= idx < width:
-        raise InputError(f"target y={y} outside the field window")
-    if mode == "point2point":
-        return z[:, idx].copy()
-    qy = walk_pmf(law, n_steps)[int(y)]
-    if qy <= 0.0:
-        raise ConditioningError(f"q_{n_steps}({y}) = 0: cannot condition")
-    return z[:, idx] / qy
+    if y is None:
+        return z[:rows].sum(axis=1)
+    return z[:rows, int(y) - k_lo].copy()
 
 
 def _sublattice_source(law: WalkLaw, omega: SpaceTimeField, beta: float):

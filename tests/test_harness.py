@@ -698,6 +698,11 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
     (["run"], {"model": "pinning", "grid": [2, 4], "samples": 0,
                "params": {"law": "alpha", "alpha": 0.75, "n_max": 100, "h_hat": -1e4}},
      "terms; lower beta_hat or |h_hat|"),
+    # lam_hat^2 overflows a float, so the prefactor is 0
+    (["ising", "--delta", "0.25", "--samples", "2", "--lambda-hat-const", "1e160"], None,
+     "lower lam_hat = 1e+160"),
+    (["run"], {"model": "ising", "grid": [0.25], "samples": 2, "params": {"lam_hat": 1e300}},
+     "lower lam_hat = 1e+300"),
 ], ids=["probs_not_a_number", "config_missing", "config_not_json", "config_no_model",
         "config_samples_not_int",
         "config_grid_not_numbers", "config_grid_not_a_list", "config_param_not_a_number",
@@ -725,7 +730,8 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
         "config_second_moment_overflows_at_n1", "config_free_h_hat_minus_1e6",
         "config_oracle_underflows", "config_oracle_underflows_free",
         "config_oracle_overflows_by_bias",
-        "ising_h_hat_overflows", "config_alpha_series_bias_not_summable"])
+        "ising_h_hat_overflows", "config_alpha_series_bias_not_summable",
+        "ising_lam_hat_squared_overflows", "config_lam_hat_squared_overflows"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, config, message):
     out = tmp_path / "out"
     if argv[0] == "run":

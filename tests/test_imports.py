@@ -2,8 +2,9 @@
 imports a name it never uses, no private helper of the package is left
 without a reader, no public name, method or field beyond a shrinking list is
 read by tests alone, no defaulted parameter beyond another is set by tests
-alone, a study of any model loads no scipy module, and importing the
-package builds no worker pool."""
+alone, no frozen dataclass sets state it does not declare, a study of any
+model loads no scipy module, and importing the package builds no worker
+pool."""
 
 import ast
 import json
@@ -56,6 +57,45 @@ def test_no_unused_imports():
              for path in files
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def undeclared_frozen_state(source: str) -> list[tuple[int, str]]:
+    """(line, "Class.name") of every ``object.__setattr__(self, "name", ...)``
+    in a ``@dataclass(frozen=True)`` class of ``source`` that sets a name the
+    class does not declare as a field."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+                and any(kw.arg == "frozen" and getattr(kw.value, "value", None) is True
+                        for kw in d.keywords)
+                for d in node.decorator_list)):
+            continue
+        fields = {item.target.id for item in node.body
+                  if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+        for call in ast.walk(node):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "__setattr__"
+                    and getattr(call.func.value, "id", None) == "object"
+                    and len(call.args) > 1 and isinstance(call.args[1], ast.Constant)
+                    and call.args[1].value not in fields):
+                found.append((call.lineno, f"{node.name}.{call.args[1].value}"))
+    return found
+
+
+def test_undeclared_frozen_state_is_found():
+    source = ("@dataclass(frozen=True)\nclass A:\n    x: int\n    def __post_init__(self):\n"
+              "        object.__setattr__(self, 'x', 1)\n"
+              "        object.__setattr__(self, '_c', {})\n"
+              "@dataclass\nclass B:\n    def f(self):\n        object.__setattr__(self, '_d', 0)\n")
+    assert undeclared_frozen_state(source) == [(6, "A._c")]
+
+
+def test_frozen_dataclasses_declare_their_state():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src" / "chaoslim").glob("*.py"))
+             for line, name in undeclared_frozen_state(path.read_text(encoding="utf-8"))]
+    assert not found, "frozen dataclasses setting undeclared state:\n" + "\n".join(found)
 
 
 def definitions(source: str) -> list[tuple[int, str]]:

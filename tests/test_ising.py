@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from chaoslim import harness
+from chaoslim import harness, ising
 from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER
 from chaoslim.errors import InputError, ResourceError
 from chaoslim.ising import (
@@ -293,6 +293,25 @@ def test_sample_ising_sweeps_rows_in_bounded_chunks():
         (520, system.n_sites)) + h
     one_sweep = normalization_prefactor(profiles) * _rfim_partition_batch(
         system, np.exp(xi), np.exp(-xi))
+    assert z.tobytes() == one_sweep.tobytes()
+
+
+@pytest.mark.parametrize("disorder", [GAUSSIAN_DISORDER, RADEMACHER],
+                         ids=["gaussian", "rademacher"])
+def test_sample_ising_draws_xi_a_sweep_chunk_at_a_time(monkeypatch, disorder):
+    # at delta = 1/3 (4 sites, 2 frontier spins) a cap of 2^12 state values
+    # sweeps 1024 rows a chunk; 100,000 samples hold 3.2 MB of xi, drawn
+    # whole (with its scaled copy, 6.4 MB) unless each chunk draws its own
+    profiles = FieldProfiles(1.0, 0.2, Rect.unit_square(), 1 / 3)
+    one_sweep = harness.sample_ising(profiles, 100_000, 6, disorder)
+    monkeypatch.setattr(ising, "_SWEEP_CAP", 1 << 12)
+    tracemalloc.start()
+    try:
+        z = harness.sample_ising(profiles, 100_000, 6, disorder)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < z.nbytes + (1 << 20)
     assert z.tobytes() == one_sweep.tobytes()
 
 

@@ -1,5 +1,6 @@
 """Tests for the (long-range) directed polymer model."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -291,10 +292,16 @@ def _weight_source(law, field, beta, disorder=GAUSSIAN_DISORDER):
 def _partition(law, field, beta, mode="free", y=None, disorder=GAUSSIAN_DISORDER,
                mass_tol=1e-8):
     """Z of one field in any mode, by the batched transfer that
-    ``sample_polymer`` runs, on the one-row source ``polymer_partition`` passes."""
+    ``sample_polymer`` runs, on the one-row source ``polymer_partition`` passes,
+    with the mode's end (y, norm) as ``polymer.field_window`` gives it."""
+    n = field.values.shape[0]
+    end = None if mode == "free" else y
+    norm = walk_pmf(law, n)[y] if mode == "conditioned" else 1.0
+    if norm <= 0.0:
+        raise ConditioningError(f"q_{n}({y}) = 0: cannot condition")
     return float(polymer._partition_batch(
-        law, field.k_lo, 1, field.values.shape[1], field.values.shape[0],
-        _weight_source(law, field, beta, disorder), mode, y, mass_tol)[0])
+        law, field.k_lo, 1, field.values.shape[1], n,
+        _weight_source(law, field, beta, disorder), end, mass_tol)[0] / norm)
 
 
 def _brute_partition(law, field, beta, mode, y=None, disorder=GAUSSIAN_DISORDER):
@@ -354,6 +361,68 @@ def test_partition_conditioning_error_off_lattice_endpoint():
     field = SpaceTimeField(np.zeros((4, 9)), -4)
     with pytest.raises(ConditioningError):
         _partition(SIMPLE, field, 0.1, "conditioned", 1)  # parity violation
+
+
+def test_field_window_modes():
+    # simple walk at N = 100: half-width ceil(6.5 sqrt(100)) = 65 inside the
+    # reach of 100; at N = 4 the reach, 4, is the narrower
+    assert polymer.field_window(SIMPLE, 100) == (-65, 131, None, 1.0)
+    assert polymer.field_window(SIMPLE, 4, "free", 0.9) == (-4, 9, None, 1.0)
+    # 0.3 * 10 = 3 moves down onto the even sites of step 100
+    assert polymer.field_window(SIMPLE, 100, "point2point", 0.3) == (-65, 131, 2, 1.0)
+    assert polymer.field_window(SIMPLE, 100, "conditioned", -0.2) == (
+        -65, 131, -2, walk_pmf(SIMPLE, 100)[-2])
+    # period 3 at N = 9: sites 0 mod 3 in the reach [-18, 9]; 1.5 rounds to 2,
+    # then moves down to 0
+    assert polymer.field_window(THREE, 9, "conditioned", 0.5) == (
+        -18, 28, 0, math.comb(9, 3) / 3**9 * 2**6)
+    with pytest.raises(InputError, match="unknown mode"):
+        polymer.field_window(SIMPLE, 100, "pointtopoint", 0.3)
+    with pytest.raises(InputError, match=r"target x N\^\(1/alpha\) = 66 outside"):
+        polymer.field_window(SIMPLE, 100, "point2point", 6.6)
+    # steps -2, -1, +3 reach 1 with probability 0 in one step
+    gappy = WalkLaw([-2, -1, 3], [1 / 3, 1 / 3, 1 / 3])
+    with pytest.raises(ConditioningError):
+        polymer.field_window(gappy, 1, "conditioned", 1.0)
+    assert polymer.field_window(gappy, 1, "point2point", 1.0)[2:] == (1, 1.0)
+
+
+def test_field_window_endpoint_stays_inside_the_window():
+    # at N = 999 the window starts at -ceil(6.5 sqrt(999)) = -206, an even
+    # site off the odd sublattice of step 999: a target of -206.4 passes the
+    # target check, rounds to -206 and moves down to -207, past the edge
+    scale = 999**0.5
+    assert polymer.field_window(SIMPLE, 999)[:2] == (-206, 413)
+    with pytest.raises(InputError, match="endpoint y = -207 outside"):
+        polymer.field_window(SIMPLE, 999, "point2point", -206.4 / scale)
+    assert polymer.field_window(SIMPLE, 999, "conditioned", -205.4 / scale)[2] == -205
+
+
+def test_conditioned_sample_polymer_solves_q_n_once(monkeypatch):
+    # groups of 2 samples (see the bit-identical test below), so 5 samples
+    # take 3 transfer calls, and one q_N(y) serves them all
+    monkeypatch.setattr(polymer, "_FIELD_BLOCK_CELLS", 396)
+    solved = []
+    walk = polymer.walk_pmf
+
+    def counted(law, n):
+        solved.append(n)
+        return walk(law, n)
+
+    monkeypatch.setattr(polymer, "walk_pmf", counted)
+    z = harness.sample_polymer(SIMPLE, 0.7, 100, 5, 3, "conditioned", -0.2)
+    assert solved.count(100) == 1
+    assert np.all(np.isfinite(z))
+
+
+def test_walk_pmf_leaves_the_law_unchanged():
+    # a law holds its fields and nothing else, before and after walk_pmf
+    law = WalkLaw.heavy_tail(1.5, 0.0, 50)
+    before = dict(vars(law))
+    walk_pmf(law, 37)
+    assert vars(law).keys() == {f.name for f in dataclasses.fields(law)}
+    assert vars(law).keys() == before.keys()
+    assert all(vars(law)[k] is v for k, v in before.items())
 
 
 def test_partition_mass_loss_abort():
@@ -480,8 +549,8 @@ def _reference_samples(law, beta_hat, n_steps, n_samples, seed, mode, x, disorde
     beta = scale_beta(law.alpha, beta_hat, n_steps)
     spread = math.sqrt(law.sigma2) if law.alpha == 2.0 else law.c_tail ** (1.0 / law.alpha)
     half = int(math.ceil(6.5 * n_steps ** (1.0 / law.alpha) * spread))
-    lo, hi = polymer.reachable_window(law, n_steps)
-    k_lo, k_hi = max(lo, -half), min(hi, half)
+    k_lo = max(int(law.offsets[0]) * n_steps, -half)
+    k_hi = min(int(law.offsets[-1]) * n_steps, half)
     width = k_hi - k_lo + 1
     y = int(round(x * n_steps ** (1.0 / law.alpha)))
     y -= (y - law.residue * n_steps) % law.period
@@ -573,7 +642,7 @@ def test_partition_reads_only_the_walk_sublattice(law, n_steps, k_lo, width, mod
 
 def test_partition_period_three_matches_path_enumeration():
     n = 6
-    lo, hi = polymer.reachable_window(THREE, n)
+    lo, hi = int(THREE.offsets[0]) * n, int(THREE.offsets[-1]) * n
     field = SpaceTimeField(np.random.default_rng(8).standard_normal((n, hi - lo + 1)), lo)
     for mode, y in [("free", None), ("point2point", 3), ("conditioned", 0)]:
         assert _partition(THREE, field, 0.6, mode, y) == pytest.approx(
