@@ -393,16 +393,17 @@ def sample_pinning(
     """Partition-function samples at the scaled couplings (beta_N, h_N).
 
     Each chunk of _PINNING_CHUNK samples draws from its own spawned
-    Generator and goes through one transfer call, which draws its disorder
-    a 64-step block at a time, time-major: omega_n of every sample of the
-    chunk, then omega_{n+1}.  So no (samples, N) omega is built; the memory
+    Generator and goes through one transfer call, which reads its site
+    weights a 64-step block at a time, time-major: w_n of every sample of
+    the chunk, then w_{n+1}.  So no (samples, N) omega is built; the memory
     is the transfer's: the rows a sample of history and block that
     ``pinning._far_history`` gives, which also size the chunk, 64 * rows for
     the block and as much for the next, and at most 64 * min(N, n_max) for
     the Toeplitz.  A worker thread draws block k + 1 while the transfer
-    runs block k (see ``_prefetched``); one Generator still draws the same
-    blocks in the same order, so the samples do not depend on the number of
-    cores.
+    runs block k (see ``_prefetched``); the calling thread turns each block
+    into site weights as the transfer reads it, since weighting on the
+    worker measured no faster.  One Generator still draws the same blocks
+    in the same order, so the samples do not depend on the number of cores.
     Where those rows would pass _PINNING_HISTORY values (67 MB), the chunk
     has fewer samples; ``pinning._renewal_solve`` gives the rows, and where
     they pass it.
@@ -414,10 +415,14 @@ def sample_pinning(
     streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / chunk))
     out = np.empty(n_samples)
     for pos, ss in zip(range(0, n_samples, chunk), streams):
-        source = _prefetched(partial(disorder.fill, np.random.default_rng(ss)), n_steps)
+        draw = _prefetched(partial(disorder.fill, np.random.default_rng(ss)), n_steps)
+
+        def source(n0, block, draw=draw):
+            draw(n0, block)
+            site_weights(block, beta_n, disorder, h_n)
+
         rows = min(chunk, n_samples - pos)
-        out[pos : pos + rows] = pinning.partition_function_batch(
-            law, source, rows, n_steps, beta_n, h_n, mode, disorder)
+        out[pos : pos + rows] = pinning.partition_function_batch(law, source, rows, n_steps, mode)
     return out
 
 
@@ -707,7 +712,7 @@ def pinning_alpha_reference(
     w = beta_hat * pinning.c_alpha(alpha) * wiener.sample_noise_batch(cells, seed, n_samples)
     w[:, -1] = 1.0
     kernel = np.append(0.0, (np.arange(1, cells + 1) / cells) ** (alpha - 1.0))
-    return pinning._renewal_solve(kernel, cells, pinning._array_omega(w), n_samples)
+    return pinning._renewal_solve(kernel, cells, pinning._array_weights(w), n_samples)
 
 
 def _flat_kernel(n: int) -> chaos.Kernel:

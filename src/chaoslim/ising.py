@@ -140,10 +140,8 @@ def _rfim_partition_batch(system: LatticeSpinSystem, up, down) -> np.ndarray:
     up, down = (np.asarray(a, dtype=float) for a in (up, down))
     if up.ndim != 2 or up.shape != down.shape or up.shape[1] != system.n_sites:
         raise InputError("the weights must have one entry per interior site")
-    ones = np.ones((1, system.n_sites))
-    # weights[k] = (u_k(+1), u_k(-1)), one column a row and the normaliser last
-    weights = np.stack([np.vstack([up, ones]).T, np.vstack([down, ones]).T], axis=1)
-    weights = weights[:, :, None, None]
+    # (u_k(+1), u_k(-1)) of the site swept, one column a row, the normaliser's 1 last
+    weights = np.ones((2, 1, 1, up.shape[0] + 1))
     index = np.arange(system.n_sites).reshape(len(system.xs), len(system.ys))
     if len(system.xs) < len(system.ys):
         index = index.T
@@ -160,7 +158,8 @@ def _rfim_partition_batch(system: LatticeSpinSystem, up, down) -> np.ndarray:
             bond, field = _site_factors(left, above, (r == w - 1) + (c == cols - 1))
             terms = view * bond
             state = terms[:, :, 0] + terms[:, :, 1] if left else terms[:, :, 0]  # sum over t
-            state = state * (field * weights[k])
+            weights[0, 0, 0, :-1], weights[1, 0, 0, :-1] = up[:, k], down[:, k]
+            state = state * (field * weights)
     state = state.reshape(-1, weights.shape[-1])
     while state.shape[0] > 1:  # a pairwise sum in a fixed order
         state = state[: state.shape[0] // 2] + state[state.shape[0] // 2 :]

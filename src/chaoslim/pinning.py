@@ -397,10 +397,29 @@ def scale_couplings(law: RenewalLaw, beta_hat: float, h_hat: float, n_steps: int
     )
 
 
-def _array_omega(omega: np.ndarray):
-    """The block form ``partition_function_batch`` reads of a fixed
-    (samples, N) disorder array."""
-    return lambda n0, out: np.copyto(out, omega[:, n0 : n0 + out.shape[0]].T)
+def _array_weights(weights: np.ndarray):
+    """The block form ``_renewal_solve`` reads of a fixed (samples, N) array
+    of site weights."""
+    return lambda n0, out: np.copyto(out, weights[:, n0 : n0 + out.shape[0]].T)
+
+
+def path_end(law: RenewalLaw, n_steps: int, mode: str):
+    """(tail, norm) of the way a path of N = ``n_steps`` steps ends: it ends
+    at n with weight tail[N - n] / norm, 0 past the end of tail.
+
+    A free path ends free, tail(m) = P(tau_1 > m) for m = 0..min(N, n_max)
+    (it is 0 past n_max), and norm 1.  A conditioned one ends at N, tail
+    [1], and is divided by norm u(N), which is solved here once a call.
+    """
+    if mode not in ("free", "conditioned"):
+        raise InputError(f"unknown mode {mode!r}")
+    _check_cap(n_steps)
+    if mode == "free":
+        return law.tail(min(n_steps, law.n_max)), 1.0
+    u_n = renewal_mass(law, n_steps)[n_steps]
+    if u_n <= 0.0:
+        raise ConditioningError(f"u({n_steps}) = 0: cannot condition")
+    return np.ones(1), u_n
 
 
 def partition_function(
@@ -411,57 +430,36 @@ def partition_function(
     z(0) = 1, z(n) = e^{beta omega_n - Lambda(beta) + h} sum_m z(n-m) K(m);
     conditioned mode returns z(N)/u(N), free mode sums z(n) P(tau_1 > N-n).
     """
-    omega = np.asarray(omega, dtype=float)
+    omega = np.array(omega, dtype=float)  # a copy, weighted in place
     if omega.ndim != 1:
         raise InputError(f"omega must be 1-D, one value a site, not of shape {omega.shape}")
-    out = partition_function_batch(law, _array_omega(omega[None]), 1, omega.size, beta, h, mode)
-    return float(out[0])
+    weights = site_weights(omega[None], beta, GAUSSIAN_DISORDER, h)
+    return float(partition_function_batch(law, _array_weights(weights), 1, omega.size, mode)[0])
 
 
 def partition_function_batch(
-    law: RenewalLaw,
-    omega,
-    n_samples: int,
-    n_steps: int,
-    beta: float,
-    h: float,
-    mode: str = "conditioned",
-    disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
+    law: RenewalLaw, weights, n_samples: int, n_steps: int, mode: str = "conditioned"
 ) -> np.ndarray:
-    """Vectorized transfer recursion over ``n_samples`` disorder rows of
-    N = ``n_steps`` sites.
+    """Vectorized transfer recursion over ``n_samples`` rows of site weights
+    e^{beta omega_n - Lambda(beta) + h}, n = 1..N = ``n_steps``.
 
-    The disorder comes in time blocks: ``omega(n0, out)`` writes
-    omega_{n0+1..n0+k} of every sample into the time-major (k, n_samples)
-    block ``out`` of the transfer's own, once a block, in time order; the
-    site weights then overwrite it.  So no (samples, N) array need exist;
-    ``_array_omega`` reads a fixed one.
+    The weights come in time blocks: ``weights(n0, out)`` writes
+    w_{n0+1..n0+k} of every sample into the time-major (k, n_samples) block
+    ``out`` of the transfer's own, once a block, in time order.  So no
+    (samples, N) array need exist; ``_array_weights`` reads a fixed one.
 
     Each 64-step block takes the history before it in one matrix product,
     (64 x min(N, n_max)) by (min(N, n_max) x samples), or, for an alpha law
     with n_max > N, as a sum of exponential accumulators, and then runs its
     steps over their in-block lags only (see ``_renewal_solve``, which also
-    gives the sizes).  The transfer returns x(N), divided here by u(N) when
-    conditioned, or the free sum of x(n) P(tau_1 > N - n), which it adds up
-    block by block.  So it holds only the history its blocks read.
+    gives the sizes).  ``path_end`` gives how a path ends, which the transfer
+    adds up block by block: the free sum of x(n) P(tau_1 > N - n), or x(N)
+    divided by u(N) when conditioned.  So it holds only the history its
+    blocks read.
     """
-    if mode not in ("free", "conditioned"):
-        raise InputError(f"unknown mode {mode!r}")
-    _check_cap(n_steps)
-    if mode == "conditioned":  # before the transfer, so that their buffers never meet
-        u_n = renewal_mass(law, n_steps)[n_steps]
-        if u_n <= 0.0:
-            raise ConditioningError(f"u({n_steps}) = 0: cannot condition")
-
-    def weights(n0, out):
-        omega(n0, out)
-        site_weights(out, beta, disorder, h)
-
-    if mode == "conditioned":
-        return _renewal_solve(law.probs, n_steps, weights, n_samples) / u_n
-    # a free path ends at n with P(tau_1 > N - n), which is 0 for n <= N - n_max
-    ends = law.tail(min(n_steps, law.n_max))[::-1].copy()
-    return _renewal_solve(law.probs, n_steps, weights, n_samples, ends)
+    # before the transfer, so that the u(N) solve's buffer never meets its buffers
+    tail, norm = path_end(law, n_steps, mode)
+    return _renewal_solve(law.probs, n_steps, weights, n_samples, tail[::-1].copy()) / norm
 
 
 # ---------------------------------------------------------------------------
@@ -498,25 +496,19 @@ def second_moment_exact(
     Averaging the disorder leaves site weights e^{2h + gamma} where both
     renewal chains visit and e^h where exactly one does.  With
     d = 1/(1 - e^h K) the chains meet with mass G = d^2 at gamma = 0.
-    Conditioned mode ends the pair with G/u(N)^2.  In free mode a chain
-    ends free at n with t1(n) = sum_m d(m) P(tau_1 > n - m), a convolution
-    of positive terms that keeps its relative accuracy at any bias, and
-    the pair with g = t1^2.  The series solves, for d, u(N) when
-    conditioned and the chaos sum, are O(N^2), in 64-step blocks of two
-    convolves each.
+    A chain ends at n with t(n)/norm, t(n) = sum_m d(m) tail(n - m), from
+    the (tail, norm) of ``path_end``, and the pair with its square.  So
+    conditioned mode ends the pair with G/u(N)^2, and free mode with t1^2,
+    t1(n) = sum_m d(m) P(tau_1 > n - m), a convolution of positive terms
+    that keeps its relative accuracy at any bias.  The series solves, for
+    d, u(N) when conditioned and the chaos sum, are O(N^2), in 64-step
+    blocks of two convolves each.
     """
-    if mode not in ("free", "conditioned"):
-        raise InputError(f"unknown mode {mode!r}")
-    _check_cap(n_steps)
+    tail, norm = path_end(law, n_steps, mode)
     gamma = overlap_weight(beta, disorder)
     d = _renewal_series(math.exp(h) * law.probs, n_steps)
-    if mode == "conditioned":
-        u_n = renewal_mass(law, n_steps)[n_steps]
-        if u_n <= 0.0:
-            raise ConditioningError(f"u({n_steps}) = 0: cannot condition")
-        ends = d * d / (u_n * u_n)
-    else:
-        ends = np.convolve(d, law.tail(min(n_steps, law.n_max)))[: n_steps + 1] ** 2
+    t = np.convolve(d, tail)[: n_steps + 1]
+    ends = t * t / (norm * norm)
     return _chaos_second_moment(d * d, n_steps, gamma, ends)
 
 

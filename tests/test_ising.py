@@ -315,6 +315,40 @@ def test_sample_ising_draws_xi_a_sweep_chunk_at_a_time(monkeypatch, disorder):
     assert z.tobytes() == one_sweep.tobytes()
 
 
+def test_sweep_memory_is_bounded_by_its_state():
+    # at delta = 1/3 (4 sites, 2 frontier spins) a full chunk sweeps 2^18
+    # rows, and its state holds 2^20 values, 8.4 MB.  Stacking every site's
+    # weights into one (sites, 2, rows + 1) array peaked at 8.0 times that
+    system = LatticeSpinSystem.from_domain(Rect.unit_square(), 1 / 3)
+    rows = ising._SWEEP_CAP >> system.frontier_spins
+    xi = np.random.default_rng(8).normal(0.0, 0.5, (rows, system.n_sites))
+    up, down = np.exp(xi), np.exp(-xi)
+    tracemalloc.start()
+    try:
+        _rfim_partition_batch(system, up, down)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    state = 8 * (rows + 1) << system.frontier_spins
+    assert peak < 7 * state, peak / state
+
+
+@pytest.mark.parametrize("delta", [1 / 8, 1 / 10], ids=["1/8", "1/10"])
+def test_transfer_is_symmetric_under_the_square(delta):
+    # the + boundary of the unit square is kept by its reflections, its
+    # transpose and its rotations; the sweep runs its columns in one fixed
+    # order, so each moves every field to another column or row of it
+    system = LatticeSpinSystem.from_domain(Rect.unit_square(), delta)
+    nx, ny = len(system.xs), len(system.ys)
+    xi = np.random.default_rng(10).normal(0.0, 0.8, (16, nx, ny)) + 0.1
+    z = _rfim_partition_batch(system, np.exp(xi.reshape(16, -1)), np.exp(-xi.reshape(16, -1)))
+    for moved in (xi[:, ::-1], xi[:, :, ::-1], xi.transpose(0, 2, 1),
+                  np.rot90(xi, axes=(1, 2))):
+        moved = moved.reshape(16, -1)
+        got = _rfim_partition_batch(system, np.exp(moved), np.exp(-moved))
+        assert np.max(np.abs(got / z - 1.0)) <= 1e-13
+
+
 def test_scale_fields_powers():
     profiles = FieldProfiles(2.0, 3.0, Rect.unit_square(), 1.0)
     system = rect(2, 2)

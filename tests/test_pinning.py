@@ -41,9 +41,14 @@ from oracles import (
 LAW_HALF = RenewalLaw.from_probabilities([0.5, 0.5])
 
 
-def _batch(law, omega, *args):
-    """``partition_function_batch`` on a fixed (samples, N) omega array."""
-    return partition_function_batch(law, pinning._array_omega(omega), *omega.shape, *args)
+def _batch(law, omega, beta, h, mode="conditioned", disorder=GAUSSIAN_DISORDER):
+    """``partition_function_batch`` on a fixed (samples, N) omega array,
+    weighted a block at a time, as the sampler's source does."""
+    def weights(n0, out):
+        np.copyto(out, omega[:, n0 : n0 + out.shape[0]].T)
+        site_weights(out, beta, disorder, h)
+
+    return partition_function_batch(law, weights, *omega.shape, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +427,72 @@ def test_partition_batch_bad_input():
 
     for mode in ("conditioned", "free"):
         with pytest.raises(ResourceError):
-            partition_function_batch(LAW_HALF, no_draw, 1, pinning._N_CAP + 1, 0.1, 0.0, mode)
+            partition_function_batch(LAW_HALF, no_draw, 1, pinning._N_CAP + 1, mode)
     with pytest.raises(InputError):
-        partition_function_batch(LAW_HALF, no_draw, 1, 10, 0.1, 0.0, "quenched")
+        partition_function_batch(LAW_HALF, no_draw, 1, 10, "quenched")
+
+
+@pytest.mark.parametrize("law", [LAW_HALF, RenewalLaw.heavy_tail(0.75, 200)],
+                         ids=["two-atom", "alpha-200"])
+def test_path_end_modes(law):
+    for n in (0, 1, 7, 64, 250):
+        tail, norm = pinning.path_end(law, n, "free")
+        assert np.array_equal(tail, law.tail(min(n, law.n_max))) and norm == 1.0
+        tail, norm = pinning.path_end(law, n, "conditioned")
+        assert np.array_equal(tail, [1.0]) and norm == renewal_mass(law, n)[n]
+
+
+def test_path_end_errors_reach_both_callers():
+    def unit(n0, out):
+        out.fill(1.0)
+
+    gap = RenewalLaw.from_probabilities([0, 0.5, 0.5])  # u(1) = 0
+    for call in (lambda law, n, mode: partition_function_batch(law, unit, 2, n, mode),
+                 lambda law, n, mode: second_moment_exact(law, n, 0.1, 0.0, mode)):
+        with pytest.raises(InputError, match="unknown mode"):
+            call(LAW_HALF, 10, "quenched")
+        with pytest.raises(ConditioningError):
+            call(gap, 1, "conditioned")
+        assert call(gap, 1, "free") == pytest.approx(1.0)
+
+
+def test_conditioned_calls_solve_u_once(monkeypatch):
+    calls = []
+    mass = pinning.renewal_mass
+
+    def counted(law, n):
+        calls.append(n)
+        return mass(law, n)
+
+    monkeypatch.setattr(pinning, "renewal_mass", counted)
+    omega = np.random.default_rng(4).standard_normal((3, 300))
+    _batch(LAW_HALF, omega, 0.1, 0.01)
+    assert calls == [300]
+    second_moment_exact(LAW_HALF, 300, 0.1, 0.01)
+    assert calls == [300, 300]
+    partition_function(LAW_HALF, omega[0, :40], 0.1, 0.01)
+    assert calls == [300, 300, 40]
+
+
+@pytest.mark.parametrize("law, n", [
+    (RenewalLaw.heavy_tail(0.75, 20000), 200),   # the Toeplitz over every lag
+    (RenewalLaw.heavy_tail(0.75, 20000), 2000),  # the sum of exponentials
+    (RenewalLaw.heavy_tail(0.75, 1500), 2000),   # the Toeplitz out to n_max = 1500
+    (LAW_HALF, 8000),
+], ids=["alpha-toeplitz", "alpha-exponentials", "alpha-n-max", "two-atom"])
+def test_conditioned_transfer_is_symmetric_in_time(law, n):
+    # reversing n -> N - n maps a renewal path from 0 to N onto another with
+    # its gaps reversed, so the conditioned Z keeps its value when
+    # omega_1..omega_{N-1} is reversed and omega_N is kept.  Each block of
+    # the transfer reads other weights after the reversal, so an error in a
+    # block's far history or in the accumulators breaks the symmetry, unless
+    # it scales every path alike: on the two-atom law each path crosses each
+    # block end by one jump, so a far-term error there is a constant factor
+    omega = np.random.default_rng(n).standard_normal((64, n))
+    reverse = np.concatenate([omega[:, -2::-1], omega[:, -1:]], axis=1)
+    beta, h = 1.0 / math.sqrt(n), 0.4 / n
+    z = _batch(law, omega, beta, h)
+    assert np.max(np.abs(_batch(law, reverse, beta, h) / z - 1.0)) <= 1e-13
 
 
 def test_sample_pinning_checks_cap_before_drawing():
