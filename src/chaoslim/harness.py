@@ -330,7 +330,7 @@ def _disorder(params: dict) -> Atoms | StdGaussian:
 
 _PINNING_CHUNK = 2000  # samples a Generator draws for sample_pinning
 _PINNING_HISTORY = 1 << 23  # the most history values one pinning transfer holds
-_POOL = None  # the disorder-draw worker pool, built on first use
+_POOL = None  # the polymer draw pool, built on first use
 
 
 def _cpu_count() -> int:
@@ -342,10 +342,11 @@ def _cpu_count() -> int:
 
 
 def _pool():
-    """The thread pool the disorder draws run on, one worker a CPU.  numpy
-    fills an array without the GIL, so draws on the workers overlap each
-    other and the transfer.  A worker calls only ``fill`` and numpy, so no
-    traced function runs off the main thread."""
+    """The thread pool ``sample_polymer`` fills its sample ranges on, one
+    worker a CPU, while the caller waits for them.  numpy fills an array
+    without the GIL, so the workers overlap each other; nothing overlaps
+    the transfer.  A worker calls only ``fill`` and numpy, so no traced
+    function runs off the main thread."""
     global _POOL
     if _POOL is None:
         # imported here: the module costs 13 ms, which a run without samples skips
@@ -353,31 +354,6 @@ def _pool():
 
         _POOL = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="chaoslim-draw")
     return _POOL
-
-
-def _prefetched(fill, n_steps: int):
-    """A block source for ``partition_function_batch`` that ``fill``s each
-    block on the pool while the transfer runs the block before.
-
-    The first call fills its block itself.  Every call then has the pool
-    fill the next block, min(k, N - n0 - k) steps, into one spare buffer,
-    and the next call waits for it and copies it in; so the same blocks are
-    drawn in the same order, and nothing past step N."""
-    spare, pending = None, None
-
-    def source(n0, out):
-        nonlocal spare, pending
-        k = out.shape[0]
-        if pending is None:
-            fill(out)
-            spare = np.empty_like(out)
-        else:
-            pending.result()
-            np.copyto(out, spare[:k])
-        ahead = min(k, n_steps - n0 - k)
-        pending = _pool().submit(fill, spare[:ahead]) if ahead > 0 else None
-
-    return source
 
 
 def sample_pinning(
@@ -395,34 +371,32 @@ def sample_pinning(
     Each chunk of _PINNING_CHUNK samples draws from its own spawned
     Generator and goes through one transfer call, which reads its site
     weights a 64-step block at a time, time-major: w_n of every sample of
-    the chunk, then w_{n+1}.  So no (samples, N) omega is built; the memory
+    the chunk, then w_{n+1}.  The calling thread draws each block straight
+    into the transfer's block buffer as the transfer reads it and turns it
+    into site weights there, so no (samples, N) omega is built; the memory
     is the transfer's: the rows a sample of history and block that
     ``pinning._far_history`` gives, which also size the chunk, 64 * rows for
-    the block and as much for the next, and at most 64 * min(N, n_max) for
-    the Toeplitz.  A worker thread draws block k + 1 while the transfer
-    runs block k (see ``_prefetched``); the calling thread turns each block
-    into site weights as the transfer reads it, since weighting on the
-    worker measured no faster.  One Generator still draws the same blocks
-    in the same order, so the samples do not depend on the number of cores.
-    Where those rows would pass _PINNING_HISTORY values (67 MB), the chunk
-    has fewer samples; ``pinning._renewal_solve`` gives the rows, and where
-    they pass it.
+    the block, and at most 64 * min(N, n_max) for the Toeplitz.  Where those
+    rows would pass _PINNING_HISTORY values (67 MB), the chunk has fewer
+    samples; ``pinning._renewal_solve`` gives the rows, and where they pass
+    it.  No pool draws ahead: the transfer's per-step loop holds the GIL, so
+    a worker's draw ran after the block, not beside it.
     """
     beta_n, h_n = pinning.scale_couplings(law, beta_hat, h_hat, n_steps)
     pinning._check_cap(n_steps)
-    rows = pinning._far_history(law.probs, n_steps)[0]
-    chunk = min(_PINNING_CHUNK, max(1, _PINNING_HISTORY // rows))
+    history = pinning._far_history(law.probs, n_steps)[0]
+    chunk = min(_PINNING_CHUNK, max(1, _PINNING_HISTORY // history))
     streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / chunk))
     out = np.empty(n_samples)
     for pos, ss in zip(range(0, n_samples, chunk), streams):
-        draw = _prefetched(partial(disorder.fill, np.random.default_rng(ss)), n_steps)
+        rng = np.random.default_rng(ss)
 
-        def source(n0, block, draw=draw):
-            draw(n0, block)
+        def source(n0, block, rng=rng):
+            disorder.fill(rng, block)
             site_weights(block, beta_n, disorder, h_n)
 
-        rows = min(chunk, n_samples - pos)
-        out[pos : pos + rows] = pinning.partition_function_batch(law, source, rows, n_steps, mode)
+        size = min(chunk, n_samples - pos)
+        out[pos : pos + size] = pinning.partition_function_batch(law, source, size, n_steps, mode)
     return out
 
 

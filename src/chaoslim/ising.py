@@ -156,10 +156,13 @@ def _rfim_partition_batch(system: LatticeSpinSystem, up, down) -> np.ndarray:
             view = state.reshape(-1, 1, 1 << left, 1 << above, (1 << r) >> above,
                                  weights.shape[-1])
             bond, field = _site_factors(left, above, (r == w - 1) + (c == cols - 1))
-            terms = view * bond
-            state = terms[:, :, 0] + terms[:, :, 1] if left else terms[:, :, 0]  # sum over t
+            # the new state is built in place, summed over t, so no product
+            # of every t sits beside the old state
+            state = view[:, :, 0] * bond[:, 0]
+            if left:
+                state += view[:, :, 1] * bond[:, 1]
             weights[0, 0, 0, :-1], weights[1, 0, 0, :-1] = up[:, k], down[:, k]
-            state = state * (field * weights)
+            state *= field * weights
     state = state.reshape(-1, weights.shape[-1])
     while state.shape[0] > 1:  # a pairwise sum in a fixed order
         state = state[: state.shape[0] // 2] + state[state.shape[0] // 2 :]

@@ -392,7 +392,7 @@ def test_lindeberg_audit_heavy_tailed_finite_m():
 
 
 # ---------------------------------------------------------------------------
-# disorder draws on the worker pool
+# disorder draws: the polymer's worker pool, the pinning transfer's own thread
 # ---------------------------------------------------------------------------
 
 
@@ -461,8 +461,9 @@ def test_sample_polymer_spawns_seeds_a_group_at_a_time(monkeypatch):
 @DISORDERS
 @pytest.mark.parametrize("mode", ["conditioned", "free"])
 def test_sample_pinning_does_not_depend_on_the_worker_count(pool_of, mode, disorder):
-    # 2100 samples cross the 2000-sample chunk; N = 300 ends in a 44-step
-    # block and N = 40 has one block, which nothing draws ahead
+    # the pinning blocks are drawn on the calling thread, so no pool size
+    # may move a sample.  2100 samples cross the 2000-sample chunk; N = 300
+    # ends in a 44-step block and N = 40 has one block
     laws = [(pinning.RenewalLaw.from_probabilities([0.5, 0.5]), 300),
             (pinning.RenewalLaw.from_probabilities([0.5, 0.5]), 40),
             (pinning.RenewalLaw.heavy_tail(0.75, 20000), 700)]
@@ -476,8 +477,8 @@ def test_sample_pinning_does_not_depend_on_the_worker_count(pool_of, mode, disor
 
 
 def test_sample_pinning_draws_each_block_once_in_time_order():
-    # the first block on the caller's thread, each later one ahead on the
-    # pool, and nothing past step N: 300 = 4 * 64 + 44
+    # each block drawn once, as the transfer reads it, and nothing past
+    # step N: 300 = 4 * 64 + 44
     drawn = []
 
     class Counted(dists.StdGaussian):
@@ -488,6 +489,36 @@ def test_sample_pinning_draws_each_block_once_in_time_order():
     renewal = pinning.RenewalLaw.from_probabilities([0.5, 0.5])
     harness.sample_pinning(renewal, 1.0, 0.0, 300, 30, 1, disorder=Counted())
     assert drawn == [(64, 30)] * 4 + [(44, 30)]
+
+
+class _RecordsThreads(dists.StdGaussian):
+    """A Gaussian law that keeps the thread of each draw."""
+
+    def __init__(self):
+        self.threads = []
+
+    def fill(self, rng, out):
+        self.threads.append(threading.current_thread())
+        return super().fill(rng, out)
+
+
+@pytest.mark.parametrize("mode", ["conditioned", "free"])
+def test_sample_pinning_draws_every_block_on_the_calling_thread(mode):
+    # 2100 samples cross the 2000-sample chunk, and N = 300 reads five
+    # blocks a chunk, 4 * 64 + 44: none is drawn ahead on a worker.  The
+    # samples are those of each chunk's whole time-major omega drawn at once
+    law = pinning.RenewalLaw.from_probabilities([0.5, 0.5])
+    recording = _RecordsThreads()
+    got = harness.sample_pinning(law, 1.0, 0.4, 300, 2100, 3, mode, recording)
+    assert recording.threads == [threading.main_thread()] * 10
+    beta, h = pinning.scale_couplings(law, 1.0, 0.4, 300)
+    ref = []
+    for ss, rows in zip(np.random.SeedSequence(3).spawn(2), (2000, 100)):
+        omega = dists.GAUSSIAN_DISORDER.fill(np.random.default_rng(ss), np.empty((300, rows)))
+        w = dists.site_weights(omega, beta, dists.GAUSSIAN_DISORDER, h).T
+        ref.append(pinning.partition_function_batch(law, pinning._array_weights(w), rows, 300,
+                                                    mode))
+    assert np.array_equal(got, np.concatenate(ref))
 
 
 class _FailsOnWorkers(dists.StdGaussian):
@@ -505,20 +536,15 @@ class _FailsOnWorkers(dists.StdGaussian):
 
 
 def test_a_worker_error_reaches_the_caller():
+    # a polymer fill that raises on a worker raises from the sampler, and
+    # leaves the pool fit for the next call
     law = polymer.WalkLaw.simple_symmetric()
-    renewal = pinning.RenewalLaw.from_probabilities([0.5, 0.5])
-    before = (harness.sample_polymer(law, 0.5, 60, 5, 1),
-              harness.sample_pinning(renewal, 1.0, 0.0, 200, 30, 1))
-    for sample in (lambda d: harness.sample_polymer(law, 0.5, 60, 5, 1, disorder=d),
-                   lambda d: harness.sample_pinning(renewal, 1.0, 0.0, 200, 30, 1,
-                                                    disorder=d)):
-        failing = _FailsOnWorkers()
-        with pytest.raises(NumericError) as err:
-            sample(failing)
-        assert any(err.value is raised for raised in failing.raised)
-    after = (harness.sample_polymer(law, 0.5, 60, 5, 1),
-             harness.sample_pinning(renewal, 1.0, 0.0, 200, 30, 1))
-    assert all(map(np.array_equal, before, after))
+    before = harness.sample_polymer(law, 0.5, 60, 5, 1)
+    failing = _FailsOnWorkers()
+    with pytest.raises(NumericError) as err:
+        harness.sample_polymer(law, 0.5, 60, 5, 1, disorder=failing)
+    assert any(err.value is raised for raised in failing.raised)
+    assert np.array_equal(harness.sample_polymer(law, 0.5, 60, 5, 1), before)
 
 
 # ---------------------------------------------------------------------------

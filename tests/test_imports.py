@@ -4,8 +4,8 @@ without a reader, no public name, method or field beyond a shrinking list is
 read by tests alone, no defaulted parameter beyond another is set by tests
 alone, no frozen dataclass sets state it does not declare, no module of the
 package reads a private name of another beyond a shrinking list, a study of
-any model loads no scipy module, and importing the package builds no worker
-pool."""
+any model loads no scipy module, and neither importing the package nor
+sampling pinning builds a worker pool."""
 
 import ast
 import json
@@ -400,8 +400,21 @@ def test_import_loads_no_heavy_scipy_subpackage():
 
 
 def test_import_loads_no_worker_pool_module():
-    # the samplers' draw pool imports concurrent.futures (13 ms) when first built
+    # the polymer draw pool imports concurrent.futures (13 ms) when first built
     probe = ("import sys, chaoslim, chaoslim.cli; "
+             "print(*(m for m in sys.modules if m.startswith('concurrent')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, timeout=60, check=True)
+    assert result.stdout.split() == []
+
+
+def test_pinning_sampler_loads_no_worker_pool_module():
+    # the pinning sampler draws each block on its own thread; only the
+    # polymer sampler builds the pool.  N = 300 reads five blocks
+    probe = ("import sys; from chaoslim import harness, pinning; "
+             "law = pinning.RenewalLaw.from_probabilities([0.5, 0.5]); "
+             "harness.sample_pinning(law, 1.0, 0.0, 300, 30, 1); "
              "print(*(m for m in sys.modules if m.startswith('concurrent')))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
