@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import harness, ising
-from .errors import ChaoslimError, InputError
+from .errors import ChaoslimError, InputError, positive_samples
 
 
 def _check_counts(args, least: int) -> None:
@@ -47,7 +47,7 @@ def _write_samples(args, fixed: dict, z: np.ndarray, lower: str) -> int:
     NumericError that names the model's coupling to ``lower``, not a math
     domain error, and no file is written.
     """
-    harness.positive_samples(z, lower)
+    positive_samples(z, lower)
     prefix = "".join((repr(float(v)) if isinstance(v, float) else str(v)) + ","
                      for v in fixed.values())
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -66,7 +66,7 @@ def _cmd_pinning(args) -> int:
     with _quiet_numerics():
         z = harness.sample_pinning(harness.pinning_law(params), args.beta_hat, args.h_hat,
                                    args.N, args.samples, args.seed, args.mode)
-    return _write_samples(args, {"seed": args.seed, "N": args.N}, z, "beta_hat or N")
+    return _write_samples(args, {"seed": args.seed, "N": args.N}, z, "beta_hat, h_hat or N")
 
 
 def _cmd_polymer(args) -> int:

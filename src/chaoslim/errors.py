@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the sample check that raises one."""
+
+import numpy as np
 
 
 class ChaoslimError(Exception):
@@ -27,3 +29,14 @@ class ResourceError(ChaoslimError, RuntimeError):
 
 class NumericError(ChaoslimError, RuntimeError):
     """A numeric routine failed to converge or lost too much mass."""
+
+
+def positive_samples(z: np.ndarray, lower: str) -> np.ndarray:
+    """``z``, if every partition-function sample in it is finite and
+    positive; else a NumericError that names what to ``lower``."""
+    bad = np.flatnonzero(~(np.isfinite(z) & (z > 0.0)))
+    if bad.size:
+        raise NumericError(
+            f"{bad.size} of {z.size} partition-function samples are not finite and "
+            f"positive (sample {bad[0]} is {float(z[bad[0]])!r}); lower {lower}")
+    return z

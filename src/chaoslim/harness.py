@@ -1,5 +1,5 @@
-"""Experiment orchestration: seeded Monte Carlo, convergence studies over
-N / delta grids, Kolmogorov-Smirnov and moment diagnostics, report emission.
+"""Experiment orchestration: convergence studies over N / delta grids on each
+model's seeded sampler, Kolmogorov-Smirnov and moment diagnostics, reports.
 
 Every report row is tagged with its provenance -- ``formula-exact``,
 ``dp-exact`` or ``mc-ci`` -- and every pass/fail verdict carries the
@@ -16,15 +16,17 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from . import chaos, ising, pinning, polymer, tilting, wiener
-from .dists import GAUSSIAN_DISORDER, RADEMACHER, Atoms, StdGaussian, site_weights
+from .dists import GAUSSIAN_DISORDER, RADEMACHER, Atoms, StdGaussian
 from .errors import InputError, NumericError
+from .ising import sample_ising
+from .pinning import sample_pinning
+from .polymer import sample_polymer
 
 KS_TWO_SAMPLE_C05 = 1.3581  # Smirnov 5% coefficient
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -121,7 +123,7 @@ def trend_nonincreasing(values, noises=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# configs and reports
+# configs, the laws they name, and reports
 # ---------------------------------------------------------------------------
 
 _SAMPLE_ONLY = ("ising", "wiener", "lindeberg")  # models whose every row needs samples
@@ -293,11 +295,6 @@ def _numbers(params: dict, key: str, default=None) -> list[float]:
     raise InputError(f"param {key!r} must be a list of finite numbers, got {value!r}")
 
 
-# ---------------------------------------------------------------------------
-# model samplers
-# ---------------------------------------------------------------------------
-
-
 def pinning_law(params: dict) -> pinning.RenewalLaw:
     """The renewal law a pinning study or ``chaoslim pinning`` runs on."""
     kind = params.get("law", "finite_mean")
@@ -326,192 +323,6 @@ def _disorder(params: dict) -> Atoms | StdGaussian:
     if kind == "rademacher":
         return RADEMACHER
     raise InputError(f"unknown disorder {kind!r}")
-
-
-_PINNING_CHUNK = 2000  # samples a Generator draws for sample_pinning
-_PINNING_HISTORY = 1 << 23  # the most history values one pinning transfer holds
-_POOL = None  # the polymer draw pool, built on first use
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _pool():
-    """The thread pool ``sample_polymer`` fills its sample ranges on, one
-    worker a CPU, while the caller waits for them.  numpy fills an array
-    without the GIL, so the workers overlap each other; nothing overlaps
-    the transfer.  A worker calls only ``fill`` and numpy, so no traced
-    function runs off the main thread."""
-    global _POOL
-    if _POOL is None:
-        # imported here: the module costs 13 ms, which a run without samples skips
-        from concurrent.futures import ThreadPoolExecutor
-
-        _POOL = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="chaoslim-draw")
-    return _POOL
-
-
-def sample_pinning(
-    law: pinning.RenewalLaw,
-    beta_hat: float,
-    h_hat: float,
-    n_steps: int,
-    n_samples: int,
-    seed: int,
-    mode: str = "conditioned",
-    disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
-) -> np.ndarray:
-    """Partition-function samples at the scaled couplings (beta_N, h_N).
-
-    Each chunk of _PINNING_CHUNK samples draws from its own spawned
-    Generator and goes through one transfer call, which reads its site
-    weights a 64-step block at a time, time-major: w_n of every sample of
-    the chunk, then w_{n+1}.  The calling thread draws each block straight
-    into the transfer's block buffer as the transfer reads it and turns it
-    into site weights there, so no (samples, N) omega is built; the memory
-    is the transfer's: the rows a sample of history and block that
-    ``pinning._far_history`` gives, which also size the chunk, 64 * rows for
-    the block, and at most 64 * min(N, n_max) for the Toeplitz.  Where those
-    rows would pass _PINNING_HISTORY values (67 MB), the chunk has fewer
-    samples; ``pinning._renewal_solve`` gives the rows, and where they pass
-    it.  No pool draws ahead: the transfer's per-step loop holds the GIL, so
-    a worker's draw ran after the block, not beside it.
-    """
-    beta_n, h_n = pinning.scale_couplings(law, beta_hat, h_hat, n_steps)
-    pinning._check_cap(n_steps)
-    history = pinning._far_history(law.probs, n_steps)[0]
-    chunk = min(_PINNING_CHUNK, max(1, _PINNING_HISTORY // history))
-    streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / chunk))
-    out = np.empty(n_samples)
-    for pos, ss in zip(range(0, n_samples, chunk), streams):
-        rng = np.random.default_rng(ss)
-
-        def source(n0, block, rng=rng):
-            disorder.fill(rng, block)
-            site_weights(block, beta_n, disorder, h_n)
-
-        size = min(chunk, n_samples - pos)
-        out[pos : pos + size] = pinning.partition_function_batch(law, source, size, n_steps, mode)
-    return out
-
-
-def _fill_weights(disorder, rngs, block, beta: float) -> None:
-    """Fill sample i of ``block`` from ``rngs[i]``, then turn the block into
-    its site weights in place."""
-    for rng, field in zip(rngs, block):
-        disorder.fill(rng, field)
-    site_weights(block, beta, disorder)
-
-
-def sample_polymer(
-    law: polymer.WalkLaw,
-    beta_hat: float,
-    n_steps: int,
-    n_samples: int,
-    seed: int,
-    mode: str = "free",
-    x: float = 0.0,
-    disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
-    mass_tol: float = 1e-8,
-) -> np.ndarray:
-    """Free / point-to-point / conditioned polymer partition samples: the
-    transfer's row sums or entries at y over the norm, with the window, y
-    and norm of ``polymer.field_window``.
-
-    A walk of period p and residue r visits at step n only the sites
-    k = r n (mod p), so a field holds values only there: ceil(width / p)
-    a step, of which a step whose sublattice has one site fewer leaves the
-    last unused. Sample i draws its field from the i-th Generator spawned from
-    ``SeedSequence(seed)``, whose seeds are spawned a group at a time. Groups of samples go through one batched
-    transfer loop, which takes their weights in time blocks of at most
-    polymer._FIELD_BLOCK_CELLS values; each sample fills its own contiguous
-    part of a block straight from its own Generator, so no sample's whole
-    (n_steps, width) field is held at once.
-    A full block splits its cells about evenly between samples and steps:
-    many samples a step keep the per-step overhead of the loop small, many
-    steps a draw keep the per-call overhead of the Generators small. The
-    samples of a block split into one contiguous range a worker thread,
-    and each worker fills its range and turns it into weights
-    e^{beta_N omega - Lambda(beta_N)} in place. Each sample reads its own
-    stream in time order, with the same elementwise arithmetic, so the
-    samples depend on neither the grouping nor the number of cores.
-    """
-    beta_n = polymer.scale_beta(law.alpha, beta_hat, n_steps)
-    k_lo, width, y, norm = polymer.field_window(law, n_steps, mode, x)
-    group = max(1, math.isqrt(polymer._FIELD_BLOCK_CELLS // -(-width // law.period)))
-    # spawn keys run on across calls, so one spawn a group gives the same
-    # children as one up front, without all n_samples seeds at once
-    parent = np.random.SeedSequence(seed)
-    out = np.empty(n_samples)
-    for s0 in range(0, n_samples, group):
-        rngs = [np.random.default_rng(ss) for ss in parent.spawn(min(group, n_samples - s0))]
-        parts = min(_cpu_count(), len(rngs))
-        ranges = [(len(rngs) * j // parts, len(rngs) * (j + 1) // parts) for j in range(parts)]
-
-        def weights(n0, block, rngs=rngs, ranges=ranges):
-            tasks = [_pool().submit(_fill_weights, disorder, rngs[a:b], block[a:b], beta_n)
-                     for a, b in ranges]
-            for err in [t.exception() for t in tasks]:  # waits for every worker first
-                if err is not None:
-                    raise err
-
-        out[s0 : s0 + len(rngs)] = polymer._partition_batch(
-            law, k_lo, len(rngs), width, n_steps, weights, y, mass_tol) / norm
-    return out
-
-
-def positive_samples(z: np.ndarray, lower: str) -> np.ndarray:
-    """``z``, if every partition-function sample in it is finite and
-    positive; else a NumericError that names what to ``lower``."""
-    bad = np.flatnonzero(~(np.isfinite(z) & (z > 0.0)))
-    if bad.size:
-        raise NumericError(
-            f"{bad.size} of {z.size} partition-function samples are not finite and "
-            f"positive (sample {bad[0]} is {float(z[bad[0]])!r}); lower {lower}")
-    return z
-
-
-def sample_ising(
-    profiles: ising.FieldProfiles,
-    n_samples: int,
-    seed: int,
-    disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
-) -> np.ndarray:
-    """Rescaled RFIM partition samples e^{-||lam||^2 d^{-1/4}/2} Z on the
-    lattice Omega cap (delta Z)^2, by batched transfer sweeps.  A sweep's
-    state holds 2^(frontier spins) values a row, so the rows go in chunks
-    whose states hold at most the transfer cap, 2^20 values, together; a
-    chunk draws its xi from the one Generator in turn, and each row is swept
-    alone, so the chunks do not change its bytes.  At large lam_hat the
-    prefactor underflows to 0 and Z overflows: a NumericError."""
-    system = ising.LatticeSpinSystem.from_domain(profiles.domain, profiles.delta)
-    prefactor = ising.normalization_prefactor(profiles)
-    lam, h = ising.scale_fields(profiles, system)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    rows = max(1, ising._SWEEP_CAP >> system.frontier_spins)
-    z = np.empty(n_samples)
-    for r0 in range(0, n_samples, rows):
-        x = lam * disorder.fill(rng, np.empty((min(rows, n_samples - r0), system.n_sites))) + h
-        z[r0 : r0 + rows] = ising._rfim_partition_batch(system, np.exp(x), np.exp(-x))
-    z *= prefactor
-    return positive_samples(z, f"lam_hat = {profiles.lam_hat!r} or h_hat = {profiles.h_hat!r}")
-
-
-def _ising_mean(profiles: ising.FieldProfiles, disorder: Atoms | StdGaussian) -> float:
-    """E[rescaled Z] = prefactor e^{n Lambda(lam)} E+[e^{h sum_x sigma_x}], the
-    mean of ``sample_ising``.  Both disorder laws are symmetric, so
-    E e^{lam omega sigma} = e^{Lambda(lam)} at either spin, and only the bias
-    h is left in the spin average: one transfer row."""
-    system = ising.LatticeSpinSystem.from_domain(profiles.domain, profiles.delta)
-    lam, h = ising.scale_fields(profiles, system)
-    prefactor = ising.normalization_prefactor(profiles)
-    n_lambda = system.n_sites * disorder.log_mgf(lam[0])
-    return prefactor * math.exp(n_lambda) * ising.rfim_partition_xi(system, h)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +402,18 @@ def _polymer_study(config):
     return point
 
 
+def _ising_mean(profiles: ising.FieldProfiles, disorder: Atoms | StdGaussian) -> float:
+    """E[rescaled Z] = prefactor e^{n Lambda(lam)} E+[e^{h sum_x sigma_x}], the
+    mean of ``sample_ising``.  Both disorder laws are symmetric, so
+    E e^{lam omega sigma} = e^{Lambda(lam)} at either spin, and only the bias
+    h is left in the spin average: one transfer row."""
+    system = ising.LatticeSpinSystem.from_domain(profiles.domain, profiles.delta)
+    lam, h = ising.scale_fields(profiles)
+    n_lambda = system.n_sites * disorder.log_mgf(lam)
+    prefactor = ising.normalization_prefactor(profiles) * math.exp(n_lambda)
+    return prefactor * ising.rfim_partition_xi(system, np.full(system.n_sites, h))
+
+
 def _ising_study(config):
     """Rows per delta: ``mean_rescaled_Z`` against its exact mean, and
     ``var_rescaled_Z`` without an oracle."""
@@ -646,47 +469,15 @@ def _wiener_study(config):
             if not (np.isfinite(biased).all() and np.isfinite(unbiased).all()):
                 raise NumericError("the chaos series overflows; lower rho or h_hat")
             weights = wiener.cameron_martin_weight_batch(plain, h_hat / lam_hat)
+            if not (np.isfinite(weights).all() and weights.sum() > 0.0):  # 0 / 0 in the cdf
+                raise NumericError(f"the Cameron-Martin weights are not finite with a positive "
+                                   f"sum; lower h_hat = {h_hat!r} or raise lam_hat = {lam_hat!r}")
             ks = ks_two_sample(unbiased, biased, wx=weights)
             return [ReportRow(n_cells, "ks_cameron_martin", ks.statistic, None,
                               ks.critical_value, None, "mc-ci", ks.passed,
                               "5% two-sample KS")]
         return point
     raise InputError(f"unknown wiener diagnostic {diagnostic!r}")
-
-
-def pinning_alpha_reference(
-    alpha: float,
-    beta_hat: float,
-    cells: int = 32,
-    n_samples: int = 10_000,
-    seed: int = 0,
-) -> np.ndarray:
-    """Reference sample of the conditioned alpha-regime chaos limit on the
-    lattice t = n/M, M = ``cells``.
-
-    The degree-k kernel c_alpha^k prod_{i=1}^{k+1} (t_i - t_{i-1})^{alpha-1},
-    with t_0 = 0 and t_{k+1} = 1, is a renewal product, so on the lattice the
-    series over every degree is the pinning transfer: x(0) = 1 and
-    x(n) = w(n) sum_m K(m) x(n - m) with K(m) = (m/M)^{alpha-1},
-    w(n) = beta_hat c_alpha W_n for n < M and w(M) = 1, and Z = x(M).  The
-    empty site set gives K(M) = 1, the degree-0 term.  W_1..W_{M-1} are the
-    first M - 1 cells of ``wiener.sample_noise_batch``, each N(0, 1/M).  A
-    finite lattice has a finite series, so nothing is truncated.  K is a
-    power m^{-p} with p = 1 - alpha; at alpha = 3/4 the sum of exponentials
-    of ``pinning._renewal_solve`` needs J = 39 to 48 terms from M = 285 to
-    2560, so from there the solve holds the rows and J accumulators that its
-    docstring sizes, and 5,000 rows take about 0.9 s at M = 2048.  It returns
-    x(M) alone.  The same recursion on K^2 with w(n) = (beta_hat c_alpha)^2 / M
-    for n < M gives the exact grid E Z^2; at alpha = 3/4 the grid variance
-    is 0.912 of the continuum value at M = 128, a deficit that falls like
-    M^{-(2 alpha - 1)}.
-    """
-    if beta_hat <= 0:
-        raise InputError("beta_hat must be positive")
-    w = beta_hat * pinning.c_alpha(alpha) * wiener.sample_noise_batch(cells, seed, n_samples)
-    w[:, -1] = 1.0
-    kernel = np.append(0.0, (np.arange(1, cells + 1) / cells) ** (alpha - 1.0))
-    return pinning._renewal_solve(kernel, cells, pinning._array_weights(w), n_samples)
 
 
 def _flat_kernel(n: int) -> chaos.Kernel:
@@ -807,7 +598,7 @@ def _tilt_report(config: ExperimentConfig) -> ComparisonReport:
     interval = params.get("interval", "two-sided")
     p_list = _numbers(params, "p_list", [2.0, 0.5, -1.0])
     result = tilting.tilt_zero_mean(atoms, interval)
-    bounds = tilting.verify_tilt_bounds(result, atoms, p_list)
+    bounds = tilting.verify_tilt_bounds(result, p_list)
     report = ComparisonReport("tilt")
     report.rows.append(ReportRow(0.0, "tilt_lambda", result.lam, None, None, None,
                                  "formula-exact"))

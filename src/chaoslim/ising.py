@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ResourceError
+from .dists import GAUSSIAN_DISORDER, Atoms, StdGaussian
+from .errors import InputError, ResourceError, positive_samples
 
 BETA_C = 0.5 * math.log(1.0 + math.sqrt(2.0))
 _BOND = math.exp(BETA_C), math.exp(-BETA_C)  # e^{beta_c s s'} for s s' = +1, -1
@@ -194,12 +195,11 @@ class FieldProfiles:
             raise InputError("delta must be positive")
 
 
-def scale_fields(profiles: FieldProfiles, system: LatticeSpinSystem):
-    """Site maps lambda_x = lam_hat delta^{7/8}, h_x = h_hat delta^{15/8}."""
+def scale_fields(profiles: FieldProfiles):
+    """The lattice field strengths lambda = lam_hat delta^{7/8} and bias
+    h = h_hat delta^{15/8}, the same at every site."""
     d = profiles.delta
-    lam = np.full(system.n_sites, profiles.lam_hat * d ** (7.0 / 8.0))
-    h = np.full(system.n_sites, profiles.h_hat * d ** (15.0 / 8.0))
-    return lam, h
+    return profiles.lam_hat * d ** (7.0 / 8.0), profiles.h_hat * d ** (15.0 / 8.0)
 
 
 def normalization_prefactor(profiles: FieldProfiles) -> float:
@@ -211,3 +211,29 @@ def normalization_prefactor(profiles: FieldProfiles) -> float:
     except OverflowError:
         return 0.0
     return math.exp(-0.5 * norm_sq * profiles.delta ** (-0.25))
+
+
+def sample_ising(
+    profiles: FieldProfiles,
+    n_samples: int,
+    seed: int,
+    disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
+) -> np.ndarray:
+    """Rescaled RFIM partition samples e^{-||lam||^2 d^{-1/4}/2} Z on the
+    lattice Omega cap (delta Z)^2, by batched transfer sweeps.  A sweep's
+    state holds 2^(frontier spins) values a row, so the rows go in chunks
+    whose states hold at most the transfer cap, 2^20 values, together; a
+    chunk draws its xi from the one Generator in turn, and each row is swept
+    alone, so the chunks do not change its bytes.  At large lam_hat the
+    prefactor underflows to 0 and Z overflows: a NumericError."""
+    system = LatticeSpinSystem.from_domain(profiles.domain, profiles.delta)
+    prefactor = normalization_prefactor(profiles)
+    lam, h = scale_fields(profiles)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rows = max(1, _SWEEP_CAP >> system.frontier_spins)
+    z = np.empty(n_samples)
+    for r0 in range(0, n_samples, rows):
+        x = lam * disorder.fill(rng, np.empty((min(rows, n_samples - r0), system.n_sites))) + h
+        z[r0 : r0 + rows] = _rfim_partition_batch(system, np.exp(x), np.exp(-x))
+    z *= prefactor
+    return positive_samples(z, f"lam_hat = {profiles.lam_hat!r} or h_hat = {profiles.h_hat!r}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import simplex
+from . import simplex, wiener
 from .dists import GAUSSIAN_DISORDER, Atoms, StdGaussian, overlap_weight, site_weights
 from .errors import (
     ConditioningError,
@@ -299,7 +299,7 @@ def _renewal_solve(
     plus the Toeplitz itself, at most _BLOCK_STEPS * min(N, n_max) floats;
     with the sum of exponentials it is 129 rows a sample, whatever N, plus
     J * (n_rows + 128) floats for the accumulators.  The block buffer adds
-    _BLOCK_STEPS rows.  ``harness.sample_pinning`` holds at most 4194
+    _BLOCK_STEPS rows.  ``sample_pinning`` holds at most 4194
     history rows a sample in its 2000-sample chunks, so only the Toeplitz
     past min(N, n_max) = 4129 shrinks them.
     """
@@ -460,6 +460,87 @@ def partition_function_batch(
     # before the transfer, so that the u(N) solve's buffer never meets its buffers
     tail, norm = path_end(law, n_steps, mode)
     return _renewal_solve(law.probs, n_steps, weights, n_samples, tail[::-1].copy()) / norm
+
+
+_PINNING_CHUNK = 2000  # samples a Generator draws for sample_pinning
+_PINNING_HISTORY = 1 << 23  # the most history values one pinning transfer holds
+
+
+def sample_pinning(
+    law: RenewalLaw,
+    beta_hat: float,
+    h_hat: float,
+    n_steps: int,
+    n_samples: int,
+    seed: int,
+    mode: str = "conditioned",
+    disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
+) -> np.ndarray:
+    """Partition-function samples at the scaled couplings (beta_N, h_N).
+
+    Each chunk of _PINNING_CHUNK samples draws from its own spawned
+    Generator and goes through one transfer call, which reads its site
+    weights a 64-step block at a time, time-major: w_n of every sample of
+    the chunk, then w_{n+1}.  The calling thread draws each block straight
+    into the transfer's block buffer as the transfer reads it and turns it
+    into site weights there, so no (samples, N) omega is built; the memory
+    is the transfer's, which ``_renewal_solve`` sizes.  Where the history
+    rows of ``_far_history`` would pass _PINNING_HISTORY values (67 MB),
+    the chunk has fewer samples.  No pool draws ahead: the transfer's
+    per-step loop holds the GIL, so a worker's draw ran after the block,
+    not beside it.
+    """
+    beta_n, h_n = scale_couplings(law, beta_hat, h_hat, n_steps)
+    _check_cap(n_steps)
+    history = _far_history(law.probs, n_steps)[0]
+    chunk = min(_PINNING_CHUNK, max(1, _PINNING_HISTORY // history))
+    streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / chunk))
+    out = np.empty(n_samples)
+    for pos, ss in zip(range(0, n_samples, chunk), streams):
+        rng = np.random.default_rng(ss)
+
+        def source(n0, block, rng=rng):
+            disorder.fill(rng, block)
+            site_weights(block, beta_n, disorder, h_n)
+
+        size = min(chunk, n_samples - pos)
+        out[pos : pos + size] = partition_function_batch(law, source, size, n_steps, mode)
+    return out
+
+
+def pinning_alpha_reference(
+    alpha: float,
+    beta_hat: float,
+    cells: int = 32,
+    n_samples: int = 10_000,
+    seed: int = 0,
+) -> np.ndarray:
+    """Reference sample of the conditioned alpha-regime chaos limit on the
+    lattice t = n/M, M = ``cells``.
+
+    The degree-k kernel c_alpha^k prod_{i=1}^{k+1} (t_i - t_{i-1})^{alpha-1},
+    with t_0 = 0 and t_{k+1} = 1, is a renewal product, so on the lattice the
+    series over every degree is the pinning transfer: x(0) = 1 and
+    x(n) = w(n) sum_m K(m) x(n - m) with K(m) = (m/M)^{alpha-1},
+    w(n) = beta_hat c_alpha W_n for n < M and w(M) = 1, and Z = x(M).  The
+    empty site set gives K(M) = 1, the degree-0 term.  W_1..W_{M-1} are the
+    first M - 1 cells of ``wiener.sample_noise_batch``, each N(0, 1/M).  A
+    finite lattice has a finite series, so nothing is truncated.  K is a
+    power m^{-p} with p = 1 - alpha; at alpha = 3/4 the sum of exponentials
+    of ``_renewal_solve`` needs J = 39 to 48 terms from M = 285 to 2560, so
+    from there the solve holds the rows and J accumulators that its
+    docstring sizes, and 5,000 rows take about 0.9 s at M = 2048.  It returns
+    x(M) alone.  The same recursion on K^2 with w(n) = (beta_hat c_alpha)^2 / M
+    for n < M gives the exact grid E Z^2; at alpha = 3/4 the grid variance
+    is 0.912 of the continuum value at M = 128, a deficit that falls like
+    M^{-(2 alpha - 1)}.
+    """
+    if beta_hat <= 0:
+        raise InputError("beta_hat must be positive")
+    w = beta_hat * c_alpha(alpha) * wiener.sample_noise_batch(cells, seed, n_samples)
+    w[:, -1] = 1.0
+    kernel = np.append(0.0, (np.arange(1, cells + 1) / cells) ** (alpha - 1.0))
+    return _renewal_solve(kernel, cells, _array_weights(w), n_samples)
 
 
 # ---------------------------------------------------------------------------

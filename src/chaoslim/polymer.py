@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import cache
 
@@ -37,6 +38,7 @@ _INVERSION_CELLS = 1 << 20  # (point, node) cells per row block of the inversion
 _INVERSION_NODES_CAP = 1 << 20  # most quadrature nodes one inversion may use
 _GRADED_PANELS = 30  # panels halving toward t = 0, which absorb the t^alpha cusp
 _FIELD_BLOCK_CELLS = 1 << 20  # disorder values per time block of a batched transfer
+_POOL = None  # the sample_polymer draw pool, built on first use
 
 
 @dataclass(frozen=True)
@@ -481,6 +483,91 @@ def polymer_partition(law: WalkLaw, omega: SpaceTimeField, beta: float) -> float
     n_steps, width = omega.values.shape
     return float(_partition_batch(law, omega.k_lo, 1, width, n_steps,
                                   _sublattice_source(law, omega, beta))[0])
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pool():
+    """The thread pool ``sample_polymer`` fills its sample ranges on, one
+    worker a CPU, while the caller waits for them.  numpy fills an array
+    without the GIL, so the workers overlap each other; nothing overlaps
+    the transfer.  A worker calls only ``fill`` and numpy, so no traced
+    function runs off the main thread."""
+    global _POOL
+    if _POOL is None:
+        # imported here: the module costs 13 ms, which a run without samples skips
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="chaoslim-draw")
+    return _POOL
+
+
+def _fill_weights(disorder, rngs, block, beta: float) -> None:
+    """Fill sample i of ``block`` from ``rngs[i]``, then turn the block into
+    its site weights in place."""
+    for rng, field in zip(rngs, block):
+        disorder.fill(rng, field)
+    site_weights(block, beta, disorder)
+
+
+def sample_polymer(
+    law: WalkLaw,
+    beta_hat: float,
+    n_steps: int,
+    n_samples: int,
+    seed: int,
+    mode: str = "free",
+    x: float = 0.0,
+    disorder: Atoms | StdGaussian = GAUSSIAN_DISORDER,
+    mass_tol: float = 1e-8,
+) -> np.ndarray:
+    """Free / point-to-point / conditioned polymer partition samples: the
+    transfer's row sums or entries at y over the norm, with the window, y
+    and norm of ``field_window``.
+
+    Sample i draws its field, on the walk's sublattice only, from the i-th
+    Generator spawned from ``SeedSequence(seed)``, whose seeds are spawned
+    a group at a time.  Groups of samples go through one
+    ``_partition_batch`` loop; each sample fills its own contiguous part
+    of a time block straight from its own Generator, so no sample's whole
+    (n_steps, width) field is held at once.
+    A full block splits its cells about evenly between samples and steps:
+    many samples a step keep the per-step overhead of the loop small, many
+    steps a draw keep the per-call overhead of the Generators small. The
+    samples of a block split into one contiguous range a worker thread,
+    and each worker fills its range and turns it into weights
+    e^{beta_N omega - Lambda(beta_N)} in place. Each sample reads its own
+    stream in time order, with the same elementwise arithmetic, so the
+    samples depend on neither the grouping nor the number of cores.
+    """
+    beta_n = scale_beta(law.alpha, beta_hat, n_steps)
+    k_lo, width, y, norm = field_window(law, n_steps, mode, x)
+    group = max(1, math.isqrt(_FIELD_BLOCK_CELLS // -(-width // law.period)))
+    # spawn keys run on across calls, so one spawn a group gives the same
+    # children as one up front, without all n_samples seeds at once
+    parent = np.random.SeedSequence(seed)
+    out = np.empty(n_samples)
+    for s0 in range(0, n_samples, group):
+        rngs = [np.random.default_rng(ss) for ss in parent.spawn(min(group, n_samples - s0))]
+        parts = min(_cpu_count(), len(rngs))
+        ranges = [(len(rngs) * j // parts, len(rngs) * (j + 1) // parts) for j in range(parts)]
+
+        def weights(n0, block, rngs=rngs, ranges=ranges):
+            tasks = [_pool().submit(_fill_weights, disorder, rngs[a:b], block[a:b], beta_n)
+                     for a, b in ranges]
+            for err in [t.exception() for t in tasks]:  # waits for every worker first
+                if err is not None:
+                    raise err
+
+        out[s0 : s0 + len(rngs)] = _partition_batch(
+            law, k_lo, len(rngs), width, n_steps, weights, y, mass_tol) / norm
+    return out
 
 
 # ---------------------------------------------------------------------------

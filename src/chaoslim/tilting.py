@@ -157,7 +157,7 @@ def tilt_zero_mean(dist: Atoms, interval: str = "two-sided") -> TiltResult:
         tilted=tilted,
         source=dist,
     )
-    rows = verify_tilt_bounds(result, dist, p_list=(2.0,))
+    rows = verify_tilt_bounds(result, p_list=(2.0,))
     # the improved quadratic bound is a consequence of the one-sided
     # hypothesis only; the remaining rows are guaranteed for this construction
     guaranteed = [r for r in rows if r[0] != "second_moment_improved"]
@@ -166,9 +166,9 @@ def tilt_zero_mean(dist: Atoms, interval: str = "two-sided") -> TiltResult:
     return result
 
 
-def verify_tilt_bounds(result: TiltResult, dist: Atoms, p_list=(2.0, 0.5, -1.0)) -> tuple:
-    """Exactly evaluate both sides of the quantitative tilting bounds: a
-    tuple of rows (name, p, lhs, rhs, holds).
+def verify_tilt_bounds(result: TiltResult, p_list=(2.0, 0.5, -1.0)) -> tuple:
+    """Exactly evaluate both sides of the quantitative tilting bounds on
+    ``result.source``: a tuple of rows (name, p, lhs, rhs, holds).
 
     Rows: ("density_moment", p) for E[f(X)^p] <= 1 + C_p E[X]^2 with
     C_p = 4 e^{|p|} / (A eps); "second_moment" for
@@ -179,7 +179,7 @@ def verify_tilt_bounds(result: TiltResult, dist: Atoms, p_list=(2.0, 0.5, -1.0))
     quantities of the (sign-adjusted) input law, whichever interval produced
     the result.
     """
-    a_level, eps = result.a_level, result.epsilon
+    a_level, eps, dist = result.a_level, result.epsilon, result.source
     mean = dist.mean()
     rows = []
 

@@ -127,7 +127,7 @@ def test_criterion_04_pinning_lognormal_limit():
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(42).spawn(4)]
     ks_values = []
     for n, seed in zip(grid, seeds):
-        z = harness.sample_pinning(law, 1.0, 0.0, n, 10_000, seed, "conditioned")
+        z = pinning.sample_pinning(law, 1.0, 0.0, n, 10_000, seed, "conditioned")
         ks_values.append(harness.ks_statistic(np.log(z),
                                               lambda t: ndtr((t - drift) / vol)))
     noise = [1.0 / math.sqrt(10_000)] * len(grid)
@@ -263,7 +263,7 @@ def test_criterion_09_tilting():
     lam_exact = 0.5 * math.log(0.499 / 0.501)
     lam_ok = abs(result.lam - lam_exact) < 1e-10
     mean_ok = abs(result.tilted.mean()) < 1e-12
-    bounds = tilting.verify_tilt_bounds(result, dist, p_list=(-1.0, 0.5, 2.0))
+    bounds = tilting.verify_tilt_bounds(result, p_list=(-1.0, 0.5, 2.0))
     names = {row[0] for row in bounds}
     all_hold = all(ok for *_, ok in bounds)
     four_ok = all_hold and names == {

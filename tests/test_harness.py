@@ -405,9 +405,9 @@ def pool_of(monkeypatch):
     interval = sys.getswitchinterval()
 
     def build(workers):
-        monkeypatch.setattr(harness, "_cpu_count", lambda: workers)
-        monkeypatch.setattr(harness, "_POOL", None)
-        pools.append(harness._pool())
+        monkeypatch.setattr(polymer, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(polymer, "_POOL", None)
+        pools.append(polymer._pool())
         sys.setswitchinterval(1e-5)
 
     try:
@@ -433,10 +433,10 @@ def test_sample_polymer_does_not_depend_on_the_worker_count(monkeypatch, pool_of
     # in 10-step blocks, which 3 workers split 2 + 2 + 3
     monkeypatch.setattr(polymer, "_FIELD_BLOCK_CELLS", cells)
     law = polymer.WalkLaw.simple_symmetric()
-    ref = harness.sample_polymer(law, 0.7, 100, 7, 3, mode, x, disorder)
+    ref = polymer.sample_polymer(law, 0.7, 100, 7, 3, mode, x, disorder)
     for workers in (1, 3):
         pool_of(workers)
-        assert np.array_equal(harness.sample_polymer(law, 0.7, 100, 7, 3, mode, x, disorder),
+        assert np.array_equal(polymer.sample_polymer(law, 0.7, 100, 7, 3, mode, x, disorder),
                               ref), workers
 
 
@@ -452,28 +452,10 @@ def test_sample_polymer_spawns_seeds_a_group_at_a_time(monkeypatch):
 
     monkeypatch.setattr(polymer, "_FIELD_BLOCK_CELLS", 396)
     law = polymer.WalkLaw.simple_symmetric()
-    ref = harness.sample_polymer(law, 0.7, 100, 7, 3)
+    ref = polymer.sample_polymer(law, 0.7, 100, 7, 3)
     monkeypatch.setattr(np.random, "SeedSequence", Recording)
-    assert np.array_equal(harness.sample_polymer(law, 0.7, 100, 7, 3), ref)
+    assert np.array_equal(polymer.sample_polymer(law, 0.7, 100, 7, 3), ref)
     assert asked == [2, 2, 2, 1]
-
-
-@DISORDERS
-@pytest.mark.parametrize("mode", ["conditioned", "free"])
-def test_sample_pinning_does_not_depend_on_the_worker_count(pool_of, mode, disorder):
-    # the pinning blocks are drawn on the calling thread, so no pool size
-    # may move a sample.  2100 samples cross the 2000-sample chunk; N = 300
-    # ends in a 44-step block and N = 40 has one block
-    laws = [(pinning.RenewalLaw.from_probabilities([0.5, 0.5]), 300),
-            (pinning.RenewalLaw.from_probabilities([0.5, 0.5]), 40),
-            (pinning.RenewalLaw.heavy_tail(0.75, 20000), 700)]
-    refs = [harness.sample_pinning(law, 1.0, 0.4, n, 2100, 3, mode, disorder)
-            for law, n in laws]
-    for workers in (1, 3):
-        pool_of(workers)
-        for (law, n), ref in zip(laws, refs):
-            got = harness.sample_pinning(law, 1.0, 0.4, n, 2100, 3, mode, disorder)
-            assert np.array_equal(got, ref), (workers, law.n_max, n)
 
 
 def test_sample_pinning_draws_each_block_once_in_time_order():
@@ -487,38 +469,48 @@ def test_sample_pinning_draws_each_block_once_in_time_order():
             return super().fill(rng, out)
 
     renewal = pinning.RenewalLaw.from_probabilities([0.5, 0.5])
-    harness.sample_pinning(renewal, 1.0, 0.0, 300, 30, 1, disorder=Counted())
+    pinning.sample_pinning(renewal, 1.0, 0.0, 300, 30, 1, disorder=Counted())
     assert drawn == [(64, 30)] * 4 + [(44, 30)]
 
 
-class _RecordsThreads(dists.StdGaussian):
-    """A Gaussian law that keeps the thread of each draw."""
+class _RecordsThreads:
+    """A disorder law that draws from ``law`` and keeps the thread of each
+    draw."""
 
-    def __init__(self):
+    def __init__(self, law):
+        self.law = law
         self.threads = []
 
     def fill(self, rng, out):
         self.threads.append(threading.current_thread())
-        return super().fill(rng, out)
+        return self.law.fill(rng, out)
+
+    def log_mgf(self, t):
+        return self.law.log_mgf(t)
 
 
 @pytest.mark.parametrize("mode", ["conditioned", "free"])
 def test_sample_pinning_draws_every_block_on_the_calling_thread(mode):
-    # 2100 samples cross the 2000-sample chunk, and N = 300 reads five
-    # blocks a chunk, 4 * 64 + 44: none is drawn ahead on a worker.  The
-    # samples are those of each chunk's whole time-major omega drawn at once
-    law = pinning.RenewalLaw.from_probabilities([0.5, 0.5])
-    recording = _RecordsThreads()
-    got = harness.sample_pinning(law, 1.0, 0.4, 300, 2100, 3, mode, recording)
-    assert recording.threads == [threading.main_thread()] * 10
-    beta, h = pinning.scale_couplings(law, 1.0, 0.4, 300)
-    ref = []
-    for ss, rows in zip(np.random.SeedSequence(3).spawn(2), (2000, 100)):
-        omega = dists.GAUSSIAN_DISORDER.fill(np.random.default_rng(ss), np.empty((300, rows)))
-        w = dists.site_weights(omega, beta, dists.GAUSSIAN_DISORDER, h).T
-        ref.append(pinning.partition_function_batch(law, pinning._array_weights(w), rows, 300,
-                                                    mode))
-    assert np.array_equal(got, np.concatenate(ref))
+    # 2100 samples cross the 2000-sample chunk, and each chunk reads
+    # ceil(N / 64) blocks: N = 300 ends in a 44-step block, N = 40 has one,
+    # and the alpha law's N = 700 takes the sum of exponentials.  None is
+    # drawn ahead on a worker, and under either disorder law the samples
+    # are those of each chunk's whole time-major omega drawn at once
+    two_atom = pinning.RenewalLaw.from_probabilities([0.5, 0.5])
+    runs = ((two_atom, 300), (two_atom, 40), (pinning.RenewalLaw.heavy_tail(0.75, 20000), 700))
+    for law, n in runs:
+        for disorder in (dists.GAUSSIAN_DISORDER, dists.RADEMACHER):
+            recording = _RecordsThreads(disorder)
+            got = pinning.sample_pinning(law, 1.0, 0.4, n, 2100, 3, mode, recording)
+            assert recording.threads == [threading.main_thread()] * (2 * -(-n // 64))
+            beta, h = pinning.scale_couplings(law, 1.0, 0.4, n)
+            ref = []
+            for ss, rows in zip(np.random.SeedSequence(3).spawn(2), (2000, 100)):
+                omega = disorder.fill(np.random.default_rng(ss), np.empty((n, rows)))
+                w = dists.site_weights(omega, beta, disorder, h).T
+                ref.append(pinning.partition_function_batch(
+                    law, pinning._array_weights(w), rows, n, mode))
+            assert np.array_equal(got, np.concatenate(ref)), (law.n_max, n, disorder)
 
 
 class _FailsOnWorkers(dists.StdGaussian):
@@ -539,17 +531,53 @@ def test_a_worker_error_reaches_the_caller():
     # a polymer fill that raises on a worker raises from the sampler, and
     # leaves the pool fit for the next call
     law = polymer.WalkLaw.simple_symmetric()
-    before = harness.sample_polymer(law, 0.5, 60, 5, 1)
+    before = polymer.sample_polymer(law, 0.5, 60, 5, 1)
     failing = _FailsOnWorkers()
     with pytest.raises(NumericError) as err:
-        harness.sample_polymer(law, 0.5, 60, 5, 1, disorder=failing)
+        polymer.sample_polymer(law, 0.5, 60, 5, 1, disorder=failing)
     assert any(err.value is raised for raised in failing.raised)
-    assert np.array_equal(harness.sample_polymer(law, 0.5, 60, 5, 1), before)
+    assert np.array_equal(polymer.sample_polymer(law, 0.5, 60, 5, 1), before)
 
 
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+
+# each study and each sampler command, with the harness attribute of the
+# sampler it must call once: the benchmark's tracer wraps those attributes,
+# so a call that went round them would drop out of its spans
+SAMPLER_ROUTES = [
+    ("sample_pinning", {"model": "pinning", "grid": [20], "samples": 100}),
+    ("sample_polymer", {"model": "polymer", "grid": [20], "samples": 4}),
+    ("sample_ising", {"model": "ising", "grid": [0.5], "samples": 4}),
+    ("sample_pinning", ["pinning", "--N", "20", "--samples", "4"]),
+    ("sample_polymer", ["polymer", "--N", "20", "--samples", "4"]),
+    ("sample_ising", ["ising", "--delta", "0.5", "--samples", "4"]),
+]
+
+
+@pytest.mark.parametrize("name,route", SAMPLER_ROUTES,
+                         ids=["pinning-study", "polymer-study", "ising-study",
+                              "pinning-cmd", "polymer-cmd", "ising-cmd"])
+def test_samplers_are_reached_through_their_harness_attribute(monkeypatch, tmp_path, name,
+                                                               route):
+    calls = []
+    sampler = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return sampler(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    if isinstance(route, dict):
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps(route))
+        argv = ["run", "--config", str(config)]
+    else:
+        argv = route + ["--out", str(tmp_path / "z.csv")]
+    cli.main(argv)
+    assert calls == [name]
 
 
 def test_cli_pinning_csv(tmp_path):
@@ -729,6 +757,14 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
      "lower lam_hat = 1e+160"),
     (["run"], {"model": "ising", "grid": [0.25], "samples": 2, "params": {"lam_hat": 1e300}},
      "lower lam_hat = 1e+300"),
+    # nu = h_hat / lam_hat = 50: every weight e^{nu W - nu^2 / 2} underflows to 0,
+    # and the weighted KS row read nan
+    (["run"], {"model": "wiener", "grid": [8, 16], "samples": 200,
+               "params": {"diagnostic": "cameron_martin", "lam_hat": 0.01}},
+     "lower h_hat = 0.5 or raise lam_hat = 0.01"),
+    # Z overflows to inf through the bias h_N, not beta_N
+    (["pinning", "--N", "10", "--samples", "2", "--h-hat", "1e300"], None,
+     "(sample 0 is inf); lower beta_hat, h_hat or N"),
 ], ids=["probs_not_a_number", "config_missing", "config_not_json", "config_no_model",
         "config_samples_not_int",
         "config_grid_not_numbers", "config_grid_not_a_list", "config_param_not_a_number",
@@ -757,7 +793,8 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
         "config_oracle_underflows", "config_oracle_underflows_free",
         "config_oracle_overflows_by_bias",
         "ising_h_hat_overflows", "config_alpha_series_bias_not_summable",
-        "ising_lam_hat_squared_overflows", "config_lam_hat_squared_overflows"])
+        "ising_lam_hat_squared_overflows", "config_lam_hat_squared_overflows",
+        "config_cameron_martin_weights_underflow", "pinning_h_hat_overflows"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, config, message):
     out = tmp_path / "out"
     if argv[0] == "run":
@@ -969,10 +1006,8 @@ def test_disorder_param_gives_the_shared_law_objects():
 
 
 def test_polymer_conditioned_sampling_normalized():
-    from chaoslim import polymer
-
     law = polymer.WalkLaw.simple_symmetric()
-    z = harness.sample_polymer(law, 0.5, 100, 400, seed=8, mode="conditioned", x=0.0)
+    z = polymer.sample_polymer(law, 0.5, 100, 400, seed=8, mode="conditioned", x=0.0)
     se = float(z.std(ddof=1) / math.sqrt(z.size))
     assert abs(float(z.mean()) - 1.0) <= 3.5 * se
 
@@ -995,7 +1030,7 @@ def test_cli_run_lindeberg_config(tmp_path):
 
 def test_pinning_alpha_reference_sampler_sanity():
     alpha, beta_hat, cells = 0.75, 1.0, 128
-    ref = harness.pinning_alpha_reference(alpha, beta_hat, cells=cells, n_samples=20_000, seed=7)
+    ref = pinning.pinning_alpha_reference(alpha, beta_hat, cells=cells, n_samples=20_000, seed=7)
     # the grid's exact E Z^2: y(n) = v(n) sum_m K(m)^2 y(n - m), the sum over site
     # sets of prod K^2 prod E[w^2], with v(n) = (beta_hat c_alpha)^2 / M and v(M) = 1
     rho2 = (beta_hat * pinning.c_alpha(alpha)) ** 2

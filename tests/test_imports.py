@@ -260,7 +260,7 @@ def test_no_orphaned_private_names():
 # ``x.name`` or named in a string, so a name shared with another attribute
 # still hides it.
 TEST_ONLY_PUBLIC_NAMES = frozenset({
-    "harness.pinning_alpha_reference",
+    "pinning.pinning_alpha_reference",
 })
 
 
@@ -291,9 +291,9 @@ def test_public_names_have_readers_outside_tests():
 # list only shrinks.  A call counts by the name it calls, so a function that
 # shares its name with another is seen through that one's calls too.
 TEST_ONLY_PARAMETERS = frozenset({
-    "harness.pinning_alpha_reference.cells",
-    "harness.pinning_alpha_reference.n_samples",
-    "harness.pinning_alpha_reference.seed",
+    "pinning.pinning_alpha_reference.cells",
+    "pinning.pinning_alpha_reference.n_samples",
+    "pinning.pinning_alpha_reference.seed",
 })
 
 
@@ -361,14 +361,6 @@ def test_private_reads_are_found():
 # and a listed read that is gone fails it until it leaves; the list only
 # shrinks.
 CROSS_MODULE_PRIVATE_READS = frozenset({
-    "harness:pinning._far_history",
-    "harness:pinning._check_cap",
-    "harness:pinning._renewal_solve",
-    "harness:pinning._array_weights",
-    "harness:polymer._FIELD_BLOCK_CELLS",
-    "harness:polymer._partition_batch",
-    "harness:ising._SWEEP_CAP",
-    "harness:ising._rfim_partition_batch",
     "polymer:pinning._chaos_second_moment",
     "polymer:pinning._check_cap",
 })
@@ -412,9 +404,9 @@ def test_import_loads_no_worker_pool_module():
 def test_pinning_sampler_loads_no_worker_pool_module():
     # the pinning sampler draws each block on its own thread; only the
     # polymer sampler builds the pool.  N = 300 reads five blocks
-    probe = ("import sys; from chaoslim import harness, pinning; "
+    probe = ("import sys; from chaoslim import pinning; "
              "law = pinning.RenewalLaw.from_probabilities([0.5, 0.5]); "
-             "harness.sample_pinning(law, 1.0, 0.0, 300, 30, 1); "
+             "pinning.sample_pinning(law, 1.0, 0.0, 300, 30, 1); "
              "print(*(m for m in sys.modules if m.startswith('concurrent')))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,

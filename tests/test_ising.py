@@ -228,7 +228,7 @@ def test_rfim_symmetric_site_swap_invariance():
     idx_b = SQ22.interior.index((1, 1))
     swapped = omega.copy()
     swapped[[idx_a, idx_b]] = swapped[[idx_b, idx_a]]
-    lam, h = scale_fields(profiles, SQ22)
+    lam, h = scale_fields(profiles)
     assert rfim_partition_xi(SQ22, lam * omega + h) == pytest.approx(
         rfim_partition_xi(SQ22, lam * swapped + h), rel=1e-12
     )
@@ -265,12 +265,12 @@ def test_chaos_rewrite_identity_2x2():
 
 def test_sample_ising_matches_per_sample_rfim_partition():
     profiles = FieldProfiles(1.3, -0.4, Rect.unit_square(), 0.25)
-    z = harness.sample_ising(profiles, 20, 11)
+    z = ising.sample_ising(profiles, 20, 11)
     system = LatticeSpinSystem.from_domain(profiles.domain, profiles.delta)
     prefactor = normalization_prefactor(profiles)
     omegas = np.random.default_rng(np.random.SeedSequence(11)).standard_normal(
         (20, system.n_sites))
-    lam, h = scale_fields(profiles, system)
+    lam, h = scale_fields(profiles)
     reference = [prefactor * rfim_partition_xi(system, lam * om + h) for om in omegas]
     assert z.tolist() == reference
 
@@ -282,13 +282,13 @@ def test_sample_ising_sweeps_rows_in_bounded_chunks():
     profiles = FieldProfiles(1.0, 0.2, Rect.unit_square(), 1 / 12)
     tracemalloc.start()
     try:
-        z = harness.sample_ising(profiles, 520, 4)
+        z = ising.sample_ising(profiles, 520, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 6 * 8 * (1 << 20)
     system = LatticeSpinSystem.from_domain(profiles.domain, profiles.delta)
-    lam, h = scale_fields(profiles, system)
+    lam, h = scale_fields(profiles)
     xi = lam * np.random.default_rng(np.random.SeedSequence(4)).standard_normal(
         (520, system.n_sites)) + h
     one_sweep = normalization_prefactor(profiles) * _rfim_partition_batch(
@@ -303,11 +303,11 @@ def test_sample_ising_draws_xi_a_sweep_chunk_at_a_time(monkeypatch, disorder):
     # sweeps 1024 rows a chunk; 100,000 samples hold 3.2 MB of xi, drawn
     # whole (with its scaled copy, 6.4 MB) unless each chunk draws its own
     profiles = FieldProfiles(1.0, 0.2, Rect.unit_square(), 1 / 3)
-    one_sweep = harness.sample_ising(profiles, 100_000, 6, disorder)
+    one_sweep = ising.sample_ising(profiles, 100_000, 6, disorder)
     monkeypatch.setattr(ising, "_SWEEP_CAP", 1 << 12)
     tracemalloc.start()
     try:
-        z = harness.sample_ising(profiles, 100_000, 6, disorder)
+        z = ising.sample_ising(profiles, 100_000, 6, disorder)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -351,16 +351,10 @@ def test_transfer_is_symmetric_under_the_square(delta):
 
 
 def test_scale_fields_powers():
-    profiles = FieldProfiles(2.0, 3.0, Rect.unit_square(), 1.0)
-    system = rect(2, 2)
-    lam, h = scale_fields(profiles, system)
-    assert np.allclose(lam, 2.0)
-    assert np.allclose(h, 3.0)
-    profiles256 = FieldProfiles(1.0, 1.0, Rect.unit_square(), 1.0 / 256)
-    system256 = LatticeSpinSystem(range(10, 11), range(10, 11))
-    lam, h = scale_fields(profiles256, system256)
-    assert lam[0] == pytest.approx(2.0**-7)
-    assert h[0] == pytest.approx(2.0**-15)
+    assert scale_fields(FieldProfiles(2.0, 3.0, Rect.unit_square(), 1.0)) == (2.0, 3.0)
+    lam, h = scale_fields(FieldProfiles(1.0, 1.0, Rect.unit_square(), 1.0 / 256))
+    assert lam == pytest.approx(2.0**-7)
+    assert h == pytest.approx(2.0**-15)
 
 
 def test_normalization_prefactor_values():
@@ -391,8 +385,8 @@ def test_rescaled_partition_mean_approaches_one():
     for delta in (1.0 / 3.0, 1.0 / 4.0, 1.0 / 5.0):
         profiles = FieldProfiles(1.0, 0.0, Rect.unit_square(), delta)
         system = LatticeSpinSystem.from_domain(Rect.unit_square(), delta)
-        lam, _ = scale_fields(profiles, system)
-        log_mean = 0.5 * float(lam @ lam) + math.log(normalization_prefactor(profiles))
+        lam, _ = scale_fields(profiles)
+        log_mean = 0.5 * system.n_sites * lam**2 + math.log(normalization_prefactor(profiles))
         logs.append(abs(log_mean))
     assert logs[0] > logs[1] > logs[2]
     assert logs[-1] < 0.5
@@ -407,9 +401,9 @@ def test_ising_mean_matches_enumeration(h_hat):
         profiles = FieldProfiles(1.3, h_hat, Rect.unit_square(), delta)
         system = LatticeSpinSystem.from_domain(profiles.domain, delta)
         n = system.n_sites
-        lam, h = scale_fields(profiles, system)
+        lam, h = scale_fields(profiles)
         prefactor = normalization_prefactor(profiles)
-        gaussian = prefactor * math.exp(0.5 * n * lam[0] ** 2) * _rfim_partition_enum(system, h)
+        gaussian = prefactor * math.exp(0.5 * n * lam**2) * _rfim_partition_enum(system, [h] * n)
         assert harness._ising_mean(profiles, GAUSSIAN_DISORDER) == pytest.approx(
             gaussian, rel=1e-12, abs=0.0)
         signs = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)

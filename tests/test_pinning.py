@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import gammaln, logsumexp, zeta
 
-from chaoslim import harness, pinning, polymer, wiener
+from chaoslim import pinning, polymer, wiener
 from chaoslim.dists import GAUSSIAN_DISORDER, RADEMACHER, StdGaussian, site_weights
 from chaoslim.errors import (
     ConditioningError,
@@ -371,14 +371,14 @@ def test_sample_pinning_memory_is_bounded():
     # The alpha law takes the sum of exponentials at both sizes, which holds
     # 129 rows whatever N; it held 5.1 MB at N = 2000 and 17.4 MB at 8000
     # with the whole min(N, n_max) + 65 rows
-    harness.sample_pinning(LAW_HALF, 1.0, 0.0, 100, 4, seed=1)  # first-call caches
+    pinning.sample_pinning(LAW_HALF, 1.0, 0.0, 100, 4, seed=1)  # first-call caches
     alpha = RenewalLaw.heavy_tail(0.75, 20000)
     rows, peaks = 256, {}
     for law, n in ((LAW_HALF, 2000), (LAW_HALF, 8000), (LAW_HALF, 16000),
                    (alpha, 2000), (alpha, 8000)):
         tracemalloc.start()
         try:
-            harness.sample_pinning(law, 1.0, 0.0, n, rows, seed=1)
+            pinning.sample_pinning(law, 1.0, 0.0, n, rows, seed=1)
             peaks[law.n_max, n] = peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -400,19 +400,19 @@ def test_sample_pinning_caps_chunk_rows_by_the_history(monkeypatch):
 
     monkeypatch.setattr(pinning, "partition_function_batch", counted)
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "_PINNING_HISTORY", 67 * 300 + 66)
-        harness.sample_pinning(LAW_HALF, 1.0, 0.0, 100, 700, 0)
+        patch.setattr(pinning, "_PINNING_HISTORY", 67 * 300 + 66)
+        pinning.sample_pinning(LAW_HALF, 1.0, 0.0, 100, 700, 0)
     assert calls == [300, 300, 100]
     # the alpha law takes the sum of exponentials from N of about 285 on and
     # holds 129 rows at any N, so the cap of 67 MB never binds; the 8065
     # rows of the Toeplitz would have capped a chunk at 1040 samples at N = 8000
     alpha = RenewalLaw.heavy_tail(0.75, 20000)
     assert pinning._far_history(alpha.probs, 8000)[0] == 129
-    assert harness._PINNING_HISTORY // 129 >= harness._PINNING_CHUNK
+    assert pinning._PINNING_HISTORY // 129 >= pinning._PINNING_CHUNK
     calls.clear()
-    monkeypatch.setattr(harness, "_PINNING_HISTORY", 129 * 300)
-    harness.sample_pinning(alpha, 1.0, 0.0, 700, 700, 0)
-    harness.sample_pinning(alpha, 1.0, 0.0, 250, 200, 0)  # the Toeplitz: 315 rows
+    monkeypatch.setattr(pinning, "_PINNING_HISTORY", 129 * 300)
+    pinning.sample_pinning(alpha, 1.0, 0.0, 700, 700, 0)
+    pinning.sample_pinning(alpha, 1.0, 0.0, 250, 200, 0)  # the Toeplitz: 315 rows
     assert calls == [300, 300, 100, 122, 78]
 
 
@@ -501,7 +501,7 @@ def test_sample_pinning_checks_cap_before_drawing():
             raise AssertionError("disorder drawn")
 
     with pytest.raises(ResourceError):
-        harness.sample_pinning(LAW_HALF, 1.0, 0.0, 300_000, 2, 0, "free", NoDraw())
+        pinning.sample_pinning(LAW_HALF, 1.0, 0.0, 300_000, 2, 0, "free", NoDraw())
 
 
 @pytest.mark.parametrize("mode", ["conditioned", "free"])
@@ -514,7 +514,7 @@ def test_sample_pinning_streams_time_major_blocks(disorder, mode):
     # the same samples.  The alpha law's matrix products may sum in another
     # order, so there they are held to a few units of rounding
     for law, n in ((LAW_HALF, 300), (RenewalLaw.heavy_tail(0.75, 20000), 700)):
-        got = harness.sample_pinning(law, 1.0, 0.4, n, 2100, 3, mode, disorder)
+        got = pinning.sample_pinning(law, 1.0, 0.4, n, 2100, 3, mode, disorder)
         beta, h = scale_couplings(law, 1.0, 0.4, n)
         ref = np.concatenate([
             _batch(law, disorder.fill(np.random.default_rng(ss), np.empty((n, rows))).T,
@@ -632,7 +632,7 @@ def test_alpha_reference_matches_one_shot(cells):
     w[:, -1] = 1.0
     kernel = np.append(0.0, (np.arange(1, cells + 1) / cells) ** -0.25)
     ref = _one_shot_solve(kernel, cells, w)[:, -1]
-    got = harness.pinning_alpha_reference(0.75, 1.0, cells=cells, n_samples=rows, seed=9)
+    got = pinning.pinning_alpha_reference(0.75, 1.0, cells=cells, n_samples=rows, seed=9)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert got.base is None  # x(M) alone, not a view that keeps the transfer's buffer
 
@@ -1030,10 +1030,10 @@ def test_second_moment_converges_with_bias():
 def test_sampled_law_matches_biased_lognormal():
     from scipy.special import ndtr
 
-    from chaoslim.harness import ks_statistic, sample_pinning
+    from chaoslim.harness import ks_statistic
 
     drift, vol = lognormal_limit_law(LAW_HALF, 1.0, 0.5)
-    z = sample_pinning(LAW_HALF, 1.0, 0.5, 1000, 10_000, 0, "conditioned")
+    z = pinning.sample_pinning(LAW_HALF, 1.0, 0.5, 1000, 10_000, 0, "conditioned")
     ks = ks_statistic(np.log(z), lambda t: ndtr((t - drift) / vol))
     assert ks < 1.3581 / math.sqrt(10_000)
 

@@ -410,7 +410,7 @@ def test_conditioned_sample_polymer_solves_q_n_once(monkeypatch):
         return walk(law, n)
 
     monkeypatch.setattr(polymer, "walk_pmf", counted)
-    z = harness.sample_polymer(SIMPLE, 0.7, 100, 5, 3, "conditioned", -0.2)
+    z = polymer.sample_polymer(SIMPLE, 0.7, 100, 5, 3, "conditioned", -0.2)
     assert solved.count(100) == 1
     assert np.all(np.isfinite(z))
 
@@ -542,7 +542,7 @@ def _embed(law, values, k_lo, width, junk):
 
 
 def _reference_samples(law, beta_hat, n_steps, n_samples, seed, mode, x, disorder):
-    """harness.sample_polymer as a loop over samples, each drawing all its
+    """polymer.sample_polymer as a loop over samples, each drawing all its
     sublattice values, ceil(width / p) a step, at once and running the
     per-sample loop on them embedded in a field whose other cells hold
     non-zero junk."""
@@ -583,7 +583,7 @@ def test_sample_polymer_bit_identical_to_per_sample_loop(monkeypatch, mode, x, d
     # 3-step blocks, and 6-step blocks for the last sample, so both splits
     # are crossed
     monkeypatch.setattr(polymer, "_FIELD_BLOCK_CELLS", 396)
-    z = harness.sample_polymer(SIMPLE, 0.7, 100, 5, 3, mode, x, disorder)
+    z = polymer.sample_polymer(SIMPLE, 0.7, 100, 5, 3, mode, x, disorder)
     assert np.array_equal(z, _reference_samples(SIMPLE, 0.7, 100, 5, 3, mode, x, disorder))
 
 
@@ -593,7 +593,7 @@ def test_sample_polymer_period_three_matches_per_sample_loop(monkeypatch, mode, 
     # step; 306 = 9 * 34 values a block give groups of 3 samples and 3-step
     # blocks, and 9-step blocks for the last sample
     monkeypatch.setattr(polymer, "_FIELD_BLOCK_CELLS", 306)
-    z = harness.sample_polymer(THREE, 0.7, 40, 4, 5, mode, x)
+    z = polymer.sample_polymer(THREE, 0.7, 40, 4, 5, mode, x)
     ref = _reference_samples(THREE, 0.7, 40, 4, 5, mode, x, GAUSSIAN_DISORDER)
     assert np.array_equal(z, ref)
 
@@ -655,7 +655,7 @@ def test_partition_period_three_matches_path_enumeration():
 def test_sample_polymer_close_to_per_sample_loop(law, n_steps, n_samples, mode, x):
     # one np.convolve over all padded rows may round the window's edge sites
     # differently from one call per row
-    z = harness.sample_polymer(law, 0.7, n_steps, n_samples, 9, mode, x, mass_tol=1.0)
+    z = polymer.sample_polymer(law, 0.7, n_steps, n_samples, 9, mode, x, mass_tol=1.0)
     ref = _reference_samples(law, 0.7, n_steps, n_samples, 9, mode, x, GAUSSIAN_DISORDER)
     assert z == pytest.approx(ref, rel=1e-12)
 
@@ -675,7 +675,7 @@ def test_sample_polymer_memory_is_bounded():
     # 300 whole fields of 400 x 261 values would take about 250 MB
     tracemalloc.start()
     try:
-        harness.sample_polymer(SIMPLE, 0.5, 400, 300, seed=1)
+        polymer.sample_polymer(SIMPLE, 0.5, 400, 300, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

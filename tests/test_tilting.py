@@ -60,7 +60,7 @@ def test_hypothesis_violation_raises():
 
 def test_all_four_bounds_on_two_point_example():
     res = tilt_zero_mean(TWO_POINT, "two-sided")
-    rows = verify_tilt_bounds(res, TWO_POINT, p_list=(-1.0, 0.5, 2.0))
+    rows = verify_tilt_bounds(res, p_list=(-1.0, 0.5, 2.0))
     assert all(ok for *_, ok in rows)
     names = [row[0] for row in rows]
     assert names.count("density_moment") == 3
@@ -74,7 +74,7 @@ def test_all_four_bounds_on_two_point_example():
 
 def test_density_moment_p0_trivial():
     res = tilt_zero_mean(TWO_POINT)
-    rows = verify_tilt_bounds(res, TWO_POINT, p_list=(0.0,))
+    rows = verify_tilt_bounds(res, p_list=(0.0,))
     row = rows[0]
     assert row[2] == pytest.approx(1.0, abs=1e-12)
     assert row[4]
@@ -84,7 +84,7 @@ def test_negative_mean_law_flips():
     law = Atoms([-1.0, 1.0], [0.501, 0.499])
     res = tilt_zero_mean(law, "two-sided")
     assert abs(res.tilted.mean()) <= 1e-12
-    assert all(ok for *_, ok in verify_tilt_bounds(res, law))
+    assert all(ok for *_, ok in verify_tilt_bounds(res))
 
 
 def test_one_sided_hypothesis_is_never_met_nondegenerately():
@@ -132,7 +132,7 @@ def test_tilt_normalization_property(magnitudes, seed, mean_shift):
         return
     assert float(res.density @ law.probs) == pytest.approx(1.0, abs=1e-12)
     assert abs(res.tilted.mean()) <= 1e-10
-    rows = verify_tilt_bounds(res, law)
+    rows = verify_tilt_bounds(res)
     for row in rows:
         if row[0] != "second_moment_improved":
             assert row[-1], row

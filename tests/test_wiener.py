@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chaoslim import harness, pinning
+from chaoslim import pinning
 from chaoslim.wiener import (
     cameron_martin_weight_batch,
     chaos_series_eval_batch,
@@ -237,7 +237,7 @@ def test_chaos_series_product_matches_degree_sum(n_cells, mu0):
 def test_pinning_alpha_reference_matches_subset_oracle(alpha, cells):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ref = harness.pinning_alpha_reference(alpha, 1.0, cells=cells, n_samples=200, seed=5)
+        ref = pinning.pinning_alpha_reference(alpha, 1.0, cells=cells, n_samples=200, seed=5)
     fields = sample_noise_batch(cells, 5, 200)[:, : cells - 1]
     oracle = alpha_subset_series(alpha, 1.0, fields)
     assert np.max(np.abs(ref - oracle)) <= 1e-12 * np.max(np.abs(oracle))
