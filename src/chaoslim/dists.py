@@ -3,12 +3,15 @@
 Everything here is either an exact finite atom list or a closed-form law, so
 that expectations used in bounds and oracles are exact finite sums.  Both
 law types serve as Lindeberg inputs and as model disorder alike, and
-``fill(rng, out)`` draws either into a caller's array, in C order.
+``fill(rng, out)`` draws either into a caller's array, in C order.  The
+model samplers draw on one shared thread pool, ``run_on_pool``.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +21,7 @@ from .errors import DomainError, InputError
 _ATOL = 1e-12
 # 1/k! for k = 19 down to 2: the Horner coefficients of e^x - 1 - x on |x| < 1
 _EXP_TAIL_COEFS = tuple(1.0 / math.factorial(k) for k in range(19, 1, -1))
+_POOL = None  # the draw pool, built on first use
 
 
 @dataclass(frozen=True)
@@ -144,3 +148,49 @@ def site_weights(out: np.ndarray, beta: float, disorder: Atoms | StdGaussian,
     if h:
         out += h
     return np.exp(out, out=out)
+
+
+def cpu_count() -> int:
+    """The CPUs this process may run on: the draw pool's workers."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pool():
+    """The draw pool, one worker a CPU, built on first use."""
+    global _POOL
+    if _POOL is None:
+        # imported here: the module costs 13 ms, which a run without a pool skips
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL = ThreadPoolExecutor(cpu_count(), thread_name_prefix="chaoslim-draw")
+    return _POOL
+
+
+def run_on_pool(calls, at_once: int | None = None) -> None:
+    """Run each ``(function, *args)`` of ``calls`` on the draw pool, one
+    worker a CPU, while the caller waits; ``at_once`` calls at a time at
+    most, in call order, so that a caller can bound the memory its calls
+    hold between them.  A lone call runs on the calling thread and builds
+    no pool.
+
+    numpy draws and fills arrays without the GIL, so the workers overlap
+    each other and any Python loop that holds it.  Each call runs in a copy
+    of the caller's contextvars context, which holds ``np.errstate``; a
+    worker's own context would warn where the caller silenced.  A round
+    waits for all of its calls, then raises the first error among them in
+    call order, so no call is left running when the caller moves on.
+    """
+    if len(calls) < 2:
+        for function, *args in calls:
+            function(*args)
+        return
+    at_once = at_once or len(calls)
+    for r in range(0, len(calls), at_once):
+        tasks = [_pool().submit(contextvars.copy_context().run, *call)
+                 for call in calls[r : r + at_once]]
+        for err in [t.exception() for t in tasks]:  # waits for every call first
+            if err is not None:
+                raise err

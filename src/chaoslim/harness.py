@@ -473,6 +473,11 @@ def _wiener_study(config):
                 raise NumericError(f"the Cameron-Martin weights are not finite with a positive "
                                    f"sum; lower h_hat = {h_hat!r} or raise lam_hat = {lam_hat!r}")
             ks = ks_two_sample(unbiased, biased, wx=weights)
+            if ks.critical_value >= 1.0:  # no KS statistic exceeds 1, so nothing could fail
+                raise NumericError(
+                    f"the Cameron-Martin weights leave too few effective samples for a KS "
+                    f"test (critical value {ks.critical_value:.3g} >= 1); lower h_hat = "
+                    f"{h_hat!r}, or raise lam_hat = {lam_hat!r} or samples = {config.samples}")
             return [ReportRow(n_cells, "ks_cameron_martin", ks.statistic, None,
                               ks.critical_value, None, "mc-ci", ks.passed,
                               "5% two-sample KS")]

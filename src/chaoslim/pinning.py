@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import simplex, wiener
+from . import dists, simplex, wiener
 from .dists import GAUSSIAN_DISORDER, Atoms, StdGaussian, overlap_weight, site_weights
 from .errors import (
     ConditioningError,
@@ -299,9 +299,9 @@ def _renewal_solve(
     plus the Toeplitz itself, at most _BLOCK_STEPS * min(N, n_max) floats;
     with the sum of exponentials it is 129 rows a sample, whatever N, plus
     J * (n_rows + 128) floats for the accumulators.  The block buffer adds
-    _BLOCK_STEPS rows.  ``sample_pinning`` holds at most 4194
-    history rows a sample in its 2000-sample chunks, so only the Toeplitz
-    past min(N, n_max) = 4129 shrinks them.
+    _BLOCK_STEPS rows.  ``sample_pinning`` holds at most 16777
+    history rows a sample in its 500-sample tiles, so only the Toeplitz
+    past min(N, n_max) = 16712 shrinks them.
     """
     n_max = kernel.size - 1
     held, exps = _far_history(kernel, n_steps)
@@ -462,7 +462,7 @@ def partition_function_batch(
     return _renewal_solve(law.probs, n_steps, weights, n_samples, tail[::-1].copy()) / norm
 
 
-_PINNING_CHUNK = 2000  # samples a Generator draws for sample_pinning
+_PINNING_TILE = 500  # samples a tile of sample_pinning draws from its own Generator
 _PINNING_HISTORY = 1 << 23  # the most history values one pinning transfer holds
 
 
@@ -478,33 +478,41 @@ def sample_pinning(
 ) -> np.ndarray:
     """Partition-function samples at the scaled couplings (beta_N, h_N).
 
-    Each chunk of _PINNING_CHUNK samples draws from its own spawned
-    Generator and goes through one transfer call, which reads its site
-    weights a 64-step block at a time, time-major: w_n of every sample of
-    the chunk, then w_{n+1}.  The calling thread draws each block straight
-    into the transfer's block buffer as the transfer reads it and turns it
-    into site weights there, so no (samples, N) omega is built; the memory
-    is the transfer's, which ``_renewal_solve`` sizes.  Where the history
-    rows of ``_far_history`` would pass _PINNING_HISTORY values (67 MB),
-    the chunk has fewer samples.  No pool draws ahead: the transfer's
-    per-step loop holds the GIL, so a worker's draw ran after the block,
-    not beside it.
+    The samples split into tiles of _PINNING_TILE.  Tile i draws from the
+    i-th Generator spawned from ``SeedSequence(seed)`` and goes through one
+    transfer call, which reads its site weights a 64-step block at a time,
+    time-major: w_n of every sample of the tile, then w_{n+1}.  The tile's
+    thread draws each block straight into the transfer's block buffer as
+    the transfer reads it and turns it into site weights there, so no
+    (samples, N) omega is built; the memory is the transfer's, which
+    ``_renewal_solve`` sizes.  Where the history rows of ``_far_history``
+    would pass _PINNING_HISTORY values (67 MB), a tile has fewer samples.
+
+    One tile runs on the calling thread.  More run on the draw pool, as
+    many at once as hold _PINNING_HISTORY history values between them: a
+    draw releases the GIL, so one tile draws while another runs its
+    per-step loop.  The tiles depend on neither the core count nor each
+    other, and a call of one tile gives the samples of tile 0 of any call.
     """
     beta_n, h_n = scale_couplings(law, beta_hat, h_hat, n_steps)
     _check_cap(n_steps)
     history = _far_history(law.probs, n_steps)[0]
-    chunk = min(_PINNING_CHUNK, max(1, _PINNING_HISTORY // history))
-    streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / chunk))
+    tile = min(_PINNING_TILE, max(1, _PINNING_HISTORY // history))
+    streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / tile))
     out = np.empty(n_samples)
-    for pos, ss in zip(range(0, n_samples, chunk), streams):
+
+    def run(pos, ss):
         rng = np.random.default_rng(ss)
 
-        def source(n0, block, rng=rng):
+        def source(n0, block):
             disorder.fill(rng, block)
             site_weights(block, beta_n, disorder, h_n)
 
-        size = min(chunk, n_samples - pos)
+        size = min(tile, n_samples - pos)
         out[pos : pos + size] = partition_function_batch(law, source, size, n_steps, mode)
+
+    dists.run_on_pool([(run, pos, ss) for pos, ss in zip(range(0, n_samples, tile), streams)],
+                      max(1, _PINNING_HISTORY // (history * tile)))
     return out
 
 

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from . import simplex
+from . import dists, simplex
 from .dists import GAUSSIAN_DISORDER, Atoms, StdGaussian, overlap_weight, site_weights
 from .errors import (
     ConditioningError,
@@ -38,7 +37,6 @@ _INVERSION_CELLS = 1 << 20  # (point, node) cells per row block of the inversion
 _INVERSION_NODES_CAP = 1 << 20  # most quadrature nodes one inversion may use
 _GRADED_PANELS = 30  # panels halving toward t = 0, which absorb the t^alpha cusp
 _FIELD_BLOCK_CELLS = 1 << 20  # disorder values per time block of a batched transfer
-_POOL = None  # the sample_polymer draw pool, built on first use
 
 
 @dataclass(frozen=True)
@@ -485,29 +483,6 @@ def polymer_partition(law: WalkLaw, omega: SpaceTimeField, beta: float) -> float
                                   _sublattice_source(law, omega, beta))[0])
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _pool():
-    """The thread pool ``sample_polymer`` fills its sample ranges on, one
-    worker a CPU, while the caller waits for them.  numpy fills an array
-    without the GIL, so the workers overlap each other; nothing overlaps
-    the transfer.  A worker calls only ``fill`` and numpy, so no traced
-    function runs off the main thread."""
-    global _POOL
-    if _POOL is None:
-        # imported here: the module costs 13 ms, which a run without samples skips
-        from concurrent.futures import ThreadPoolExecutor
-
-        _POOL = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="chaoslim-draw")
-    return _POOL
-
-
 def _fill_weights(disorder, rngs, block, beta: float) -> None:
     """Fill sample i of ``block`` from ``rngs[i]``, then turn the block into
     its site weights in place."""
@@ -555,15 +530,12 @@ def sample_polymer(
     out = np.empty(n_samples)
     for s0 in range(0, n_samples, group):
         rngs = [np.random.default_rng(ss) for ss in parent.spawn(min(group, n_samples - s0))]
-        parts = min(_cpu_count(), len(rngs))
+        parts = min(dists.cpu_count(), len(rngs))
         ranges = [(len(rngs) * j // parts, len(rngs) * (j + 1) // parts) for j in range(parts)]
 
         def weights(n0, block, rngs=rngs, ranges=ranges):
-            tasks = [_pool().submit(_fill_weights, disorder, rngs[a:b], block[a:b], beta_n)
-                     for a, b in ranges]
-            for err in [t.exception() for t in tasks]:  # waits for every worker first
-                if err is not None:
-                    raise err
+            dists.run_on_pool([(_fill_weights, disorder, rngs[a:b], block[a:b], beta_n)
+                               for a, b in ranges])
 
         out[s0 : s0 + len(rngs)] = _partition_batch(
             law, k_lo, len(rngs), width, n_steps, weights, y, mass_tol) / norm

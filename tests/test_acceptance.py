@@ -130,8 +130,9 @@ def test_criterion_04_pinning_lognormal_limit():
         z = pinning.sample_pinning(law, 1.0, 0.0, n, 10_000, seed, "conditioned")
         ks_values.append(harness.ks_statistic(np.log(z),
                                               lambda t: ndtr((t - drift) / vol)))
-    noise = [1.0 / math.sqrt(10_000)] * len(grid)
-    trend_ok = harness.trend_nonincreasing(ks_values, noise)
+    # the shipped study's rule: four values within 2/sqrt(10000) of each
+    # other sit at the noise floor and show no trend to judge
+    trend_ok = harness._ks_settles(ks_values, 10_000)
     elapsed = time.time() - t0
     ok = trend_ok and ks_values[-1] < 0.05 and elapsed < 300.0
     _report(4, "pinning lognormal limit (KS)", ok,

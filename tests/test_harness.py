@@ -392,7 +392,8 @@ def test_lindeberg_audit_heavy_tailed_finite_m():
 
 
 # ---------------------------------------------------------------------------
-# disorder draws: the polymer's worker pool, the pinning transfer's own thread
+# disorder draws: the shared draw pool, the polymer's sample ranges and the
+# pinning tiles
 # ---------------------------------------------------------------------------
 
 
@@ -405,9 +406,9 @@ def pool_of(monkeypatch):
     interval = sys.getswitchinterval()
 
     def build(workers):
-        monkeypatch.setattr(polymer, "_cpu_count", lambda: workers)
-        monkeypatch.setattr(polymer, "_POOL", None)
-        pools.append(polymer._pool())
+        monkeypatch.setattr(dists, "cpu_count", lambda: workers)
+        monkeypatch.setattr(dists, "_POOL", None)
+        pools.append(dists._pool())
         sys.setswitchinterval(1e-5)
 
     try:
@@ -473,16 +474,16 @@ def test_sample_pinning_draws_each_block_once_in_time_order():
     assert drawn == [(64, 30)] * 4 + [(44, 30)]
 
 
-class _RecordsThreads:
-    """A disorder law that draws from ``law`` and keeps the thread of each
-    draw."""
+class _RecordsDraws:
+    """A disorder law that draws from ``law`` and keeps the Generator, the
+    block shape and the thread of each draw."""
 
     def __init__(self, law):
         self.law = law
-        self.threads = []
+        self.draws = []
 
     def fill(self, rng, out):
-        self.threads.append(threading.current_thread())
+        self.draws.append((rng, out.shape, threading.current_thread()))
         return self.law.fill(rng, out)
 
     def log_mgf(self, t):
@@ -490,27 +491,63 @@ class _RecordsThreads:
 
 
 @pytest.mark.parametrize("mode", ["conditioned", "free"])
-def test_sample_pinning_draws_every_block_on_the_calling_thread(mode):
-    # 2100 samples cross the 2000-sample chunk, and each chunk reads
+def test_sample_pinning_draws_each_tile_on_one_thread(pool_of, mode):
+    # 1100 samples run in tiles of 500, 500 and 100, and each tile reads
     # ceil(N / 64) blocks: N = 300 ends in a 44-step block, N = 40 has one,
-    # and the alpha law's N = 700 takes the sum of exponentials.  None is
-    # drawn ahead on a worker, and under either disorder law the samples
-    # are those of each chunk's whole time-major omega drawn at once
+    # and the alpha law's N = 700 takes the sum of exponentials.  Under
+    # either disorder law and at any pool size the samples are those of
+    # each tile's whole time-major omega drawn at once, from the tile's own
+    # spawned Generator, and a tile draws its blocks in time order on the
+    # one thread that runs its transfer
     two_atom = pinning.RenewalLaw.from_probabilities([0.5, 0.5])
     runs = ((two_atom, 300), (two_atom, 40), (pinning.RenewalLaw.heavy_tail(0.75, 20000), 700))
+    tiles = (500, 500, 100)
     for law, n in runs:
+        blocks = [min(64, n - n0) for n0 in range(0, n, 64)]
         for disorder in (dists.GAUSSIAN_DISORDER, dists.RADEMACHER):
-            recording = _RecordsThreads(disorder)
-            got = pinning.sample_pinning(law, 1.0, 0.4, n, 2100, 3, mode, recording)
-            assert recording.threads == [threading.main_thread()] * (2 * -(-n // 64))
             beta, h = pinning.scale_couplings(law, 1.0, 0.4, n)
             ref = []
-            for ss, rows in zip(np.random.SeedSequence(3).spawn(2), (2000, 100)):
+            for ss, rows in zip(np.random.SeedSequence(3).spawn(3), tiles):
                 omega = disorder.fill(np.random.default_rng(ss), np.empty((n, rows)))
                 w = dists.site_weights(omega, beta, disorder, h).T
                 ref.append(pinning.partition_function_batch(
                     law, pinning._array_weights(w), rows, n, mode))
-            assert np.array_equal(got, np.concatenate(ref)), (law.n_max, n, disorder)
+            for workers in (1, 3):
+                pool_of(workers)
+                recording = _RecordsDraws(disorder)
+                got = pinning.sample_pinning(law, 1.0, 0.4, n, 1100, 3, mode, recording)
+                assert np.array_equal(got, np.concatenate(ref)), (law.n_max, n, disorder)
+                by_tile = {}
+                for rng, shape, thread in recording.draws:
+                    by_tile.setdefault(id(rng), []).append((shape, thread))
+                assert sorted(draws[0][0][1] for draws in by_tile.values()) == [100, 500, 500]
+                for draws in by_tile.values():
+                    rows = draws[0][0][1]
+                    assert [shape for shape, _ in draws] == [(k, rows) for k in blocks]
+                    assert len({thread for _, thread in draws}) == 1
+
+
+def test_sample_pinning_holds_no_more_tiles_than_the_history_allows(monkeypatch, pool_of):
+    # at N = 2000 a two-atom tile holds 67 history rows a sample; with room
+    # for the history of two 500-sample tiles, 4 workers run 2 of the 4
+    # tiles at once, and the call holds about what two one-tile calls do.
+    # All 4 at once held 3.9 to 5 times one tile
+    law = pinning.RenewalLaw.from_probabilities([0.5, 0.5])
+    assert pinning._far_history(law.probs, 2000)[0] == 67
+
+    def peak(n_samples):
+        tracemalloc.start()
+        try:
+            pinning.sample_pinning(law, 1.0, 0.0, 2000, n_samples, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(500)  # first-call caches
+    one_tile = peak(500)
+    pool_of(4)
+    monkeypatch.setattr(pinning, "_PINNING_HISTORY", 2 * 67 * 500)
+    assert peak(2000) < 2.5 * one_tile
 
 
 class _FailsOnWorkers(dists.StdGaussian):
@@ -527,16 +564,23 @@ class _FailsOnWorkers(dists.StdGaussian):
         raise self.raised[-1]
 
 
-def test_a_worker_error_reaches_the_caller():
-    # a polymer fill that raises on a worker raises from the sampler, and
-    # leaves the pool fit for the next call
+def test_a_worker_error_reaches_the_caller(pool_of):
+    # a polymer fill or a pinning tile that raises on a worker raises from
+    # the sampler, and leaves the pool fit for the next call; 2 workers
+    # split the polymer's 5 samples, and 600 pinning samples run as two
+    # tiles, both on the pool
+    pool_of(2)
     law = polymer.WalkLaw.simple_symmetric()
-    before = polymer.sample_polymer(law, 0.5, 60, 5, 1)
-    failing = _FailsOnWorkers()
-    with pytest.raises(NumericError) as err:
-        polymer.sample_polymer(law, 0.5, 60, 5, 1, disorder=failing)
-    assert any(err.value is raised for raised in failing.raised)
-    assert np.array_equal(polymer.sample_polymer(law, 0.5, 60, 5, 1), before)
+    renewal = pinning.RenewalLaw.from_probabilities([0.5, 0.5])
+    samplers = (lambda d: polymer.sample_polymer(law, 0.5, 60, 5, 1, disorder=d),
+                lambda d: pinning.sample_pinning(renewal, 1.0, 0.0, 200, 600, 1, disorder=d))
+    for sample in samplers:
+        before = sample(dists.GAUSSIAN_DISORDER)
+        failing = _FailsOnWorkers()
+        with pytest.raises(NumericError) as err:
+            sample(failing)
+        assert any(err.value is raised for raised in failing.raised)
+        assert np.array_equal(sample(dists.GAUSSIAN_DISORDER), before)
 
 
 # ---------------------------------------------------------------------------
@@ -762,6 +806,11 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
     (["run"], {"model": "wiener", "grid": [8, 16], "samples": 200,
                "params": {"diagnostic": "cameron_martin", "lam_hat": 0.01}},
      "lower h_hat = 0.5 or raise lam_hat = 0.01"),
+    # nu = 10: the weights keep 1.7 effective samples of 200, so the critical
+    # value is 1.36, which no KS statistic exceeds, and the row read 1.0 PASS
+    (["run"], {"model": "wiener", "grid": [16], "samples": 200, "seed": 0,
+               "params": {"diagnostic": "cameron_martin", "lam_hat": 0.05}},
+     "lower h_hat = 0.5, or raise lam_hat = 0.05 or samples = 200"),
     # Z overflows to inf through the bias h_N, not beta_N
     (["pinning", "--N", "10", "--samples", "2", "--h-hat", "1e300"], None,
      "(sample 0 is inf); lower beta_hat, h_hat or N"),
@@ -794,7 +843,8 @@ _TILT_STUDY = {"model": "tilt", "params": {"values": [-1.0, 1.0], "probs": [0.49
         "config_oracle_overflows_by_bias",
         "ising_h_hat_overflows", "config_alpha_series_bias_not_summable",
         "ising_lam_hat_squared_overflows", "config_lam_hat_squared_overflows",
-        "config_cameron_martin_weights_underflow", "pinning_h_hat_overflows"])
+        "config_cameron_martin_weights_underflow", "config_cameron_martin_weights_degenerate",
+        "pinning_h_hat_overflows"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, config, message):
     out = tmp_path / "out"
     if argv[0] == "run":
