@@ -491,6 +491,26 @@ class _RecordsDraws:
 
 
 @pytest.mark.parametrize("mode", ["conditioned", "free"])
+def test_sample_pinning_draws_every_block_on_the_calling_thread(mode):
+    # a call of one tile runs on the calling thread and reads ceil(N / 64)
+    # blocks: N = 300 ends in a 44-step block, N = 40 has one, and the
+    # alpha law's N = 700 takes the sum of exponentials.  None is drawn on
+    # a worker, and under either disorder law its samples are tile 0 of a
+    # call of 1100, whose three tiles run on the pool
+    two_atom = pinning.RenewalLaw.from_probabilities([0.5, 0.5])
+    runs = ((two_atom, 300), (two_atom, 40), (pinning.RenewalLaw.heavy_tail(0.75, 20000), 700))
+    for law, n in runs:
+        blocks = [min(64, n - n0) for n0 in range(0, n, 64)]
+        for disorder in (dists.GAUSSIAN_DISORDER, dists.RADEMACHER):
+            recording = _RecordsDraws(disorder)
+            got = pinning.sample_pinning(law, 1.0, 0.4, n, 500, 3, mode, recording)
+            assert [(shape, thread) for _, shape, thread in recording.draws] == [
+                ((k, 500), threading.main_thread()) for k in blocks]
+            whole = pinning.sample_pinning(law, 1.0, 0.4, n, 1100, 3, mode, disorder)
+            assert np.array_equal(got, whole[:500]), (law.n_max, n, disorder)
+
+
+@pytest.mark.parametrize("mode", ["conditioned", "free"])
 def test_sample_pinning_draws_each_tile_on_one_thread(pool_of, mode):
     # 1100 samples run in tiles of 500, 500 and 100, and each tile reads
     # ceil(N / 64) blocks: N = 300 ends in a 44-step block, N = 40 has one,

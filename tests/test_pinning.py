@@ -364,6 +364,25 @@ def test_partition_batch_memory_is_bounded(mode):
         assert peak < 1.5 * (64 * reach + (reach + 64) * 256) * 8, (reach, peak)
 
 
+@pytest.mark.parametrize("mode", ["conditioned", "free"])
+@pytest.mark.parametrize("disorder", [GAUSSIAN_DISORDER, RADEMACHER],
+                         ids=["gaussian", "rademacher"])
+def test_sample_pinning_streams_time_major_blocks(disorder, mode):
+    # 1100 samples run in tiles of 500, 500 and 100.  Each tile's transfer
+    # draws its omega a 64-step block at a time, time-major, from the tile's
+    # own spawned Generator, so the whole time-major omega of each tile drawn
+    # at once gives the same samples, on the alpha law's sum of exponentials
+    # too
+    for law, n in ((LAW_HALF, 300), (RenewalLaw.heavy_tail(0.75, 20000), 700)):
+        got = pinning.sample_pinning(law, 1.0, 0.4, n, 1100, 3, mode, disorder)
+        beta, h = scale_couplings(law, 1.0, 0.4, n)
+        ref = np.concatenate([
+            _batch(law, disorder.fill(np.random.default_rng(ss), np.empty((n, rows))).T,
+                   beta, h, mode, disorder)
+            for ss, rows in zip(np.random.SeedSequence(3).spawn(3), (500, 500, 100))])
+        assert np.array_equal(got, ref), law.n_max
+
+
 def test_sample_pinning_memory_is_bounded():
     # the transfer draws omega a 64-step block at a time, so it holds the
     # history, at most min(N, n_max) + 65 rows, and the 64-row block buffer
